@@ -54,7 +54,7 @@ def main():
     tree = trees[0]
     rows = selected_relation_rows(cx, tree.edges)
     for j in range(len(gens)):
-        sign, mono = tree_minor_det(rows, j, len(gens))
+        sign, mono = tree_minor_det(rows, j)
         print(
             f"det of minor without column {j + 1}: "
             f"{'+' if sign > 0 else '-'}{monomial_to_str(mono)}"

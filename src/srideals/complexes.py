@@ -37,6 +37,19 @@ def mask_face(mask: int) -> Face:
     return tuple(face)
 
 
+def down_closure(masks) -> frozenset:
+    """Every submask of every given mask, the empty mask included."""
+    faces = set()
+    for top in masks:
+        sub = top
+        while True:
+            faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & top
+    return frozenset(faces)
+
+
 def canonical_face(face, n: int) -> Face:
     """Sorted duplicate-free tuple with all members in [1, n]."""
     members = sorted(face)
@@ -102,15 +115,7 @@ class SimplicialComplex:
     @cached_property
     def face_mask_set(self) -> frozenset:
         """All faces (including the empty face) as bitmasks."""
-        faces = set()
-        for fm in self.facet_masks:
-            sub = fm
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & fm
-        return frozenset(faces)
+        return down_closure(self.facet_masks)
 
     @property
     def is_void(self) -> bool:
@@ -179,6 +184,18 @@ def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.n, missing)
 
 
+def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
+    """Inclusion-minimal nonface bitmasks of the complex on [n] with the
+    given facets, in order of increasing size."""
+    faces = down_closure(facet_masks)
+    found: list[int] = []
+    for mask in sorted(range(1 << n), key=lambda m: bin(m).count("1")):
+        if mask in faces or any(f & mask == f for f in found):
+            continue
+        found.append(mask)
+    return found
+
+
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple[list[Face], bool]:
     """Inclusion-minimal nonfaces of cx, plus the flag-complex verdict.
 
@@ -187,18 +204,7 @@ def minimal_nonfaces(cx: SimplicialComplex) -> tuple[list[Face], bool]:
     nonfaces -- ambient vertices lying in no facet -- do not affect the
     verdict: flagness is judged on the vertex support.
     """
-    faces = cx.face_mask_set
-    found: list[int] = []
-    for size in range(cx.n + 1):
-        for combo in itertools.combinations(range(cx.n), size):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            if mask in faces:
-                continue
-            if any(g & mask == g for g in found):
-                continue
-            found.append(mask)
+    found = minimal_nonfaces_masks(cx.facet_masks, cx.n)
     nonfaces = sorted((mask_face(m) for m in found), key=_face_sort_key)
     is_flag = all(len(f) == 2 for f in nonfaces if len(f) != 1)
     return nonfaces, is_flag

@@ -64,16 +64,19 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def mcs_order(adj: tuple[int, ...]) -> list[int]:
-    """Maximum-cardinality search visit order (0-based vertices)."""
+    """Maximum-cardinality search visit order (0-based vertices); ties go
+    to the lowest vertex."""
     n = len(adj)
     weight = [0] * n
     visited = 0
     order = []
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if not visited >> u & 1),
-            key=lambda u: (weight[u], -u),
-        )
+        v = -1
+        best = -1
+        for u in range(n):
+            if not visited >> u & 1 and weight[u] > best:
+                best = weight[u]
+                v = u
         order.append(v)
         visited |= 1 << v
         rem = adj[v] & ~visited
@@ -84,22 +87,19 @@ def mcs_order(adj: tuple[int, ...]) -> list[int]:
     return order
 
 
-def _peo_violation(adj, order) -> tuple[int, int, int] | None:
-    """First (v, u, w) where u, w are earlier non-adjacent neighbors of v."""
+def _is_peo(adj, order) -> bool:
+    """Do the earlier neighbors of every vertex in the order form a clique?"""
     seen = 0
     for v in order:
         earlier = adj[v] & seen
-        vs = []
         rem = earlier
         while rem:
             bit = rem & -rem
-            vs.append(bit.bit_length() - 1)
+            if earlier & ~(adj[bit.bit_length() - 1] | bit):
+                return False
             rem ^= bit
-        for u, w in itertools.combinations(vs, 2):
-            if not adj[u] >> w & 1:
-                return v, u, w
         seen |= 1 << v
-    return None
+    return True
 
 
 def _chordless_cycle(adj) -> list[int] | None:
@@ -151,7 +151,7 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     """
     adj = g.adjacency
     order = mcs_order(adj)
-    if _peo_violation(adj, order) is None:
+    if _is_peo(adj, order):
         return True, [v + 1 for v in order]
     cycle = _chordless_cycle(adj)
     if cycle is None:
@@ -164,7 +164,7 @@ def verify_elimination_witness(g: Graph, order: list[int]) -> bool:
     if sorted(order) != list(range(1, g.n + 1)):
         return False
     adj = g.adjacency
-    return _peo_violation(adj, [v - 1 for v in order]) is None
+    return _is_peo(adj, [v - 1 for v in order])
 
 
 def verify_cycle_witness(g: Graph, cycle: list[int]) -> bool:

@@ -1,10 +1,17 @@
 """The homological verification engine.
 
 Reduced simplicial homology over an exactly-represented field drives
-everything else here: multigraded Betti numbers via upper-Koszul
-subcomplexes, an independent Taylor-complex oracle, projective
-dimension, regularity, linear-resolution detection, the Reisner
-criterion for Cohen-Macaulayness, and shelling-order search.
+everything else here: multigraded Betti numbers, projective dimension,
+regularity, linear-resolution detection, the Reisner criterion for
+Cohen-Macaulayness, and shelling-order search.
+
+Betti numbers come from one engine (Miller-Sturmfels, Thm 1.34): walk
+the lcm lattice of the generators and take the homology of the
+upper-Koszul complex at each lattice element.  :func:`betti_table`
+(exponent vectors) and :func:`squarefree_betti_masks` (support
+bitmasks) are its two entry points and differ only in how they
+represent a multidegree.  :func:`taylor_betti_table` is the independent
+oracle: homology of the multidegree strands of the Taylor complex.
 
 All ranks are exact: fraction-free integer elimination over the
 rationals, modular elimination over GF(p).
@@ -12,14 +19,13 @@ rationals, modular elimination over GF(p).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ._linalg import rank as _rank
-from .complexes import SimplicialComplex, dimension_info, face_mask
+from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask
 from .errors import DomainError, ResourceLimitError
-from .ideals import Monomial, MonomialIdeal
+from .ideals import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,12 @@ class HomologyProfile:
 
 
 def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
-    """Rank of the simplicial boundary map from upper faces to lower faces."""
+    """Rank of the boundary map from upper faces to lower faces.
+
+    Removing the j-th lowest bit of a face gives sign (-1)^j.  A sub-face
+    missing from `lower` contributes no entry: that never happens for a
+    downward-closed complex and is the rule for a Taylor strand.
+    """
     if not lower or not upper:
         return 0
     index = {m: i for i, m in enumerate(lower)}
@@ -70,7 +81,9 @@ def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
         rem = mask
         while rem:
             bit = rem & -rem
-            rows[index[mask ^ bit]][col] = sign
+            row = index.get(mask ^ bit)
+            if row is not None:
+                rows[row][col] = sign
             sign = -sign
             rem ^= bit
     return _rank(rows, p)
@@ -151,6 +164,9 @@ class BettiTable:
         return all(sum(b) == gen_degree + i for (i, b), _ in self.entries)
 
 
+MAX_LCMS = 50000
+
+
 def _check_betti_caps(ideal: MonomialIdeal, max_generators: int, max_vars: int):
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
@@ -164,41 +180,39 @@ def _check_betti_caps(ideal: MonomialIdeal, max_generators: int, max_vars: int):
         )
 
 
-def _lcm_lattice(gens: list[tuple[int, ...]], cap: int) -> set[tuple[int, ...]]:
-    """All joins (componentwise max) of nonempty generator subsets."""
+def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap: int) -> dict:
+    """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of gens.
+
+    The lattice is every join of a nonempty generator subset, and only
+    its members can carry Betti numbers.  At each b, ``tight_masks(b)``
+    returns |supp(b)| and, for every generator g dividing b, the support
+    positions j with g_j = b_j.  A subset F of supp(b) is a face of the
+    upper-Koszul complex K^b(I) iff it misses the tight mask of some such
+    g (then g divides b / x_F), so K^b(I) is the down-closure of the
+    complements of the tight masks, and beta_{i,b} = dim H~_{i-1}(K^b(I)).
+    """
     lattice = set(gens)
     frontier = set(gens)
     while frontier:
         new = set()
         for b in frontier:
             for g in gens:
-                join = tuple(map(max, b, g))
-                if join not in lattice:
-                    new.add(join)
+                joined = join(b, g)
+                if joined not in lattice:
+                    new.add(joined)
         lattice |= new
         if len(lattice) > cap:
             raise ResourceLimitError(f"lcm lattice exceeds the cap {cap}")
         frontier = new
-    return lattice
-
-
-def _upper_koszul_faces(b: tuple[int, ...], gens: list[tuple[int, ...]]) -> frozenset:
-    """Faces of the upper-Koszul subcomplex at multidegree b, as bitmasks
-    over the support of b (bit j = j-th support position)."""
-    support = [i for i, e in enumerate(b) if e]
-    faces = []
-    for mask in range(1 << len(support)):
-        quotient = list(b)
-        rem = mask
-        idx = 0
-        while rem:
-            if rem & 1:
-                quotient[support[idx]] -= 1
-            rem >>= 1
-            idx += 1
-        if any(all(ge <= qe for ge, qe in zip(g, quotient)) for g in gens):
-            faces.append(mask)
-    return frozenset(faces)
+    table: dict = {}
+    for b in lattice:
+        width, tights = tight_masks(b)
+        full = (1 << width) - 1
+        profile = _profile_from_masks(down_closure(full ^ t for t in tights), p)
+        for i, r in enumerate(profile):
+            if r:
+                table[(i, b)] = r
+    return table
 
 
 def betti_table(
@@ -206,7 +220,7 @@ def betti_table(
     field: FieldChoice = RATIONALS,
     max_generators: int = 12,
     max_vars: int = 16,
-    max_lcms: int = 50000,
+    max_lcms: int = MAX_LCMS,
 ) -> BettiTable:
     """Multigraded Betti numbers of I via upper-Koszul subcomplex homology.
 
@@ -216,64 +230,58 @@ def betti_table(
     """
     _check_betti_caps(ideal, max_generators, max_vars)
     gens = [g.exponents for g in ideal.generators]
-    table: dict = {}
-    for b in _lcm_lattice(gens, max_lcms):
-        profile = _profile_from_masks(_upper_koszul_faces(b, gens), field.p)
-        for i, r in enumerate(profile):
-            if r:
-                table[(i, b)] = r
+
+    def tight_masks(b):
+        support = [i for i, e in enumerate(b) if e]
+        tights = []
+        for g in gens:
+            if all(ge <= be for ge, be in zip(g, b)):
+                tight = 0
+                for idx, i in enumerate(support):
+                    if g[i] == b[i]:
+                        tight |= 1 << idx
+                tights.append(tight)
+        return len(support), tights
+
+    def join(b, g):
+        return tuple(map(max, b, g))
+
+    table = _upper_koszul_betti(gens, join, tight_masks, field.p, max_lcms)
     return BettiTable.from_dict(ideal.num_vars, table)
 
 
 def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     """Betti numbers of a squarefree ideal given by generator support masks.
 
-    Mask-level fast path used by the bulk verification drivers; keys are
-    (i, multidegree-mask).  Agrees with :func:`betti_table` entry for
-    entry on squarefree input.
+    Keys are (i, multidegree-mask).  This is :func:`betti_table` on
+    bitmasks: the same engine, with a multidegree b stored as its support
+    mask and the tight mask of a generator g dividing b equal to g
+    compressed onto the support of b.  The lcm lattice is capped at
+    ``MAX_LCMS``, the default of :func:`betti_table`.
     """
     gens = sorted(set(gen_masks))
     if not gens or 0 in gens:
         raise DomainError("need squarefree generators of positive degree")
-    lattice = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for b in frontier:
-            for g in gens:
-                join = b | g
-                if join not in lattice:
-                    new.add(join)
-        lattice |= new
-        frontier = new
-    table: dict = {}
-    for b in lattice:
-        support = []
+
+    def tight_masks(b):
+        position = {}
         rem = b
         while rem:
             bit = rem & -rem
-            support.append(bit.bit_length() - 1)
+            position[bit] = 1 << len(position)
             rem ^= bit
-        position = {pos: idx for idx, pos in enumerate(support)}
-        compressed = []
+        tights = []
         for g in gens:
-            if g & b != g:
-                continue
-            cg = 0
-            gr = g
-            while gr:
-                bit = gr & -gr
-                cg |= 1 << position[bit.bit_length() - 1]
-                gr ^= bit
-            compressed.append(cg)
-        faces = frozenset(
-            f for f in range(1 << len(support)) if any(cg & f == 0 for cg in compressed)
-        )
-        profile = _profile_from_masks(faces, p)
-        for i, r in enumerate(profile):
-            if r:
-                table[(i, b)] = r
-    return table
+            if g & b == g:
+                tight = 0
+                while g:
+                    bit = g & -g
+                    tight |= position[bit]
+                    g ^= bit
+                tights.append(tight)
+        return len(position), tights
+
+    return _upper_koszul_betti(gens, int.__or__, tight_masks, p, MAX_LCMS)
 
 
 def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
@@ -284,7 +292,13 @@ def taylor_betti_table(
     ideal: MonomialIdeal, field: FieldChoice = RATIONALS, max_generators: int = 12
 ) -> BettiTable:
     """Independent Betti oracle: homology of multidegree strands of the
-    Taylor complex of S/I, shifted down one homological degree."""
+    Taylor complex of S/I, shifted down one homological degree.
+
+    Of the Betti engine it shares only the boundary-matrix builder; its
+    strands, lcms and rank count are its own.  A strand is not downward
+    closed (a face whose lcm drops leaves the strand), and the builder
+    drops such faces from the boundary.
+    """
     _check_betti_caps(ideal, max_generators, ideal.num_vars)
     gens = [g.exponents for g in ideal.generators]
     t = len(gens)
@@ -308,26 +322,10 @@ def taylor_betti_table(
         for masks in levels.values():
             masks.sort()
         top = max(levels)
-        bd_rank = {}
-        for s in range(2, top + 1):
-            lower = levels.get(s - 1, [])
-            upper = levels.get(s, [])
-            if not lower or not upper:
-                bd_rank[s] = 0
-                continue
-            index = {m: i for i, m in enumerate(lower)}
-            rows = [[0] * len(upper) for _ in lower]
-            for col, mask in enumerate(upper):
-                sign = 1
-                rem = mask
-                while rem:
-                    bit = rem & -rem
-                    sub = mask ^ bit
-                    if lcm_of[sub] == b:
-                        rows[index[sub]][col] = sign
-                    sign = -sign
-                    rem ^= bit
-            bd_rank[s] = _rank(rows, field.p)
+        bd_rank = {
+            s: _boundary_rank(levels.get(s - 1, []), levels.get(s, []), field.p)
+            for s in range(2, top + 1)
+        }
         for s in range(1, top + 1):
             # H_s of the strand is beta_{s-1, b}(I); d_1 vanishes for b != 0.
             h = len(levels.get(s, [])) - bd_rank.get(s, 0) - bd_rank.get(s + 1, 0)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import SimplicialComplex, face_mask, mask_face
+from .complexes import SimplicialComplex, face_mask
 from .errors import DomainError, ResourceLimitError
 
 

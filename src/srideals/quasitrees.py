@@ -27,11 +27,6 @@ class LeafReport:
     free_vertices: tuple[int, ...]
 
 
-def _leaf_branches(masks: list[int], f: int) -> list[int]:
-    """Indices g != f whose intersection with facet f dominates all others."""
-    return _leaf_branches_within(masks, range(len(masks)), f)
-
-
 def leaf_report(cx: SimplicialComplex, f: int) -> LeafReport:
     """Classify facet f: leaf or not, with branches and free vertices."""
     t = len(cx.facets)
@@ -45,23 +40,31 @@ def leaf_report(cx: SimplicialComplex, f: int) -> LeafReport:
     free = tuple(v for v in cx.facets[f] if counts[v] == 1)
     if t == 1:
         return LeafReport(True, (), free)
-    branches = _leaf_branches(masks, f)
-    return LeafReport(bool(branches), tuple(branches), free)
+    branches = tuple(_branches(masks, range(t), f))
+    return LeafReport(bool(branches), branches, free)
 
 
-def _is_leaf_of(masks: list[int], alive: list[int], f: int) -> bool:
+def _branches(masks, alive, f):
+    """The branches of facet f among the alive facets, lazily.
+
+    A branch is a facet g != f whose intersection with f contains the
+    intersection of f with every other alive facet, i.e. equals f meeting
+    their union; f is a leaf iff it has a branch.
+    """
     mf = masks[f]
-    if len(alive) == 1:
-        return True
-    inters = [masks[h] & mf for h in alive if h != f]
-    cover = 0
+    union = 0
+    for h in alive:
+        if h != f:
+            union |= masks[h]
+    union &= mf
     for g in alive:
-        if g == f:
-            continue
-        mg = masks[g] & mf
-        if all(h & ~mg == 0 for h in inters):
-            return True
-    return False
+        if g != f and masks[g] & mf == union:
+            yield g
+
+
+def _is_leaf_of(masks, alive, f) -> bool:
+    """A single alive facet is a leaf; otherwise f needs a branch."""
+    return len(alive) == 1 or next(_branches(masks, alive, f), None) is not None
 
 
 def leaf_order_masks(masks: list[int]) -> list[int] | None:
@@ -236,7 +239,7 @@ def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
 
 
 def tree_minor_det(
-    rows: list[tuple[int, int, Monomial, Monomial]], drop_col: int, t: int
+    rows: list[tuple[int, int, Monomial, Monomial]], drop_col: int
 ) -> SignedMonomial | None:
     """Signed det of the minor obtained by dropping one column, by
     repeatedly eliminating columns with a single nonzero entry.
@@ -280,11 +283,6 @@ def tree_minor_det(
     return (sign, acc) if acc is not None else None
 
 
-def _tree_minor_abs_det(rows, drop_col: int, t: int) -> Monomial | None:
-    det = tree_minor_det(rows, drop_col, t)
-    return None if det is None else det[1]
-
-
 def selected_relation_rows(
     cx: SimplicialComplex, edges
 ) -> list[tuple[int, int, Monomial, Monomial]]:
@@ -314,8 +312,8 @@ def verify_minor_certificate(cx: SimplicialComplex, tree) -> bool:
     full = (1 << cx.n) - 1
     for j in range(t):
         expected = Monomial.from_support(mask_face(full & ~masks[j]), cx.n)
-        det = _tree_minor_abs_det(rows, j, t)
-        if det is None or det.exponents != expected.exponents:
+        det = tree_minor_det(rows, j)
+        if det is None or det[1].exponents != expected.exponents:
             return False
     return True
 
@@ -346,10 +344,10 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
         alive_list = sorted(alive)
         result = set()
         for f in alive_list:
-            if not _is_leaf_of(masks, alive_list, f):
+            branches = list(_branches(masks, alive_list, f))
+            if not branches:
                 continue
             sub = [x for x in alive_list if x != f]
-            branches = _leaf_branches_within(masks, alive_list, f)
             tails = enumerate_trees(frozenset(sub))
             for g in branches:
                 edge = (min(f, g), max(f, g))
@@ -361,19 +359,6 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
     gens = facet_complement_generators(cx)
     edge_sets = sorted(tuple(sorted(es)) for es in enumerate_trees(frozenset(range(t))))
     return [relation_tree_from_edges(gens, es) for es in edge_sets[:limit]]
-
-
-def _leaf_branches_within(masks, alive, f) -> list[int]:
-    mf = masks[f]
-    inters = [masks[h] & mf for h in alive if h != f]
-    out = []
-    for g in alive:
-        if g == f:
-            continue
-        mg = masks[g] & mf
-        if all(h & ~mg == 0 for h in inters):
-            out.append(g)
-    return out
 
 
 def reconstruct_generators(tree: RelationTree) -> list[Monomial]:

@@ -20,6 +20,7 @@ from .complexes import (
     dimension_info,
     mask_face,
     minimal_nonfaces,
+    minimal_nonfaces_masks,
     pure_complement,
     skeleton,
 )
@@ -27,11 +28,12 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (
     Graph,
     _bron_kerbosch,
+    _is_peo,
     clique_complex,
     complement_graph,
     edge_ideal,
     higher_dirac_check,
-    one_skeleton_graph,
+    mcs_order,
 )
 from .homological import (
     RATIONALS,
@@ -228,30 +230,6 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     return table.is_linear(d)
 
 
-def _is_simplex_masks(masks, n) -> bool:
-    return len(masks) == 1 and masks[0] == (1 << n) - 1
-
-
-def _min_nonfaces_masks(facet_masks, n) -> list[int]:
-    """Minimal nonface bitmasks of the complex with the given facets."""
-    faces = set()
-    for fm in facet_masks:
-        sub = fm
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & fm
-    found: list[int] = []
-    for mask in sorted(range(1 << n), key=lambda m: bin(m).count("1")):
-        if mask in faces:
-            continue
-        if any(f & mask == f for f in found):
-            continue
-        found.append(mask)
-    return found
-
-
 def _report(suite, instances, failures, **notes):
     return {
         "suite": suite,
@@ -438,10 +416,10 @@ def check_projdim_regularity_duality(
         nonlocal instances
         instances += 1
         full = (1 << n) - 1
-        nonfaces = _min_nonfaces_masks(facet_masks, n)
+        nonfaces = minimal_nonfaces_masks(facet_masks, n)
         pd = squarefree_projdim_masks(nonfaces, p)
         dual_facets = [full ^ m for m in nonfaces]
-        dual_nonfaces = _min_nonfaces_masks(dual_facets, n)
+        dual_nonfaces = minimal_nonfaces_masks(dual_facets, n)
         dual_betti = squarefree_betti_masks(dual_nonfaces, p)
         reg = max(bin(b).count("1") - i for i, b in dual_betti)
         if pd + 1 != reg:
@@ -677,40 +655,6 @@ def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: in
     )
 
 
-def _chordal_adj(adj) -> bool:
-    """Chordality on an adjacency-bitmask tuple: maximum-cardinality
-    search followed by the earlier-neighbors-clique check."""
-    n = len(adj)
-    weight = [0] * n
-    visited = 0
-    order = []
-    for _ in range(n):
-        best = -1
-        best_w = -1
-        for u in range(n):
-            if not visited >> u & 1 and weight[u] > best_w:
-                best_w = weight[u]
-                best = u
-        order.append(best)
-        visited |= 1 << best
-        rem = adj[best] & ~visited
-        while rem:
-            bit = rem & -rem
-            weight[bit.bit_length() - 1] += 1
-            rem ^= bit
-    seen = 0
-    for v in order:
-        earlier = adj[v] & seen
-        rem = earlier
-        while rem:
-            bit = rem & -rem
-            if earlier & ~(adj[bit.bit_length() - 1] | bit):
-                return False
-            rem ^= bit
-        seen |= 1 << v
-    return True
-
-
 def check_chordal_quasi_tree(
     seed: int = 0,
     max_n: int = 6,
@@ -731,7 +675,8 @@ def check_chordal_quasi_tree(
         instances += 1
         cliques: list[int] = []
         _bron_kerbosch(adj, 0, (1 << n) - 1, 0, cliques)
-        if _chordal_adj(adj) != (leaf_order_masks(cliques) is not None):
+        chordal = _is_peo(adj, mcs_order(adj))
+        if chordal != (leaf_order_masks(cliques) is not None):
             failures.append({"n": n, "edges": [list(e) for e in edges]})
 
     for n in range(1, max_n + 1):

@@ -22,7 +22,7 @@ from srideals import (
     verify_leaf_order,
     verify_shelling,
 )
-from srideals.homological import shelling_order
+from srideals.homological import shelling_order, squarefree_betti_masks
 from srideals.quasitrees import leaf_order
 
 
@@ -141,7 +141,15 @@ def test_restrict_is_a_subset_and_idempotent(ideal):
 @settings(max_examples=60, deadline=None)
 def test_betti_oracles_agree(ideal):
     for field in (RATIONALS, GF2):
-        assert betti_table(ideal, field) == taylor_betti_table(ideal, field)
+        table = betti_table(ideal, field)
+        assert table == taylor_betti_table(ideal, field)
+        if ideal.is_squarefree:
+            masks = [g.support_mask for g in ideal.generators]
+            by_mask = {
+                (i, sum(1 << k for k, e in enumerate(b) if e)): r
+                for (i, b), r in table.entries
+            }
+            assert squarefree_betti_masks(masks, field.p) == by_mask
 
 
 @given(monomial_ideals())
