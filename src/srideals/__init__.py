@@ -82,7 +82,7 @@ from .quasitrees import (
     verify_leaf_order,
     verify_minor_certificate,
 )
-from .verification import SUITES, has_linear_resolution, run_all
+from .verification import SUITES, has_linear_resolution, run_all, run_suite
 
 __version__ = "1.0.0"
 

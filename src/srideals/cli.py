@@ -64,10 +64,10 @@ from .serialization import (
     ideal_to_json,
     betti_to_json,
     load_json,
-    monomial_to_str,
+    monomial_to_json,
     relation_tree_to_json,
 )
-from .verification import SUITES, run_all
+from .verification import run_all, run_suite
 
 SCHEMA = "v1"
 
@@ -92,37 +92,31 @@ def _parse_field(text: str) -> FieldChoice:
     raise UsageError(f"unknown field {text!r}; expected q, gf2, gf3, ...")
 
 
-def _read_input(args) -> str:
-    if args.file:
+def _read_input(path) -> str:
+    if path:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {args.file}: {exc}") from None
+            raise UsageError(f"cannot read {path}: {exc}") from None
     return sys.stdin.read()
 
 
 def _load_complex(args):
     return complex_from_json(
-        load_json(_read_input(args)), minimalize=getattr(args, "minimalize", False)
+        load_json(_read_input(args.file)), minimalize=getattr(args, "minimalize", False)
     )
 
 
 def _load_ideal(args):
-    return ideal_from_json(load_json(_read_input(args)))
+    return ideal_from_json(load_json(_read_input(args.file)))
 
 
 def _load_graph(args):
-    text = _read_input(args)
+    text = _read_input(args.file)
     if getattr(args, "graph6", False):
         return graph_from_graph6(text)
     return graph_from_json(load_json(text))
-
-
-def _monomials_out(monomials, pretty: bool):
-    if pretty:
-        return [monomial_to_str(m) for m in monomials]
-    return [list(m.exponents) for m in monomials]
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +210,7 @@ def _cmd_mdelta(args):
                     {
                         "col": c + 1,
                         "sign": sign,
-                        "monomial": monomial_to_str(mono) if args.pretty else list(mono.exponents),
+                        "monomial": monomial_to_json(mono, args.pretty),
                     }
                 )
         rows.append({"pair": [i + 1, j + 1], "entries": cells})
@@ -225,19 +219,19 @@ def _cmd_mdelta(args):
 
 def _cmd_betti(args):
     ideal = _load_ideal(args)
-    table = betti_table(ideal, args.field_choice)
+    table = betti_table(ideal, args.field)
     return ideal_to_json(ideal), betti_to_json(table, ideal.generator_degrees), []
 
 
 def _cmd_projdim(args):
     ideal = _load_ideal(args)
-    pd, _reg, _lin = projdim_and_reg(ideal, args.field_choice)
+    pd, _reg, _lin = projdim_and_reg(ideal, args.field)
     return ideal_to_json(ideal), {"projdim": pd}, []
 
 
 def _cmd_reg(args):
     ideal = _load_ideal(args)
-    _pd, reg, _lin = projdim_and_reg(ideal, args.field_choice)
+    _pd, reg, _lin = projdim_and_reg(ideal, args.field)
     return ideal_to_json(ideal), {"reg": reg}, []
 
 
@@ -324,34 +318,25 @@ def _cmd_linear_quotients(args):
         )
     result = {
         "has_linear_quotients": order is not None,
-        "order": None if order is None else _monomials_out(order, args.pretty),
+        "order": None if order is None else [monomial_to_json(m, args.pretty) for m in order],
     }
     return ideal_to_json(ideal), result, checks
 
 
 def _cmd_verify(args):
-    kwargs = {"seed": args.seed}
-    for flag, key in (
-        ("samples", "samples"),
-        ("max_n", "max_n"),
-        ("max_facets", "max_facets"),
-        ("max_power", "max_power"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[key] = value
-    kwargs["field"] = args.field_choice
-    if args.complex:
-        with open(args.complex, "r", encoding="utf-8") as fh:
-            kwargs["complexes"] = [complex_from_json(load_json(fh.read()))]
-        if args.samples is None:
-            kwargs["samples"] = 0
+    # the budget flags are absent from args unless given
+    budgets = {k: v for k, v in vars(args).items() if k not in ("command", "suite", "seed")}
+    if "complexes" in budgets:
+        # --complex implies --samples 0, which means something only to thm-4.4
+        if args.suite == "all":
+            raise UsageError("--complex needs a single suite (thm-4.4), not all")
+        text = _read_input(budgets["complexes"])
+        budgets["complexes"] = [complex_from_json(load_json(text))]
+        budgets.setdefault("samples", 0)
     if args.suite == "all":
-        reports = run_all(seed=args.seed)
+        reports = run_all(args.seed, **budgets)
     else:
-        if args.suite not in SUITES:
-            raise UsageError(f"unknown suite {args.suite!r}")
-        reports = [SUITES[args.suite](**kwargs)]
+        reports = [run_suite(args.suite, args.seed, **budgets)]
     checks = [
         _check(rep["suite"], rep["passed"], rep["failures"][:1] or None)
         for rep in reports
@@ -399,7 +384,9 @@ def _build_parser() -> _Parser:
         if pretty:
             p.add_argument("--pretty", action="store_true", help="monomials as x1*x2 strings")
         if field:
-            p.add_argument("--field", default="q", help="coefficient field: q, gf2, gf<p>")
+            p.add_argument(
+                "--field", type=_parse_field, default="q", help="coefficient field: q, gf2, gf<p>"
+            )
         return p
 
     for name in ("dual", "complement", "nonfaces"):
@@ -422,17 +409,19 @@ def _build_parser() -> _Parser:
         "-a", required=True, help="comma-separated exponent bound"
     )
     add("shelling")
-    add("linear-quotients", pretty=True, field=True)
+    add("linear-quotients", pretty=True)
 
-    v = sub.add_parser("verify")
+    # a budget flag that is not given stays out of the namespace, so each
+    # suite keeps its own default for it
+    v = sub.add_parser("verify", argument_default=argparse.SUPPRESS)
     v.add_argument("suite", help="suite name or 'all'")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--max-n", dest="max_n", type=int, default=None)
-    v.add_argument("--max-facets", dest="max_facets", type=int, default=None)
-    v.add_argument("--max-power", dest="max_power", type=int, default=None)
-    v.add_argument("--complex", help="JSON complex file (for the power suite)")
-    v.add_argument("--field", default="q")
+    v.add_argument("--samples", type=int)
+    v.add_argument("--max-n", dest="max_n", type=int)
+    v.add_argument("--max-facets", dest="max_facets", type=int)
+    v.add_argument("--max-power", dest="max_power", type=int)
+    v.add_argument("--complex", dest="complexes", help="JSON complex file (for the power suite)")
+    v.add_argument("--field", type=_parse_field)
     return parser
 
 
@@ -441,8 +430,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "field"):
-            args.field_choice = _parse_field(args.field)
         inputs, result, checks = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,15 +84,20 @@ class Monomial:
         return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def __repr__(self):
-        if self.degree == 0:
-            return "Monomial(1)"
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "Monomial(" + "*".join(parts) + ")"
+        return f"Monomial({monomial_to_str(self)})"
+
+
+def monomial_to_str(m: Monomial) -> str:
+    """The monomial as ``x1*x2^2``; the unit monomial is ``1``."""
+    if m.degree == 0:
+        return "1"
+    parts = []
+    for i, e in enumerate(m.exponents):
+        if e == 1:
+            parts.append(f"x{i + 1}")
+        elif e > 1:
+            parts.append(f"x{i + 1}^{e}")
+    return "*".join(parts)
 
 
 def _gen_sort_key(m: Monomial):
@@ -151,7 +156,7 @@ class MonomialIdeal:
     def __repr__(self):
         if self.is_zero:
             return f"MonomialIdeal(0 in {self.num_vars} vars)"
-        inner = ", ".join(repr(g)[len("Monomial(") : -1] for g in self.generators)
+        inner = ", ".join(monomial_to_str(g) for g in self.generators)
         return f"MonomialIdeal(({inner}) in {self.num_vars} vars)"
 
 

@@ -14,7 +14,7 @@ from .complexes import SimplicialComplex
 from .errors import DomainError
 from .graphs import Graph
 from .homological import BettiTable
-from .ideals import Monomial, MonomialIdeal
+from .ideals import Monomial, MonomialIdeal, monomial_to_str
 from .quasitrees import RelationTree
 
 
@@ -27,13 +27,26 @@ def load_json(text: str):
         ) from None
 
 
+def _integer(obj: dict, key: str) -> int:
+    # JSON booleans are Python ints; they are not counts
+    if type(obj[key]) is not int:
+        raise DomainError(f'"{key}" must be an integer, not {type(obj[key]).__name__}')
+    return obj[key]
+
+
+def _integer_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, list) and all(type(v) is int for v in x) for x in value
+    )
+
+
 def complex_from_json(obj, minimalize: bool = False) -> SimplicialComplex:
     if not isinstance(obj, dict) or "ambient" not in obj or "facets" not in obj:
         raise DomainError('a complex needs the keys "ambient" and "facets"')
-    n = obj["ambient"]
+    n = _integer(obj, "ambient")
     facets = obj["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise DomainError('"facets" must be a list of vertex lists')
+    if not _integer_lists(facets):
+        raise DomainError('"facets" must be a list of integer vertex lists')
     if minimalize:
         return SimplicialComplex.from_faces(n, facets)
     return SimplicialComplex(n, facets)
@@ -60,34 +73,30 @@ def monomial_from_str(text: str, num_vars: int) -> Monomial:
     return Monomial(exps)
 
 
-def monomial_to_str(m: Monomial) -> str:
-    if m.degree == 0:
-        return "1"
-    parts = []
-    for i, e in enumerate(m.exponents):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+def monomial_to_json(m: Monomial, pretty: bool = False):
+    """A monomial on the wire: an ``x1*x2^2`` string if pretty, else its
+    exponent vector."""
+    return monomial_to_str(m) if pretty else list(m.exponents)
 
 
 def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or "vars" not in obj or "generators" not in obj:
         raise DomainError('an ideal needs the keys "vars" and "generators"')
-    n = obj["vars"]
+    n = _integer(obj, "vars")
+    if not isinstance(obj["generators"], list):
+        raise DomainError('"generators" must be a list')
     gens = []
     for g in obj["generators"]:
         if isinstance(g, str):
             gens.append(monomial_from_str(g, n))
-        elif isinstance(g, list):
+        elif isinstance(g, list) and all(type(e) is int for e in g):
             if len(g) != n:
                 raise DomainError(
                     f"exponent vector {g} has length {len(g)}, expected {n}"
                 )
             gens.append(Monomial(g))
         else:
-            raise DomainError(f"generator {g!r} is neither a string nor a vector")
+            raise DomainError(f"generator {g!r} is neither a string nor an integer vector")
     if not gens:
         return MonomialIdeal(n, [])
     from .ideals import minimalize as _minimalize
@@ -96,17 +105,18 @@ def ideal_from_json(obj) -> MonomialIdeal:
 
 
 def ideal_to_json(ideal: MonomialIdeal, pretty: bool = False) -> dict:
-    if pretty:
-        gens = [monomial_to_str(g) for g in ideal.generators]
-    else:
-        gens = [list(g.exponents) for g in ideal.generators]
+    gens = [monomial_to_json(g, pretty) for g in ideal.generators]
     return {"vars": ideal.num_vars, "generators": gens}
 
 
 def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise DomainError('a graph needs the keys "n" and "edges"')
-    return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
+    n = _integer(obj, "n")
+    edges = obj["edges"]
+    if not _integer_lists(edges) or any(len(e) != 2 for e in edges):
+        raise DomainError('"edges" must be a list of integer pairs')
+    return Graph(n, [tuple(e) for e in edges])
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -10,7 +10,9 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 import random
 
 from .complexes import (
@@ -66,6 +68,7 @@ from .quasitrees import (
     relation_trees,
     verify_minor_certificate,
 )
+from .serialization import complex_to_json, ideal_to_json
 
 MAX_RECORDED_FAILURES = 10
 
@@ -107,6 +110,21 @@ def iter_complexes_masks(n, max_facets=None, max_size=None, min_size=1):
 
 def complex_from_masks(n, masks) -> SimplicialComplex:
     return SimplicialComplex(n, [mask_face(m) for m in masks])
+
+
+def _small_complexes(max_n):
+    """Every complex on [n] for n = 1..max_n, in enumeration order."""
+    for n in range(1, max_n + 1):
+        for masks in iter_complexes_masks(n):
+            yield complex_from_masks(n, masks)
+
+
+def _randint(rng: random.Random, lo: int, hi: int, budget: str = "max_n") -> int:
+    """``rng.randint(lo, hi)``, but an empty range is a DomainError naming
+    the budget that emptied it."""
+    if hi < lo:
+        raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
+    return rng.randint(lo, hi)
 
 
 def random_complex(rng: random.Random, n: int, max_facets: int = 6, max_size=None):
@@ -158,6 +176,19 @@ def random_graph(rng: random.Random, n: int, p=None) -> Graph:
         e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def _coded_graph(n: int, code: int):
+    """(n, adjacency masks, 1-based edges) of the graph on [n] whose edges
+    are the vertex pairs, in lexicographic order, at the set bits of code."""
+    adj = [0] * n
+    edges = []
+    for idx, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        if code >> idx & 1:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            edges.append((a + 1, b + 1))
+    return n, tuple(adj), edges
 
 
 def random_chordal_graph(rng: random.Random, n: int) -> Graph:
@@ -241,10 +272,6 @@ def _report(suite, instances, failures, **notes):
     }
 
 
-def _complex_witness(cx: SimplicialComplex) -> dict:
-    return {"ambient": cx.n, "facets": [list(f) for f in cx.facets]}
-
-
 def _masks_witness(n, masks) -> dict:
     return {"ambient": n, "facets": [list(mask_face(m)) for m in masks]}
 
@@ -254,7 +281,7 @@ def _masks_witness(n, masks) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_pure_complement_skeleton(max_n: int = 5, **_):
+def check_pure_complement_skeleton(max_n: int = 5):
     """For pure (d-1)-dimensional complexes, the complement within the
     d-subsets equals the (d-1)-skeleton of the complex whose
     Stanley-Reisner ideal is the facet ideal."""
@@ -274,45 +301,35 @@ def check_pure_complement_skeleton(max_n: int = 5, **_):
                     else:
                         got = skeleton(gamma, d - 1)
                     if got != bar:
-                        failures.append(_complex_witness(cx))
+                        failures.append(complex_to_json(cx))
     return _report("lemma-1.1", instances, failures, max_n=max_n)
 
 
 def check_dual_ideal_identity(
-    seed: int = 0, exhaustive_n: int = 5, samples: int = 10_000, max_n: int = 10, **_
+    seed: int = 0, exhaustive_n: int = 5, samples: int = 10_000, max_n: int = 10
 ):
     """Stanley-Reisner ideal of the Alexander dual == facet ideal of the
     facet-complement complex."""
     rng = random.Random(seed)
     instances = 0
     failures = []
-
-    def check(cx: SimplicialComplex):
-        nonlocal instances
+    samples_drawn = (
+        random_complex(rng, _randint(rng, 2, max_n), max_facets=8) for _ in range(samples)
+    )
+    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
+        if cx.facet_masks[-1] == (1 << cx.n) - 1:
+            continue  # full simplex: dual is void, complement undefined
         instances += 1
         left = stanley_reisner_ideal(alexander_dual(cx))
         right = facet_ideal(complement_complex(cx))
         if left != right:
-            failures.append(_complex_witness(cx))
-
-    for n in range(1, exhaustive_n + 1):
-        full = (1 << n) - 1
-        for masks in iter_complexes_masks(n):
-            if masks[-1] == full:
-                continue  # full simplex: dual is void, complement undefined
-            check(complex_from_masks(n, masks))
-    for _ in range(samples):
-        n = rng.randint(2, max_n)
-        cx = random_complex(rng, n, max_facets=8)
-        if cx.facet_masks[-1] == (1 << n) - 1:
-            continue
-        check(cx)
+            failures.append(complex_to_json(cx))
     return _report(
         "lemma-1.2", instances, failures, exhaustive_n=exhaustive_n, samples=samples
     )
 
 
-def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int = 8, **_):
+def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int = 8):
     """For a flag complex, the dual of the complex attached to the
     ell-skeleton complement ideal is a skeleton of the dual attached to
     the 1-skeleton complement ideal."""
@@ -320,7 +337,7 @@ def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int =
     instances = 0
     failures = []
     for _ in range(samples):
-        n = rng.randint(4, max_n)
+        n = _randint(rng, 4, max_n)
         sigma = clique_complex(random_graph(rng, n))
         dim, _pure = dimension_info(sigma)
         if dim < 1:
@@ -340,7 +357,7 @@ def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int =
             expected = skeleton(dual_prime, n - ell - 2)
             if got != expected:
                 failures.append(
-                    {"complex": _complex_witness(sigma), "ell": ell}
+                    {"complex": complex_to_json(sigma), "ell": ell}
                 )
     return _report("prop-1.3", instances, failures, samples=samples, max_n=max_n)
 
@@ -351,7 +368,6 @@ def check_cm_vs_linear_resolution(
     samples: int = 200,
     max_n: int = 6,
     field: FieldChoice = RATIONALS,
-    **_,
 ):
     """Cohen-Macaulayness of the complex == linear resolution of the
     facet ideal of the complement complex (the dual Stanley-Reisner
@@ -359,27 +375,18 @@ def check_cm_vs_linear_resolution(
     rng = random.Random(seed)
     instances = 0
     failures = []
-
-    def check(cx: SimplicialComplex):
-        nonlocal instances
+    samples_drawn = (
+        random_complex(rng, _randint(rng, exhaustive_n + 1, max_n), max_facets=8)
+        for _ in range(samples)
+    )
+    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
+        if cx.facet_masks[-1] == (1 << cx.n) - 1:
+            continue
         instances += 1
         cm = is_cohen_macaulay(cx, field)
         ideal = facet_ideal(complement_complex(cx))
         if cm != has_linear_resolution(ideal, field):
-            failures.append(_complex_witness(cx))
-
-    for n in range(1, exhaustive_n + 1):
-        full = (1 << n) - 1
-        for masks in iter_complexes_masks(n):
-            if masks[-1] == full:
-                continue
-            check(complex_from_masks(n, masks))
-    for _ in range(samples):
-        n = rng.randint(exhaustive_n + 1, max_n)
-        cx = random_complex(rng, n, max_facets=8)
-        if cx.facet_masks[-1] == (1 << n) - 1:
-            continue
-        check(cx)
+            failures.append(complex_to_json(cx))
     return _report(
         "thm-1.4a",
         instances,
@@ -397,7 +404,6 @@ def check_projdim_regularity_duality(
     min_sample_n: int = 7,
     max_n: int = 8,
     field: FieldChoice = RATIONALS,
-    **_,
 ):
     """projdim of the face ring (projdim of the nonface ideal + 1) equals
     the regularity of the Stanley-Reisner ideal of the Alexander dual.
@@ -411,30 +417,23 @@ def check_projdim_regularity_duality(
     p = field.p
     instances = 0
     failures = []
-
-    def check(n, facet_masks):
-        nonlocal instances
+    samples_drawn = (
+        random_complex(rng, _randint(rng, min_sample_n, max_n), max_facets=8)
+        for _ in range(samples)
+    )
+    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
+        n, full = cx.n, (1 << cx.n) - 1
+        if cx.facet_masks[-1] == full:
+            continue
         instances += 1
-        full = (1 << n) - 1
-        nonfaces = minimal_nonfaces_masks(facet_masks, n)
+        nonfaces = minimal_nonfaces_masks(list(cx.facet_masks), n)
         pd = squarefree_projdim_masks(nonfaces, p)
         dual_facets = [full ^ m for m in nonfaces]
         dual_nonfaces = minimal_nonfaces_masks(dual_facets, n)
         dual_betti = squarefree_betti_masks(dual_nonfaces, p)
         reg = max(bin(b).count("1") - i for i, b in dual_betti)
         if pd + 1 != reg:
-            failures.append(_masks_witness(n, facet_masks))
-
-    for n in range(1, exhaustive_n + 1):
-        full = (1 << n) - 1
-        for masks in iter_complexes_masks(n):
-            if masks[-1] != full:
-                check(n, list(masks))
-    for _ in range(samples):
-        n = rng.randint(min_sample_n, max_n)
-        cx = random_complex(rng, n, max_facets=8)
-        if cx.facet_masks[-1] != (1 << n) - 1:
-            check(n, list(cx.facet_masks))
+            failures.append(complex_to_json(cx))
     return _report(
         "thm-1.4b",
         instances,
@@ -446,7 +445,7 @@ def check_projdim_regularity_duality(
 
 
 def check_shellable_vs_linear_quotients(
-    seed: int = 0, samples: int = 400, max_n: int = 8, max_facets: int = 8, **_
+    seed: int = 0, samples: int = 400, max_n: int = 8, max_facets: int = 8
 ):
     """Shellability of a pure complex == linear quotients of the facet
     ideal of the complement complex; additionally every skeleton of a
@@ -456,21 +455,21 @@ def check_shellable_vs_linear_quotients(
     failures = []
     shellable_count = 0
     for _ in range(samples):
-        n = rng.randint(3, max_n)
+        n = _randint(rng, 3, max_n)
         d = rng.randint(2, min(4, n - 1))
-        count = rng.randint(2, min(max_facets, len(list(itertools.combinations(range(n), d)))))
+        count = _randint(rng, 2, min(max_facets, math.comb(n, d)), "max_facets")
         cx = random_pure_complex(rng, n, d, count)
         instances += 1
         order = shelling_order(cx)
         if order is not None and not verify_shelling(cx, order):
-            failures.append({"bad_shelling": _complex_witness(cx), "order": order})
+            failures.append({"bad_shelling": complex_to_json(cx), "order": order})
             continue
         lq = linear_quotients_order(facet_ideal(complement_complex(cx)))
         if lq is not None and not verify_linear_quotients(lq):
-            failures.append({"bad_quotients": _complex_witness(cx)})
+            failures.append({"bad_quotients": complex_to_json(cx)})
             continue
         if (order is not None) != (lq is not None):
-            failures.append(_complex_witness(cx))
+            failures.append(complex_to_json(cx))
             continue
         if order is not None:
             shellable_count += 1
@@ -479,7 +478,7 @@ def check_shellable_vs_linear_quotients(
                 sub = skeleton(cx, i)
                 if shelling_order(sub, max_facets=64) is None:
                     failures.append(
-                        {"complex": _complex_witness(cx), "skeleton": i}
+                        {"complex": complex_to_json(cx), "skeleton": i}
                     )
     return _report(
         "thm-1.4c",
@@ -492,7 +491,7 @@ def check_shellable_vs_linear_quotients(
 
 
 def check_skeleton_ideal_linear_quotients(
-    seed: int = 0, samples: int = 60, max_n: int = 8, **_
+    seed: int = 0, samples: int = 60, max_n: int = 8
 ):
     """If the 1-skeleton complement ideal of a flag complex has linear
     quotients, so do all higher skeleton complement ideals."""
@@ -500,7 +499,7 @@ def check_skeleton_ideal_linear_quotients(
     instances = 0
     failures = []
     for _ in range(samples):
-        n = rng.randint(4, max_n)
+        n = _randint(rng, 4, max_n)
         sigma = clique_complex(random_chordal_graph(rng, n))
         dim, _pure = dimension_info(sigma)
         if dim < 2:
@@ -516,19 +515,19 @@ def check_skeleton_ideal_linear_quotients(
                 continue
             instances += 1
             if linear_quotients_order(facet_ideal(bar)) is None:
-                failures.append({"complex": _complex_witness(sigma), "ell": ell})
+                failures.append({"complex": complex_to_json(sigma), "ell": ell})
     return _report("cor-1.5", instances, failures, samples=samples)
 
 
-def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 8, **_):
+def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 8):
     """Every skeleton of a shellable pure complex is shellable."""
     rng = random.Random(seed)
     instances = 0
     failures = []
     for _ in range(samples):
-        n = rng.randint(3, max_n)
+        n = _randint(rng, 3, max_n)
         d = rng.randint(2, min(4, n))
-        pool_size = len(list(itertools.combinations(range(n), d)))
+        pool_size = math.comb(n, d)
         cx = random_pure_complex(rng, n, d, rng.randint(1, min(7, pool_size)))
         if shelling_order(cx) is None:
             continue
@@ -536,11 +535,11 @@ def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 
         for i in range(dim):
             instances += 1
             if shelling_order(skeleton(cx, i), max_facets=64) is None:
-                failures.append({"complex": _complex_witness(cx), "skeleton": i})
+                failures.append({"complex": complex_to_json(cx), "skeleton": i})
     return _report("lemma-1.6", instances, failures, samples=samples)
 
 
-def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4, **_):
+def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     """A complex admits a leaf order iff some spanning tree of its facets
     passes the determinant certificate; moreover the trees that pass are
     exactly the relation trees, and each reconstructs the generators.
@@ -599,7 +598,6 @@ def check_quasi_tree_projdim(
     max_facets: int = 4,
     max_size: int = 3,
     field: FieldChoice = RATIONALS,
-    **_,
 ):
     """Leaf order exists iff the facet ideal of the complement complex
     has projective dimension 1 (complexes with >= 2 facets; a single
@@ -630,26 +628,19 @@ def check_quasi_tree_projdim(
     )
 
 
-def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: int = 300, **_):
+def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Complexes with a leaf order have only 2-element minimal nonfaces."""
     rng = random.Random(seed)
     instances = 0
     failures = []
-
-    def check(cx: SimplicialComplex):
-        nonlocal instances
+    samples_drawn = (random_quasi_tree(rng, rng.randint(3, 9)) for _ in range(samples))
+    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if leaf_order(cx) is None:
-            return
+            continue
         instances += 1
         _nf, is_flag = minimal_nonfaces(cx)
         if not is_flag:
-            failures.append(_complex_witness(cx))
-
-    for n in range(1, exhaustive_n + 1):
-        for masks in iter_complexes_masks(n):
-            check(complex_from_masks(n, masks))
-    for _ in range(samples):
-        check(random_quasi_tree(rng, rng.randint(3, 9)))
+            failures.append(complex_to_json(cx))
     return _report(
         "lemma-3.2", instances, failures, exhaustive_n=exhaustive_n, samples=samples
     )
@@ -661,7 +652,6 @@ def check_chordal_quasi_tree(
     samples: int = 100_000,
     sample_n: int = 7,
     chordal_samples: int = 2_000,
-    **_,
 ):
     """A graph is chordal iff its maximal-clique complex has a leaf order:
     exhaustive over all graphs on up to max_n vertices, plus seeded
@@ -669,41 +659,20 @@ def check_chordal_quasi_tree(
     rng = random.Random(seed)
     instances = 0
     failures = []
-
-    def check(n, adj, edges):
-        nonlocal instances
+    sample_pairs = math.comb(sample_n, 2)
+    chordal_graphs = (random_chordal_graph(rng, sample_n) for _ in range(chordal_samples))
+    family = itertools.chain(
+        (_coded_graph(n, code) for n in range(1, max_n + 1) for code in range(1 << math.comb(n, 2))),
+        (_coded_graph(sample_n, rng.getrandbits(sample_pairs)) for _ in range(samples)),
+        ((g.n, g.adjacency, g.edges) for g in chordal_graphs),
+    )
+    for n, adj, edges in family:
         instances += 1
         cliques: list[int] = []
         _bron_kerbosch(adj, 0, (1 << n) - 1, 0, cliques)
         chordal = _is_peo(adj, mcs_order(adj))
         if chordal != (leaf_order_masks(cliques) is not None):
             failures.append({"n": n, "edges": [list(e) for e in edges]})
-
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for code in range(1 << len(pairs)):
-            adj = [0] * n
-            edges = []
-            for idx, (a, b) in enumerate(pairs):
-                if code >> idx & 1:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                    edges.append((a + 1, b + 1))
-            check(n, tuple(adj), edges)
-    pairs = list(itertools.combinations(range(sample_n), 2))
-    for _ in range(samples):
-        code = rng.getrandbits(len(pairs))
-        adj = [0] * sample_n
-        edges = []
-        for idx, (a, b) in enumerate(pairs):
-            if code >> idx & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-                edges.append((a + 1, b + 1))
-        check(sample_n, tuple(adj), edges)
-    for _ in range(chordal_samples):
-        g = random_chordal_graph(rng, sample_n)
-        check(sample_n, g.adjacency, g.edges)
     return _report(
         "thm-3.3",
         instances,
@@ -715,35 +684,28 @@ def check_chordal_quasi_tree(
     )
 
 
-def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: int = 300, **_):
+def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Removing any leaf from a quasi-tree leaves a quasi-tree."""
     rng = random.Random(seed)
     instances = 0
     failures = []
-
-    def check(cx: SimplicialComplex):
-        nonlocal instances
+    samples_drawn = (random_quasi_tree(rng, rng.randint(3, 9)) for _ in range(samples))
+    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if len(cx.facets) < 2 or leaf_order(cx) is None:
-            return
+            continue
         for f in range(len(cx.facets)):
             if not leaf_report(cx, f).is_leaf:
                 continue
             instances += 1
             rest = [g for i, g in enumerate(cx.facets) if i != f]
             if leaf_order(SimplicialComplex(cx.n, rest)) is None:
-                failures.append({"complex": _complex_witness(cx), "removed": f})
-
-    for n in range(1, exhaustive_n + 1):
-        for masks in iter_complexes_masks(n):
-            check(complex_from_masks(n, masks))
-    for _ in range(samples):
-        check(random_quasi_tree(rng, rng.randint(3, 9)))
+                failures.append({"complex": complex_to_json(cx), "removed": f})
     return _report(
         "cor-3.5", instances, failures, exhaustive_n=exhaustive_n, samples=samples
     )
 
 
-def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: int = 8, **_):
+def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: int = 8):
     """Both sides of the skeleton-of-a-quasi-tree recognition agree on
     pure complexes: quasi-tree side versus chordal-1-skeleton side."""
     rng = random.Random(seed)
@@ -754,23 +716,23 @@ def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: in
         nonlocal instances
         instances += 1
         if not higher_dirac_check(cx).holds:
-            failures.append(_complex_witness(cx))
+            failures.append(complex_to_json(cx))
 
     for _ in range(samples):
-        n = rng.randint(3, max_n)
+        n = _randint(rng, 3, max_n)
         if rng.random() < 0.5:
             qt = random_quasi_tree(rng, n)
             dim, _pure = dimension_info(qt)
             check(skeleton(qt, rng.randint(0, dim)))
         else:
             d = rng.randint(2, min(4, n))
-            pool_size = len(list(itertools.combinations(range(n), d)))
+            pool_size = math.comb(n, d)
             check(random_pure_complex(rng, n, d, rng.randint(1, min(8, pool_size))))
     return _report("thm-3.6", instances, failures, samples=samples, max_n=max_n)
 
 
 def check_skeleton_complement_linear_quotients(
-    seed: int = 0, samples: int = 100, max_n: int = 8, **_
+    seed: int = 0, samples: int = 100, max_n: int = 8
 ):
     """For every quasi-tree and every skeleton level, the facet ideal of
     the skeleton complement has linear quotients."""
@@ -778,7 +740,7 @@ def check_skeleton_complement_linear_quotients(
     instances = 0
     failures = []
     for _ in range(samples):
-        n = rng.randint(3, max_n)
+        n = _randint(rng, 3, max_n)
         qt = random_quasi_tree(rng, n)
         dim, _pure = dimension_info(qt)
         for ell in range(1, dim + 1):
@@ -788,18 +750,18 @@ def check_skeleton_complement_linear_quotients(
             instances += 1
             order = linear_quotients_order(facet_ideal(bar))
             if order is None or not verify_linear_quotients(order):
-                failures.append({"complex": _complex_witness(qt), "ell": ell})
+                failures.append({"complex": complex_to_json(qt), "ell": ell})
     return _report("thm-4.1", instances, failures, samples=samples, max_n=max_n)
 
 
-def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: int = 8, **_):
+def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: int = 8):
     """For flag complexes the skeleton complement ideal is reproducible
     from the 1-skeleton complement ideal alone."""
     rng = random.Random(seed)
     instances = 0
     failures = []
     for _ in range(samples):
-        n = rng.randint(4, max_n)
+        n = _randint(rng, 4, max_n)
         if rng.random() < 0.5:
             sigma = clique_complex(random_graph(rng, n))
         else:
@@ -819,7 +781,7 @@ def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: in
             bar = pure_complement(skeleton(sigma, ell))
             expected = MonomialIdeal(n, []) if bar.is_void else facet_ideal(bar)
             if got != expected:
-                failures.append({"complex": _complex_witness(sigma), "ell": ell})
+                failures.append({"complex": complex_to_json(sigma), "ell": ell})
     return _report("lemma-4.2", instances, failures, samples=samples, max_n=max_n)
 
 
@@ -830,7 +792,6 @@ def check_restriction_resolution(
     max_n: int = 8,
     field: FieldChoice = RATIONALS,
     max_attempts: int = 5_000,
-    **_,
 ):
     """Restricting a linear-resolution ideal to the generators below a
     bound keeps the resolution linear; moreover its Betti table is
@@ -840,13 +801,11 @@ def check_restriction_resolution(
     instances = 0
     failures = []
     attempts = 0
-    from .serialization import ideal_to_json
-
     while found < ideals and attempts < max_attempts:
         attempts += 1
         kind = rng.randrange(3)
         if kind == 0:
-            n = rng.randint(4, max_n)
+            n = _randint(rng, 4, max_n)
             ideal = edge_ideal(complement_graph(random_chordal_graph(rng, n)))
             if ideal.is_zero or len(ideal.generators) > 8:
                 continue
@@ -854,7 +813,7 @@ def check_restriction_resolution(
             n = rng.randint(3, 6)
             ideal = random_monomial_ideal(rng, n, rng.randint(2, 3), rng.randint(2, 8))
         else:
-            n = rng.randint(3, max_n)
+            n = _randint(rng, 3, max_n)
             qt = random_quasi_tree(rng, n, max_facets=4)
             dim, _pure = dimension_info(qt)
             bar = pure_complement(skeleton(qt, rng.randint(1, dim)))
@@ -903,7 +862,6 @@ def check_power_linear_resolutions(
     max_power: int = 3,
     complexes=None,
     field: FieldChoice = RATIONALS,
-    **_,
 ):
     """All powers of a skeleton-complement facet ideal of a quasi-tree
     have linear resolutions (checked for exponents 1..max_power)."""
@@ -912,7 +870,7 @@ def check_power_linear_resolutions(
     failures = []
     family = list(complexes) if complexes else []
     for _ in range(samples):
-        family.append(random_quasi_tree(rng, rng.randint(3, max_n)))
+        family.append(random_quasi_tree(rng, _randint(rng, 3, max_n)))
     for qt in family:
         if leaf_order(qt) is None:
             raise DomainError("the power suite needs quasi-tree inputs")
@@ -926,7 +884,7 @@ def check_power_linear_resolutions(
                 instances += 1
                 if not has_linear_resolution(power(ideal, k), field):
                     failures.append(
-                        {"complex": _complex_witness(qt), "ell": ell, "power": k}
+                        {"complex": complex_to_json(qt), "ell": ell, "power": k}
                     )
     return _report(
         "thm-4.4",
@@ -939,56 +897,57 @@ def check_power_linear_resolutions(
     )
 
 
+# Each suite with the budgets that keep `verify all` interactive; a suite
+# run on its own starts from its keyword defaults instead.
 SUITES = {
-    "lemma-1.1": check_pure_complement_skeleton,
-    "lemma-1.2": check_dual_ideal_identity,
-    "prop-1.3": check_skeleton_ideal_duality,
-    "thm-1.4a": check_cm_vs_linear_resolution,
-    "thm-1.4b": check_projdim_regularity_duality,
-    "thm-1.4c": check_shellable_vs_linear_quotients,
-    "cor-1.5": check_skeleton_ideal_linear_quotients,
-    "lemma-1.6": check_skeleton_shellability,
-    "lemma-2.1": check_relation_tree_determinants,
-    "cor-2.2": check_quasi_tree_projdim,
-    "lemma-3.2": check_quasi_trees_are_flag,
-    "thm-3.3": check_chordal_quasi_tree,
-    "cor-3.5": check_leaf_removal_closure,
-    "thm-3.6": check_pure_skeleton_recognition,
-    "thm-4.1": check_skeleton_complement_linear_quotients,
-    "lemma-4.2": check_skeleton_ideal_from_edges,
-    "lemma-4.3": check_restriction_resolution,
-    "thm-4.4": check_power_linear_resolutions,
-}
-
-# Budgets that keep `verify all` interactive; individual suites accept
-# larger budgets through their keyword arguments.
-_QUICK_BUDGETS = {
-    "lemma-1.1": {"max_n": 4},
-    "lemma-1.2": {"exhaustive_n": 4, "samples": 300},
-    "prop-1.3": {"samples": 40},
-    "thm-1.4a": {"exhaustive_n": 3, "samples": 60},
-    "thm-1.4b": {"exhaustive_n": 4, "samples": 30},
-    "thm-1.4c": {"samples": 120},
-    "cor-1.5": {"samples": 25},
-    "lemma-1.6": {"samples": 50},
-    "lemma-2.1": {"max_n": 4},
-    "cor-2.2": {"max_n": 5},
-    "lemma-3.2": {"exhaustive_n": 3, "samples": 100},
-    "thm-3.3": {"max_n": 5, "samples": 2000, "chordal_samples": 200},
-    "cor-3.5": {"exhaustive_n": 3, "samples": 100},
-    "thm-3.6": {"samples": 100},
-    "thm-4.1": {"samples": 30},
-    "lemma-4.2": {"samples": 50},
-    "lemma-4.3": {"ideals": 20},
-    "thm-4.4": {"samples": 5, "max_n": 6},
+    "lemma-1.1": (check_pure_complement_skeleton, {"max_n": 4}),
+    "lemma-1.2": (check_dual_ideal_identity, {"exhaustive_n": 4, "samples": 300}),
+    "prop-1.3": (check_skeleton_ideal_duality, {"samples": 40}),
+    "thm-1.4a": (check_cm_vs_linear_resolution, {"exhaustive_n": 3, "samples": 60}),
+    "thm-1.4b": (check_projdim_regularity_duality, {"exhaustive_n": 4, "samples": 30}),
+    "thm-1.4c": (check_shellable_vs_linear_quotients, {"samples": 120}),
+    "cor-1.5": (check_skeleton_ideal_linear_quotients, {"samples": 25}),
+    "lemma-1.6": (check_skeleton_shellability, {"samples": 50}),
+    "lemma-2.1": (check_relation_tree_determinants, {"max_n": 4}),
+    "cor-2.2": (check_quasi_tree_projdim, {"max_n": 5}),
+    "lemma-3.2": (check_quasi_trees_are_flag, {"exhaustive_n": 3, "samples": 100}),
+    "thm-3.3": (check_chordal_quasi_tree, {"max_n": 5, "samples": 2000, "chordal_samples": 200}),
+    "cor-3.5": (check_leaf_removal_closure, {"exhaustive_n": 3, "samples": 100}),
+    "thm-3.6": (check_pure_skeleton_recognition, {"samples": 100}),
+    "thm-4.1": (check_skeleton_complement_linear_quotients, {"samples": 30}),
+    "lemma-4.2": (check_skeleton_ideal_from_edges, {"samples": 50}),
+    "lemma-4.3": (check_restriction_resolution, {"ideals": 20}),
+    "thm-4.4": (check_power_linear_resolutions, {"samples": 5, "max_n": 6}),
 }
 
 
-def run_all(seed: int = 0) -> list[dict]:
-    """Run every suite with reduced budgets; full budgets are per-suite."""
-    reports = []
-    for name, fn in SUITES.items():
-        kwargs = dict(_QUICK_BUDGETS.get(name, {}))
-        kwargs["seed"] = seed
-        reports.append(fn(**kwargs))
-    return reports
+def _run(suites, seed, budgets) -> list[dict]:
+    """Run each (function, base keywords) pair with ``seed`` and every budget
+    it takes.  A budget that no suite in the run takes, or a negative count,
+    is a DomainError rather than silently dropped."""
+    takes = [inspect.signature(fn).parameters for fn, _base in suites]
+    unused = [key for key in budgets if not any(key in params for params in takes)]
+    if unused:
+        raise DomainError(f"no selected suite takes the budget {', '.join(unused)}")
+    negative = [key for key, value in budgets.items() if type(value) is int and value < 0]
+    if negative:
+        raise DomainError(f"budget {', '.join(negative)} must not be negative")
+    given = {"seed": seed, **budgets}
+    return [
+        fn(**{**base, **{key: value for key, value in given.items() if key in params}})
+        for (fn, base), params in zip(suites, takes)
+    ]
+
+
+def run_all(seed: int = 0, **budgets) -> list[dict]:
+    """Run every suite at its quick budgets, overridden by ``budgets`` in
+    every suite that takes them."""
+    return _run(list(SUITES.values()), seed, budgets)
+
+
+def run_suite(name: str, seed: int = 0, **budgets) -> dict:
+    """Run one suite at its keyword defaults, overridden by ``budgets``."""
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}")
+    (report,) = _run([(SUITES[name][0], {})], seed, budgets)
+    return report

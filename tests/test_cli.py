@@ -189,6 +189,17 @@ class TestReports:
         assert suite_report["passed"] is True
         assert suite_report["instances"] > 0
 
+    def test_verify_all_applies_each_budget_to_every_suite_that_takes_it(self, run):
+        code, report = run("verify", None, "all", "--field", "gf2", "--samples", "1")
+        assert code == 0
+        notes = {r["suite"]: r["notes"] for r in report["result"]["reports"]}
+        with_field = {s for s, n in notes.items() if "field" in n}
+        assert with_field == {"thm-1.4a", "thm-1.4b", "cor-2.2", "lemma-4.3", "thm-4.4"}
+        assert all(notes[s]["field"] == "GF(2)" for s in with_field)
+        with_samples = [s for s, n in notes.items() if "samples" in n]
+        assert len(with_samples) == 14
+        assert all(notes[s]["samples"] == 1 for s in with_samples)
+
     def test_verify_power_suite_with_explicit_complex(self, run, tmp_path):
         path = tmp_path / "complex.json"
         path.write_text(json.dumps(WORKED_EXAMPLE))
@@ -213,6 +224,56 @@ class TestExitCodes:
 
     def test_bad_field(self, run):
         code, _ = run("projdim", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf6")
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma-4.3", "--samples", "1"],  # a budget the suite does not take
+            ["lemma-1.2", "--field", "gf2"],
+            ["prop-1.3", "--max-n", "3"],  # budgets the suite cannot run
+            ["thm-1.4c", "--max-n", "2"],
+            ["thm-1.4c", "--max-facets", "1"],
+            ["thm-4.4", "--max-n", "2"],
+            ["thm-1.4a", "--max-n", "4", "--samples", "2"],
+            ["thm-1.4b", "--max-n", "6", "--samples", "2"],
+            ["lemma-1.2", "--samples", "-1"],
+            ["thm-4.4", "--max-power", "-1"],
+            ["thm-4.4", "--complex", "{missing}"],
+            ["all", "--complex", "{complex}"],
+        ],
+        ids=" ".join,
+    )
+    def test_unusable_verify_budget_is_exit_1(self, argv, tmp_path, capsys):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(WORKED_EXAMPLE))
+        paths = {"missing": tmp_path / "missing.json", "complex": path}
+        argv = [arg.format_map(paths) for arg in argv]
+        assert cli.main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("dual", {"ambient": 3, "facets": [[1, "a"]]}),
+            ("chordal", {"n": 3, "edges": [[1, 2, 3]]}),
+            ("chordal", {"n": 3, "edges": 5}),
+            ("betti", {"vars": "2", "generators": ["x1"]}),
+            ("dual", {"ambient": True, "facets": [[1]]}),
+            ("chordal", {"n": True, "edges": []}),
+            ("betti", {"vars": 2, "generators": [[True, 0]]}),
+        ],
+    )
+    def test_malformed_input_is_exit_1(self, command, payload, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, "-f", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_linear_quotients_takes_no_field(self, run):
+        code, _ = run("linear-quotients", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf2")
         assert code == 1
 
     def test_unknown_command(self, capsys):
@@ -242,6 +303,6 @@ class TestDeterminism:
         assert first == second
 
     def test_seed_changes_the_sampled_family(self, run):
-        _, a = run("verify", None, "lemma-4.3", "--samples", "1", "--seed", "1")
-        _, b = run("verify", None, "lemma-4.3", "--samples", "1", "--seed", "2")
-        assert a["inputs"]["seed"] != b["inputs"]["seed"]
+        _, a = run("verify", None, "prop-1.3", "--samples", "10", "--seed", "1")
+        _, b = run("verify", None, "prop-1.3", "--samples", "10", "--seed", "2")
+        assert a["result"]["reports"] != b["result"]["reports"]

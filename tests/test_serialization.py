@@ -1,6 +1,8 @@
 """Wire formats: JSON round trips, monomial syntax, graph6 decoding."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srideals import (
     GF2,
@@ -144,3 +146,34 @@ class TestBettiAndTreeJson:
             assert obj["t"] == 4
             assert all(1 <= i < j <= 4 for i, j in obj["edges"])
             assert relation_tree_from_json(obj) == tree
+
+
+# Small JSON values; strings are drawn from the monomial syntax's alphabet
+# so that some of them parse.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=6)
+    | st.floats(min_value=-2, max_value=6)
+    | st.text("x12^* ", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "vars", "t"]), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize(
+    "parse, keys",
+    [
+        (complex_from_json, ("ambient", "facets")),
+        (graph_from_json, ("n", "edges")),
+        (ideal_from_json, ("vars", "generators")),
+    ],
+)
+@given(first=_JSON, second=_JSON)
+def test_json_readers_return_or_raise_domain_error(parse, keys, first, second):
+    for obj in (first, dict(zip(keys, (first, second)))):
+        try:
+            parse(obj)
+        except DomainError:
+            pass
