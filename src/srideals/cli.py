@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
     report = {
         "schema": SCHEMA,

@@ -9,6 +9,8 @@ value (empty generator list); the unit ideal is rejected everywhere.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,6 +106,29 @@ def _gen_sort_key(m: Monomial):
     return (m.degree, m.exponents)
 
 
+def _packing(monomials, top: int | None = None):
+    """Pack exponent vectors into ints for word-parallel comparisons.
+
+    Variable v owns the field of ``stride = w + 1`` bits at ``v * stride``:
+    w value bits, where ``w = top.bit_length()`` and ``top`` (default: the
+    largest exponent) bounds every value the field will hold, and one guard
+    bit above them.  Returns ``(packed, stride, ones, guards)``, where
+    ``ones`` has a 1 in each field and ``guards`` each field's guard bit.
+
+    For packed a and b, ``(b | guards) - a`` computes ``2^w + b_v - a_v``
+    in every field without borrowing from the next one, and the field keeps
+    its guard exactly when ``a_v <= b_v``; so a divides b iff
+    ``((b | guards) - a) & guards == guards``.
+    """
+    if top is None:
+        top = max(max(m.exponents) for m in monomials)
+    stride = top.bit_length() + 1
+    shifts = range(0, monomials[0].num_vars * stride, stride)
+    ones = sum(1 << s for s in shifts)
+    packed = [sum(e << s for e, s in zip(m.exponents, shifts)) for m in monomials]
+    return packed, stride, ones, ones << (stride - 1)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating set G(I).
@@ -112,6 +137,12 @@ class MonomialIdeal:
     minimal system (pairwise non-dividing); use :func:`minimalize` to
     reduce an arbitrary generating set first.  An empty generator list
     is the zero ideal.
+
+    Distinct monomials of equal degree never divide each other, and a
+    monomial never divides one of lower degree, so the check compares each
+    generator only with the generators of strictly higher degree, by the
+    packed subtract-and-mask test of :func:`_packing`; an equigenerated
+    set needs no comparison at all.
     """
 
     num_vars: int
@@ -128,12 +159,15 @@ class MonomialIdeal:
                 )
             if g.degree == 0:
                 raise DomainError("the unit ideal is not supported")
-        for i, gi in enumerate(gens):
-            for gj in gens[i + 1 :]:
-                if gi.divides(gj) or gj.divides(gi):
-                    raise DomainError(
-                        f"generators are not minimal: {gi} and {gj} are comparable"
-                    )
+        degrees = [g.degree for g in gens]
+        if gens and degrees[0] != degrees[-1]:
+            packed, _stride, _ones, guards = _packing(gens)
+            for i, a in enumerate(packed):
+                for j in range(bisect_right(degrees, degrees[i]), len(gens)):
+                    if (packed[j] | guards) - a & guards == guards:
+                        raise DomainError(
+                            f"generators are not minimal: {gens[i]} and {gens[j]} are comparable"
+                        )
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "generators", tuple(gens))
 
@@ -161,19 +195,33 @@ class MonomialIdeal:
 
 
 def minimalize(monomials) -> MonomialIdeal:
-    """Reduce a nonempty list of monomials to the minimal generating set."""
+    """Reduce a nonempty list of monomials to the minimal generating set.
+
+    After sorting by (degree, exponents) a monomial is dropped when a kept
+    monomial of strictly lower degree divides it: a distinct monomial of
+    equal degree cannot, and a dropped one's divisors are kept ones.  The
+    divisibility test is the packed subtract-and-mask of :func:`_packing`.
+    """
     mons = list(monomials)
     if not mons:
         raise DomainError("minimalize needs at least one monomial")
     n = mons[0].num_vars
     if any(m.num_vars != n for m in mons):
         raise DomainError("monomials have mixed variable counts")
-    # Only lower-degree monomials can strictly divide higher-degree ones.
     unique = sorted(set(mons), key=_gen_sort_key)
+    if unique[0].degree == unique[-1].degree:
+        return MonomialIdeal(n, unique)
+    packed, _stride, _ones, guards = _packing(unique)
     kept: list[Monomial] = []
-    for m in unique:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
+    kept_packed: list[int] = []
+    for _degree, bucket in itertools.groupby(
+        zip(unique, packed), key=lambda pair: pair[0].degree
+    ):
+        below = list(kept_packed)
+        for m, b in bucket:
+            if not any((b | guards) - a & guards == guards for a in below):
+                kept.append(m)
+                kept_packed.append(b)
     return MonomialIdeal(n, kept)
 
 
@@ -223,19 +271,40 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
     return SimplicialComplex.from_faces(n, faces)
 
 
+# The most generator factors that power() adds up: k for each of the
+# comb(t + k - 1, k) products of k of the t generators.  The number of
+# products alone does not bound the work: one generator to the power 10**9
+# is one product of 10**9 factors.  The largest value the suites, tests and
+# benchmark corpora reach is 21,420 (7,140 products of 34 generators, k = 3,
+# in thm-4.4 at its defaults).
+MAX_POWER_FACTORS = 300_000
+
+
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generating set of the k-th power, k >= 1."""
+    """Minimal generating set of the k-th power, k >= 1.
+
+    Each product is a sum of packed exponent vectors whose fields are wide
+    enough for k times the largest exponent, so only distinct products are
+    unpacked into monomials.  More than ``MAX_POWER_FACTORS`` factors over
+    all products is a ResourceLimitError.
+    """
     if k < 1:
         raise DomainError(f"power exponent must be >= 1, got {k}")
     if ideal.is_zero:
         return ideal
-    products = set()
-    for combo in itertools.combinations_with_replacement(ideal.generators, k):
-        m = combo[0]
-        for g in combo[1:]:
-            m = m * g
-        products.add(m)
-    return minimalize(products)
+    gens = ideal.generators
+    count = math.comb(len(gens) + k - 1, k)
+    if count * k > MAX_POWER_FACTORS:
+        raise ResourceLimitError(
+            f"the power k = {k} of {len(gens)} generators has {count} products of "
+            f"{k} factors, above the cap MAX_POWER_FACTORS = {MAX_POWER_FACTORS}"
+        )
+    top = k * max(max(g.exponents) for g in gens)
+    packed, stride, _ones, _guards = _packing(gens, top)
+    field = (1 << (stride - 1)) - 1
+    shifts = range(0, ideal.num_vars * stride, stride)
+    products = set(map(sum, itertools.combinations_with_replacement(packed, k)))
+    return minimalize([Monomial([p >> s & field for s in shifts]) for p in products])
 
 
 def graded_component_ideal(
@@ -399,21 +468,30 @@ def linear_quotients_order(
 
 
 def verify_linear_quotients(order: list[Monomial]) -> bool:
-    """Independent check of the linear-quotients condition on an ordering."""
-    for i in range(1, len(order)):
-        fi = order[i]
-        linear_vars = []
-        for k in range(i):
-            q = order[k].exponents
-            deg = var = 0
-            for idx, (a, b) in enumerate(zip(q, fi.exponents)):
-                if a > b:
-                    deg += a - b
-                    var = idx
-            if deg == 1:
-                linear_vars.append(var)
-        for j in range(i):
-            ej = order[j].exponents
-            if not any(ej[v] > fi.exponents[v] for v in linear_vars):
-                return False
+    """Independent check of the linear-quotients condition on an ordering.
+
+    For each g_i, the colon ideal (g_1, ..., g_{i-1}) : g_i must be
+    generated by variables: every g_j : g_i (j < i) must be divisible by
+    some g_k : g_i (k < i) that is a single variable.  On packed vectors
+    (:func:`_packing`), ``d = (g_k | guards) - (g_i + ones)`` keeps the
+    guards of the variables where g_k exceeds g_i, each with the excess
+    minus one in the field below; g_k : g_i is a variable exactly when one
+    guard survives and its field is zero.  That makes the check O(t^2) int
+    operations; it reads nothing from :func:`linear_quotients_order`.
+    """
+    if len(order) < 2:
+        return True
+    packed, stride, ones, guards = _packing(order)
+    w = stride - 1
+    raised = [q | guards for q in packed]
+    for i in range(1, len(packed)):
+        f = packed[i] + ones
+        diffs = [r - f for r in raised[:i]]
+        linear = 0
+        for d in diffs:
+            s = d & guards
+            if not s & (s - 1) and not d & (s - (s >> w)):
+                linear |= s
+        if not all(map(linear.__and__, diffs)):
+            return False
     return True

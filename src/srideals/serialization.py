@@ -11,7 +11,7 @@ import json
 import re
 
 from .complexes import SimplicialComplex
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .graphs import Graph
 from .homological import BettiTable
 from .ideals import Monomial, MonomialIdeal, monomial_to_str
@@ -79,10 +79,19 @@ def monomial_to_json(m: Monomial, pretty: bool = False):
     return monomial_to_str(m) if pretty else list(m.exponents)
 
 
+# Every generator is a dense exponent vector of length "vars"; more
+# variables than this is a ResourceLimitError before any vector is built.
+MAX_VARS = 1024
+
+
 def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or "vars" not in obj or "generators" not in obj:
         raise DomainError('an ideal needs the keys "vars" and "generators"')
     n = _integer(obj, "vars")
+    if n > MAX_VARS:
+        raise ResourceLimitError(
+            f'"vars" = {n} exceeds the dense-vector cap MAX_VARS = {MAX_VARS}'
+        )
     if not isinstance(obj["generators"], list):
         raise DomainError('"generators" must be a list')
     gens = []

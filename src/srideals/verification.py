@@ -14,6 +14,7 @@ import inspect
 import itertools
 import math
 import random
+from functools import partial
 
 from .complexes import (
     SimplicialComplex,
@@ -119,12 +120,27 @@ def _small_complexes(max_n):
             yield complex_from_masks(n, masks)
 
 
-def _randint(rng: random.Random, lo: int, hi: int, budget: str = "max_n") -> int:
-    """``rng.randint(lo, hi)``, but an empty range is a DomainError naming
-    the budget that emptied it."""
+def _check_range(lo: int, hi: int, budget: str = "max_n"):
+    """An empty range lo..hi is a DomainError naming the budget that emptied it."""
     if hi < lo:
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
+
+
+def _randint(rng: random.Random, lo: int, hi: int, budget: str = "max_n") -> int:
+    """``rng.randint(lo, hi)``, checked by :func:`_check_range`."""
+    _check_range(lo, hi, budget)
     return rng.randint(lo, hi)
+
+
+def _sampled(rng: random.Random, samples: int, lo: int, hi: int, draw):
+    """The lazy family ``draw(rng, rng.randint(lo, hi))``, ``samples`` times.
+
+    The range is checked now, so a budget that cannot be sampled fails
+    before an exhaustive prefix chained in front of the family is run.
+    """
+    if samples > 0:
+        _check_range(lo, hi)
+    return (draw(rng, rng.randint(lo, hi)) for _ in range(samples))
 
 
 def random_complex(rng: random.Random, n: int, max_facets: int = 6, max_size=None):
@@ -313,8 +329,8 @@ def check_dual_ideal_identity(
     rng = random.Random(seed)
     instances = 0
     failures = []
-    samples_drawn = (
-        random_complex(rng, _randint(rng, 2, max_n), max_facets=8) for _ in range(samples)
+    samples_drawn = _sampled(
+        rng, samples, 2, max_n, partial(random_complex, max_facets=8)
     )
     for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if cx.facet_masks[-1] == (1 << cx.n) - 1:
@@ -375,9 +391,8 @@ def check_cm_vs_linear_resolution(
     rng = random.Random(seed)
     instances = 0
     failures = []
-    samples_drawn = (
-        random_complex(rng, _randint(rng, exhaustive_n + 1, max_n), max_facets=8)
-        for _ in range(samples)
+    samples_drawn = _sampled(
+        rng, samples, exhaustive_n + 1, max_n, partial(random_complex, max_facets=8)
     )
     for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if cx.facet_masks[-1] == (1 << cx.n) - 1:
@@ -417,9 +432,8 @@ def check_projdim_regularity_duality(
     p = field.p
     instances = 0
     failures = []
-    samples_drawn = (
-        random_complex(rng, _randint(rng, min_sample_n, max_n), max_facets=8)
-        for _ in range(samples)
+    samples_drawn = _sampled(
+        rng, samples, min_sample_n, max_n, partial(random_complex, max_facets=8)
     )
     for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         n, full = cx.n, (1 << cx.n) - 1
@@ -633,7 +647,7 @@ def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: in
     rng = random.Random(seed)
     instances = 0
     failures = []
-    samples_drawn = (random_quasi_tree(rng, rng.randint(3, 9)) for _ in range(samples))
+    samples_drawn = _sampled(rng, samples, 3, 9, random_quasi_tree)
     for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if leaf_order(cx) is None:
             continue
@@ -689,7 +703,7 @@ def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: in
     rng = random.Random(seed)
     instances = 0
     failures = []
-    samples_drawn = (random_quasi_tree(rng, rng.randint(3, 9)) for _ in range(samples))
+    samples_drawn = _sampled(rng, samples, 3, 9, random_quasi_tree)
     for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
         if len(cx.facets) < 2 or leaf_order(cx) is None:
             continue

@@ -272,6 +272,24 @@ class TestExitCodes:
         assert cli.main([command, "-f", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, payload, extra",
+        [
+            ("betti", {"vars": 10**18, "generators": ["x1"]}, []),
+            ("power", {"vars": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, ["-k", "500"]),
+            ("power", {"vars": 2, "generators": [[1, 0]]}, ["-k", str(10**20)]),
+        ],
+        ids=["huge-vars", "power-products", "power-factors"],
+    )
+    def test_input_beyond_a_cap_is_exit_3(self, command, payload, extra, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, "-f", str(path), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "MAX_" in captured.err
+
     def test_linear_quotients_takes_no_field(self, run):
         code, _ = run("linear-quotients", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf2")
         assert code == 1

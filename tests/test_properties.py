@@ -1,17 +1,23 @@
 """Property-based invariants on randomized complexes and ideals."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srideals import (
     RATIONALS,
     GF2,
+    DomainError,
+    MonomialIdeal,
     SimplicialComplex,
     alexander_dual,
     VOID_DUAL,
     betti_table,
     complex_from_ideal,
     facet_ideal,
+    linear_quotients_order,
     minimalize,
     Monomial,
     power,
@@ -20,6 +26,7 @@ from srideals import (
     stanley_reisner_ideal,
     taylor_betti_table,
     verify_leaf_order,
+    verify_linear_quotients,
     verify_shelling,
 )
 from srideals.homological import shelling_order, squarefree_betti_masks
@@ -159,3 +166,130 @@ def test_betti_zero_counts_generators(ideal):
     assert table.total(0) == len(ideal.generators)
     for g in ideal.generators:
         assert table.as_dict().get((0, g.exponents)) == 1
+
+
+# Plain re-implementations of the ideal layer's pair scans on exponent
+# tuples, kept as the reference for the packed versions in srideals.ideals.
+def _naive_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _naive_minimal(vectors):
+    unique = set(vectors)
+    return {a for a in unique if not any(b != a and _naive_divides(b, a) for b in unique)}
+
+
+def _naive_first_comparable_pair(vectors):
+    gens = sorted(set(vectors), key=lambda e: (sum(e), e))
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            if _naive_divides(a, b) or _naive_divides(b, a):
+                return a, b
+    return None
+
+
+def _naive_power(vectors, k):
+    products = {
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(sorted(set(vectors)), k)
+    }
+    return _naive_minimal(products)
+
+
+def _naive_linear_quotients(order):
+    for i in range(1, len(order)):
+        fi = order[i]
+        linear_vars = []
+        for k in range(i):
+            excess = {v: a - b for v, (a, b) in enumerate(zip(order[k], fi)) if a > b}
+            if sum(excess.values()) == 1:
+                linear_vars.extend(excess)
+        for j in range(i):
+            if not any(order[j][v] > fi[v] for v in linear_vars):
+                return False
+    return True
+
+
+# Exponents at the packing's field-width edges (0, 2^w - 1, 2^w), mixed
+# with small ones so that divisibility between vectors is common.
+_EXPONENTS = st.integers(min_value=0, max_value=3) | st.sampled_from(
+    [0, 1, 2, 3, 4, 7, 8, 15, 16, 2**40]
+)
+
+
+@st.composite
+def exponent_vectors(draw, min_vectors=1, max_vectors=8):
+    n = draw(st.integers(min_value=1, max_value=7))
+    vector = st.tuples(*[_EXPONENTS] * n)
+    return draw(st.lists(vector, min_size=min_vectors, max_size=max_vectors))
+
+
+@st.composite
+def equigenerated_orders(draw):
+    """Squarefree equigenerated generating sets and their squares, either
+    shuffled or in the order the search finds (so that orders with linear
+    quotients are common)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=n - 1))
+    supports = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), min_size=d, max_size=d), min_size=2, max_size=6
+        )
+    )
+    gens = {tuple(int(v in s) for v in range(n)) for s in supports}
+    if draw(st.booleans()):
+        gens = _naive_power(gens, 2)
+    found = linear_quotients_order(MonomialIdeal(n, [Monomial(g) for g in gens]))
+    if found is not None and draw(st.booleans()):
+        return [g.exponents for g in found]
+    return draw(st.permutations(sorted(gens)))
+
+
+@given(exponent_vectors())
+@settings(max_examples=300, deadline=None)
+def test_minimalize_matches_naive_reference(vectors):
+    monomials = [Monomial(v) for v in vectors]
+    if any(not any(v) for v in vectors):
+        with pytest.raises(DomainError):
+            minimalize(monomials)
+        return
+    expected = sorted(_naive_minimal(vectors), key=lambda e: (sum(e), e))
+    assert [g.exponents for g in minimalize(monomials).generators] == expected
+
+
+@given(exponent_vectors())
+@settings(max_examples=300, deadline=None)
+def test_monomial_ideal_accepts_exactly_the_minimal_systems(vectors):
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return
+    n = len(vectors[0])
+    pair = _naive_first_comparable_pair(vectors)
+    if pair is None:
+        ideal = MonomialIdeal(n, [Monomial(v) for v in vectors])
+        assert {g.exponents for g in ideal.generators} == set(vectors)
+    else:
+        a, b = (Monomial(v) for v in pair)
+        with pytest.raises(DomainError) as err:
+            MonomialIdeal(n, [Monomial(v) for v in vectors])
+        assert str(err.value) == f"generators are not minimal: {a} and {b} are comparable"
+
+
+@given(exponent_vectors(max_vectors=5), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_power_matches_naive_reference(vectors, k):
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return
+    ideal = minimalize([Monomial(v) for v in vectors])
+    got = power(ideal, k)
+    expected = _naive_power([g.exponents for g in ideal.generators], k)
+    assert {g.exponents for g in got.generators} == expected
+
+
+@given(exponent_vectors(min_vectors=2) | equigenerated_orders())
+@settings(max_examples=400, deadline=None)
+def test_verify_linear_quotients_matches_naive_reference(order):
+    assert verify_linear_quotients([Monomial(v) for v in order]) == _naive_linear_quotients(
+        list(order)
+    )

@@ -3,9 +3,13 @@
 import pytest
 
 from srideals import DomainError, SimplicialComplex, run_all
+from srideals import verification
 from srideals.verification import (
     SUITES,
+    check_cm_vs_linear_resolution,
+    check_dual_ideal_identity,
     check_power_linear_resolutions,
+    check_projdim_regularity_duality,
     complex_from_masks,
     has_linear_resolution,
     iter_complexes_masks,
@@ -82,3 +86,23 @@ class TestSuites:
         report = check_power_linear_resolutions(samples=2, max_n=5, max_power=2)
         for key in ("suite", "passed", "instances", "failures", "failure_count", "notes"):
             assert key in report
+
+    @pytest.mark.parametrize(
+        "suite, budgets",
+        [
+            (check_dual_ideal_identity, {"max_n": 1, "samples": 2}),
+            (check_cm_vs_linear_resolution, {"max_n": 4, "samples": 2}),
+            (check_projdim_regularity_duality, {"max_n": 6, "samples": 2}),
+        ],
+        ids=["lemma-1.2", "thm-1.4a", "thm-1.4b"],
+    )
+    def test_unsampleable_budget_fails_before_the_exhaustive_family(
+        self, suite, budgets, monkeypatch
+    ):
+        def unconsumed(max_n):
+            raise AssertionError("the exhaustive family was enumerated")
+            yield
+
+        monkeypatch.setattr(verification, "_small_complexes", unconsumed)
+        with pytest.raises(DomainError, match="max_n is too small"):
+            suite(**budgets)
