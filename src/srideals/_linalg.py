@@ -1,62 +1,82 @@
-"""Exact rank computation for small dense integer matrices.
+"""Exact rank of sparse integer matrices given by their columns.
 
-Ranks over the rationals are computed by fraction-free (Bareiss)
-elimination, so every intermediate value is an integer and no floating
-point ever enters the homology engine.  Ranks over GF(p) reduce mod p.
+A matrix is a list of columns, each a mapping ``{row: entry}`` of its
+nonzero entries; a boundary matrix has at most |face| entries per column,
+all of them +-1.  :func:`rank` reduces each column against the pivot
+columns stored so far, keyed by their lowest nonzero row (the largest row
+index), and the rank is the number of columns left nonzero.  Over GF(2) a
+column is packed into an int bitset and reduced by XOR.  Over the
+rationals and odd GF(p) a column is a dict reduced by
+``col <- a*col - c*pivot``, with a the pivot's entry in that row: a pivot
+with a = +-1 (over GF(p) every pivot, once scaled by the inverse of a)
+makes this an in-place integer update; any other pivot over the rationals
+multiplies the column by a and then divides out the gcd of its entries.
+All arithmetic is on integers, so no floating point ever enters the
+homology engine.
 """
 
 from __future__ import annotations
 
-
-def rank(rows: list[list[int]], p: int = 0) -> int:
-    """Rank of an integer matrix over Q (p=0) or over GF(p)."""
-    if not rows or not rows[0]:
-        return 0
-    if p:
-        return _rank_mod_p(rows, p)
-    return _rank_bareiss(rows)
+from math import gcd
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row_r, row_p = m[r], m[rank]
-            for c in range(col, ncols):
-                # Exact by Sylvester's identity: prev divides the product.
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def rank(columns: list, p: int = 0) -> int:
+    """Rank over Q (p = 0) or over GF(p), p prime, of the integer matrix
+    whose columns are the mappings ``{row: entry}`` in `columns`.
 
+    Rows are non-negative ints; entries that vanish (mod p) are ignored.
+    """
+    if p == 2:
+        bit_pivots: dict[int, int] = {}
+        for column in columns:
+            bits = 0
+            for row, entry in column.items():
+                if entry & 1:
+                    bits |= 1 << row
+            while bits:
+                last = bits.bit_length()
+                pivot = bit_pivots.get(last)
+                if pivot is None:
+                    bit_pivots[last] = bits
+                    break
+                bits ^= pivot
+        return len(bit_pivots)
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[v % p for v in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        if p:
+            col = {row: entry % p for row, entry in column.items() if entry % p}
+        else:
+            col = {row: entry for row, entry in column.items() if entry}
+        while col:
+            last = max(col)
+            pivot = pivots.get(last)
+            if pivot is None:
+                a = col[last]
+                if p and a != 1:
+                    inv = pow(a, -1, p)
+                    col = {row: entry * inv % p for row, entry in col.items()}
+                elif a == -1:
+                    col = {row: -entry for row, entry in col.items()}
+                pivots[last] = col
+                break
+            c = col[last]
+            a = pivot[last]
+            if a == 1:
+                for row, entry in pivot.items():
+                    value = col.get(row, 0) - c * entry
+                    if p:
+                        value %= p
+                    if value:
+                        col[row] = value
+                    else:
+                        del col[row]
+            else:
+                # Over Q only: clear the row, then keep the column primitive.
+                rows = col.keys() | pivot.keys()
+                col = {row: a * col.get(row, 0) - c * pivot.get(row, 0) for row in rows}
+                col = {row: entry for row, entry in col.items() if entry}
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {row: entry // g for row, entry in col.items()}
+    return len(pivots)

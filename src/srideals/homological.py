@@ -13,8 +13,10 @@ bitmasks) are its two entry points and differ only in how they
 represent a multidegree.  :func:`taylor_betti_table` is the independent
 oracle: homology of the multidegree strands of the Taylor complex.
 
-All ranks are exact: fraction-free integer elimination over the
-rationals, modular elimination over GF(p).
+All ranks are exact: each boundary matrix is a list of sparse columns,
+one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
+against stored pivot columns, by XOR of int bitsets over GF(2) and by
+integer column updates over the rationals and odd GF(p).
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .errors import DomainError, ResourceLimitError
 from .ideals import MonomialIdeal
 
 
+# Primality is checked by trial division up to sqrt(p), so the
+# characteristic is capped; the cap is itself prime (2**31 - 1).
+MAX_CHARACTERISTIC = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class FieldChoice:
     """The coefficient field: characteristic 0 (p=0) or a prime field."""
@@ -37,6 +44,11 @@ class FieldChoice:
     def __post_init__(self):
         if self.p == 0:
             return
+        if self.p > MAX_CHARACTERISTIC:
+            raise ResourceLimitError(
+                f"characteristic {self.p} exceeds the cap "
+                f"MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
+            )
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
             raise DomainError(f"{self.p} is not prime")
 
@@ -68,25 +80,29 @@ class HomologyProfile:
 def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
     """Rank of the boundary map from upper faces to lower faces.
 
-    Removing the j-th lowest bit of a face gives sign (-1)^j.  A sub-face
-    missing from `lower` contributes no entry: that never happens for a
-    downward-closed complex and is the rule for a Taylor strand.
+    The map is one sparse column ``{row: +-1}`` per upper face, the rows
+    indexing `lower`.  Removing the j-th lowest bit of a face gives sign
+    (-1)^j.  A sub-face missing from `lower` contributes no entry: that
+    never happens for a downward-closed complex and is the rule for a
+    Taylor strand.
     """
     if not lower or not upper:
         return 0
     index = {m: i for i, m in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for col, mask in enumerate(upper):
+    columns = []
+    for mask in upper:
+        column = {}
         sign = 1
         rem = mask
         while rem:
             bit = rem & -rem
             row = index.get(mask ^ bit)
             if row is not None:
-                rows[row][col] = sign
+                column[row] = sign
             sign = -sign
             rem ^= bit
-    return _rank(rows, p)
+        columns.append(column)
+    return _rank(columns, p)
 
 
 @lru_cache(maxsize=262144)

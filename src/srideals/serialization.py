@@ -34,6 +34,22 @@ def _integer(obj: dict, key: str) -> int:
     return obj[key]
 
 
+# Every generator is a dense exponent vector of length "vars", and the
+# ideals of a complex on "ambient" vertices or of a graph on "n" vertices
+# have that many variables; a larger count than this is a
+# ResourceLimitError before anything is built.
+MAX_VARS = 1024
+
+
+def _count(obj: dict, key: str) -> int:
+    n = _integer(obj, key)
+    if n > MAX_VARS:
+        raise ResourceLimitError(
+            f'"{key}" = {n} exceeds the dense-vector cap MAX_VARS = {MAX_VARS}'
+        )
+    return n
+
+
 def _integer_lists(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(x, list) and all(type(v) is int for v in x) for x in value
@@ -43,7 +59,7 @@ def _integer_lists(value) -> bool:
 def complex_from_json(obj, minimalize: bool = False) -> SimplicialComplex:
     if not isinstance(obj, dict) or "ambient" not in obj or "facets" not in obj:
         raise DomainError('a complex needs the keys "ambient" and "facets"')
-    n = _integer(obj, "ambient")
+    n = _count(obj, "ambient")
     facets = obj["facets"]
     if not _integer_lists(facets):
         raise DomainError('"facets" must be a list of integer vertex lists')
@@ -79,19 +95,10 @@ def monomial_to_json(m: Monomial, pretty: bool = False):
     return monomial_to_str(m) if pretty else list(m.exponents)
 
 
-# Every generator is a dense exponent vector of length "vars"; more
-# variables than this is a ResourceLimitError before any vector is built.
-MAX_VARS = 1024
-
-
 def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or "vars" not in obj or "generators" not in obj:
         raise DomainError('an ideal needs the keys "vars" and "generators"')
-    n = _integer(obj, "vars")
-    if n > MAX_VARS:
-        raise ResourceLimitError(
-            f'"vars" = {n} exceeds the dense-vector cap MAX_VARS = {MAX_VARS}'
-        )
+    n = _count(obj, "vars")
     if not isinstance(obj["generators"], list):
         raise DomainError('"generators" must be a list')
     gens = []
@@ -121,7 +128,7 @@ def ideal_to_json(ideal: MonomialIdeal, pretty: bool = False) -> dict:
 def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise DomainError('a graph needs the keys "n" and "edges"')
-    n = _integer(obj, "n")
+    n = _count(obj, "n")
     edges = obj["edges"]
     if not _integer_lists(edges) or any(len(e) != 2 for e in edges):
         raise DomainError('"edges" must be a list of integer pairs')

@@ -1,6 +1,7 @@
 """The command-line surface: report schema, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -289,6 +290,42 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "MAX_" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("dual", {"ambient": 10**18, "facets": [[1]]}),
+            ("facet-ideal", {"ambient": 10**18, "facets": [[1]]}),
+            ("chordal", {"n": 10**12, "edges": [[1, 2]]}),
+        ],
+        ids=["dual", "facet-ideal", "chordal"],
+    )
+    def test_huge_vertex_count_is_exit_3(self, command, payload, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "MAX_VARS" in captured.err
+
+    def test_field_beyond_the_characteristic_cap_is_prompt_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"vars": 2, "generators": [[1, 0], [0, 1]]}))
+        field = "gf1000000000000000000000000000057"
+        start = time.perf_counter()
+        assert cli.main(["betti", "-f", str(path), "--field", field]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "MAX_CHARACTERISTIC" in captured.err
+
+    def test_largest_allowed_characteristic_is_accepted(self, run):
+        ideal = {"vars": 2, "generators": [[1, 0], [0, 1]]}
+        code, report = run("projdim", ideal, "--field", "gf2147483647")
+        assert code == 0
+        assert report["result"] == {"projdim": 1}
 
     def test_linear_quotients_takes_no_field(self, run):
         code, _ = run("linear-quotients", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf2")

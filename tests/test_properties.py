@@ -1,6 +1,7 @@
 """Property-based invariants on randomized complexes and ideals."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from srideals import (
     verify_linear_quotients,
     verify_shelling,
 )
+from srideals import _linalg
 from srideals.homological import shelling_order, squarefree_betti_masks
 from srideals.quasitrees import leaf_order
 
@@ -293,3 +295,63 @@ def test_verify_linear_quotients_matches_naive_reference(order):
     assert verify_linear_quotients([Monomial(v) for v in order]) == _naive_linear_quotients(
         list(order)
     )
+
+
+# A plain dense Gaussian elimination, over Fraction for p = 0 and mod p
+# otherwise, kept as the reference for the sparse column reduction.
+def _naive_rank(columns, p):
+    nrows = max((row for column in columns for row in column), default=-1) + 1
+    m = [
+        [Fraction(c.get(r, 0)) if p == 0 else c.get(r, 0) % p for c in columns]
+        for r in range(nrows)
+    ]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, nrows) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(nrows):
+            if i != rank and m[i][j]:
+                if p == 0:
+                    f = m[i][j] / m[rank][j]
+                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+                else:
+                    f = m[i][j] * pow(m[rank][j], -1, p) % p
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+# Entries other than +-1, multiples of 2, 3 and 5, explicit zeros and a
+# large value, so that pivots outside {+-1} and entries vanishing mod p
+# both occur.
+_ENTRIES = st.sampled_from([-6, -4, -3, -2, -1, 0, 1, 1, 2, 3, 5, 10, 15, 2**40])
+
+
+@st.composite
+def sparse_columns(draw):
+    """Random sparse integer columns, some of them empty, some duplicated
+    and some integer combinations of two others (so the rank is often
+    below the column count)."""
+    column = st.dictionaries(st.integers(0, 7), _ENTRIES, max_size=5)
+    columns = draw(st.lists(column, max_size=7))
+    if columns:
+        picks = st.integers(0, len(columns) - 1)
+        for _ in range(draw(st.integers(0, 3))):
+            columns.append(dict(columns[draw(picks)]))
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = columns[draw(picks)], columns[draw(picks)]
+            x, y = draw(_ENTRIES), draw(_ENTRIES)
+            combo = {r: x * a.get(r, 0) + y * b.get(r, 0) for r in a.keys() | b.keys()}
+            columns.insert(draw(st.integers(0, len(columns))), combo)
+    return draw(st.permutations(columns))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+@given(columns=sparse_columns())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_matches_dense_elimination(p, columns):
+    snapshot = [dict(c) for c in columns]
+    assert _linalg.rank(columns, p) == _naive_rank(columns, p)
+    assert columns == snapshot  # the input columns are not modified
