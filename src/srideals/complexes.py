@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Face = tuple[int, ...]
 
@@ -184,16 +184,48 @@ def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.n, missing)
 
 
+MAX_TRANSVERSALS = 200_000
+
+
 def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
     """Inclusion-minimal nonface bitmasks of the complex on [n] with the
-    given facets, in order of increasing size."""
-    faces = down_closure(facet_masks)
-    found: list[int] = []
-    for mask in sorted(range(1 << n), key=lambda m: bin(m).count("1")):
-        if mask in faces or any(f & mask == f for f in found):
+    given facets, ordered by (size, mask).
+
+    A set is a nonface iff it meets the complement of every facet, so the
+    minimal nonfaces are the minimal transversals of the facet
+    complements.  Berge's algorithm (Berge, *Hypergraphs*, ch. 2; see
+    Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.7) adds
+    one complement c at a time: a transversal meeting c is kept, and
+    every other one t is extended to t | v for each vertex v of c.  An
+    extension is minimal iff it contains no kept transversal; such a
+    kept transversal must contain v, and two extensions are never
+    comparable, so that is the only test.  The work is bounded by the
+    intermediate families, capped at MAX_TRANSVERSALS.
+    """
+    full = (1 << n) - 1
+    family = [0]
+    for fm in facet_masks:
+        comp = full & ~fm
+        kept = [t for t in family if t & comp]
+        missed = [t for t in family if not t & comp]
+        if not missed:
             continue
-        found.append(mask)
-    return found
+        family = kept.copy()
+        rem = comp
+        while rem:
+            bit = rem & -rem
+            rem ^= bit
+            through = [k for k in kept if k & bit]
+            for t in missed:
+                ext = t | bit
+                if not any(k & ext == k for k in through):
+                    family.append(ext)
+            if len(family) > MAX_TRANSVERSALS:
+                raise ResourceLimitError(
+                    f"more than MAX_TRANSVERSALS = {MAX_TRANSVERSALS} partial "
+                    f"minimal nonfaces on {n} vertices"
+                )
+    return sorted(family, key=lambda m: (m.bit_count(), m))
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple[list[Face], bool]:

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import SimplicialComplex, dimension_info, skeleton
+from .complexes import SimplicialComplex, dimension_info, mask_face, skeleton
 from .errors import DomainError, ResourceLimitError
 from .ideals import Monomial, MonomialIdeal
 from .quasitrees import leaf_order
@@ -26,7 +26,9 @@ class Graph:
             raise DomainError(f"vertex count must be a positive integer, got {n!r}")
         canon = set()
         for e in edges:
-            i, j = sorted(e)
+            i, j = e
+            if j < i:
+                i, j = j, i
             if i == j:
                 raise DomainError(f"loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -65,25 +67,39 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 def mcs_order(adj: tuple[int, ...]) -> list[int]:
     """Maximum-cardinality search visit order (0-based vertices); ties go
-    to the lowest vertex."""
+    to the lowest vertex.
+
+    A bucket queue over bitmasks (Tarjan-Yannakakis, SIAM J. Comput. 13,
+    1984): buckets[w] is the mask of unvisited vertices with w visited
+    neighbors, and each step pops the lowest bit of the highest nonempty
+    bucket.
+    """
     n = len(adj)
     weight = [0] * n
-    visited = 0
+    buckets = [0] * (n + 1)
+    buckets[0] = (1 << n) - 1
+    top = 0
+    unvisited = buckets[0]
     order = []
     for _ in range(n):
-        v = -1
-        best = -1
-        for u in range(n):
-            if not visited >> u & 1 and weight[u] > best:
-                best = weight[u]
-                v = u
+        while not buckets[top]:
+            top -= 1
+        bit = buckets[top] & -buckets[top]
+        buckets[top] ^= bit
+        unvisited ^= bit
+        v = bit.bit_length() - 1
         order.append(v)
-        visited |= 1 << v
-        rem = adj[v] & ~visited
+        rem = adj[v] & unvisited
+        if rem:
+            top += 1
         while rem:
             bit = rem & -rem
-            weight[bit.bit_length() - 1] += 1
             rem ^= bit
+            u = bit.bit_length() - 1
+            w = weight[u]
+            buckets[w] ^= bit
+            buckets[w + 1] |= bit
+            weight[u] = w + 1
     return order
 
 
@@ -181,14 +197,26 @@ def verify_cycle_witness(g: Graph, cycle: list[int]) -> bool:
 
 
 def _bron_kerbosch(adj, r, p, x, out):
+    """Append to out every maximal clique R | S with S a clique in P and
+    no vertex of X adjacent to all of it (Bron-Kerbosch, CACM 16, 1973).
+
+    The pivot u in P | X maximizes |P & N(u)|, ties to the lowest vertex
+    (Tomita-Tanaka-Takahashi, TCS 363, 2006), so only P \\ N(u) branches.
+    """
     if not p and not x:
         out.append(r)
         return
-    pivot_pool = p | x
-    pivot = max(
-        range(len(adj)),
-        key=lambda u: bin(adj[u] & p).count("1") if pivot_pool >> u & 1 else -1,
-    )
+    pivot = -1
+    best = -1
+    pool = p | x
+    while pool:
+        bit = pool & -pool
+        pool ^= bit
+        u = bit.bit_length() - 1
+        size = (adj[u] & p).bit_count()
+        if size > best:
+            best = size
+            pivot = u
     cand = p & ~adj[pivot]
     while cand:
         bit = cand & -cand
@@ -206,12 +234,16 @@ def maximal_cliques(g: Graph) -> list[int]:
     return sorted(out)
 
 
-def clique_complex(g: Graph, max_vertices: int = 24) -> SimplicialComplex:
-    """The flag complex whose facets are the maximal cliques of g."""
-    if g.n > max_vertices:
-        raise ResourceLimitError(f"n = {g.n} exceeds the clique-complex cap {max_vertices}")
-    from .complexes import mask_face
+MAX_CLIQUE_VERTICES = 24
 
+
+def clique_complex(g: Graph) -> SimplicialComplex:
+    """The flag complex whose facets are the maximal cliques of g."""
+    if g.n > MAX_CLIQUE_VERTICES:
+        raise ResourceLimitError(
+            f"n = {g.n} exceeds the clique-complex cap "
+            f"MAX_CLIQUE_VERTICES = {MAX_CLIQUE_VERTICES}"
+        )
     return SimplicialComplex(g.n, [mask_face(m) for m in maximal_cliques(g)])
 
 

@@ -116,7 +116,7 @@ def _profile_from_masks(faces: frozenset, p: int) -> tuple[int, ...]:
         return ()
     by_dim: dict[int, list[int]] = {}
     for m in faces:
-        by_dim.setdefault(bin(m).count("1") - 1, []).append(m)
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
     for k, masks in by_dim.items():
         masks.sort()
@@ -330,7 +330,7 @@ def taylor_betti_table(
     strands: dict[tuple[int, ...], dict[int, list[int]]] = {}
     for mask in range(1, 1 << t):
         b = lcm_of[mask]
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         strands.setdefault(b, {}).setdefault(size, []).append(mask)
 
     table: dict = {}
@@ -375,7 +375,7 @@ def is_cohen_macaulay(
     faces = cx.face_mask_set
     for f in faces:
         link = frozenset(g ^ f for g in faces if g & f == f)
-        link_dim = max(bin(m).count("1") for m in link) - 1
+        link_dim = max(m.bit_count() for m in link) - 1
         profile = _profile_from_masks(link, field.p)
         if any(profile[: link_dim + 1]):
             return False
@@ -420,7 +420,7 @@ def shelling_order(cx: SimplicialComplex, max_facets: int = 12) -> list[int] | N
             return False
         # Facets meeting the current union in more vertices first.
         order = sorted(
-            remaining, key=lambda i: (-bin(masks[i] & union).count("1"), i)
+            remaining, key=lambda i: (-(masks[i] & union).bit_count(), i)
         )
         for i in order:
             if not _shelling_extension_ok(diff, i, prefix):
@@ -451,7 +451,7 @@ def verify_shelling(cx: SimplicialComplex, order: list[int]) -> bool:
         singles = 0
         for k in range(i):
             d = masks[i] & ~masks[k]
-            if bin(d).count("1") == 1:
+            if d.bit_count() == 1:
                 singles |= d
         for j in range(i):
             if not masks[i] & ~masks[j] & singles:

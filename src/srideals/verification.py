@@ -84,8 +84,8 @@ def iter_complexes_masks(n, max_facets=None, max_size=None, min_size=1):
     of subsets with sizes in [min_size, max_size]), in DFS order."""
     max_size = n if max_size is None else min(max_size, n)
     candidates = sorted(
-        (m for m in range(1, 1 << n) if min_size <= bin(m).count("1") <= max_size),
-        key=lambda m: (bin(m).count("1"), m),
+        (m for m in range(1, 1 << n) if min_size <= m.bit_count() <= max_size),
+        key=lambda m: (m.bit_count(), m),
     )
     chosen: list[int] = []
 
@@ -195,16 +195,14 @@ def random_graph(rng: random.Random, n: int, p=None) -> Graph:
 
 
 def _coded_graph(n: int, code: int):
-    """(n, adjacency masks, 1-based edges) of the graph on [n] whose edges
-    are the vertex pairs, in lexicographic order, at the set bits of code."""
+    """(n, adjacency masks) of the graph on [n] whose edges are the vertex
+    pairs, in lexicographic order, at the set bits of code."""
     adj = [0] * n
-    edges = []
     for idx, (a, b) in enumerate(itertools.combinations(range(n), 2)):
         if code >> idx & 1:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-            edges.append((a + 1, b + 1))
-    return n, tuple(adj), edges
+    return n, tuple(adj)
 
 
 def random_chordal_graph(rng: random.Random, n: int) -> Graph:
@@ -445,7 +443,7 @@ def check_projdim_regularity_duality(
         dual_facets = [full ^ m for m in nonfaces]
         dual_nonfaces = minimal_nonfaces_masks(dual_facets, n)
         dual_betti = squarefree_betti_masks(dual_nonfaces, p)
-        reg = max(bin(b).count("1") - i for i, b in dual_betti)
+        reg = max(b.bit_count() - i for i, b in dual_betti)
         if pd + 1 != reg:
             failures.append(complex_to_json(cx))
     return _report(
@@ -678,15 +676,17 @@ def check_chordal_quasi_tree(
     family = itertools.chain(
         (_coded_graph(n, code) for n in range(1, max_n + 1) for code in range(1 << math.comb(n, 2))),
         (_coded_graph(sample_n, rng.getrandbits(sample_pairs)) for _ in range(samples)),
-        ((g.n, g.adjacency, g.edges) for g in chordal_graphs),
+        ((g.n, g.adjacency) for g in chordal_graphs),
     )
-    for n, adj, edges in family:
+    for n, adj in family:
         instances += 1
         cliques: list[int] = []
         _bron_kerbosch(adj, 0, (1 << n) - 1, 0, cliques)
         chordal = _is_peo(adj, mcs_order(adj))
         if chordal != (leaf_order_masks(cliques) is not None):
-            failures.append({"n": n, "edges": [list(e) for e in edges]})
+            pairs = itertools.combinations(range(n), 2)
+            edges = [[a + 1, b + 1] for a, b in pairs if adj[a] >> b & 1]
+            failures.append({"n": n, "edges": edges})
     return _report(
         "thm-3.3",
         instances,

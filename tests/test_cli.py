@@ -64,6 +64,28 @@ class TestReports:
         assert report["result"]["flag"] is True
         assert [5, 6] in report["result"]["nonfaces"]
 
+    @pytest.mark.parametrize("ambient", [63, 1024])
+    @pytest.mark.parametrize("command", ["nonfaces", "dual", "sr-ideal"])
+    def test_large_ambient_is_output_sensitive(self, run, command, ambient):
+        payload = {"ambient": ambient, "facets": [[1, 2], [3, 4]]}
+        nonfaces = [[v] for v in range(5, ambient + 1)] + [[1, 3], [1, 4], [2, 3], [2, 4]]
+        start = time.perf_counter()
+        code, report = run(command, payload)
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        result = report["result"]
+        if command == "nonfaces":
+            assert result == {"flag": True, "nonfaces": nonfaces}
+        elif command == "dual":
+            full = set(range(1, ambient + 1))
+            dual = {tuple(sorted(full - set(f))) for f in nonfaces}
+            assert {tuple(f) for f in result["dual"]["facets"]} == dual
+        else:
+            supports = [
+                [v + 1 for v, e in enumerate(g) if e] for g in result["ideal"]["generators"]
+            ]
+            assert sorted(supports) == sorted(nonfaces)
+
     def test_facet_ideal_pretty(self, run):
         code, report = run(
             "facet-ideal", {"ambient": 3, "facets": [[1, 2], [3]]}, "--pretty"
@@ -308,6 +330,34 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "MAX_VARS" in captured.err
+
+    @pytest.mark.parametrize("command", ["nonfaces", "dual", "sr-ideal"])
+    def test_too_many_transversals_is_prompt_exit_3(self, command, tmp_path, capsys):
+        # facet i misses only {2i-1, 2i}: 2^40 minimal nonfaces
+        facets = [[v for v in range(1, 81) if (v + 1) // 2 != i] for i in range(1, 41)]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"ambient": 80, "facets": facets}))
+        start = time.perf_counter()
+        assert cli.main([command, "-f", str(path)]) == 3
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit: ")
+        assert "MAX_TRANSVERSALS" in captured.err
+
+    @pytest.mark.parametrize("command", ["dirac", "clique-complex", "higher-dirac"])
+    def test_clique_complex_cap_is_named(self, command, tmp_path, capsys):
+        if command == "higher-dirac":
+            payload = {"ambient": 40, "facets": [[1, 2], [2, 3]]}
+        else:
+            payload = {"n": 40, "edges": [[1, 2]]}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit: ")
+        assert "MAX_CLIQUE_VERTICES" in captured.err
 
     def test_field_beyond_the_characteristic_cap_is_prompt_exit_3(self, tmp_path, capsys):
         path = tmp_path / "input.json"

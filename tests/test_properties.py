@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srideals import (
@@ -31,6 +31,8 @@ from srideals import (
     verify_shelling,
 )
 from srideals import _linalg
+from srideals.complexes import minimal_nonfaces_masks
+from srideals.graphs import Graph, _bron_kerbosch, maximal_cliques, mcs_order
 from srideals.homological import shelling_order, squarefree_betti_masks
 from srideals.quasitrees import leaf_order
 
@@ -355,3 +357,115 @@ def test_sparse_rank_matches_dense_elimination(p, columns):
     snapshot = [dict(c) for c in columns]
     assert _linalg.rank(columns, p) == _naive_rank(columns, p)
     assert columns == snapshot  # the input columns are not modified
+
+
+# The combinatorial kernels against references that enumerate: every
+# subset of [n] for minimal nonfaces and cliques, a linear max-weight
+# scan for maximum-cardinality search, and Bron-Kerbosch with the pivot
+# taken by max() over all vertices for the order in which cliques are
+# found.
+def _popcount(mask):
+    return bin(mask).count("1")
+
+
+def _naive_minimal_nonfaces(facet_masks, n):
+    def is_face(mask):
+        return any(mask & f == mask for f in facet_masks)
+
+    found = [
+        mask
+        for mask in range(1 << n)
+        if not is_face(mask)
+        and all(is_face(mask & ~(1 << v)) for v in range(n) if mask >> v & 1)
+    ]
+    return sorted(found, key=lambda m: (_popcount(m), m))
+
+
+@st.composite
+def facet_lists(draw, max_n=10, max_facets=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertex_sets = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n)
+    facets = draw(st.lists(vertex_sets, max_size=max_facets))
+    return [sum(1 << v for v in f) for f in facets], n
+
+
+@given(facet_lists())
+@example(([], 1))  # no facets: the empty set is the one nonface
+@example(([], 4))
+@example(([0b1111], 4))  # the full simplex has no nonfaces
+@example(([0b0011, 0b0110], 4))  # vertex 4 is isolated
+@example(([0], 3))  # only the empty face
+@example(([0b101, 0b111, 0b011], 3))  # not an antichain
+@settings(max_examples=300, deadline=None)
+def test_minimal_nonfaces_match_the_subset_scan(case):
+    facet_masks, n = case
+    assert minimal_nonfaces_masks(facet_masks, n) == _naive_minimal_nonfaces(facet_masks, n)
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    edges = [e for e in pairs if draw(st.floats(0, 1)) < density] if pairs else []
+    return Graph(n, edges)
+
+
+def _naive_mcs(adj):
+    n = len(adj)
+    weight = [0] * n
+    order = []
+    for _ in range(n):
+        v = max((u for u in range(n) if u not in order), key=lambda u: (weight[u], -u))
+        order.append(v)
+        for u in range(n):
+            if u not in order and adj[v] >> u & 1:
+                weight[u] += 1
+    return order
+
+
+def _naive_cliques_in_order(adj):
+    n = len(adj)
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(
+            range(n), key=lambda u: _popcount(adj[u] & p) if (p | x) >> u & 1 else -1
+        )
+        for v in range(n):
+            if p >> v & 1 and not adj[pivot] >> v & 1:
+                expand(r | 1 << v, p & adj[v], x & adj[v])
+                p &= ~(1 << v)
+                x |= 1 << v
+
+    expand(0, (1 << n) - 1, 0)
+    return out
+
+
+@given(graphs(max_n=12))
+@example(Graph(5, []))  # every step a tie
+@example(Graph(4, [(1, 2), (3, 4)]))
+@settings(max_examples=300, deadline=None)
+def test_mcs_order_matches_the_linear_scan(g):
+    assert mcs_order(g.adjacency) == _naive_mcs(g.adjacency)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=300, deadline=None)
+def test_maximal_cliques_match_brute_force(g):
+    adj = g.adjacency
+
+    def is_clique(mask):
+        return all(not mask & ~(adj[v] | 1 << v) for v in range(g.n) if mask >> v & 1)
+
+    def is_maximal(mask):
+        return not any(is_clique(mask | 1 << v) for v in range(g.n) if not mask >> v & 1)
+
+    brute = [m for m in range(1, 1 << g.n) if is_clique(m) and is_maximal(m)]
+    assert maximal_cliques(g) == brute
+    found: list[int] = []
+    _bron_kerbosch(adj, 0, (1 << g.n) - 1, 0, found)
+    assert found == _naive_cliques_in_order(adj)
