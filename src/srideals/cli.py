@@ -9,6 +9,7 @@ failed (the report carries a witness), 3 a resource cap was hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -38,6 +39,7 @@ from .homological import (
     verify_shelling,
 )
 from .ideals import (
+    Monomial,
     facet_ideal,
     linear_quotients_order,
     power,
@@ -182,19 +184,18 @@ def _cmd_relation_trees(args):
     # generators share a common factor invisible to the tree labels, and
     # reconstruction is only exact up to that factor.
     covering = {w for f in cx.facets for w in f} == set(range(1, cx.n + 1))
-    import functools
-
-    common = functools.reduce(lambda a, b: a.gcd(b), gens)
+    common = functools.reduce(Monomial.gcd, gens)
     reduced = [g.quotient(common) for g in gens]
-    for tr in trees:
+    trees_json = [relation_tree_to_json(tr) for tr in trees]
+    for tr, tr_json in zip(trees, trees_json):
         ok = reconstruct_generators(tr) == reduced
         if covering:
             ok = ok and verify_minor_certificate(cx, tr)
         if not ok:
-            checks.append(_check("tree-certificate", False, relation_tree_to_json(tr)))
+            checks.append(_check("tree-certificate", False, tr_json))
     if not checks:
         checks.append(_check("tree-certificates", True, None))
-    result = {"count": len(trees), "trees": [relation_tree_to_json(t) for t in trees]}
+    result = {"count": len(trees), "trees": trees_json}
     return complex_to_json(cx), result, checks
 
 
@@ -373,7 +374,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Parsing leaves the parser unchanged (every call gets a fresh
+    namespace with the defaults filled in), so ``main`` may be called any
+    number of times in one process.
+    """
     parser = _Parser(prog="srideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,11 +7,23 @@ Cohen-Macaulayness, and shelling-order search.
 
 Betti numbers come from one engine (Miller-Sturmfels, Thm 1.34): walk
 the lcm lattice of the generators and take the homology of the
-upper-Koszul complex at each lattice element.  :func:`betti_table`
+upper-Koszul complex K^b at each lattice element b.  :func:`betti_table`
 (exponent vectors) and :func:`squarefree_betti_masks` (support
 bitmasks) are its two entry points and differ only in how they
 represent a multidegree.  :func:`taylor_betti_table` is the independent
 oracle: homology of the multidegree strands of the Taylor complex.
+
+K^b is the down-closure of the complements of the tight masks at b, and
+on an element with at most ``NERVE_MIN_WIDTH`` (6) support positions
+the engine reduces that down-closure, up to 2^|supp b| faces.  On a
+wider element with m < |supp b| minimal tight masks it reduces the
+nerve of K^b's facets instead: the sets of minimal tight masks whose
+union misses some position of supp(b), at most 2^m faces.  By the nerve
+lemma (Bjorner, "Topological methods", Handbook of Combinatorics,
+Thm 10.6) both have the same reduced homology.  The width gate keeps
+the many small elements of the squarefree suites on the plain path, so
+they pay nothing for finding minimal masks on complexes that are small
+anyway.
 
 All ranks are exact: each boundary matrix is a list of sparse columns,
 one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
@@ -196,6 +208,40 @@ def _check_betti_caps(ideal: MonomialIdeal, max_generators: int, max_vars: int):
         )
 
 
+# Support width above which the Betti engine may take K^b's homology
+# through the nerve of its facets (see the module docstring).
+NERVE_MIN_WIDTH = 6
+
+
+def _minimal_masks(masks) -> list[int]:
+    """The inclusion-minimal masks among `masks`, smallest first."""
+    minimal: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in minimal):
+            minimal.append(m)
+    return minimal
+
+
+def _nerve_faces(minimal: list[int], full: int) -> frozenset:
+    """The nerve of the facets full ^ t of K^b, t in `minimal`.
+
+    A face is a bitmask over indices into `minimal`; a set S of facets
+    meets iff the union of their tight masks misses a position of `full`.
+    By the nerve lemma (Bjorner, "Topological methods", Thm 10.6) it has
+    the reduced homology of K^b.
+    """
+    faces = [0]
+    stack = [(0, 0, 0)]  # (face, union of its tight masks, next index)
+    while stack:
+        face, union, start = stack.pop()
+        for i in range(start, len(minimal)):
+            joined = union | minimal[i]
+            if joined != full:
+                faces.append(face | 1 << i)
+                stack.append((face | 1 << i, joined, i + 1))
+    return frozenset(faces)
+
+
 def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap: int) -> dict:
     """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of gens.
 
@@ -206,6 +252,9 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap: int) -> dict
     upper-Koszul complex K^b(I) iff it misses the tight mask of some such
     g (then g divides b / x_F), so K^b(I) is the down-closure of the
     complements of the tight masks, and beta_{i,b} = dim H~_{i-1}(K^b(I)).
+    On an element wider than ``NERVE_MIN_WIDTH`` with fewer minimal tight
+    masks than support positions, that homology is taken from the nerve
+    of K^b's facets instead (:func:`_nerve_faces`).
     """
     lattice = set(gens)
     frontier = set(gens)
@@ -224,7 +273,11 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap: int) -> dict
     for b in lattice:
         width, tights = tight_masks(b)
         full = (1 << width) - 1
-        profile = _profile_from_masks(down_closure(full ^ t for t in tights), p)
+        if width > NERVE_MIN_WIDTH and len(tights := _minimal_masks(tights)) < width:
+            faces = _nerve_faces(tights, full)
+        else:
+            faces = down_closure(full ^ t for t in tights)
+        profile = _profile_from_masks(faces, p)
         for i, r in enumerate(profile):
             if r:
                 table[(i, b)] = r

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, mask_face
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .ideals import Monomial, MonomialIdeal
 
 
@@ -229,13 +229,23 @@ def _is_tree(t: int, edges) -> bool:
     return True
 
 
+def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monomial]:
+    """(u_ij, u_ji): gens[i] and gens[j] divided by their gcd."""
+    g = gens[i].gcd(gens[j])
+    return gens[i].quotient(g), gens[j].quotient(g)
+
+
 def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
     """Attach Taylor labels from an explicit generator sequence."""
-    labels = []
-    for i, j in edges:
-        g = gens[i].gcd(gens[j])
-        labels.append(((i, j), (gens[i].quotient(g), gens[j].quotient(g))))
+    labels = [((i, j), _taylor_label(gens, i, j)) for i, j in edges]
     return RelationTree(len(gens), tuple(sorted(edges)), tuple(sorted(labels)))
+
+
+def _add_exponents(acc: list[int], mono: Monomial) -> None:
+    """Multiply the exponent vector `acc` by `mono` in place."""
+    for k, e in enumerate(mono.exponents):
+        if e:
+            acc[k] += e
 
 
 def tree_minor_det(
@@ -258,8 +268,10 @@ def tree_minor_det(
         if j != drop_col:
             cells[j] = (-1, mj)
         active.append(cells)
+    if not active:
+        return None
     cols = sorted({c for cells in active for c in cells})
-    acc = None
+    acc = [0] * rows[0][2].num_vars  # the exponent vector of the product
     sign = 1
     while active:
         counts: dict[int, int] = {}
@@ -279,8 +291,8 @@ def tree_minor_det(
         cols.remove(col)
         for other in active:
             other.pop(col, None)
-        acc = mono if acc is None else acc * mono
-    return (sign, acc) if acc is not None else None
+        _add_exponents(acc, mono)
+    return sign, Monomial(acc)
 
 
 def selected_relation_rows(
@@ -318,12 +330,26 @@ def verify_minor_certificate(cx: SimplicialComplex, tree) -> bool:
     return True
 
 
+# Cap on the edge sets held across relation_trees' memo, one per alive
+# facet set and relation tree on it.  t facets sharing one vertex have
+# t^(t-2) relation trees, and the memo sums that over every alive subset:
+# 441,204 edge sets (about 50 MB, 1 s) for t = 8, 7,874,235 for t = 9.
+# The largest memo in the test suite, `verify all` at seeds 0 and 1 and
+# the benchmark's CLI corpus holds 1,145.
+MAX_RELATION_TREES = 500_000
+
+
 def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTree]:
     """All relation trees reachable by leaf removal, deduplicated.
 
     At every step any leaf may be removed and any of its branches chosen
     as the tree edge; distinct choice sequences often yield the same
-    edge set, so results are keyed by sorted edge list.
+    edge set, so results are keyed by edge set.  An edge set is an int
+    with bit t*t - 1 - (i*t + j) for the edge (i, j): a lower edge is a
+    higher bit, so decreasing ints are edge sets in increasing order of
+    their sorted edge lists, and only the first `limit` are decoded.
+    Each facet pair's Taylor label is computed once and shared by every
+    tree that uses the edge.
     """
     if limit < 1:
         raise DomainError(f"limit must be positive, got {limit}")
@@ -334,11 +360,14 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
     if t == 1:
         raise DomainError("relation trees need at least two facets")
 
+    top = t * t - 1
     cache: dict[frozenset, set] = {}
+    held = 0
 
     def enumerate_trees(alive: frozenset) -> set:
+        nonlocal held
         if len(alive) == 1:
-            return {frozenset()}
+            return {0}
         if alive in cache:
             return cache[alive]
         alive_list = sorted(alive)
@@ -347,18 +376,39 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
             branches = list(_branches(masks, alive_list, f))
             if not branches:
                 continue
-            sub = [x for x in alive_list if x != f]
-            tails = enumerate_trees(frozenset(sub))
+            tails = enumerate_trees(alive - {f})
             for g in branches:
-                edge = (min(f, g), max(f, g))
-                for tail in tails:
-                    result.add(tail | {edge})
+                bit = 1 << (top - min(f, g) * t - max(f, g))
+                result.update(tail | bit for tail in tails)
+                if held + len(result) > MAX_RELATION_TREES:
+                    raise ResourceLimitError(
+                        f"relation trees: the leaf-removal memo holds more than "
+                        f"MAX_RELATION_TREES = {MAX_RELATION_TREES} edge sets"
+                    )
         cache[alive] = result
+        held += len(result)
         return result
 
+    edge_sets = [
+        _edges_of(es, t)
+        for es in sorted(enumerate_trees(frozenset(range(t))), reverse=True)[:limit]
+    ]
     gens = facet_complement_generators(cx)
-    edge_sets = sorted(tuple(sorted(es)) for es in enumerate_trees(frozenset(range(t))))
-    return [relation_tree_from_edges(gens, es) for es in edge_sets[:limit]]
+    labels = {e: _taylor_label(gens, *e) for e in {e for es in edge_sets for e in es}}
+    return [
+        RelationTree(t, es, tuple((e, labels[e]) for e in es)) for es in edge_sets
+    ]
+
+
+def _edges_of(edge_set: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edges (i, j) of an edge set with bit t*t - 1 - (i*t + j)."""
+    top = t * t - 1
+    edges = []
+    while edge_set:
+        k = edge_set.bit_length() - 1
+        edges.append(divmod(top - k, t))
+        edge_set ^= 1 << k
+    return tuple(edges)
 
 
 def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
@@ -378,9 +428,10 @@ def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
     nv = tree.labels[0][1][0].num_vars
     if any(u.num_vars != nv or v.num_vars != nv for _, (u, v) in tree.labels):
         raise DomainError("relation tree labels have mixed variable counts")
+    labels = dict(reversed(tree.labels))  # the first label per edge, as label()
     out = []
     for root in range(t):
-        product = Monomial([0] * nv)
+        product = [0] * nv
         seen = {root}
         stack = [root]
         while stack:
@@ -391,7 +442,7 @@ def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
                 seen.add(b)
                 stack.append(b)
                 # Edge oriented a -> b: contribute u_ab.
-                u_ij, u_ji = tree.label(min(a, b), max(a, b))
-                product = product * (u_ij if a < b else u_ji)
-        out.append(product)
+                u_ij, u_ji = labels[min(a, b), max(a, b)]
+                _add_exponents(product, u_ij if a < b else u_ji)
+        out.append(Monomial(product))
     return out

@@ -1,11 +1,18 @@
 """The command-line surface: report schema, exit codes, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
-from srideals import cli
+from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal
+from srideals.serialization import ideal_to_json
 
 WORKED_EXAMPLE = {"ambient": 6, "facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [3, 4, 6]]}
 NEAR_MISS = {"ambient": 6, "facets": [[1, 2, 3], [3, 4, 5], [2, 4, 6]]}
@@ -411,3 +418,88 @@ class TestDeterminism:
         _, a = run("verify", None, "prop-1.3", "--samples", "10", "--seed", "1")
         _, b = run("verify", None, "prop-1.3", "--samples", "10", "--seed", "2")
         assert a["result"]["reports"] != b["result"]["reports"]
+
+
+# The 6-vertex real projective plane: its face ring has a Betti table
+# that differs over QQ and GF(2).
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+CLI_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "data" / "cli.json"
+
+
+class TestReentrancy:
+    """``main`` may be called any number of times in one process."""
+
+    def test_frozen_corpus_replays_in_either_order(self, monkeypatch, capsys):
+        requests = json.loads(CLI_CORPUS.read_text())["requests"]
+        for request in requests + requests[::-1]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(request["stdin"]))
+            code = cli.main(list(request["argv"]))
+            report = json.loads(capsys.readouterr().out)
+            report.pop("timing_ms")
+            assert (code, report) == (request["exit"], request["report"]), request["argv"]
+
+    def test_verify_budget_does_not_stick(self, run):
+        _, sampled = run("verify", None, "thm-3.6", "--samples", "5")
+        assert sampled["result"]["reports"][0]["notes"]["samples"] == 5
+        code, plain = run("verify", None, "thm-3.6")
+        assert code == 0
+        assert plain["result"]["reports"] == [run_suite("thm-3.6")]
+
+    def test_field_does_not_stick(self, run):
+        ideal = ideal_to_json(stanley_reisner_ideal(SimplicialComplex(6, RP2)))
+        _, over_qq = run("betti", ideal, "--field", "q")
+        _, over_gf2 = run("betti", ideal, "--field", "gf2")
+        assert over_gf2["result"] != over_qq["result"]
+        _, default = run("betti", ideal)
+        assert default["result"] == over_qq["result"]
+
+    def test_parser_is_built_once(self, run, monkeypatch):
+        cli._build_parser.cache_clear()
+        builds = []
+        add_subparsers = cli._Parser.add_subparsers
+
+        def spy(parser, **kwargs):
+            builds.append(parser)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "add_subparsers", spy)
+        for command in ("dual", "quasitree", "dual"):
+            assert run(command, WORKED_EXAMPLE)[0] == 0
+        assert run("betti", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf2")[0] == 0
+        assert cli.main(["frobnicate"]) == 1
+        assert len(builds) == 1
+
+
+class TestRelationTreeCap:
+    def test_large_star_is_prompt_exit_3(self, tmp_path):
+        # 14 facets meeting only in vertex 1: 14^12 relation trees.  The
+        # child runs under a 1 GB address-space limit, so exhausting memory
+        # fails the test instead of the machine.
+        facets = [[1, 2 * i, 2 * i + 1] for i in range(1, 15)]
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({"ambient": 29, "facets": facets}))
+        child = textwrap.dedent(
+            """
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from srideals import cli
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "relation-trees", "-f", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert time.perf_counter() - start < 20
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: resource limit: ")
+        assert "MAX_RELATION_TREES" in proc.stderr

@@ -1,5 +1,6 @@
 """Property-based invariants on randomized complexes and ideals."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -31,10 +32,23 @@ from srideals import (
     verify_shelling,
 )
 from srideals import _linalg
-from srideals.complexes import minimal_nonfaces_masks
+from srideals.complexes import down_closure, minimal_nonfaces_masks
 from srideals.graphs import Graph, _bron_kerbosch, maximal_cliques, mcs_order
-from srideals.homological import shelling_order, squarefree_betti_masks
-from srideals.quasitrees import leaf_order
+from srideals.homological import (
+    _minimal_masks,
+    _nerve_faces,
+    _profile_from_masks,
+    shelling_order,
+    squarefree_betti_masks,
+)
+from srideals.quasitrees import (
+    facet_complement_generators,
+    leaf_order,
+    reconstruct_generators,
+    relation_tree_from_edges,
+    relation_trees,
+    tree_minor_det,
+)
 
 
 @st.composite
@@ -51,14 +65,14 @@ def complexes(draw, max_n=6, max_faces=6):
 
 
 @st.composite
-def monomial_ideals(draw, max_n=4, max_gens=4, max_exp=2):
-    n = draw(st.integers(min_value=2, max_value=max_n))
+def monomial_ideals(draw, min_n=2, max_n=4, min_gens=1, max_gens=4, max_exp=2):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     gens = draw(
         st.lists(
             st.lists(
                 st.integers(min_value=0, max_value=max_exp), min_size=n, max_size=n
             ).filter(lambda e: any(e)),
-            min_size=1,
+            min_size=min_gens,
             max_size=max_gens,
         )
     )
@@ -469,3 +483,190 @@ def test_maximal_cliques_match_brute_force(g):
     found: list[int] = []
     _bron_kerbosch(adj, 0, (1 << g.n) - 1, 0, found)
     assert found == _naive_cliques_in_order(adj)
+
+
+# Ideals wide enough that some lcm-lattice elements have a support of more
+# than NERVE_MIN_WIDTH positions, so the Betti engine takes their homology
+# through the nerve of K^b's facets.
+@given(monomial_ideals(min_n=7, max_n=10, min_gens=3, max_gens=8))
+@example(
+    minimalize(
+        [
+            Monomial((1, 1, 0, 0, 0, 0, 0, 0)),
+            Monomial((0, 0, 1, 1, 0, 0, 0, 0)),
+            Monomial((0, 0, 0, 0, 2, 1, 0, 0)),
+            Monomial((0, 0, 0, 0, 0, 0, 1, 1)),
+        ]
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_betti_oracles_agree_on_wide_ideals(ideal):
+    for field in (RATIONALS, GF2):
+        assert betti_table(ideal, field) == taylor_betti_table(ideal, field)
+
+
+def _nonzero_prefix(ranks):
+    ranks = list(ranks)
+    while ranks and not ranks[-1]:
+        ranks.pop()
+    return ranks
+
+
+@st.composite
+def tight_mask_families(draw):
+    width = draw(st.integers(min_value=1, max_value=10))
+    masks = st.integers(min_value=0, max_value=(1 << width) - 1)
+    return width, draw(st.lists(masks, min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@given(case=tight_mask_families())
+@example(case=(8, [0b11, 0b1100, 0b110000, 0b11000000]))  # m < width
+@example(case=(3, [0b001, 0b010, 0b100, 0b011]))  # m = width
+@example(case=(4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010]))  # m > width
+@example(case=(5, [0b11111]))  # K^b = {empty face}
+@example(case=(5, [0, 0b101]))  # K^b is the full simplex
+@settings(max_examples=200, deadline=None)
+def test_nerve_profile_matches_the_down_closure(p, case):
+    width, tights = case
+    full = (1 << width) - 1
+    minimal = _minimal_masks(tights)
+    assert set(minimal) == {
+        t for t in tights if not any(s != t and s & t == s for s in tights)
+    }
+    nerve = _profile_from_masks(_nerve_faces(minimal, full), p)
+    closure = _profile_from_masks(down_closure(full ^ t for t in tights), p)
+    assert _nonzero_prefix(nerve) == _nonzero_prefix(closure)
+
+
+@st.composite
+def quasi_trees(draw, max_facets=6):
+    """Quasi-trees grown by leaf attachment: each new facet meets the
+    earlier ones in a proper subset of one earlier facet (its branch) and
+    brings at least one new vertex, so the facets stay an antichain."""
+    facets = [set(range(1, draw(st.integers(1, 3)) + 1))]
+    n = len(facets[0])
+    for _ in range(draw(st.integers(1, max_facets - 1))):
+        branch = sorted(draw(st.sampled_from(facets)))
+        shared = draw(st.sets(st.sampled_from(branch), max_size=len(branch) - 1))
+        new = draw(st.integers(1, 2))
+        facets.append(shared | set(range(n + 1, n + new + 1)))
+        n += new
+    relabel = draw(st.permutations(range(1, n + 1)))
+    return SimplicialComplex(n, [tuple(sorted(relabel[v - 1] for v in f)) for f in facets])
+
+
+def _naive_relation_edge_sets(masks):
+    """Every edge set reachable by leaf removal, by plain recursion: remove
+    a facet f with a branch g (f meets every other facet inside g) and add
+    the edge f-g to each edge set of the rest."""
+
+    @functools.cache
+    def trees(alive):
+        if len(alive) == 1:
+            return {()}
+        out = set()
+        for f in alive:
+            rest = tuple(h for h in alive if h != f)
+            for g in rest:
+                if all(masks[f] & masks[h] & ~masks[g] == 0 for h in rest):
+                    edge = (min(f, g), max(f, g))
+                    out |= {tuple(sorted((*tail, edge))) for tail in trees(rest)}
+        return out
+
+    return sorted(trees(tuple(range(len(masks)))))
+
+
+def _monomial_product(monomials, num_vars):
+    product = Monomial([0] * num_vars)
+    for m in monomials:
+        product = product * m
+    return product
+
+
+def _depths(edges, root):
+    """Distance from root of every vertex of a tree."""
+    depth = {root: 0}
+    frontier = [root]
+    while frontier:
+        a = frontier.pop()
+        for i, j in edges:
+            for x, y in ((i, j), (j, i)):
+                if x == a and y not in depth:
+                    depth[y] = depth[a] + 1
+                    frontier.append(y)
+    return depth
+
+
+def _reference_generator(tree, root, num_vars):
+    """u_root: each edge oriented away from root contributes its quotient."""
+    depth = _depths(tree.edges, root)
+    labels = dict(tree.labels)
+    return _monomial_product(
+        [labels[i, j][0] if depth[i] < depth[j] else labels[i, j][1] for i, j in tree.edges],
+        num_vars,
+    )
+
+
+def _reference_tree_minor(rows, drop_col, t, num_vars):
+    """The one nonzero term of the minor's Leibniz expansion: with the tree
+    oriented away from the dropped column, each row takes its entry in the
+    column of its endpoint farther from it."""
+    depth = _depths([(i, j) for i, j, _, _ in rows], drop_col)
+    cols = [c for c in range(t) if c != drop_col]
+    sign, perm, factors = 1, [], []
+    for i, j, mi, mj in rows:
+        if depth[i] > depth[j]:
+            perm.append(cols.index(i))
+            factors.append(mi)
+        else:
+            perm.append(cols.index(j))
+            factors.append(mj)
+            sign = -sign
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return sign * (-1) ** inversions, _monomial_product(factors, num_vars)
+
+
+@given(quasi_trees())
+@settings(max_examples=40, deadline=None)
+def test_relation_trees_match_the_explicit_builder(cx):
+    gens = facet_complement_generators(cx)
+    trees = relation_trees(cx, limit=2000)  # at most 6^4 = 1296 trees on 6 facets
+    assert [tr.edges for tr in trees] == _naive_relation_edge_sets(list(cx.facet_masks))
+    assert trees == [relation_tree_from_edges(gens, tr.edges) for tr in trees]
+    assert relation_trees(cx) == trees[:1000]
+    assert relation_trees(cx, limit=2) == trees[:2]
+    for tr in trees[:: len(trees) // 10 + 1]:
+        assert reconstruct_generators(tr) == [
+            _reference_generator(tr, root, cx.n) for root in range(len(gens))
+        ]
+
+
+@st.composite
+def labelled_trees(draw):
+    """A random spanning tree on t <= 6 generators with arbitrary (not
+    squarefree) generators and relation-matrix rows, so that several
+    factors of a product can share a variable."""
+    t = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(Monomial)
+    gens = draw(st.lists(monomials, min_size=t, max_size=t))
+    relabel = draw(st.permutations(range(t)))
+    edges = []
+    for child in range(1, t):
+        a, b = relabel[child], relabel[draw(st.integers(0, child - 1))]
+        edges.append((min(a, b), max(a, b)))
+    rows = [(i, j, draw(monomials), draw(monomials)) for i, j in sorted(edges)]
+    return relation_tree_from_edges(gens, edges), rows, n
+
+
+@given(labelled_trees())
+@settings(max_examples=150, deadline=None)
+def test_tree_products_match_one_monomial_at_a_time(case):
+    tree, rows, n = case
+    t = tree.num_generators
+    assert reconstruct_generators(tree) == [
+        _reference_generator(tree, root, n) for root in range(t)
+    ]
+    for col in range(t):
+        assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, t, n)
