@@ -10,6 +10,7 @@ facets (in particular, singletons are *not* required to be faces).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,27 @@ def _face_sort_key(face: Face):
     return (len(face), face)
 
 
+def _maximal_faces(faces: list[Face]) -> list[Face]:
+    """The faces that lie in no other one, from distinct faces sorted by size.
+
+    Distinct faces of equal size cannot nest, so each face is compared only
+    with the strictly larger ones, which follow the last face of its size;
+    faces of one size need no comparison at all.
+    """
+    sizes = list(map(len, faces))
+    if not faces or sizes[0] == sizes[-1]:
+        return faces
+    masks = list(map(face_mask, faces))
+    maximal = []
+    for face, mask, size in zip(faces, masks, sizes):
+        for other in masks[bisect_right(sizes, size) :]:
+            if mask & other == mask:
+                break
+        else:
+            maximal.append(face)
+    return maximal
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An antichain of facets on [n], kept in canonical order.
@@ -85,28 +107,20 @@ class SimplicialComplex:
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"ambient size must be a positive integer, got {n!r}")
         canon = sorted({canonical_face(f, n) for f in facets}, key=_face_sort_key)
-        masks = [face_mask(f) for f in canon]
-        for i, mi in enumerate(masks):
-            for mj in masks[i + 1 :]:
-                if mi & mj == mi:
-                    raise DomainError(
-                        f"facets are not an antichain: {canon[i]} is contained "
-                        f"in another facet"
-                    )
+        maximal = _maximal_faces(canon)
+        if len(maximal) < len(canon):
+            face = min(set(canon).difference(maximal), key=_face_sort_key)
+            raise DomainError(
+                f"facets are not an antichain: {face} is contained in another facet"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", tuple(canon))
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build a complex from arbitrary faces, dropping non-maximal ones."""
-        canon = {canonical_face(f, n) for f in faces}
-        masks = {f: face_mask(f) for f in canon}
-        maximal = [
-            f
-            for f in canon
-            if not any(g != f and masks[f] & masks[g] == masks[f] for g in canon)
-        ]
-        return cls(n, maximal)
+        canon = sorted({canonical_face(f, n) for f in faces}, key=_face_sort_key)
+        return cls(n, _maximal_faces(canon))
 
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:

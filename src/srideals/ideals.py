@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lshift
 
 from .complexes import SimplicialComplex, face_mask
 from .errors import DomainError, ResourceLimitError
@@ -125,7 +126,7 @@ def _packing(monomials, top: int | None = None):
     stride = top.bit_length() + 1
     shifts = range(0, monomials[0].num_vars * stride, stride)
     ones = sum(1 << s for s in shifts)
-    packed = [sum(e << s for e, s in zip(m.exponents, shifts)) for m in monomials]
+    packed = [sum(map(lshift, m.exponents, shifts)) for m in monomials]
     return packed, stride, ones, ones << (stride - 1)
 
 
@@ -472,26 +473,63 @@ def verify_linear_quotients(order: list[Monomial]) -> bool:
 
     For each g_i, the colon ideal (g_1, ..., g_{i-1}) : g_i must be
     generated by variables: every g_j : g_i (j < i) must be divisible by
-    some g_k : g_i (k < i) that is a single variable.  On packed vectors
-    (:func:`_packing`), ``d = (g_k | guards) - (g_i + ones)`` keeps the
-    guards of the variables where g_k exceeds g_i, each with the excess
-    minus one in the field below; g_k : g_i is a variable exactly when one
-    guard survives and its field is zero.  That makes the check O(t^2) int
-    operations; it reads nothing from :func:`linear_quotients_order`.
+    some g_k : g_i (k < i) that is a single variable.  It reads nothing from
+    :func:`linear_quotients_order`.
+
+    On packed vectors (:func:`_packing`), ``d = (g_k | guards) - (g_i +
+    ones)`` keeps the guards of the variables where g_k exceeds g_i, each
+    with the excess minus one in the field below; g_k : g_i is a variable
+    exactly when one guard survives and its field is zero.  Every field of
+    ``g_k | guards`` is at least 2^w and every field of ``g_i + ones`` at
+    most 2^w, so no field borrows from the next.
+
+    The whole prefix is tested at once.  Block j of one int holds
+    ``g_j | guards`` in its low ``n * stride`` bits, and the block's top bit
+    is a sentinel that is 0 there; subtracting ``g_i + ones`` copied into
+    every block gives every d_j, and no borrow crosses a block because none
+    leaves its top field.  For X whose blocks are at most their sentinel,
+    ``(H - X) & H``, with H the sentinels, keeps the sentinel of exactly the
+    blocks where X is zero, again without a borrow across blocks.  With it,
+    one pass marks the blocks where g_j : g_i is a variable, their guards
+    are read off one colon variable at a time, and a last pass asks whether
+    some d_j keeps none of those guards.  That is a constant number of int
+    operations per generator and colon variable, each over the prefix.
     """
     if len(order) < 2:
         return True
+    n = order[0].num_vars
+    if any(m.num_vars != n for m in order):
+        raise DomainError("monomials have mixed variable counts")
     packed, stride, ones, guards = _packing(order)
     w = stride - 1
-    raised = [q | guards for q in packed]
-    for i in range(1, len(packed)):
-        f = packed[i] + ones
-        diffs = [r - f for r in raised[:i]]
-        linear = 0
-        for d in diffs:
-            s = d & guards
-            if not s & (s - 1) and not d & (s - (s >> w)):
-                linear |= s
-        if not all(map(linear.__and__, diffs)):
-            return False
+    top = n * stride
+    width = top + 1
+    # The prefix g_0 .. g_{i-1}, and a 1, the guards and the sentinel of
+    # each of its blocks; each grows by one block per generator.
+    prefix = unit = block_guards = sentinels = 0
+    for i, g in enumerate(packed):
+        if i:
+            d = prefix - (g + ones) * unit
+            e = d & block_guards
+            x = e | sentinels
+            # Zero exactly where one guard survives and its field is zero:
+            # e_j & (e_j - 1) flags a second guard (the sentinel keeps the
+            # decrement in the block), and e_j - (e_j >> w) covers the
+            # fields of the surviving guards.  A block with no guard is left
+            # at its sentinel, so it is not linear.
+            x = x & (x - unit) ^ sentinels | d & (e - (e >> w))
+            linear_blocks = (sentinels - x) & sentinels
+            found = e & (linear_blocks - (linear_blocks >> top))
+            linear = 0
+            while found:
+                guard = 1 << (found.bit_length() - 1) % width
+                linear |= guard
+                found &= ~(guard * unit)
+            if (sentinels - (d & linear * unit)) & sentinels:
+                return False
+        shift = i * width
+        prefix |= (g | guards) << shift
+        unit |= 1 << shift
+        block_guards |= guards << shift
+        sentinels |= 1 << (shift + top)
     return True

@@ -416,7 +416,9 @@ def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
 
     For each index i the tree is oriented away from i and the directed
     edge k -> j contributes the quotient u_kj; the product over all
-    edges is the generator u_i.
+    edges is the generator u_i.  One walk from index 0 gives u_0; moving
+    the root across an edge a -> b turns only that edge around, so
+    u_b = u_a / u_ab * u_ba, taken along the walk's edges.
     """
     t = tree.num_generators
     if t < 2:
@@ -429,20 +431,30 @@ def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
     if any(u.num_vars != nv or v.num_vars != nv for _, (u, v) in tree.labels):
         raise DomainError("relation tree labels have mixed variable counts")
     labels = dict(reversed(tree.labels))  # the first label per edge, as label()
-    out = []
-    for root in range(t):
-        product = [0] * nv
-        seen = {root}
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b in seen:
-                    continue
+
+    def quotient(a: int, b: int) -> Monomial:
+        """u_ab, what the edge contributes when oriented a -> b."""
+        u_ij, u_ji = labels[min(a, b), max(a, b)]
+        return u_ij if a < b else u_ji
+
+    walk = []  # (a, b) for each edge, a nearer to index 0, in walk order
+    seen = {0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b not in seen:
                 seen.add(b)
                 stack.append(b)
-                # Edge oriented a -> b: contribute u_ab.
-                u_ij, u_ji = labels[min(a, b), max(a, b)]
-                _add_exponents(product, u_ij if a < b else u_ji)
-        out.append(Monomial(product))
-    return out
+                walk.append((a, b))
+    products = [[0] * nv for _ in range(t)]
+    for a, b in walk:
+        _add_exponents(products[0], quotient(a, b))
+    for a, b in walk:
+        products[b] = [
+            x - y + z
+            for x, y, z in zip(
+                products[a], quotient(a, b).exponents, quotient(b, a).exponents
+            )
+        ]
+    return [Monomial(p) for p in products]

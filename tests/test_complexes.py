@@ -1,5 +1,7 @@
 """Facet complexes: construction, skeletons, complements, duals, nonfaces."""
 
+import itertools
+
 import pytest
 
 from srideals import (
@@ -36,6 +38,22 @@ class TestConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             SimplicialComplex(3, [(1, 1, 2)])
+
+    def test_antichain_error_names_the_first_contained_facet(self):
+        # (1, 2) and (2, 3) both lie in (1, 2, 3, 4); the canonical order
+        # puts (1, 2) first.
+        with pytest.raises(DomainError) as err:
+            SimplicialComplex(5, [(1, 2, 3, 4), (3, 4, 5), (2, 3), (1, 2)])
+        assert str(err.value) == (
+            "facets are not an antichain: (1, 2) is contained in another facet"
+        )
+
+    def test_equal_size_facets_need_no_pair_scan(self):
+        faces = list(itertools.combinations(range(1, 17), 6))
+        cx = SimplicialComplex(16, faces)
+        assert len(cx.facets) == 8008
+        assert cx.facets == tuple(faces)
+        assert SimplicialComplex.from_faces(16, faces) == cx
 
     def test_from_faces_drops_non_maximal(self):
         cx = SimplicialComplex.from_faces(3, [(1,), (1, 2), (2, 3), (3,)])

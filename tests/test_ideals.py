@@ -208,6 +208,13 @@ class TestLinearQuotients:
         # (x^2):(y^2) = (x^2) is not generated by variables
         assert not verify_linear_quotients([m(2, 0), m(0, 2)])
 
+    def test_mixed_variable_counts_rejected_in_either_order(self):
+        # x1 in two variables, x2*x3^5 in three: no order may be judged.
+        order = [m(1, 0), m(0, 1, 5)]
+        for candidate in (order, order[::-1]):
+            with pytest.raises(DomainError, match="mixed variable counts"):
+                verify_linear_quotients(candidate)
+
     def test_mixed_degree_order_can_still_be_linear(self):
         # (x):(y^2) = (x) is generated by a single variable
         assert verify_linear_quotients([m(1, 0), m(0, 2)])

@@ -2,10 +2,11 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srideals import (
@@ -18,13 +19,16 @@ from srideals import (
     VOID_DUAL,
     betti_table,
     complex_from_ideal,
+    dimension_info,
     facet_ideal,
     linear_quotients_order,
     minimalize,
     Monomial,
     power,
+    pure_complement,
     reduced_homology,
     restrict_ideal,
+    skeleton,
     stanley_reisner_ideal,
     taylor_betti_table,
     verify_leaf_order,
@@ -42,6 +46,7 @@ from srideals.homological import (
     squarefree_betti_masks,
 )
 from srideals.quasitrees import (
+    RelationTree,
     facet_complement_generators,
     leaf_order,
     reconstruct_generators,
@@ -49,6 +54,7 @@ from srideals.quasitrees import (
     relation_trees,
     tree_minor_det,
 )
+from srideals.verification import random_quasi_tree
 
 
 @st.composite
@@ -100,6 +106,30 @@ def test_stanley_reisner_round_trip(cx):
 @settings(max_examples=150, deadline=None)
 def test_facet_ideal_round_trip(cx):
     assert complex_from_ideal(facet_ideal(cx), "facet") == cx
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.sets(st.integers(1, n), max_size=n), max_size=10)
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_the_all_pairs_scan(case):
+    n, faces = case
+    canon = sorted({tuple(sorted(f)) for f in faces}, key=lambda f: (len(f), f))
+    contained = [f for f in canon if any(f != g and set(f) <= set(g) for g in canon)]
+    maximal = tuple(f for f in canon if f not in contained)
+    assert SimplicialComplex.from_faces(n, faces).facets == maximal
+    if not contained:
+        assert SimplicialComplex(n, faces).facets == maximal
+        return
+    with pytest.raises(DomainError) as err:
+        SimplicialComplex(n, faces)
+    assert str(err.value) == (
+        f"facets are not an antichain: {contained[0]} is contained in another facet"
+    )
 
 
 @given(complexes(max_n=5))
@@ -311,6 +341,50 @@ def test_verify_linear_quotients_matches_naive_reference(order):
     assert verify_linear_quotients([Monomial(v) for v in order]) == _naive_linear_quotients(
         list(order)
     )
+
+
+@st.composite
+def long_orders(draw):
+    """Orders of 31-600 generators, so that the verifier's prefix spans many
+    blocks.  The powers k = 2, 3 of a skeleton-complement facet ideal of a
+    random quasi-tree, in canonical order, reversed and with one adjacent
+    pair swapped; and the canonical order multiplied by one monomial that
+    lifts the largest exponent of each variable to 2^w - 1 or 2^w (which
+    keeps every colon ideal), with monomials of other degrees inserted in
+    front and past the 30th generator."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    qt = random_quasi_tree(rng, draw(st.integers(5, 7)))
+    bar = pure_complement(skeleton(qt, draw(st.integers(1, dimension_info(qt)[0]))))
+    assume(not bar.is_void)
+    gens = [g.exponents for g in power(facet_ideal(bar), draw(st.integers(2, 3))).generators]
+    assume(31 <= len(gens) <= 600)
+    swap = draw(st.integers(0, len(gens) - 2))
+    swapped = list(gens)
+    swapped[swap : swap + 2] = gens[swap + 1], gens[swap]
+    w = draw(st.integers(2, 6))
+    edges = [2**w - 1, 2**w]
+    tops = [max(column) for column in zip(*gens)]
+    lift = [draw(st.sampled_from(edges)) - top for top in tops]
+    mixed = [tuple(a + b for a, b in zip(g, lift)) for g in gens]
+    # Each insertion is a multiple of the generator it precedes, or a vector
+    # of edge exponents.  A multiple in front keeps linear quotients valid.
+    for at in [0] + draw(st.lists(st.integers(30, len(mixed) - 1), max_size=2)):
+        if at == 0 or draw(st.booleans()):
+            extra = list(mixed[at])
+            extra[draw(st.integers(0, len(tops) - 1))] += 1
+        else:
+            extra = [draw(st.sampled_from([0, 1, *edges])) for _ in tops]
+        mixed.insert(at, tuple(extra))
+    return [gens, gens[::-1], swapped, mixed]
+
+
+@given(long_orders())
+@settings(max_examples=6, deadline=None)
+def test_verify_linear_quotients_on_long_orders(orders):
+    for order in orders:
+        assert verify_linear_quotients([Monomial(v) for v in order]) == (
+            _naive_linear_quotients(order)
+        )
 
 
 # A plain dense Gaussian elimination, over Fraction for p = 0 and mod p
@@ -643,20 +717,31 @@ def test_relation_trees_match_the_explicit_builder(cx):
 
 
 @st.composite
+def tree_edges(draw, t):
+    """The (i, j), i < j, edges of a random spanning tree on [0, t)."""
+    relabel = draw(st.permutations(range(t)))
+    edges = []
+    for child in range(1, t):
+        a, b = relabel[child], relabel[draw(st.integers(0, child - 1))]
+        edges.append((min(a, b), max(a, b)))
+    return sorted(edges)
+
+
+def _exponent_monomials(n):
+    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(Monomial)
+
+
+@st.composite
 def labelled_trees(draw):
     """A random spanning tree on t <= 6 generators with arbitrary (not
     squarefree) generators and relation-matrix rows, so that several
     factors of a product can share a variable."""
     t = draw(st.integers(2, 6))
     n = draw(st.integers(1, 4))
-    monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(Monomial)
+    monomials = _exponent_monomials(n)
     gens = draw(st.lists(monomials, min_size=t, max_size=t))
-    relabel = draw(st.permutations(range(t)))
-    edges = []
-    for child in range(1, t):
-        a, b = relabel[child], relabel[draw(st.integers(0, child - 1))]
-        edges.append((min(a, b), max(a, b)))
-    rows = [(i, j, draw(monomials), draw(monomials)) for i, j in sorted(edges)]
+    edges = draw(tree_edges(t))
+    rows = [(i, j, draw(monomials), draw(monomials)) for i, j in edges]
     return relation_tree_from_edges(gens, edges), rows, n
 
 
@@ -670,3 +755,17 @@ def test_tree_products_match_one_monomial_at_a_time(case):
     ]
     for col in range(t):
         assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, t, n)
+
+
+@given(st.integers(2, 12), st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rerooted_products_match_the_per_root_walk(t, n, data):
+    # Labels that are not quotients of any generators: moving the root
+    # across an edge must still turn exactly that edge around.
+    edges = data.draw(tree_edges(t))
+    monomials = _exponent_monomials(n)
+    labels = tuple((e, (data.draw(monomials), data.draw(monomials))) for e in edges)
+    tree = RelationTree(t, tuple(edges), labels)
+    assert reconstruct_generators(tree) == [
+        _reference_generator(tree, root, n) for root in range(t)
+    ]
