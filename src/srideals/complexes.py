@@ -10,6 +10,7 @@ facets (in particular, singletons are *not* required to be faces).
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -170,32 +171,54 @@ def dimension_info(cx: SimplicialComplex) -> tuple[int, bool]:
     return max(sizes) - 1, len(sizes) == 1
 
 
-def skeleton(cx: SimplicialComplex, i: int) -> SimplicialComplex:
-    """The pure complex of all i-dimensional faces of cx."""
+# The most (i+1)-sets an i-skeleton may list: the sum of C(|F|, i+1) over the
+# facets F in skeleton(), C(n, i+1) in skeleton_complement().  The suites and
+# the benchmark corpora reach at most 240 and 70.
+MAX_SKELETON_FACES = 100_000
+
+
+def _check_skeleton(cx: SimplicialComplex, i: int, count) -> None:
+    """Require 0 <= i <= dim cx, and at most MAX_SKELETON_FACES sets from count()."""
     if i < 0:
         raise DomainError(f"skeleton dimension must be nonnegative, got {i}")
     dim, _ = dimension_info(cx)
     if i > dim:
         raise DomainError(f"skeleton dimension {i} exceeds dim = {dim}")
+    size = count()
+    if size > MAX_SKELETON_FACES:
+        raise ResourceLimitError(
+            f"the {i}-skeleton on {cx.n} vertices lists {size} sets of size "
+            f"{i + 1}, above the cap MAX_SKELETON_FACES = {MAX_SKELETON_FACES}"
+        )
+
+
+def skeleton(cx: SimplicialComplex, i: int) -> SimplicialComplex:
+    """The pure complex of all i-dimensional faces of cx."""
+    _check_skeleton(cx, i, lambda: sum(math.comb(len(f), i + 1) for f in cx.facets))
     faces = set()
     for facet in cx.facets:
         faces.update(itertools.combinations(facet, i + 1))
     return SimplicialComplex(cx.n, faces)
 
 
+def skeleton_complement(cx: SimplicialComplex, ell: int) -> SimplicialComplex:
+    """The complement of the ell-skeleton, 0 <= ell <= dim cx: the (ell+1)-subsets
+    of [n] that are not faces of cx (maybe none), each tested by mask against
+    the facets, so that neither the skeleton nor the faces of a facet are built."""
+    _check_skeleton(cx, ell, lambda: math.comb(cx.n, ell + 1))
+    facets = cx.facet_masks
+    subsets = map(sum, itertools.combinations([1 << v for v in range(cx.n)], ell + 1))
+    missing = [mask_face(m) for m in subsets if not any(m & fm == m for fm in facets)]
+    return SimplicialComplex(cx.n, missing)
+
+
 def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
-    """For pure (d-1)-dimensional cx: all d-subsets of [n] that are not faces."""
+    """For pure (d-1)-dimensional cx: the d-subsets of [n] that are not faces,
+    ``skeleton_complement(cx, d - 1)``."""
     dim, is_pure = dimension_info(cx)
     if not is_pure:
         raise DomainError("pure complement requires a pure complex")
-    d = dim + 1
-    faces = cx.face_mask_set
-    missing = [
-        f
-        for f in itertools.combinations(range(1, cx.n + 1), d)
-        if face_mask(f) not in faces
-    ]
-    return SimplicialComplex(cx.n, missing)
+    return skeleton_complement(cx, dim)
 
 
 MAX_TRANSVERSALS = 200_000

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import SimplicialComplex, dimension_info, mask_face, skeleton
+from .complexes import SimplicialComplex, dimension_info, mask_face
 from .errors import DomainError, ResourceLimitError
 from .ideals import Monomial, MonomialIdeal
 from .quasitrees import leaf_order
@@ -277,17 +277,18 @@ def higher_dirac_check(cx: SimplicialComplex) -> HigherDiracReport:
     clique complex of the 1-skeleton is the only possible candidate);
     side B asks whether the 1-skeleton is chordal and cx is the
     ell-skeleton of its clique complex.  The verdicts must agree.
+    The candidate's ell-skeleton contains cx; the two differ iff some
+    (ell+1)-subset of a candidate facet is not a facet of cx, so the scan
+    stops at the first such subset.
     """
     ell, is_pure = dimension_info(cx)
     if not is_pure:
         raise DomainError("the higher-Dirac check needs a pure complex")
     graph = one_skeleton_graph(cx)
     candidate = clique_complex(graph)
-    cand_dim, _ = dimension_info(candidate)
-    if cand_dim >= ell:
-        is_skeleton = skeleton(candidate, ell) == cx
-    else:
-        is_skeleton = False
+    facets = set(cx.facets)
+    faces = (f for top in candidate.facets for f in itertools.combinations(top, ell + 1))
+    is_skeleton = all(f in facets for f in faces)
     chordal, witness = is_chordal(graph)
     side_a = is_skeleton and leaf_order(candidate) is not None
     side_b = is_skeleton and chordal

@@ -357,7 +357,7 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
     t = len(masks)
     if leaf_order_masks(masks) is None:
         raise DomainError("relation trees are only defined for quasi-trees")
-    if t == 1:
+    if t < 2:
         raise DomainError("relation trees need at least two facets")
 
     top = t * t - 1

@@ -26,6 +26,7 @@ from .complexes import (
     minimal_nonfaces_masks,
     pure_complement,
     skeleton,
+    skeleton_complement,
 )
 from .errors import DomainError, ResourceLimitError
 from .graphs import (
@@ -286,6 +287,12 @@ def _report(suite, instances, failures, **notes):
     }
 
 
+def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:
+    """The facet ideal of the ell-skeleton complement of cx; zero if it is void."""
+    bar = skeleton_complement(cx, ell)
+    return MonomialIdeal(cx.n, []) if bar.is_void else facet_ideal(bar)
+
+
 def _masks_witness(n, masks) -> dict:
     return {"ambient": n, "facets": [list(mask_face(m)) for m in masks]}
 
@@ -356,16 +363,15 @@ def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int =
         dim, _pure = dimension_info(sigma)
         if dim < 1:
             continue
-        bar1 = pure_complement(skeleton(sigma, 1))
-        if bar1.is_void:
+        i1 = _complement_ideal(sigma, 1)
+        if i1.is_zero:
             continue
-        prime = complex_from_ideal(facet_ideal(bar1), "stanley-reisner")
-        dual_prime = alexander_dual(prime)
+        dual_prime = alexander_dual(complex_from_ideal(i1, "stanley-reisner"))
         for ell in range(1, dim + 1):
-            bar = pure_complement(skeleton(sigma, ell))
-            if bar.is_void:
+            ideal = _complement_ideal(sigma, ell)
+            if ideal.is_zero:
                 continue
-            delta = complex_from_ideal(facet_ideal(bar), "stanley-reisner")
+            delta = complex_from_ideal(ideal, "stanley-reisner")
             instances += 1
             got = alexander_dual(delta)
             expected = skeleton(dual_prime, n - ell - 2)
@@ -516,17 +522,15 @@ def check_skeleton_ideal_linear_quotients(
         dim, _pure = dimension_info(sigma)
         if dim < 2:
             continue
-        bar1 = pure_complement(skeleton(sigma, 1))
-        if bar1.is_void:
-            continue
-        if linear_quotients_order(facet_ideal(bar1)) is None:
+        i1 = _complement_ideal(sigma, 1)
+        if i1.is_zero or linear_quotients_order(i1) is None:
             continue  # premise fails; nothing to check
         for ell in range(2, dim + 1):
-            bar = pure_complement(skeleton(sigma, ell))
-            if bar.is_void:
+            ideal = _complement_ideal(sigma, ell)
+            if ideal.is_zero:
                 continue
             instances += 1
-            if linear_quotients_order(facet_ideal(bar)) is None:
+            if linear_quotients_order(ideal) is None:
                 failures.append({"complex": complex_to_json(sigma), "ell": ell})
     return _report("cor-1.5", instances, failures, samples=samples)
 
@@ -758,11 +762,11 @@ def check_skeleton_complement_linear_quotients(
         qt = random_quasi_tree(rng, n)
         dim, _pure = dimension_info(qt)
         for ell in range(1, dim + 1):
-            bar = pure_complement(skeleton(qt, ell))
-            if bar.is_void:
+            ideal = _complement_ideal(qt, ell)
+            if ideal.is_zero:
                 continue
             instances += 1
-            order = linear_quotients_order(facet_ideal(bar))
+            order = linear_quotients_order(ideal)
             if order is None or not verify_linear_quotients(order):
                 failures.append({"complex": complex_to_json(qt), "ell": ell})
     return _report("thm-4.1", instances, failures, samples=samples, max_n=max_n)
@@ -783,18 +787,10 @@ def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: in
         dim, _pure = dimension_info(sigma)
         if dim < 2:
             continue
-        bar1 = pure_complement(skeleton(sigma, 1))
-        i1 = (
-            MonomialIdeal(n, [])
-            if bar1.is_void
-            else facet_ideal(bar1)
-        )
+        i1 = _complement_ideal(sigma, 1)
         for ell in range(2, dim + 1):
             instances += 1
-            got = skeleton_ideal_from_one_skeleton(i1, ell, n)
-            bar = pure_complement(skeleton(sigma, ell))
-            expected = MonomialIdeal(n, []) if bar.is_void else facet_ideal(bar)
-            if got != expected:
+            if skeleton_ideal_from_one_skeleton(i1, ell, n) != _complement_ideal(sigma, ell):
                 failures.append({"complex": complex_to_json(sigma), "ell": ell})
     return _report("lemma-4.2", instances, failures, samples=samples, max_n=max_n)
 
@@ -830,10 +826,9 @@ def check_restriction_resolution(
             n = _randint(rng, 3, max_n)
             qt = random_quasi_tree(rng, n, max_facets=4)
             dim, _pure = dimension_info(qt)
-            bar = pure_complement(skeleton(qt, rng.randint(1, dim)))
-            if bar.is_void or len(bar.facets) > 8:
+            ideal = _complement_ideal(qt, rng.randint(1, dim))
+            if ideal.is_zero or len(ideal.generators) > 8:
                 continue
-            ideal = facet_ideal(bar)
         degrees = set(ideal.generator_degrees)
         if len(degrees) != 1:
             continue
@@ -890,10 +885,9 @@ def check_power_linear_resolutions(
             raise DomainError("the power suite needs quasi-tree inputs")
         dim, _pure = dimension_info(qt)
         for ell in range(1, dim + 1):
-            bar = pure_complement(skeleton(qt, ell))
-            if bar.is_void:
+            ideal = _complement_ideal(qt, ell)
+            if ideal.is_zero:
                 continue
-            ideal = facet_ideal(bar)
             for k in range(1, max_power + 1):
                 instances += 1
                 if not has_linear_resolution(power(ideal, k), field):

@@ -1,5 +1,6 @@
 """The command-line surface: report schema, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal
 from srideals.serialization import ideal_to_json
@@ -186,6 +189,22 @@ class TestReports:
         assert code == 0
         assert report["result"]["holds"] is True
         assert report["result"]["isolated_vertices"] == []
+
+    def test_higher_dirac_stops_at_the_first_missing_face(self, run):
+        # four blocks of 6 vertices, one facet per pair of blocks: the
+        # 1-skeleton is complete, so the candidate's 11-skeleton has
+        # C(24, 12) = 2,704,156 faces, and its second face is already missing
+        blocks = [list(range(6 * b + 1, 6 * b + 7)) for b in range(4)]
+        facets = [a + b for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
+        start = time.perf_counter()
+        code, report = run("higher-dirac", {"ambient": 24, "facets": facets})
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        result = report["result"]
+        assert result["holds"] is True
+        assert result["chordal"] is True
+        assert result["skeleton_of_quasi_tree"] is False
+        assert result["chordal_and_skeleton_of_clique_complex"] is False
 
     def test_power_and_restrict(self, run):
         ideal = {"vars": 2, "generators": [[1, 0], [0, 1]]}
@@ -473,33 +492,127 @@ class TestReentrancy:
         assert len(builds) == 1
 
 
+def _capped_exit_3(tmp_path, payload, argv, cap):
+    """Run the CLI on payload in a child under a 1 GB address-space limit,
+    so exhausting memory fails the test instead of the machine, and check
+    that it stops promptly with exit 3 naming the cap."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    child = textwrap.dedent(
+        """
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from srideals import cli
+        sys.exit(cli.main(sys.argv[1:]))
+        """
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert time.perf_counter() - start < 20
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource limit: ")
+    assert cap in proc.stderr
+
+
 class TestRelationTreeCap:
     def test_large_star_is_prompt_exit_3(self, tmp_path):
-        # 14 facets meeting only in vertex 1: 14^12 relation trees.  The
-        # child runs under a 1 GB address-space limit, so exhausting memory
-        # fails the test instead of the machine.
+        # 14 facets meeting only in vertex 1: 14^12 relation trees
         facets = [[1, 2 * i, 2 * i + 1] for i in range(1, 15)]
-        path = tmp_path / "star.json"
-        path.write_text(json.dumps({"ambient": 29, "facets": facets}))
-        child = textwrap.dedent(
-            """
-            import resource, sys
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            from srideals import cli
-            sys.exit(cli.main(sys.argv[1:]))
-            """
-        )
-        src = Path(cli.__file__).resolve().parents[1]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "relation-trees", "-f", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert proc.returncode == 3, proc.stderr[-2000:]
-        assert time.perf_counter() - start < 20
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: resource limit: ")
-        assert "MAX_RELATION_TREES" in proc.stderr
+        payload = {"ambient": 29, "facets": facets}
+        _capped_exit_3(tmp_path, payload, ["relation-trees", "-f"], "MAX_RELATION_TREES")
+
+
+class TestSkeletonCap:
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            # the 1-skeleton complement scans C(1024, 2) = 523,776 pairs
+            ({"ambient": 1024, "facets": [[1, 2, 3]]}, ["verify", "thm-4.4", "--complex"]),
+            # the 19-skeleton of the 40-simplex has C(40, 20) faces
+            ({"ambient": 40, "facets": [list(range(1, 41))]}, ["skeleton", "-i", "19", "-f"]),
+        ],
+        ids=["skeleton-complement", "skeleton"],
+    )
+    def test_large_skeleton_is_prompt_exit_3(self, tmp_path, payload, argv):
+        _capped_exit_3(tmp_path, payload, argv, "MAX_SKELETON_FACES")
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+_FACET = st.lists(st.integers(0, 11), max_size=6) | st.lists(_SCALARS, max_size=3) | _SCALARS
+
+
+@st.composite
+def _antichains(draw):
+    n = draw(st.integers(1, 10))
+    faces = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), max_size=6, unique=True))
+    return {"ambient": n, "facets": [sorted(f) for f in faces if not any(f < g for g in faces)]}
+
+
+# well-formed complexes, then ill-formed ones of every kind
+_COMPLEX = (
+    _antichains()
+    | st.fixed_dictionaries(
+        {
+            "ambient": st.integers(-1, 10) | _SCALARS,
+            "facets": st.lists(_FACET, max_size=6) | _SCALARS,
+        }
+    )
+    | st.dictionaries(st.sampled_from(["ambient", "facets", "n"]), _SCALARS, max_size=2)
+    | st.lists(_SCALARS, max_size=3)
+    | _SCALARS
+)
+_NO_FLAGS = st.just([])
+_PRETTY = st.sampled_from([[], ["--pretty"]])
+# the subcommands that read a complex, each with the flags it takes
+_COMPLEX_COMMANDS = {
+    "dual": _NO_FLAGS,
+    "complement": _NO_FLAGS,
+    "skeleton": (st.integers(-1, 10) | st.integers()).map(lambda i: ["-i", str(i)])
+    | st.text(max_size=4).map(lambda i: ["-i", i]),
+    "nonfaces": _NO_FLAGS,
+    "sr-ideal": _PRETTY,
+    "facet-ideal": _PRETTY,
+    "quasitree": st.sampled_from([[], ["--minimalize"]]),
+    "relation-trees": _NO_FLAGS | st.integers(-2, 5).map(lambda k: ["--limit", str(k)]),
+    "mdelta": _PRETTY,
+    "higher-dirac": _NO_FLAGS,
+    "shelling": _NO_FLAGS,
+}
+
+
+class TestFuzz:
+    """Every input, however malformed, exits 0, 1, 2 or 3 with no traceback."""
+
+    @given(
+        st.sampled_from(sorted(_COMPLEX_COMMANDS)).flatmap(
+            lambda c: st.tuples(st.just(c), _COMPLEX_COMMANDS[c])
+        ),
+        _COMPLEX.map(json.dumps) | st.text(max_size=8),
+    )
+    @example(("relation-trees", []), '{"ambient": 1, "facets": []}')
+    @settings(max_examples=400, deadline=None)
+    def test_every_complex_input_gets_a_documented_exit(self, command, text):
+        name, flags = command
+        saved = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([name, *flags])
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2, 3)

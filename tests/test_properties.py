@@ -36,8 +36,16 @@ from srideals import (
     verify_shelling,
 )
 from srideals import _linalg
-from srideals.complexes import down_closure, minimal_nonfaces_masks
-from srideals.graphs import Graph, _bron_kerbosch, maximal_cliques, mcs_order
+from srideals.complexes import down_closure, minimal_nonfaces_masks, skeleton_complement
+from srideals.graphs import (
+    Graph,
+    _bron_kerbosch,
+    clique_complex,
+    higher_dirac_check,
+    maximal_cliques,
+    mcs_order,
+    one_skeleton_graph,
+)
 from srideals.homological import (
     _minimal_masks,
     _nerve_faces,
@@ -769,3 +777,61 @@ def test_rerooted_products_match_the_per_root_walk(t, n, data):
     assert reconstruct_generators(tree) == [
         _reference_generator(tree, root, n) for root in range(t)
     ]
+
+
+@st.composite
+def pure_complexes(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pool = list(itertools.combinations(range(1, n + 1), draw(st.integers(1, n))))
+    return SimplicialComplex(n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+
+
+def _naive_skeleton_complement(cx, ell):
+    """Every (ell+1)-subset of [n], in lexicographic order, that lies in no facet."""
+    facets = [set(f) for f in cx.facets]
+    subsets = itertools.combinations(range(1, cx.n + 1), ell + 1)
+    return tuple(s for s in subsets if not any(set(s) <= f for f in facets))
+
+
+@given(complexes(max_n=8) | pure_complexes(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_skeleton_complement_matches_the_subset_scan(cx, data):
+    dim, _pure = dimension_info(cx)
+    ell = data.draw(st.integers(0, dim))
+    bar = skeleton_complement(cx, ell)
+    assert bar.n == cx.n
+    assert bar.facets == _naive_skeleton_complement(cx, ell)
+    assert bar == pure_complement(skeleton(cx, ell))
+    for bad in (-1, dim + 1):
+        with pytest.raises(DomainError, match="skeleton dimension"):
+            skeleton_complement(cx, bad)
+
+
+def test_skeleton_complement_of_the_void_complex_is_rejected():
+    with pytest.raises(DomainError, match="void"):
+        skeleton_complement(SimplicialComplex(3, []), 0)
+
+
+@given(pure_complexes())
+@settings(max_examples=200, deadline=None)
+def test_pure_complement_is_the_top_skeleton_complement(cx):
+    dim, _pure = dimension_info(cx)
+    assert pure_complement(cx) == skeleton_complement(cx, dim)
+
+
+@st.composite
+def quasi_tree_skeletons(draw):
+    qt = draw(quasi_trees())
+    return skeleton(qt, draw(st.integers(0, dimension_info(qt)[0])))
+
+
+@given(pure_complexes() | quasi_tree_skeletons())
+@settings(max_examples=300, deadline=None)
+def test_higher_dirac_skeleton_test_matches_the_built_skeleton(cx):
+    ell, _pure = dimension_info(cx)
+    candidate = clique_complex(one_skeleton_graph(cx))
+    expected = skeleton(candidate, ell) == cx
+    report = higher_dirac_check(cx)
+    assert report.details["is_skeleton_of_candidate"] == expected
+    assert report.skeleton_of_quasi_tree == (expected and leaf_order(candidate) is not None)
+    assert report.chordal_and_skeleton_of_clique_complex == (expected and report.chordal)
