@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -65,9 +64,10 @@ from .serialization import (
     ideal_from_json,
     ideal_to_json,
     betti_to_json,
+    dumps_report,
     load_json,
     monomial_to_json,
-    relation_tree_to_json,
+    relation_trees_to_json,
 )
 from .verification import run_all, run_suite
 
@@ -186,7 +186,7 @@ def _cmd_relation_trees(args):
     covering = {w for f in cx.facets for w in f} == set(range(1, cx.n + 1))
     common = functools.reduce(Monomial.gcd, gens)
     reduced = [g.quotient(common) for g in gens]
-    trees_json = [relation_tree_to_json(tr) for tr in trees]
+    trees_json = relation_trees_to_json(trees)
     for tr, tr_json in zip(trees, trees_json):
         ok = reconstruct_generators(tr) == reduced
         if covering:
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         "checks": checks,
         "timing_ms": int((time.perf_counter() - start) * 1000),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_report(report))
     return 2 if any(not c["passed"] for c in checks) else 0
 
 

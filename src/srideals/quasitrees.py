@@ -261,36 +261,42 @@ def tree_minor_det(
     cycle) and None is returned.
     """
     active = []
+    counts: dict[int, int] = {}  # nonzero entries per column, kept current
     for i, j, mi, mj in rows:
         cells = {}
         if i != drop_col:
             cells[i] = (1, mi)
         if j != drop_col:
             cells[j] = (-1, mj)
+        for c in cells:
+            counts[c] = counts.get(c, 0) + 1
         active.append(cells)
     if not active:
         return None
-    cols = sorted({c for cells in active for c in cells})
+    cols = sorted(counts)
     acc = [0] * rows[0][2].num_vars  # the exponent vector of the product
     sign = 1
     while active:
-        counts: dict[int, int] = {}
-        for cells in active:
-            for c in cells:
-                counts[c] = counts.get(c, 0) + 1
-        col = next((c for c in cols if counts.get(c, 0) == 1), None)
-        if col is None:
+        for pos, col in enumerate(cols):
+            if counts[col] == 1:
+                break
+        else:
             return None
-        row_idx = next(r for r, cells in enumerate(active) if col in cells)
-        entry_sign, mono = active[row_idx][col]
+        for row_idx, cells in enumerate(active):
+            if col in cells:
+                break
+        del active[row_idx]
+        del cols[pos]
+        entry_sign, mono = cells[col]
         # Cofactor expansion along a column with one nonzero entry: the
         # sign contribution is the entry's sign times (-1)^(row+col)
-        # relative to the current (shrunken) matrix.
-        sign *= entry_sign * (-1) ** (row_idx + cols.index(col))
-        active.pop(row_idx)
-        cols.remove(col)
-        for other in active:
-            other.pop(col, None)
+        # relative to the current (shrunken) matrix.  No other row meets
+        # col, so only the counts of this row's columns change.
+        if (row_idx + pos) & 1:
+            entry_sign = -entry_sign
+        sign *= entry_sign
+        for c in cells:
+            counts[c] -= 1
         _add_exponents(acc, mono)
     return sign, Monomial(acc)
 

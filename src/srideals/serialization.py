@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex
 from .errors import DomainError, ResourceLimitError
@@ -16,6 +17,75 @@ from .graphs import Graph
 from .homological import BettiTable
 from .ideals import Monomial, MonomialIdeal, monomial_to_str
 from .quasitrees import RelationTree
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def dumps_report(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
+    directly rather than through ``json``'s pure-Python indenting encoder.
+
+    It takes the types that reports carry: dicts with str keys (in sorted
+    order), lists and tuples, str (ASCII-escaped by
+    ``json.encoder.encode_basestring_ascii``), int (``int.__repr__``),
+    bool and None.  Anything else raises TypeError, as ``json`` does; a
+    container that contains itself raises RecursionError.
+
+    A list of plain ints is one ``str.join``.  A container that is met a
+    second time, at the same depth, is not rendered again: its text is
+    kept from then on, keyed by ``id()`` as ``json`` keys its circular
+    markers, so a label dict shared by hundreds of relation trees costs one
+    rendering while containers met once keep nothing.  The caller's
+    objects are not copied, so they must not change during the call.
+    """
+    seen = set()
+    memo = {}
+
+    def render(value, nl):
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            inner = nl + "  "
+            if _INT_ONLY.issuperset(map(type, value)):
+                return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
+        elif kind is dict:
+            if not value:
+                return "{}"
+            inner = nl + "  "
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        key = (id(value), nl)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        if kind is dict:
+            items = []
+            for k in sorted(value):
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                items.append(f"{encode_basestring_ascii(k)}: {render(value[k], inner)}")
+            text = "{" + inner + ("," + inner).join(items) + nl + "}"
+        else:
+            text = "[" + inner + ("," + inner).join([render(v, inner) for v in value]) + nl + "]"
+        if key in seen:
+            memo[key] = text
+        else:
+            seen.add(key)
+        return text
+
+    return render(obj, "\n")
 
 
 def load_json(text: str):
@@ -182,18 +252,40 @@ def betti_to_json(table: BettiTable, gen_degrees) -> dict:
     }
 
 
+def relation_trees_to_json(trees) -> list[dict]:
+    """The wire form of each relation tree, with labels shared.
+
+    Trees that hold the same label pair object (``relation_trees`` gives
+    every tree through one facet pair the same Taylor label) get the same
+    ``{"u_ij": ..., "u_ji": ...}`` dict, so one reply holds each facet
+    pair's label once and ``dumps_report`` renders it once.  The dicts are
+    shared, so treat the result as read-only.
+    """
+    shared: dict[int, tuple] = {}  # id(pair) -> (pair, its dict); pair kept alive
+    out = []
+    for tree in trees:
+        labels = {}
+        for (i, j), pair in tree.labels:
+            hit = shared.get(id(pair))
+            if hit is None:
+                u_ij, u_ji = pair
+                lab = {"u_ij": list(u_ij.exponents), "u_ji": list(u_ji.exponents)}
+                shared[id(pair)] = (pair, lab)
+            else:
+                lab = hit[1]
+            labels[f"{i + 1}-{j + 1}"] = lab
+        out.append(
+            {
+                "t": tree.num_generators,
+                "edges": [[i + 1, j + 1] for i, j in tree.edges],
+                "labels": labels,
+            }
+        )
+    return out
+
+
 def relation_tree_to_json(tree: RelationTree) -> dict:
-    labels = {}
-    for (i, j), (u_ij, u_ji) in tree.labels:
-        labels[f"{i + 1}-{j + 1}"] = {
-            "u_ij": list(u_ij.exponents),
-            "u_ji": list(u_ji.exponents),
-        }
-    return {
-        "t": tree.num_generators,
-        "edges": [[i + 1, j + 1] for i, j in tree.edges],
-        "labels": labels,
-    }
+    return relation_trees_to_json([tree])[0]
 
 
 def relation_tree_from_json(obj) -> RelationTree:

@@ -74,6 +74,14 @@ from .serialization import complex_to_json, ideal_to_json
 
 MAX_RECORDED_FAILURES = 10
 
+# Cap on the instances an exhaustive family may enumerate, checked against
+# a closed-form count or bound before the first one is built.  At their
+# suite defaults the capped families reach 2,238 (lemma-1.1, max_n 5),
+# 33,867 (thm-3.3, max_n 6), 38,501 (lemma-2.1, max_n 5, max_facets 4)
+# and 129,595 (cor-2.2, max_n 6, max_facets 4); one step up in max_n
+# reaches 1.1 M, 2.1 M, 0.68 M and 0.77 M.
+MAX_EXHAUSTIVE_INSTANCES = 250_000
+
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -110,6 +118,27 @@ def iter_complexes_masks(n, max_facets=None, max_size=None, min_size=1):
     yield from rec(0)
 
 
+def _check_family(sizes, knob: str) -> None:
+    """Sum the family sizes until they pass MAX_EXHAUSTIVE_INSTANCES, which
+    is a ResourceLimitError naming `knob`; stopping there keeps every
+    term small even for a huge budget."""
+    total = 0
+    for size in sizes:
+        total += size
+        if total > MAX_EXHAUSTIVE_INSTANCES:
+            raise ResourceLimitError(
+                f"the exhaustive family exceeds MAX_EXHAUSTIVE_INSTANCES = "
+                f"{MAX_EXHAUSTIVE_INSTANCES:,} instances; lower {knob}"
+            )
+
+
+def _antichain_bound(n, max_facets, max_size):
+    """Sum_{r <= max_facets} C(c, r) over the c candidate faces of
+    iter_complexes_masks(n, max_facets, max_size): a bound on its length."""
+    c = sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1))
+    return sum(math.comb(c, r) for r in range(1, min(max(max_facets, 1), c) + 1))
+
+
 def complex_from_masks(n, masks) -> SimplicialComplex:
     return SimplicialComplex(n, [mask_face(m) for m in masks])
 
@@ -121,10 +150,23 @@ def _small_complexes(max_n):
             yield complex_from_masks(n, masks)
 
 
+# Cap on the vertex count that a sampled family draws from max_n: a random
+# instance is built in time and memory polynomial in n, but of high degree
+# (thm-1.4c lists all C(n, d) candidate facets), and the suite defaults
+# draw at most 10 vertices.
+MAX_SAMPLED_VERTICES = 24
+
+
 def _check_range(lo: int, hi: int, budget: str = "max_n"):
-    """An empty range lo..hi is a DomainError naming the budget that emptied it."""
+    """An empty range lo..hi is a DomainError naming the budget that emptied
+    it; a max_n above MAX_SAMPLED_VERTICES is a ResourceLimitError."""
     if hi < lo:
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
+    if budget == "max_n" and hi > MAX_SAMPLED_VERTICES:
+        raise ResourceLimitError(
+            f"max_n = {hi} exceeds MAX_SAMPLED_VERTICES = {MAX_SAMPLED_VERTICES}; "
+            f"lower --max-n"
+        )
 
 
 def _randint(rng: random.Random, lo: int, hi: int, budget: str = "max_n") -> int:
@@ -306,6 +348,10 @@ def check_pure_complement_skeleton(max_n: int = 5):
     """For pure (d-1)-dimensional complexes, the complement within the
     d-subsets equals the (d-1)-skeleton of the complex whose
     Stanley-Reisner ideal is the facet ideal."""
+    _check_family(
+        (2 ** math.comb(n, d) for n in range(1, max_n + 1) for d in range(1, n + 1)),
+        "--max-n",
+    )
     instances = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -565,6 +611,10 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     factor that no matrix minor can reproduce, so the determinant
     identity is stated for covering complexes only.
     """
+    _check_family(
+        (_antichain_bound(n, max_facets, n) for n in range(2, max_n + 1)),
+        "--max-n or --max-facets",
+    )
     instances = 0
     failures = []
     for n in range(2, max_n + 1):
@@ -618,6 +668,10 @@ def check_quasi_tree_projdim(
     """Leaf order exists iff the facet ideal of the complement complex
     has projective dimension 1 (complexes with >= 2 facets; a single
     facet gives a principal ideal of projective dimension 0)."""
+    _check_family(
+        (_antichain_bound(n, max_facets, min(max_size, n - 1)) for n in range(2, max_n + 1)),
+        "--max-n or --max-facets",
+    )
     p = field.p
     instances = 0
     failures = []
@@ -672,6 +726,7 @@ def check_chordal_quasi_tree(
     """A graph is chordal iff its maximal-clique complex has a leaf order:
     exhaustive over all graphs on up to max_n vertices, plus seeded
     random and constructively-chordal samples at sample_n vertices."""
+    _check_family((2 ** math.comb(n, 2) for n in range(1, max_n + 1)), "--max-n")
     rng = random.Random(seed)
     instances = 0
     failures = []

@@ -1,6 +1,7 @@
 """The command-line surface: report schema, exit codes, determinism."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal
 from srideals.serialization import ideal_to_json
+from srideals.verification import SUITES
 
 WORKED_EXAMPLE = {"ambient": 6, "facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [3, 4, 6]]}
 NEAR_MISS = {"ambient": 6, "facets": [[1, 2, 3], [3, 4, 5], [2, 4, 6]]}
@@ -452,11 +454,15 @@ class TestReentrancy:
     """``main`` may be called any number of times in one process."""
 
     def test_frozen_corpus_replays_in_either_order(self, monkeypatch, capsys):
+        # each reply is also byte for byte what json.dumps writes
         requests = json.loads(CLI_CORPUS.read_text())["requests"]
+        assert len(requests) == 100
         for request in requests + requests[::-1]:
             monkeypatch.setattr(sys, "stdin", io.StringIO(request["stdin"]))
             code = cli.main(list(request["argv"]))
-            report = json.loads(capsys.readouterr().out)
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2, sort_keys=True) + "\n", request["argv"]
             report.pop("timing_ms")
             assert (code, report) == (request["exit"], request["report"]), request["argv"]
 
@@ -493,11 +499,14 @@ class TestReentrancy:
 
 
 def _capped_exit_3(tmp_path, payload, argv, cap):
-    """Run the CLI on payload in a child under a 1 GB address-space limit,
-    so exhausting memory fails the test instead of the machine, and check
-    that it stops promptly with exit 3 naming the cap."""
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    """Run the CLI on payload (if any; its file name ends argv) in a child
+    under a 1 GB address-space limit, so exhausting memory fails the test
+    instead of the machine, and check that it stops promptly with exit 3
+    naming the cap."""
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, str(path)]
     child = textwrap.dedent(
         """
         import resource, sys
@@ -509,10 +518,10 @@ def _capped_exit_3(tmp_path, payload, argv, cap):
     src = Path(cli.__file__).resolve().parents[1]
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", child, *argv, str(path)],
+        [sys.executable, "-c", child, *argv],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=30,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 3, proc.stderr[-2000:]
@@ -528,6 +537,45 @@ class TestRelationTreeCap:
         facets = [[1, 2 * i, 2 * i + 1] for i in range(1, 15)]
         payload = {"ambient": 29, "facets": facets}
         _capped_exit_3(tmp_path, payload, ["relation-trees", "-f"], "MAX_RELATION_TREES")
+
+
+class TestSuiteCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2^C(6, 3) = 1,048,576 sets of triangles on 6 vertices
+            ["verify", "lemma-1.1", "--max-n", "6"],
+            # C(63, 4) = 595,665 four-facet candidates on 6 vertices
+            ["verify", "lemma-2.1", "--max-n", "6"],
+            ["verify", "lemma-2.1", "--max-facets", "1000000000"],
+            ["verify", "cor-2.2", "--max-n", "8"],
+            # 2^C(8, 2) = 2^28 graphs on 8 vertices
+            ["verify", "thm-3.3", "--max-n", "8"],
+            ["verify", "all", "--max-n", "6"],
+        ],
+        ids=["lemma-1.1", "lemma-2.1", "lemma-2.1-facets", "cor-2.2", "thm-3.3", "all"],
+    )
+    def test_large_exhaustive_family_is_prompt_exit_3(self, tmp_path, argv):
+        _capped_exit_3(tmp_path, None, argv, "MAX_EXHAUSTIVE_INSTANCES")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # n beyond a C ssize_t: listing the candidate facets overflowed
+            ["verify", "thm-1.4c", "--samples", "2", "--max-n", str(10**30)],
+            # a random graph on up to 10^5 vertices draws C(n, 2) coins
+            ["verify", "prop-1.3", "--samples", "1", "--max-n", "100000"],
+        ],
+        ids=["thm-1.4c", "prop-1.3"],
+    )
+    def test_huge_sampled_vertex_count_is_prompt_exit_3(self, tmp_path, argv):
+        _capped_exit_3(tmp_path, None, argv, "MAX_SAMPLED_VERTICES")
+
+    def test_names_the_flag(self, capsys):
+        assert cli.main(["verify", "thm-3.3", "--max-n", "7"]) == 3
+        assert "--max-n" in capsys.readouterr().err
+        assert cli.main(["verify", "cor-2.2", "--max-facets", "5"]) == 3
+        assert "--max-facets" in capsys.readouterr().err
 
 
 class TestSkeletonCap:
@@ -594,6 +642,124 @@ _COMPLEX_COMMANDS = {
 }
 
 
+def _monomial_texts(lo, hi):
+    """Products like x2^3*x1^0 of variables in lo..hi."""
+    factor = st.tuples(st.integers(lo, hi), st.integers(0, 3)).map(lambda ve: f"x{ve[0]}^{ve[1]}")
+    return st.lists(factor, min_size=1, max_size=3).map("*".join)
+
+
+@st.composite
+def _ideals(draw):
+    n = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    gens = draw(st.lists(vectors | _monomial_texts(1, n), max_size=5))
+    return {"vars": n, "generators": gens}
+
+
+# well-formed ideals, then ill-formed ones of every kind
+_IDEAL = (
+    _ideals()
+    | st.fixed_dictionaries(
+        {
+            "vars": st.integers(-1, 6) | _SCALARS,
+            "generators": st.lists(_FACET | _monomial_texts(-1, 7), max_size=5) | _SCALARS,
+        }
+    )
+    | st.dictionaries(st.sampled_from(["vars", "generators", "n"]), _SCALARS, max_size=2)
+    | _SCALARS
+)
+_FIELD = st.sampled_from(
+    ["q", "gf2", "gf3", "gf4", "gf", "gf0", "gf-3", "gfx", "r", "gf2147483647", "gf2147483648"]
+)
+_COUNT = st.integers(-2, 5) | st.integers() | st.text(max_size=3)
+_WITH_FIELD = _NO_FLAGS | _FIELD.map(lambda f: ["--field", f])
+# the subcommands that read an ideal, each with the flags it takes
+_IDEAL_COMMANDS = {
+    "betti": _WITH_FIELD,
+    "projdim": _WITH_FIELD,
+    "reg": _WITH_FIELD,
+    "power": st.tuples(_COUNT, _PRETTY).map(lambda kp: ["-k", str(kp[0]), *kp[1]]),
+    "restrict": st.tuples(
+        st.lists(st.integers(0, 3), min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
+        | st.lists(st.integers(-1, 3), max_size=6).map(lambda a: ",".join(map(str, a)))
+        | st.text(max_size=6),
+        _PRETTY,
+    ).map(lambda ap: ["-a", ap[0], *ap[1]]),
+    "linear-quotients": _PRETTY,
+}
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    return {"n": n, "edges": [list(e) for e in draw(st.lists(pairs, max_size=12))]}
+
+
+# well-formed graphs, then ill-formed ones of every kind
+_GRAPH = (
+    _graphs()
+    | st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 9) | _SCALARS,
+            "edges": st.lists(_FACET, max_size=6) | _SCALARS,
+        }
+    )
+    | st.dictionaries(st.sampled_from(["n", "edges", "ambient"]), _SCALARS, max_size=2)
+    | _SCALARS
+)
+
+# lemma-1.2 and thm-1.4b, and "all", are left out: their fixed exhaustive
+# prefix (n <= 5, set by no flag) takes seconds per run whatever the flags;
+# their flags pass through the same parsing and budget checks as these.
+_FUZZED_SUITES = sorted(set(SUITES) - {"lemma-1.2", "thm-1.4b"})
+_BUDGET = st.integers(-1, 4) | st.sampled_from([10**6, 10**30, "", "x", "2.5"])
+# each optional verify flag, the suite keyword it sets, and its values
+_VERIFY_FLAGS = {
+    "--seed": ("seed", st.integers(-3, 3) | st.text(max_size=3)),
+    "--max-facets": ("max_facets", _BUDGET),
+    "--max-power": ("max_power", _BUDGET),
+    "--field": ("field", _FIELD),
+    "--complex": ("complexes", st.sampled_from(["", "no-such-file.json"])),
+}
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from([*_FUZZED_SUITES, "", "Lemma-1.1", "thm-4"]))
+    takes = inspect.signature(SUITES[suite][0]).parameters if suite in SUITES else {}
+    # at most 2 samples and an explicit max_n, for the suites that take
+    # them, keep every run short
+    argv = ["verify", suite]
+    if "samples" in takes:
+        argv += ["--samples", str(draw(st.integers(-1, 2)))]
+    if "max_n" in takes:
+        argv += ["--max-n", str(draw(_BUDGET))]
+    # mostly flags the suite takes, sometimes one it does not
+    own = [flag for flag, (key, _) in _VERIFY_FLAGS.items() if key in takes or key == "seed"]
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(_VERIFY_FLAGS) - set(flags)))))
+    for flag in flags:
+        argv += [flag, str(draw(_VERIFY_FLAGS[flag][1]))]
+    return argv
+
+
+_VERIFY_ARGV = _verify_argv()
+
+
+def _exit_code(argv, stdin_text) -> int:
+    """cli.main on argv with stdin_text as its stdin and its output dropped."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                return cli.main(argv)
+    finally:
+        sys.stdin = saved
+
+
 class TestFuzz:
     """Every input, however malformed, exits 0, 1, 2 or 3 with no traceback."""
 
@@ -607,12 +773,33 @@ class TestFuzz:
     @settings(max_examples=400, deadline=None)
     def test_every_complex_input_gets_a_documented_exit(self, command, text):
         name, flags = command
-        saved = sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([name, *flags])
-        finally:
-            sys.stdin = saved
-        assert code in (0, 1, 2, 3)
+        assert _exit_code([name, *flags], text) in (0, 1, 2, 3)
+
+    @given(
+        st.sampled_from(sorted(_IDEAL_COMMANDS)).flatmap(
+            lambda c: st.tuples(st.just(c), _IDEAL_COMMANDS[c])
+        ),
+        _IDEAL.map(json.dumps) | st.text(max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_ideal_input_gets_a_documented_exit(self, command, text):
+        name, flags = command
+        assert _exit_code([name, *flags], text) in (0, 1, 2, 3)
+
+    @given(
+        st.sampled_from(["chordal", "clique-complex", "dirac"]),
+        st.one_of(
+            st.tuples(st.just([]), _GRAPH.map(json.dumps) | st.text(max_size=8)),
+            st.tuples(st.just(["--graph6"]), st.text(max_size=12)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_graph_input_gets_a_documented_exit(self, name, case):
+        flags, text = case
+        assert _exit_code([name, *flags], text) in (0, 1, 2, 3)
+
+    @given(_VERIFY_ARGV, _COMPLEX.map(json.dumps))
+    @settings(max_examples=150, deadline=None)
+    def test_every_verify_flag_gets_a_documented_exit(self, argv, text):
+        # "--complex" names a file; an empty name reads the complex from stdin
+        assert _exit_code(argv, text) in (0, 1, 2, 3)

@@ -61,6 +61,7 @@ from srideals.quasitrees import (
     relation_tree_from_edges,
     relation_trees,
     tree_minor_det,
+    verify_minor_certificate,
 )
 from srideals.verification import random_quasi_tree
 
@@ -741,10 +742,10 @@ def _exponent_monomials(n):
 
 @st.composite
 def labelled_trees(draw):
-    """A random spanning tree on t <= 6 generators with arbitrary (not
+    """A random spanning tree on t <= 9 generators with arbitrary (not
     squarefree) generators and relation-matrix rows, so that several
     factors of a product can share a variable."""
-    t = draw(st.integers(2, 6))
+    t = draw(st.integers(2, 9))
     n = draw(st.integers(1, 4))
     monomials = _exponent_monomials(n)
     gens = draw(st.lists(monomials, min_size=t, max_size=t))
@@ -763,6 +764,64 @@ def test_tree_products_match_one_monomial_at_a_time(case):
     ]
     for col in range(t):
         assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, t, n)
+
+
+def _path_edges(edges, a, b):
+    """The edges (i, j), i < j, of the tree path from a to b."""
+    parent = {a: None}
+    frontier = [a]
+    while frontier:
+        x = frontier.pop()
+        for i, j in edges:
+            for u, v in ((i, j), (j, i)):
+                if u == x and v not in parent:
+                    parent[v] = x
+                    frontier.append(v)
+    path = set()
+    while parent[b] is not None:
+        path.add((min(b, parent[b]), max(b, parent[b])))
+        b = parent[b]
+    return path
+
+
+@given(st.integers(3, 9), st.integers(1, 4), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_with_a_cycle_have_no_tree_minor(t, n, drop_one, data):
+    # A spanning tree plus one more edge closes a cycle, whose rows never
+    # get a column of their own; dropping a tree edge off the cycle keeps
+    # the minor square.
+    edges = data.draw(tree_edges(t))
+    extra = data.draw(
+        st.sampled_from([e for e in itertools.combinations(range(t), 2) if e not in edges])
+    )
+    off_cycle = sorted(set(edges) - _path_edges(edges, *extra))
+    if drop_one and off_cycle:
+        edges.remove(data.draw(st.sampled_from(off_cycle)))
+    edges = data.draw(st.permutations(edges + [extra]))
+    monomials = _exponent_monomials(n)
+    rows = [(i, j, data.draw(monomials), data.draw(monomials)) for i, j in edges]
+    for col in range(t):
+        assert tree_minor_det(rows, col) is None
+
+
+@given(quasi_trees(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_minor_certificate_accepts_exactly_the_relation_trees(cx, data):
+    # Every spanning tree one edge away from a relation tree passes the
+    # certificate iff it is itself a relation tree (quasi_trees cover [n]).
+    t = len(cx.facets)
+    trees = relation_trees(cx, limit=2000)
+    relation = {tr.edges for tr in trees}
+    tree = data.draw(st.sampled_from(trees))
+    assert verify_minor_certificate(cx, tree)
+    for e in tree.edges:
+        rest = [f for f in tree.edges if f != e]
+        side = _depths(rest, e[0])  # the part of the tree that keeps e[0]
+        for f in itertools.combinations(range(t), 2):
+            if f == e or (f[0] in side) == (f[1] in side):
+                continue
+            perturbed = tuple(sorted(rest + [f]))
+            assert verify_minor_certificate(cx, perturbed) == (perturbed in relation)
 
 
 @given(st.integers(2, 12), st.integers(1, 4), st.data())

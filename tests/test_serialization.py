@@ -1,7 +1,10 @@
-"""Wire formats: JSON round trips, monomial syntax, graph6 decoding."""
+"""Wire formats: JSON round trips, monomial syntax, graph6 decoding, and
+the report emitter."""
+
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from srideals import (
@@ -18,6 +21,7 @@ from srideals.serialization import (
     betti_to_json,
     complex_from_json,
     complex_to_json,
+    dumps_report,
     graph_from_graph6,
     graph_from_json,
     graph_to_json,
@@ -28,6 +32,7 @@ from srideals.serialization import (
     monomial_to_str,
     relation_tree_from_json,
     relation_tree_to_json,
+    relation_trees_to_json,
 )
 
 
@@ -147,6 +152,16 @@ class TestBettiAndTreeJson:
             assert all(1 <= i < j <= 4 for i, j in obj["edges"])
             assert relation_tree_from_json(obj) == tree
 
+    def test_trees_of_one_reply_share_each_label_dict(self, worked_example):
+        trees = relation_trees(worked_example)
+        objs = relation_trees_to_json(trees)
+        assert objs == [relation_tree_to_json(tree) for tree in trees]
+        by_edge = {}
+        for obj in objs:
+            for key, label in obj["labels"].items():
+                assert by_edge.setdefault(key, label) is label
+        assert sum(len(obj["labels"]) for obj in objs) > len(by_edge)
+
 
 # Small JSON values; strings are drawn from the monomial syntax's alphabet
 # so that some of them parse.
@@ -177,3 +192,67 @@ def test_json_readers_return_or_raise_domain_error(parse, keys, first, second):
             parse(obj)
         except DomainError:
             pass
+
+
+# Any JSON value that ``json`` writes: keys and strings from the whole of
+# Unicode (control characters, quotes, backslashes, surrogates), ints far
+# beyond 64 bits, True/False beside 1/0, and tuples, which ``json`` writes
+# as lists.
+_KEYS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "é", "a"])
+_REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, -1, 2**64, -(10**40)])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _shared_values(draw):
+    """A value that holds one container object at several depths, some of
+    them more than twice at one depth."""
+    shared = draw(
+        st.lists(_REPORT_VALUES, min_size=1, max_size=3)
+        | st.dictionaries(_KEYS, _REPORT_VALUES, min_size=1, max_size=3)
+    )
+    other = draw(_REPORT_VALUES)
+    return {
+        "a": [shared, shared, other, shared],
+        "b": {"deep": [shared, {"x": shared}], "one": shared},
+        "c": (shared, [[shared]]),
+    }
+
+
+def _json_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportEmitter:
+    @given(_REPORT_VALUES | _shared_values())
+    @example({})
+    @example([])
+    @example({"e": {}, "l": [], "t": ()})
+    @example([True, False, 1, 0, None, -1])
+    @example({"\u0000\x1f": "\u2028\ud800", 'q"\\': "é"})
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert dumps_report(value) + "\n" == _json_dumps(value)
+
+    def test_a_shared_relation_tree_reply(self, worked_example):
+        trees = relation_trees(worked_example)
+        reply = {"trees": relation_trees_to_json(trees * 3)}
+        assert dumps_report(reply) + "\n" == _json_dumps(reply)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, [0, 2.0], {"a": {1, 2}}, {1: "a"}, {"a": 1, 2: "b"}, [{(1, 2): 0}], b"x"],
+        ids=["float", "float-in-list", "set", "int-key", "mixed-keys", "tuple-key", "bytes"],
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps_report(value)
