@@ -1,11 +1,16 @@
 """Bulk cross-check suites: every structural identity in the library is
 re-verified on exhaustive small families and seeded random families.
 
-Each suite pits two independently computed predicates against each other
-(for example shellability of a complex versus linear quotients of the
-dual ideal) and reports every disagreement with a serialized witness.
-All randomness flows through a seeded ``random.Random``, so reports are
-reproducible byte for byte.
+A suite is a family plus a check.  The family is a lazy iterable that
+yields exactly the instances: it holds every random draw and every skip
+(the full simplex, a complex with no leaf order, a zero ideal, a failed
+premise).  The check maps one instance to its failure witnesses, usually
+none or one, by pitting two independently computed predicates against
+each other (for example shellability of a complex versus linear
+quotients of the dual ideal).  :func:`_run_family` runs the check on
+every instance and writes the report, so each ``check_*`` function only
+builds the two.  All randomness flows through a seeded ``random.Random``,
+so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import inspect
 import itertools
 import math
 import random
-from functools import partial
+from functools import lru_cache, partial, reduce
 
 from .complexes import (
     SimplicialComplex,
@@ -79,7 +84,8 @@ MAX_RECORDED_FAILURES = 10
 # suite defaults the capped families reach 2,238 (lemma-1.1, max_n 5),
 # 33,867 (thm-3.3, max_n 6), 38,501 (lemma-2.1, max_n 5, max_facets 4)
 # and 129,595 (cor-2.2, max_n 6, max_facets 4); one step up in max_n
-# reaches 1.1 M, 2.1 M, 0.68 M and 0.77 M.
+# reaches 1.1 M, 2.1 M, 0.68 M and 0.77 M.  The complexes on [n] for
+# n <= exhaustive_n number 7,768 at exhaustive_n 5 and 7.8 M at 6.
 MAX_EXHAUSTIVE_INSTANCES = 250_000
 
 
@@ -132,13 +138,6 @@ def _check_family(sizes, knob: str) -> None:
             )
 
 
-def _antichain_bound(n, max_facets, max_size):
-    """Sum_{r <= max_facets} C(c, r) over the c candidate faces of
-    iter_complexes_masks(n, max_facets, max_size): a bound on its length."""
-    c = sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1))
-    return sum(math.comb(c, r) for r in range(1, min(max(max_facets, 1), c) + 1))
-
-
 def complex_from_masks(n, masks) -> SimplicialComplex:
     return SimplicialComplex(n, [mask_face(m) for m in masks])
 
@@ -150,39 +149,44 @@ def _small_complexes(max_n):
             yield complex_from_masks(n, masks)
 
 
+# The number of complexes on [n] for n = 1..6: nonempty antichains of
+# nonempty subsets, the Dedekind numbers D(n) - 2 (OEIS A000372).  Through
+# n = 6 they already pass MAX_EXHAUSTIVE_INSTANCES, so no larger n is needed.
+_COMPLEX_COUNTS = (1, 4, 18, 166, 7_579, 7_828_352)
+
+
 # Cap on the vertex count that a sampled family draws from max_n: a random
 # instance is built in time and memory polynomial in n, but of high degree
 # (thm-1.4c lists all C(n, d) candidate facets), and the suite defaults
 # draw at most 10 vertices.
 MAX_SAMPLED_VERTICES = 24
 
+# The budgets that are vertex counts, each with the knob that lowers it.
+_VERTEX_BUDGETS = {"max_n": "--max-n", "sample_n": "sample_n"}
+
 
 def _check_range(lo: int, hi: int, budget: str = "max_n"):
     """An empty range lo..hi is a DomainError naming the budget that emptied
-    it; a max_n above MAX_SAMPLED_VERTICES is a ResourceLimitError."""
+    it; a vertex count above MAX_SAMPLED_VERTICES is a ResourceLimitError."""
     if hi < lo:
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
-    if budget == "max_n" and hi > MAX_SAMPLED_VERTICES:
+    if budget in _VERTEX_BUDGETS and hi > MAX_SAMPLED_VERTICES:
         raise ResourceLimitError(
-            f"max_n = {hi} exceeds MAX_SAMPLED_VERTICES = {MAX_SAMPLED_VERTICES}; "
-            f"lower --max-n"
+            f"{budget} = {hi} exceeds MAX_SAMPLED_VERTICES = {MAX_SAMPLED_VERTICES}; "
+            f"lower {_VERTEX_BUDGETS[budget]}"
         )
 
 
-def _randint(rng: random.Random, lo: int, hi: int, budget: str = "max_n") -> int:
-    """``rng.randint(lo, hi)``, checked by :func:`_check_range`."""
-    _check_range(lo, hi, budget)
-    return rng.randint(lo, hi)
-
-
-def _sampled(rng: random.Random, samples: int, lo: int, hi: int, draw):
-    """The lazy family ``draw(rng, rng.randint(lo, hi))``, ``samples`` times.
+def _sampled(seed: int, samples: int, lo: int, hi: int, draw):
+    """The lazy family ``draw(rng, rng.randint(lo, hi))``, ``samples`` times,
+    with ``rng = random.Random(seed)``.
 
     The range is checked now, so a budget that cannot be sampled fails
     before an exhaustive prefix chained in front of the family is run.
     """
     if samples > 0:
         _check_range(lo, hi)
+    rng = random.Random(seed)
     return (draw(rng, rng.randint(lo, hi)) for _ in range(samples))
 
 
@@ -202,6 +206,12 @@ def random_pure_complex(rng: random.Random, n: int, d: int, count: int):
     if count > len(pool):
         raise DomainError(f"cannot pick {count} distinct {d}-subsets of [{n}]")
     return SimplicialComplex(n, rng.sample(pool, count))
+
+
+def _random_pure(rng: random.Random, n: int, max_count: int) -> SimplicialComplex:
+    """A pure complex of 1 to max_count random facets of one random size 2..4."""
+    d = rng.randint(2, min(4, n))
+    return random_pure_complex(rng, n, d, rng.randint(1, min(max_count, math.comb(n, d))))
 
 
 def random_quasi_tree(rng: random.Random, n: int, max_facets: int = 6, max_size: int = 4):
@@ -280,6 +290,89 @@ def random_monomial_ideal(
 
 
 # ---------------------------------------------------------------------------
+# families and the runner
+# ---------------------------------------------------------------------------
+
+
+def _is_proper(cx: SimplicialComplex) -> bool:
+    """Not the full simplex, whose dual is void and whose complement is undefined."""
+    return cx.facet_masks[-1] != (1 << cx.n) - 1
+
+
+def _has_leaf_order(cx: SimplicialComplex) -> bool:
+    return leaf_order(cx) is not None
+
+
+def _complexes(
+    seed, exhaustive_n, samples, lo, hi, draw=partial(random_complex, max_facets=8), keep=_is_proper
+):
+    """The complexes that pass ``keep`` (by default all but the full
+    simplex): every complex on [n] for n <= exhaustive_n, then
+    :func:`_sampled` ones on lo..hi vertices (by default random complexes
+    of at most 8 faces).
+
+    Both budgets are checked before the first complex is built: the
+    sampled range, then the exhaustive family against
+    MAX_EXHAUSTIVE_INSTANCES.
+    """
+    sampled = _sampled(seed, samples, lo, hi, draw)
+    _check_family(_COMPLEX_COUNTS[: max(exhaustive_n, 0)], "exhaustive_n")
+    return filter(keep, itertools.chain(_small_complexes(exhaustive_n), sampled))
+
+
+def _antichains(max_n: int, max_facets: int, max_size):
+    """(n, masks) for every complex on [n], 2 <= n <= max_n, with 2 to
+    max_facets facets of at most max_size(n) vertices, after a bound on
+    the family's size is checked."""
+
+    def bound(n):
+        """Sum_{r <= max_facets} C(c, r) over the c candidate faces on [n]."""
+        c = sum(math.comb(n, k) for k in range(1, min(max_size(n), n) + 1))
+        return sum(math.comb(c, r) for r in range(1, min(max(max_facets, 1), c) + 1))
+
+    _check_family(map(bound, range(2, max_n + 1)), "--max-n or --max-facets")
+    return (
+        (n, masks)
+        for n in range(2, max_n + 1)
+        for masks in iter_complexes_masks(n, max_facets=max_facets, max_size=max_size(n))
+        if len(masks) >= 2
+    )
+
+
+def _skeleton_ideals(complexes, min_ell: int = 1, nonzero: bool = True):
+    """(sigma, ell, ideal) for each complex sigma and each ell from min_ell
+    to dim sigma, where ideal is the facet ideal of the ell-skeleton
+    complement; zero ideals are left out unless ``nonzero`` is False."""
+    for sigma in complexes:
+        dim, _pure = dimension_info(sigma)
+        for ell in range(min_ell, dim + 1):
+            ideal = _complement_ideal(sigma, ell)
+            if not (nonzero and ideal.is_zero):
+                yield sigma, ell, ideal
+
+
+def _run_family(suite: str, family, check, **notes) -> dict:
+    """The report of ``check`` run on every instance of ``family``.
+
+    ``check`` yields the failure witnesses of one instance; the report
+    keeps the first MAX_RECORDED_FAILURES of them and counts them all.
+    """
+    instances = 0
+    failures = []
+    for item in family:
+        instances += 1
+        failures.extend(check(item))
+    return {
+        "suite": suite,
+        "passed": not failures,
+        "instances": instances,
+        "failures": failures[:MAX_RECORDED_FAILURES],
+        "failure_count": len(failures),
+        "notes": notes,
+    }
+
+
+# ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
 
@@ -318,17 +411,6 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     return table.is_linear(d)
 
 
-def _report(suite, instances, failures, **notes):
-    return {
-        "suite": suite,
-        "passed": not failures,
-        "instances": instances,
-        "failures": failures[:MAX_RECORDED_FAILURES],
-        "failure_count": len(failures),
-        "notes": notes,
-    }
-
-
 def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:
     """The facet ideal of the ell-skeleton complement of cx; zero if it is void."""
     bar = skeleton_complement(cx, ell)
@@ -352,24 +434,26 @@ def check_pure_complement_skeleton(max_n: int = 5):
         (2 ** math.comb(n, d) for n in range(1, max_n + 1) for d in range(1, n + 1)),
         "--max-n",
     )
-    instances = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        for d in range(1, n + 1):
-            pool = list(itertools.combinations(range(1, n + 1), d))
-            for r in range(1, len(pool) + 1):
-                for facets in itertools.combinations(pool, r):
-                    cx = SimplicialComplex(n, facets)
-                    instances += 1
-                    bar = pure_complement(cx)
-                    gamma = complex_from_ideal(facet_ideal(cx), "stanley-reisner")
-                    if gamma.is_void or dimension_info(gamma)[0] < d - 1:
-                        got = SimplicialComplex(n, [])
-                    else:
-                        got = skeleton(gamma, d - 1)
-                    if got != bar:
-                        failures.append(complex_to_json(cx))
-    return _report("lemma-1.1", instances, failures, max_n=max_n)
+    family = (
+        SimplicialComplex(n, facets)
+        for n in range(1, max_n + 1)
+        for d in range(1, n + 1)
+        for r in range(1, math.comb(n, d) + 1)
+        for facets in itertools.combinations(itertools.combinations(range(1, n + 1), d), r)
+    )
+
+    def check(cx):
+        d = len(cx.facets[0])
+        bar = pure_complement(cx)
+        gamma = complex_from_ideal(facet_ideal(cx), "stanley-reisner")
+        if gamma.is_void or dimension_info(gamma)[0] < d - 1:
+            got = SimplicialComplex(cx.n, [])
+        else:
+            got = skeleton(gamma, d - 1)
+        if got != bar:
+            yield complex_to_json(cx)
+
+    return _run_family("lemma-1.1", family, check, max_n=max_n)
 
 
 def check_dual_ideal_identity(
@@ -377,55 +461,35 @@ def check_dual_ideal_identity(
 ):
     """Stanley-Reisner ideal of the Alexander dual == facet ideal of the
     facet-complement complex."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    samples_drawn = _sampled(
-        rng, samples, 2, max_n, partial(random_complex, max_facets=8)
-    )
-    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
-        if cx.facet_masks[-1] == (1 << cx.n) - 1:
-            continue  # full simplex: dual is void, complement undefined
-        instances += 1
-        left = stanley_reisner_ideal(alexander_dual(cx))
-        right = facet_ideal(complement_complex(cx))
-        if left != right:
-            failures.append(complex_to_json(cx))
-    return _report(
-        "lemma-1.2", instances, failures, exhaustive_n=exhaustive_n, samples=samples
-    )
+
+    def check(cx):
+        if stanley_reisner_ideal(alexander_dual(cx)) != facet_ideal(complement_complex(cx)):
+            yield complex_to_json(cx)
+
+    family = _complexes(seed, exhaustive_n, samples, 2, max_n)
+    return _run_family("lemma-1.2", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
 def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int = 8):
     """For a flag complex, the dual of the complex attached to the
     ell-skeleton complement ideal is a skeleton of the dual attached to
     the 1-skeleton complement ideal."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    for _ in range(samples):
-        n = _randint(rng, 4, max_n)
-        sigma = clique_complex(random_graph(rng, n))
-        dim, _pure = dimension_info(sigma)
-        if dim < 1:
-            continue
+    # A flag complex whose 1-skeleton complement ideal is zero is the full
+    # simplex, so all its ell-skeleton complement ideals are zero as well.
+    sigmas = _sampled(seed, samples, 4, max_n, lambda rng, n: clique_complex(random_graph(rng, n)))
+
+    @lru_cache(maxsize=1)  # the instances of one complex come in a row
+    def dual_prime(sigma):
         i1 = _complement_ideal(sigma, 1)
-        if i1.is_zero:
-            continue
-        dual_prime = alexander_dual(complex_from_ideal(i1, "stanley-reisner"))
-        for ell in range(1, dim + 1):
-            ideal = _complement_ideal(sigma, ell)
-            if ideal.is_zero:
-                continue
-            delta = complex_from_ideal(ideal, "stanley-reisner")
-            instances += 1
-            got = alexander_dual(delta)
-            expected = skeleton(dual_prime, n - ell - 2)
-            if got != expected:
-                failures.append(
-                    {"complex": complex_to_json(sigma), "ell": ell}
-                )
-    return _report("prop-1.3", instances, failures, samples=samples, max_n=max_n)
+        return alexander_dual(complex_from_ideal(i1, "stanley-reisner"))
+
+    def check(item):
+        sigma, ell, ideal = item
+        got = alexander_dual(complex_from_ideal(ideal, "stanley-reisner"))
+        if got != skeleton(dual_prime(sigma), sigma.n - ell - 2):
+            yield {"complex": complex_to_json(sigma), "ell": ell}
+
+    return _run_family("prop-1.3", _skeleton_ideals(sigmas), check, samples=samples, max_n=max_n)
 
 
 def check_cm_vs_linear_resolution(
@@ -438,27 +502,15 @@ def check_cm_vs_linear_resolution(
     """Cohen-Macaulayness of the complex == linear resolution of the
     facet ideal of the complement complex (the dual Stanley-Reisner
     ideal)."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    samples_drawn = _sampled(
-        rng, samples, exhaustive_n + 1, max_n, partial(random_complex, max_facets=8)
-    )
-    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
-        if cx.facet_masks[-1] == (1 << cx.n) - 1:
-            continue
-        instances += 1
+
+    def check(cx):
         cm = is_cohen_macaulay(cx, field)
-        ideal = facet_ideal(complement_complex(cx))
-        if cm != has_linear_resolution(ideal, field):
-            failures.append(complex_to_json(cx))
-    return _report(
-        "thm-1.4a",
-        instances,
-        failures,
-        exhaustive_n=exhaustive_n,
-        samples=samples,
-        field=repr(field),
+        if cm != has_linear_resolution(facet_ideal(complement_complex(cx)), field):
+            yield complex_to_json(cx)
+
+    family = _complexes(seed, exhaustive_n, samples, exhaustive_n + 1, max_n)
+    return _run_family(
+        "thm-1.4a", family, check, exhaustive_n=exhaustive_n, samples=samples, field=repr(field)
     )
 
 
@@ -478,18 +530,10 @@ def check_projdim_regularity_duality(
     from the facet-complement identity, so the two sides stay
     independent.
     """
-    rng = random.Random(seed)
     p = field.p
-    instances = 0
-    failures = []
-    samples_drawn = _sampled(
-        rng, samples, min_sample_n, max_n, partial(random_complex, max_facets=8)
-    )
-    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
+
+    def check(cx):
         n, full = cx.n, (1 << cx.n) - 1
-        if cx.facet_masks[-1] == full:
-            continue
-        instances += 1
         nonfaces = minimal_nonfaces_masks(list(cx.facet_masks), n)
         pd = squarefree_projdim_masks(nonfaces, p)
         dual_facets = [full ^ m for m in nonfaces]
@@ -497,14 +541,11 @@ def check_projdim_regularity_duality(
         dual_betti = squarefree_betti_masks(dual_nonfaces, p)
         reg = max(b.bit_count() - i for i, b in dual_betti)
         if pd + 1 != reg:
-            failures.append(complex_to_json(cx))
-    return _report(
-        "thm-1.4b",
-        instances,
-        failures,
-        exhaustive_n=exhaustive_n,
-        samples=samples,
-        field=repr(field),
+            yield complex_to_json(cx)
+
+    family = _complexes(seed, exhaustive_n, samples, min_sample_n, max_n)
+    return _run_family(
+        "thm-1.4b", family, check, exhaustive_n=exhaustive_n, samples=samples, field=repr(field)
     )
 
 
@@ -514,91 +555,78 @@ def check_shellable_vs_linear_quotients(
     """Shellability of a pure complex == linear quotients of the facet
     ideal of the complement complex; additionally every skeleton of a
     shellable complex must be shellable."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    shellable_count = 0
-    for _ in range(samples):
-        n = _randint(rng, 3, max_n)
+
+    def draw(rng, n):
         d = rng.randint(2, min(4, n - 1))
-        count = _randint(rng, 2, min(max_facets, math.comb(n, d)), "max_facets")
-        cx = random_pure_complex(rng, n, d, count)
-        instances += 1
+        count = rng.randint(2, min(max_facets, math.comb(n, d)))
+        return random_pure_complex(rng, n, d, count)
+
+    shellable = 0
+
+    def check(cx):
+        nonlocal shellable
         order = shelling_order(cx)
         if order is not None and not verify_shelling(cx, order):
-            failures.append({"bad_shelling": complex_to_json(cx), "order": order})
-            continue
+            yield {"bad_shelling": complex_to_json(cx), "order": order}
+            return
         lq = linear_quotients_order(facet_ideal(complement_complex(cx)))
         if lq is not None and not verify_linear_quotients(lq):
-            failures.append({"bad_quotients": complex_to_json(cx)})
-            continue
+            yield {"bad_quotients": complex_to_json(cx)}
+            return
         if (order is not None) != (lq is not None):
-            failures.append(complex_to_json(cx))
-            continue
+            yield complex_to_json(cx)
+            return
         if order is not None:
-            shellable_count += 1
-            dim, _pure = dimension_info(cx)
-            for i in range(dim):
-                sub = skeleton(cx, i)
-                if shelling_order(sub, max_facets=64) is None:
-                    failures.append(
-                        {"complex": complex_to_json(cx), "skeleton": i}
-                    )
-    return _report(
-        "thm-1.4c",
-        instances,
-        failures,
-        samples=samples,
-        shellable=shellable_count,
-        not_shellable=instances - shellable_count,
-    )
+            shellable += 1
+            for i in range(dimension_info(cx)[0]):
+                if shelling_order(skeleton(cx, i), max_facets=64) is None:
+                    yield {"complex": complex_to_json(cx), "skeleton": i}
+
+    family = _sampled(seed, samples, 3, max_n, draw)
+    if samples > 0:  # C(n, d) >= 3 for 2 <= d < n, so only max_facets can empty the range
+        _check_range(2, max_facets, "max_facets")
+    report = _run_family("thm-1.4c", family, check, samples=samples)
+    report["notes"].update(shellable=shellable, not_shellable=report["instances"] - shellable)
+    return report
 
 
-def check_skeleton_ideal_linear_quotients(
-    seed: int = 0, samples: int = 60, max_n: int = 8
-):
+def check_skeleton_ideal_linear_quotients(seed: int = 0, samples: int = 60, max_n: int = 8):
     """If the 1-skeleton complement ideal of a flag complex has linear
     quotients, so do all higher skeleton complement ideals."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    for _ in range(samples):
-        n = _randint(rng, 4, max_n)
-        sigma = clique_complex(random_chordal_graph(rng, n))
-        dim, _pure = dimension_info(sigma)
-        if dim < 2:
-            continue
+
+    def premise(sigma):
+        if dimension_info(sigma)[0] < 2:
+            return False
         i1 = _complement_ideal(sigma, 1)
-        if i1.is_zero or linear_quotients_order(i1) is None:
-            continue  # premise fails; nothing to check
-        for ell in range(2, dim + 1):
-            ideal = _complement_ideal(sigma, ell)
-            if ideal.is_zero:
-                continue
-            instances += 1
-            if linear_quotients_order(ideal) is None:
-                failures.append({"complex": complex_to_json(sigma), "ell": ell})
-    return _report("cor-1.5", instances, failures, samples=samples)
+        return not i1.is_zero and linear_quotients_order(i1) is not None
+
+    def check(item):
+        sigma, ell, ideal = item
+        if linear_quotients_order(ideal) is None:
+            yield {"complex": complex_to_json(sigma), "ell": ell}
+
+    sigmas = _sampled(
+        seed, samples, 4, max_n, lambda rng, n: clique_complex(random_chordal_graph(rng, n))
+    )
+    family = _skeleton_ideals(filter(premise, sigmas), min_ell=2)
+    return _run_family("cor-1.5", family, check, samples=samples)
 
 
 def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 8):
     """Every skeleton of a shellable pure complex is shellable."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    for _ in range(samples):
-        n = _randint(rng, 3, max_n)
-        d = rng.randint(2, min(4, n))
-        pool_size = math.comb(n, d)
-        cx = random_pure_complex(rng, n, d, rng.randint(1, min(7, pool_size)))
-        if shelling_order(cx) is None:
-            continue
-        dim, _pure = dimension_info(cx)
-        for i in range(dim):
-            instances += 1
-            if shelling_order(skeleton(cx, i), max_facets=64) is None:
-                failures.append({"complex": complex_to_json(cx), "skeleton": i})
-    return _report("lemma-1.6", instances, failures, samples=samples)
+    family = (
+        (cx, i)
+        for cx in _sampled(seed, samples, 3, max_n, partial(_random_pure, max_count=7))
+        if shelling_order(cx) is not None
+        for i in range(dimension_info(cx)[0])
+    )
+
+    def check(item):
+        cx, i = item
+        if shelling_order(skeleton(cx, i), max_facets=64) is None:
+            yield {"complex": complex_to_json(cx), "skeleton": i}
+
+    return _run_family("lemma-1.6", family, check, samples=samples)
 
 
 def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
@@ -611,52 +639,39 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     factor that no matrix minor can reproduce, so the determinant
     identity is stated for covering complexes only.
     """
-    _check_family(
-        (_antichain_bound(n, max_facets, n) for n in range(2, max_n + 1)),
-        "--max-n or --max-facets",
+    family = (
+        (n, masks)
+        for n, masks in _antichains(max_n, max_facets, lambda n: n)
+        if reduce(int.__or__, masks) == (1 << n) - 1
     )
-    instances = 0
-    failures = []
-    for n in range(2, max_n + 1):
-        full = (1 << n) - 1
-        for masks in iter_complexes_masks(n, max_facets=max_facets):
-            t = len(masks)
-            union = 0
-            for m in masks:
-                union |= m
-            if t < 2 or union != full or masks[-1] == full:
-                continue
-            instances += 1
-            cx = complex_from_masks(n, masks)
-            all_edges = list(itertools.combinations(range(t), 2))
-            passing = {
-                tree
-                for tree in itertools.combinations(all_edges, t - 1)
-                if _is_tree(t, tree) and verify_minor_certificate(cx, tree)
-            }
-            is_qt = leaf_order_masks(list(masks)) is not None
-            if is_qt != bool(passing):
-                failures.append(_masks_witness(n, masks))
-                continue
-            if not is_qt:
-                continue
-            trees = relation_trees(cx, limit=1000)
-            if {tuple(sorted(tr.edges)) for tr in trees} != passing:
-                failures.append(
-                    {"complex": _masks_witness(n, masks), "mismatch": "tree sets"}
-                )
-                continue
-            gens = facet_complement_generators(cx)
-            for tr in trees:
-                if reconstruct_generators(tr) != gens:
-                    failures.append(
-                        {
-                            "complex": _masks_witness(n, masks),
-                            "tree": [list(e) for e in tr.edges],
-                        }
-                    )
-                    break
-    return _report("lemma-2.1", instances, failures, max_n=max_n, max_facets=max_facets)
+
+    def check(item):
+        n, masks = item
+        t = len(masks)
+        cx = complex_from_masks(n, masks)
+        all_edges = list(itertools.combinations(range(t), 2))
+        passing = {
+            tree
+            for tree in itertools.combinations(all_edges, t - 1)
+            if _is_tree(t, tree) and verify_minor_certificate(cx, tree)
+        }
+        is_qt = leaf_order_masks(list(masks)) is not None
+        if is_qt != bool(passing):
+            yield _masks_witness(n, masks)
+            return
+        if not is_qt:
+            return
+        trees = relation_trees(cx, limit=1000)
+        if {tuple(sorted(tr.edges)) for tr in trees} != passing:
+            yield {"complex": _masks_witness(n, masks), "mismatch": "tree sets"}
+            return
+        gens = facet_complement_generators(cx)
+        for tr in trees:
+            if reconstruct_generators(tr) != gens:
+                yield {"complex": _masks_witness(n, masks), "tree": [list(e) for e in tr.edges]}
+                return
+
+    return _run_family("lemma-2.1", family, check, max_n=max_n, max_facets=max_facets)
 
 
 def check_quasi_tree_projdim(
@@ -668,29 +683,20 @@ def check_quasi_tree_projdim(
     """Leaf order exists iff the facet ideal of the complement complex
     has projective dimension 1 (complexes with >= 2 facets; a single
     facet gives a principal ideal of projective dimension 0)."""
-    _check_family(
-        (_antichain_bound(n, max_facets, min(max_size, n - 1)) for n in range(2, max_n + 1)),
-        "--max-n or --max-facets",
-    )
     p = field.p
-    instances = 0
-    failures = []
-    for n in range(2, max_n + 1):
-        full = (1 << n) - 1
-        for masks in iter_complexes_masks(
-            n, max_facets=max_facets, max_size=min(max_size, n - 1)
-        ):
-            if len(masks) < 2:
-                continue
-            instances += 1
-            is_qt = leaf_order_masks(list(masks)) is not None
-            pd = squarefree_projdim_masks([full ^ m for m in masks], p)
-            if is_qt != (pd == 1):
-                failures.append(_masks_witness(n, masks))
-    return _report(
+
+    def check(item):
+        n, masks = item
+        is_qt = leaf_order_masks(list(masks)) is not None
+        pd = squarefree_projdim_masks([((1 << n) - 1) ^ m for m in masks], p)
+        if is_qt != (pd == 1):
+            yield _masks_witness(n, masks)
+
+    family = _antichains(max_n, max_facets, lambda n: min(max_size, n - 1))
+    return _run_family(
         "cor-2.2",
-        instances,
-        failures,
+        family,
+        check,
         max_n=max_n,
         max_facets=max_facets,
         max_size=max_size,
@@ -700,20 +706,14 @@ def check_quasi_tree_projdim(
 
 def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Complexes with a leaf order have only 2-element minimal nonfaces."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    samples_drawn = _sampled(rng, samples, 3, 9, random_quasi_tree)
-    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
-        if leaf_order(cx) is None:
-            continue
-        instances += 1
+
+    def check(cx):
         _nf, is_flag = minimal_nonfaces(cx)
         if not is_flag:
-            failures.append(complex_to_json(cx))
-    return _report(
-        "lemma-3.2", instances, failures, exhaustive_n=exhaustive_n, samples=samples
-    )
+            yield complex_to_json(cx)
+
+    family = _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, _has_leaf_order)
+    return _run_family("lemma-3.2", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
 def check_chordal_quasi_tree(
@@ -727,29 +727,28 @@ def check_chordal_quasi_tree(
     exhaustive over all graphs on up to max_n vertices, plus seeded
     random and constructively-chordal samples at sample_n vertices."""
     _check_family((2 ** math.comb(n, 2) for n in range(1, max_n + 1)), "--max-n")
+    if samples > 0 or chordal_samples > 0:
+        _check_range(1, sample_n, "sample_n")
     rng = random.Random(seed)
-    instances = 0
-    failures = []
-    sample_pairs = math.comb(sample_n, 2)
     chordal_graphs = (random_chordal_graph(rng, sample_n) for _ in range(chordal_samples))
     family = itertools.chain(
         (_coded_graph(n, code) for n in range(1, max_n + 1) for code in range(1 << math.comb(n, 2))),
-        (_coded_graph(sample_n, rng.getrandbits(sample_pairs)) for _ in range(samples)),
+        (_coded_graph(sample_n, rng.getrandbits(math.comb(sample_n, 2))) for _ in range(samples)),
         ((g.n, g.adjacency) for g in chordal_graphs),
     )
-    for n, adj in family:
-        instances += 1
+
+    def check(item):
+        n, adj = item
         cliques: list[int] = []
         _bron_kerbosch(adj, 0, (1 << n) - 1, 0, cliques)
-        chordal = _is_peo(adj, mcs_order(adj))
-        if chordal != (leaf_order_masks(cliques) is not None):
+        if _is_peo(adj, mcs_order(adj)) != (leaf_order_masks(cliques) is not None):
             pairs = itertools.combinations(range(n), 2)
-            edges = [[a + 1, b + 1] for a, b in pairs if adj[a] >> b & 1]
-            failures.append({"n": n, "edges": edges})
-    return _report(
+            yield {"n": n, "edges": [[a + 1, b + 1] for a, b in pairs if adj[a] >> b & 1]}
+
+    return _run_family(
         "thm-3.3",
-        instances,
-        failures,
+        family,
+        check,
         max_n=max_n,
         samples=samples,
         sample_n=sample_n,
@@ -759,95 +758,73 @@ def check_chordal_quasi_tree(
 
 def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Removing any leaf from a quasi-tree leaves a quasi-tree."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    samples_drawn = _sampled(rng, samples, 3, 9, random_quasi_tree)
-    for cx in itertools.chain(_small_complexes(exhaustive_n), samples_drawn):
-        if len(cx.facets) < 2 or leaf_order(cx) is None:
-            continue
-        for f in range(len(cx.facets)):
-            if not leaf_report(cx, f).is_leaf:
-                continue
-            instances += 1
-            rest = [g for i, g in enumerate(cx.facets) if i != f]
-            if leaf_order(SimplicialComplex(cx.n, rest)) is None:
-                failures.append({"complex": complex_to_json(cx), "removed": f})
-    return _report(
-        "cor-3.5", instances, failures, exhaustive_n=exhaustive_n, samples=samples
+    family = (
+        (cx, f)
+        for cx in _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, _has_leaf_order)
+        if len(cx.facets) >= 2
+        for f in range(len(cx.facets))
+        if leaf_report(cx, f).is_leaf
     )
+
+    def check(item):
+        cx, f = item
+        rest = [g for i, g in enumerate(cx.facets) if i != f]
+        if not _has_leaf_order(SimplicialComplex(cx.n, rest)):
+            yield {"complex": complex_to_json(cx), "removed": f}
+
+    return _run_family("cor-3.5", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
 def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: int = 8):
     """Both sides of the skeleton-of-a-quasi-tree recognition agree on
     pure complexes: quasi-tree side versus chordal-1-skeleton side."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
 
-    def check(cx: SimplicialComplex):
-        nonlocal instances
-        instances += 1
-        if not higher_dirac_check(cx).holds:
-            failures.append(complex_to_json(cx))
-
-    for _ in range(samples):
-        n = _randint(rng, 3, max_n)
+    def draw(rng, n):
         if rng.random() < 0.5:
             qt = random_quasi_tree(rng, n)
-            dim, _pure = dimension_info(qt)
-            check(skeleton(qt, rng.randint(0, dim)))
-        else:
-            d = rng.randint(2, min(4, n))
-            pool_size = math.comb(n, d)
-            check(random_pure_complex(rng, n, d, rng.randint(1, min(8, pool_size))))
-    return _report("thm-3.6", instances, failures, samples=samples, max_n=max_n)
+            return skeleton(qt, rng.randint(0, dimension_info(qt)[0]))
+        return _random_pure(rng, n, 8)
+
+    def check(cx):
+        if not higher_dirac_check(cx).holds:
+            yield complex_to_json(cx)
+
+    family = _sampled(seed, samples, 3, max_n, draw)
+    return _run_family("thm-3.6", family, check, samples=samples, max_n=max_n)
 
 
-def check_skeleton_complement_linear_quotients(
-    seed: int = 0, samples: int = 100, max_n: int = 8
-):
+def check_skeleton_complement_linear_quotients(seed: int = 0, samples: int = 100, max_n: int = 8):
     """For every quasi-tree and every skeleton level, the facet ideal of
     the skeleton complement has linear quotients."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    for _ in range(samples):
-        n = _randint(rng, 3, max_n)
-        qt = random_quasi_tree(rng, n)
-        dim, _pure = dimension_info(qt)
-        for ell in range(1, dim + 1):
-            ideal = _complement_ideal(qt, ell)
-            if ideal.is_zero:
-                continue
-            instances += 1
-            order = linear_quotients_order(ideal)
-            if order is None or not verify_linear_quotients(order):
-                failures.append({"complex": complex_to_json(qt), "ell": ell})
-    return _report("thm-4.1", instances, failures, samples=samples, max_n=max_n)
+
+    def check(item):
+        qt, ell, ideal = item
+        order = linear_quotients_order(ideal)
+        if order is None or not verify_linear_quotients(order):
+            yield {"complex": complex_to_json(qt), "ell": ell}
+
+    family = _skeleton_ideals(_sampled(seed, samples, 3, max_n, random_quasi_tree))
+    return _run_family("thm-4.1", family, check, samples=samples, max_n=max_n)
 
 
 def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: int = 8):
     """For flag complexes the skeleton complement ideal is reproducible
     from the 1-skeleton complement ideal alone."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    for _ in range(samples):
-        n = _randint(rng, 4, max_n)
+
+    def draw(rng, n):
         if rng.random() < 0.5:
-            sigma = clique_complex(random_graph(rng, n))
-        else:
-            sigma = random_quasi_tree(rng, n)
-        dim, _pure = dimension_info(sigma)
-        if dim < 2:
-            continue
+            return clique_complex(random_graph(rng, n))
+        return random_quasi_tree(rng, n)
+
+    def check(item):
+        sigma, ell, ideal = item
         i1 = _complement_ideal(sigma, 1)
-        for ell in range(2, dim + 1):
-            instances += 1
-            if skeleton_ideal_from_one_skeleton(i1, ell, n) != _complement_ideal(sigma, ell):
-                failures.append({"complex": complex_to_json(sigma), "ell": ell})
-    return _report("lemma-4.2", instances, failures, samples=samples, max_n=max_n)
+        if skeleton_ideal_from_one_skeleton(i1, ell, sigma.n) != ideal:
+            yield {"complex": complex_to_json(sigma), "ell": ell}
+
+    sigmas = _sampled(seed, samples, 4, max_n, draw)
+    family = _skeleton_ideals(sigmas, min_ell=2, nonzero=False)
+    return _run_family("lemma-4.2", family, check, samples=samples, max_n=max_n)
 
 
 def check_restriction_resolution(
@@ -861,62 +838,65 @@ def check_restriction_resolution(
     """Restricting a linear-resolution ideal to the generators below a
     bound keeps the resolution linear; moreover its Betti table is
     exactly the sub-table of multidegrees below the bound."""
+    if ideals > 0 and max_attempts > 0:
+        _check_range(4, max_n)  # the lower bound of the edge-ideal draws
     rng = random.Random(seed)
     found = 0
-    instances = 0
-    failures = []
-    attempts = 0
-    while found < ideals and attempts < max_attempts:
-        attempts += 1
-        kind = rng.randrange(3)
-        if kind == 0:
-            n = _randint(rng, 4, max_n)
-            ideal = edge_ideal(complement_graph(random_chordal_graph(rng, n)))
+
+    def family():
+        """(ideal, its Betti table, bound) for bounds_per_ideal random bounds
+        below each random ideal that has a linear resolution, until ideals
+        of them are found or max_attempts ideals are drawn."""
+        nonlocal found
+        for _ in range(max_attempts):
+            if found >= ideals:
+                return
+            kind = rng.randrange(3)
+            if kind == 0:
+                n = rng.randint(4, max_n)
+                ideal = edge_ideal(complement_graph(random_chordal_graph(rng, n)))
+            elif kind == 1:
+                n = rng.randint(3, 6)
+                ideal = random_monomial_ideal(rng, n, rng.randint(2, 3), rng.randint(2, 8))
+            else:
+                n = rng.randint(3, max_n)
+                qt = random_quasi_tree(rng, n, max_facets=4)
+                dim, _pure = dimension_info(qt)
+                ideal = _complement_ideal(qt, rng.randint(1, dim))
+            # only the edge and skeleton ideals can be zero or have over 8 generators
             if ideal.is_zero or len(ideal.generators) > 8:
                 continue
-        elif kind == 1:
-            n = rng.randint(3, 6)
-            ideal = random_monomial_ideal(rng, n, rng.randint(2, 3), rng.randint(2, 8))
+            degrees = set(ideal.generator_degrees)
+            if len(degrees) != 1:
+                continue
+            table = betti_table(ideal, field)
+            if not table.is_linear(next(iter(degrees))):
+                continue
+            found += 1
+            caps = [max(g.exponents[i] for g in ideal.generators) for i in range(ideal.num_vars)]
+            for _ in range(bounds_per_ideal):
+                yield ideal, table, tuple(rng.randint(0, c) for c in caps)
+
+    def check(item):
+        ideal, table, a = item
+        sub = restrict_ideal(ideal, a)
+        expected = {
+            key: r
+            for key, r in table.entries
+            if all(bi <= ai for bi, ai in zip(key[1], a))
+        }
+        if sub.is_zero:
+            ok = not expected
         else:
-            n = _randint(rng, 3, max_n)
-            qt = random_quasi_tree(rng, n, max_facets=4)
-            dim, _pure = dimension_info(qt)
-            ideal = _complement_ideal(qt, rng.randint(1, dim))
-            if ideal.is_zero or len(ideal.generators) > 8:
-                continue
-        degrees = set(ideal.generator_degrees)
-        if len(degrees) != 1:
-            continue
-        d = next(iter(degrees))
-        table = betti_table(ideal, field)
-        if not table.is_linear(d):
-            continue
-        found += 1
-        caps = [max(g.exponents[i] for g in ideal.generators) for i in range(ideal.num_vars)]
-        for _ in range(bounds_per_ideal):
-            a = tuple(rng.randint(0, c) for c in caps)
-            instances += 1
-            sub = restrict_ideal(ideal, a)
-            expected = {
-                key: r
-                for key, r in table.entries
-                if all(bi <= ai for bi, ai in zip(key[1], a))
-            }
-            if sub.is_zero:
-                if expected:
-                    failures.append({"ideal": ideal_to_json(ideal), "bound": list(a)})
-                continue
-            got = betti_table(sub, field).as_dict()
-            if got != expected or not has_linear_resolution(sub, field):
-                failures.append({"ideal": ideal_to_json(ideal), "bound": list(a)})
-    return _report(
-        "lemma-4.3",
-        instances,
-        failures,
-        linear_ideals=found,
-        bounds_per_ideal=bounds_per_ideal,
-        field=repr(field),
+            ok = betti_table(sub, field).as_dict() == expected and has_linear_resolution(sub, field)
+        if not ok:
+            yield {"ideal": ideal_to_json(ideal), "bound": list(a)}
+
+    report = _run_family(
+        "lemma-4.3", family(), check, bounds_per_ideal=bounds_per_ideal, field=repr(field)
     )
+    report["notes"]["linear_ideals"] = found
+    return report
 
 
 def check_power_linear_resolutions(
@@ -929,33 +909,29 @@ def check_power_linear_resolutions(
 ):
     """All powers of a skeleton-complement facet ideal of a quasi-tree
     have linear resolutions (checked for exponents 1..max_power)."""
-    rng = random.Random(seed)
-    instances = 0
-    failures = []
-    family = list(complexes) if complexes else []
-    for _ in range(samples):
-        family.append(random_quasi_tree(rng, _randint(rng, 3, max_n)))
-    for qt in family:
-        if leaf_order(qt) is None:
-            raise DomainError("the power suite needs quasi-tree inputs")
-        dim, _pure = dimension_info(qt)
-        for ell in range(1, dim + 1):
-            ideal = _complement_ideal(qt, ell)
-            if ideal.is_zero:
-                continue
-            for k in range(1, max_power + 1):
-                instances += 1
-                if not has_linear_resolution(power(ideal, k), field):
-                    failures.append(
-                        {"complex": complex_to_json(qt), "ell": ell, "power": k}
-                    )
-    return _report(
+    explicit = list(complexes) if complexes else []
+    sampled = _sampled(seed, samples, 3, max_n, random_quasi_tree)
+    # the sampled complexes are quasi-trees by construction
+    if not all(map(_has_leaf_order, explicit)):
+        raise DomainError("the power suite needs quasi-tree inputs")
+
+    def check(item):
+        qt, ell, ideal, k = item
+        if not has_linear_resolution(power(ideal, k), field):
+            yield {"complex": complex_to_json(qt), "ell": ell, "power": k}
+
+    family = (
+        (qt, ell, ideal, k)
+        for qt, ell, ideal in _skeleton_ideals(itertools.chain(explicit, sampled))
+        for k in range(1, max_power + 1)
+    )
+    return _run_family(
         "thm-4.4",
-        instances,
-        failures,
+        family,
+        check,
         samples=samples,
         max_power=max_power,
-        explicit_complexes=len(family) - samples,
+        explicit_complexes=len(explicit),
         field=repr(field),
     )
 

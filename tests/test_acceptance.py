@@ -117,9 +117,9 @@ def test_acceptance_3_chordal_iff_clique_complex_quasi_tree():
 
 
 def test_acceptance_4_dual_ideal_identity():
-    # Exhaustive families stop at n = 5: the number of complexes on [6]
-    # is Dedekind-number scale (7,828,354); the suite accepts
-    # exhaustive_n=6 if that much compute is available.
+    # Exhaustive families stop at n = 5: the 7,828,352 complexes on [6]
+    # (the Dedekind number D(6) - 2) exceed MAX_EXHAUSTIVE_INSTANCES, so
+    # the suite refuses exhaustive_n=6.
     report = check_dual_ideal_identity(seed=0, exhaustive_n=5, samples=10_000, max_n=10)
     assert report["instances"] >= 10_000
     _suite_verdict(

@@ -1,15 +1,20 @@
 """The bulk verification drivers at quick budgets, plus their generators."""
 
+import hashlib
+
 import pytest
 
-from srideals import DomainError, SimplicialComplex, run_all
-from srideals import verification
+from srideals import DomainError, ResourceLimitError, SimplicialComplex, run_all
+from srideals import serialization, verification
 from srideals.verification import (
     SUITES,
+    check_chordal_quasi_tree,
     check_cm_vs_linear_resolution,
     check_dual_ideal_identity,
     check_power_linear_resolutions,
     check_projdim_regularity_duality,
+    check_quasi_trees_are_flag,
+    check_restriction_resolution,
     complex_from_masks,
     has_linear_resolution,
     iter_complexes_masks,
@@ -27,9 +32,11 @@ from srideals.quasitrees import leaf_order
 class TestGenerators:
     def test_complex_enumeration_counts(self):
         # number of nonempty antichains on an n-set (Dedekind numbers
-        # minus the empty and {emptyset} antichains): 1, 4, 18, 166
-        counts = [sum(1 for _ in iter_complexes_masks(n)) for n in range(1, 5)]
-        assert counts == [1, 4, 18, 166]
+        # minus the empty and {emptyset} antichains): 1, 4, 18, 166, 7579;
+        # the exhaustive-family cap is checked against the same table
+        counts = [sum(1 for _ in iter_complexes_masks(n)) for n in range(1, 6)]
+        assert counts == [1, 4, 18, 166, 7579]
+        assert verification._COMPLEX_COUNTS == (1, 4, 18, 166, 7579, 7828352)
 
     def test_enumeration_yields_valid_complexes(self):
         for masks in iter_complexes_masks(3):
@@ -68,41 +75,90 @@ class TestLinearResolutionDecider:
             has_linear_resolution(MonomialIdeal(2, []))
 
 
+# sha256 of dumps_report(run_all(seed=s)): a change to any family (its draws,
+# skips or order), check or report note shows up here, so only a change that
+# means to alter the reports records new digests.
+RUN_ALL_DIGESTS = {
+    0: "644a9770c9e7c4a3804f47bc86db059a7145b60821e5ed3762f1aef910c0956d",
+    1: "2b64b632f9b040338859d0a7b9006c115ffd0da554c9d506cf80ae34f7530332",
+}
+_TOO_SMALL = "max_n is too small"
+
+
 class TestSuites:
     def test_run_all_passes_at_quick_budgets(self):
-        reports = run_all(seed=0)
-        assert {r["suite"] for r in reports} == set(SUITES)
-        failed = [r["suite"] for r in reports if not r["passed"]]
-        assert failed == []
-        assert all(r["instances"] > 0 for r in reports)
+        for seed, digest in RUN_ALL_DIGESTS.items():
+            reports = run_all(seed=seed)
+            assert {r["suite"] for r in reports} == set(SUITES)
+            failed = [r["suite"] for r in reports if not r["passed"]]
+            assert failed == []
+            assert all(r["instances"] > 0 for r in reports)
+            text = serialization.dumps_report(reports)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
     def test_power_suite_rejects_non_quasi_tree_input(self, near_miss):
         with pytest.raises(DomainError):
             check_power_linear_resolutions(samples=0, complexes=[near_miss])
 
-    def test_reports_carry_witnesses_on_failure(self):
-        # feed the power suite a complex whose report must stay green,
-        # then check the report shape contract on a real run
-        report = check_power_linear_resolutions(samples=2, max_n=5, max_power=2)
-        for key in ("suite", "passed", "instances", "failures", "failure_count", "notes"):
-            assert key in report
+    def test_reports_carry_witnesses_on_failure(self, monkeypatch):
+        # every instance of the power suite fails once its predicate does:
+        # the report counts them all and keeps the first few as witnesses,
+        # on a run below MAX_RECORDED_FAILURES and on one above it
+        monkeypatch.setattr(verification, "has_linear_resolution", lambda ideal, field: False)
+        keys = {"suite", "passed", "instances", "failures", "failure_count", "notes"}
+        counts = []
+        for samples, max_power in ((1, 1), (5, 3)):
+            report = check_power_linear_resolutions(samples=samples, max_n=6, max_power=max_power)
+            assert set(report) == keys
+            assert report["passed"] is False
+            assert report["failure_count"] == report["instances"] > 0
+            recorded = min(report["failure_count"], verification.MAX_RECORDED_FAILURES)
+            assert len(report["failures"]) == recorded
+            for witness in report["failures"]:
+                assert set(witness) == {"complex", "ell", "power"}
+                assert 1 <= witness["power"] <= max_power
+            counts.append(report["failure_count"])
+        assert counts[0] < verification.MAX_RECORDED_FAILURES < counts[1]
 
     @pytest.mark.parametrize(
-        "suite, budgets",
+        "suite, budgets, error, match",
         [
-            (check_dual_ideal_identity, {"max_n": 1, "samples": 2}),
-            (check_cm_vs_linear_resolution, {"max_n": 4, "samples": 2}),
-            (check_projdim_regularity_duality, {"max_n": 6, "samples": 2}),
+            (check_dual_ideal_identity, {"max_n": 1, "samples": 2}, DomainError, _TOO_SMALL),
+            (check_cm_vs_linear_resolution, {"max_n": 4, "samples": 2}, DomainError, _TOO_SMALL),
+            (check_projdim_regularity_duality, {"max_n": 6, "samples": 2}, DomainError, _TOO_SMALL),
+            # its edge-ideal draws need 4 vertices, whichever kinds the seed draws first
+            (check_restriction_resolution, {"ideals": 1, "max_n": 3}, DomainError, _TOO_SMALL),
+            # 7,828,352 complexes on [6]
+            (
+                check_quasi_trees_are_flag,
+                {"exhaustive_n": 6, "samples": 0},
+                ResourceLimitError,
+                "MAX_EXHAUSTIVE_INSTANCES .*exhaustive_n",
+            ),
+            # C(200000, 2) random bits per sampled graph
+            (
+                check_chordal_quasi_tree,
+                {"max_n": 1, "samples": 1, "chordal_samples": 0, "sample_n": 200_000},
+                ResourceLimitError,
+                "sample_n = 200000 exceeds MAX_SAMPLED_VERTICES .*sample_n",
+            ),
         ],
-        ids=["lemma-1.2", "thm-1.4a", "thm-1.4b"],
+        ids=[
+            "lemma-1.2",
+            "thm-1.4a",
+            "thm-1.4b",
+            "lemma-4.3",
+            "lemma-3.2-exhaustive_n",
+            "thm-3.3-sample_n",
+        ],
     )
     def test_unsampleable_budget_fails_before_the_exhaustive_family(
-        self, suite, budgets, monkeypatch
+        self, suite, budgets, error, match, monkeypatch
     ):
         def unconsumed(max_n):
             raise AssertionError("the exhaustive family was enumerated")
             yield
 
         monkeypatch.setattr(verification, "_small_complexes", unconsumed)
-        with pytest.raises(DomainError, match="max_n is too small"):
+        with pytest.raises(error, match=match):
             suite(**budgets)
