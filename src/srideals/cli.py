@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -456,7 +457,13 @@ def main(argv=None) -> int:
         "checks": checks,
         "timing_ms": int((time.perf_counter() - start) * 1000),
     }
-    print(dumps_report(report))
+    try:
+        print(dumps_report(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at
+        # interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 2 if any(not c["passed"] for c in checks) else 0
 
 

@@ -13,17 +13,16 @@ bitmasks) are its two entry points and differ only in how they
 represent a multidegree.  :func:`taylor_betti_table` is the independent
 oracle: homology of the multidegree strands of the Taylor complex.
 
-K^b is the down-closure of the complements of the tight masks at b, and
-on an element with at most ``NERVE_MIN_WIDTH`` (6) support positions
-the engine reduces that down-closure, up to 2^|supp b| faces.  On a
-wider element with m < |supp b| minimal tight masks it reduces the
-nerve of K^b's facets instead: the sets of minimal tight masks whose
-union misses some position of supp(b), at most 2^m faces.  By the nerve
-lemma (Bjorner, "Topological methods", Handbook of Combinatorics,
-Thm 10.6) both have the same reduced homology.  The width gate keeps
-the many small elements of the squarefree suites on the plain path, so
-they pay nothing for finding minimal masks on complexes that are small
-anyway.
+Every minimal generator g is an atom of the lattice with K^g = {empty
+face}, so the engine records beta_{0,g} = 1 without building K^g and
+walks only the other elements.  K^b is the down-closure of the
+complements of the tight masks at b.  With m minimal tight masks and
+m < |supp b| the engine reduces the nerve of K^b's facets, at most 2^m
+faces, whose vertices are mask indices rather than variables, so
+elements on different variables share cache entries; otherwise it
+reduces the down-closure, at most 2^|supp b| faces.  By the nerve lemma (Bjorner,
+"Topological methods", Handbook of Combinatorics, Thm 10.6) both have
+the same reduced homology.
 
 All ranks are exact: each boundary matrix is a list of sparse columns,
 one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
@@ -208,11 +207,6 @@ def _check_betti_caps(ideal: MonomialIdeal, max_generators: int, max_vars: int):
         )
 
 
-# Support width above which the Betti engine may take K^b's homology
-# through the nerve of its facets (see the module docstring).
-NERVE_MIN_WIDTH = 6
-
-
 def _minimal_masks(masks) -> list[int]:
     """The inclusion-minimal masks among `masks`, smallest first."""
     minimal: list[int] = []
@@ -230,53 +224,70 @@ def _nerve_faces(minimal: list[int], full: int) -> frozenset:
     By the nerve lemma (Bjorner, "Topological methods", Thm 10.6) it has
     the reduced homology of K^b.
     """
-    faces = [0]
-    stack = [(0, 0, 0)]  # (face, union of its tight masks, next index)
-    while stack:
-        face, union, start = stack.pop()
-        for i in range(start, len(minimal)):
-            joined = union | minimal[i]
-            if joined != full:
-                faces.append(face | 1 << i)
-                stack.append((face | 1 << i, joined, i + 1))
-    return frozenset(faces)
+    unions = {0: 0}  # face -> union of its tight masks
+    for i, t in enumerate(minimal):
+        for face, union in list(unions.items()):
+            if union | t != full:
+                unions[face | 1 << i] = union | t
+    return frozenset(unions)
 
 
-def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap: int) -> dict:
-    """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of gens.
+def _compress(masks, full: int) -> list[int]:
+    """The masks within `full` with the bits of `full` renumbered 0, 1, ..."""
+    position = {}
+    rem = full
+    while rem:
+        bit = rem & -rem
+        position[bit] = 1 << len(position)
+        rem ^= bit
+    compressed = []
+    for m in masks:
+        c = 0
+        while m:
+            bit = m & -m
+            c |= position[bit]
+            m ^= bit
+        compressed.append(c)
+    return compressed
+
+
+def _upper_koszul_betti(gens: list, join, tight_masks, p: int, max_lcms: int | None) -> dict:
+    """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of the
+    minimal generators `gens`.
 
     The lattice is every join of a nonempty generator subset, and only
-    its members can carry Betti numbers.  At each b, ``tight_masks(b)``
-    returns |supp(b)| and, for every generator g dividing b, the support
+    its members can carry Betti numbers; a lattice of more than
+    `max_lcms` elements (``MAX_LCMS`` when it is None) is a
+    ResourceLimitError naming that cap.  Each generator is an atom with
+    beta_{0,g} = 1 and nothing else.  At every other b, ``tight_masks(b)``
+    returns the support of b as a mask `full` and the inclusion-minimal
+    tight masks within it: for a generator g dividing b, the support
     positions j with g_j = b_j.  A subset F of supp(b) is a face of the
     upper-Koszul complex K^b(I) iff it misses the tight mask of some such
     g (then g divides b / x_F), so K^b(I) is the down-closure of the
     complements of the tight masks, and beta_{i,b} = dim H~_{i-1}(K^b(I)).
-    On an element wider than ``NERVE_MIN_WIDTH`` with fewer minimal tight
-    masks than support positions, that homology is taken from the nerve
-    of K^b's facets instead (:func:`_nerve_faces`).
+    With fewer tight masks than support positions that homology is taken
+    from the nerve of K^b's facets (:func:`_nerve_faces`); otherwise from
+    the down-closure, its support renumbered from 0.
     """
+    cap, knob = (MAX_LCMS, "homological.MAX_LCMS") if max_lcms is None else (max_lcms, "max_lcms")
     lattice = set(gens)
-    frontier = set(gens)
+    frontier = lattice
     while frontier:
-        new = set()
-        for b in frontier:
-            for g in gens:
-                joined = join(b, g)
-                if joined not in lattice:
-                    new.add(joined)
-        lattice |= new
+        frontier = {join(b, g) for b in frontier for g in gens} - lattice
+        lattice |= frontier
         if len(lattice) > cap:
-            raise ResourceLimitError(f"lcm lattice exceeds the cap {cap}")
-        frontier = new
-    table: dict = {}
-    for b in lattice:
-        width, tights = tight_masks(b)
-        full = (1 << width) - 1
-        if width > NERVE_MIN_WIDTH and len(tights := _minimal_masks(tights)) < width:
+            raise ResourceLimitError(f"the lcm lattice exceeds {knob} = {cap:,} elements")
+    table: dict = {(0, g): 1 for g in gens}
+    for b in lattice.difference(gens):
+        full, tights = tight_masks(b)
+        width = full.bit_count()
+        if len(tights) < width:
             faces = _nerve_faces(tights, full)
         else:
-            faces = down_closure(full ^ t for t in tights)
+            if full & (full + 1):  # support not yet numbered from 0
+                tights = _compress(tights, full)
+            faces = down_closure(((1 << width) - 1) ^ t for t in tights)
         profile = _profile_from_masks(faces, p)
         for i, r in enumerate(profile):
             if r:
@@ -289,13 +300,14 @@ def betti_table(
     field: FieldChoice = RATIONALS,
     max_generators: int = 12,
     max_vars: int = 16,
-    max_lcms: int = MAX_LCMS,
+    max_lcms: int | None = None,
 ) -> BettiTable:
     """Multigraded Betti numbers of I via upper-Koszul subcomplex homology.
 
     beta_{i,b}(I) is the rank of H~_{i-1} of the subcomplex at b, and
     only multidegrees in the lcm lattice of G(I) can contribute, which
-    is what keeps the computation feasible.
+    is what keeps the computation feasible.  The lattice is capped at
+    `max_lcms` elements, ``MAX_LCMS`` when it is None.
     """
     _check_betti_caps(ideal, max_generators, max_vars)
     gens = [g.exponents for g in ideal.generators]
@@ -310,7 +322,7 @@ def betti_table(
                     if g[i] == b[i]:
                         tight |= 1 << idx
                 tights.append(tight)
-        return len(support), tights
+        return (1 << len(support)) - 1, _minimal_masks(tights)
 
     def join(b, g):
         return tuple(map(max, b, g))
@@ -324,33 +336,18 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
 
     Keys are (i, multidegree-mask).  This is :func:`betti_table` on
     bitmasks: the same engine, with a multidegree b stored as its support
-    mask and the tight mask of a generator g dividing b equal to g
-    compressed onto the support of b.  The lcm lattice is capped at
-    ``MAX_LCMS``, the default of :func:`betti_table`.
+    mask and the tight mask of a generator g dividing b equal to g itself,
+    so the minimal generators below b are its minimal tight masks.  The
+    lcm lattice is capped at ``MAX_LCMS``.
     """
-    gens = sorted(set(gen_masks))
+    gens = _minimal_masks(gen_masks)
     if not gens or 0 in gens:
         raise DomainError("need squarefree generators of positive degree")
 
     def tight_masks(b):
-        position = {}
-        rem = b
-        while rem:
-            bit = rem & -rem
-            position[bit] = 1 << len(position)
-            rem ^= bit
-        tights = []
-        for g in gens:
-            if g & b == g:
-                tight = 0
-                while g:
-                    bit = g & -g
-                    tight |= position[bit]
-                    g ^= bit
-                tights.append(tight)
-        return len(position), tights
+        return b, [g for g in gens if g & b == g]
 
-    return _upper_koszul_betti(gens, int.__or__, tight_masks, p, MAX_LCMS)
+    return _upper_koszul_betti(gens, int.__or__, tight_masks, p, None)
 
 
 def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:

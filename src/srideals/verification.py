@@ -276,6 +276,8 @@ def random_monomial_ideal(
     """A random ideal generated in a single degree (duplicates dropped)."""
     from .ideals import Monomial, minimalize
 
+    if degree > n * max_exp:
+        raise DomainError(f"degree {degree} exceeds n * max_exp = {n} * {max_exp}")
     gens = set()
     for _ in range(count):
         exps = [0] * n
@@ -323,7 +325,8 @@ def _complexes(
 def _antichains(max_n: int, max_facets: int, max_size):
     """(n, masks) for every complex on [n], 2 <= n <= max_n, with 2 to
     max_facets facets of at most max_size(n) vertices, after a bound on
-    the family's size is checked."""
+    the family's size is checked and each budget is checked to leave the
+    family nonempty."""
 
     def bound(n):
         """Sum_{r <= max_facets} C(c, r) over the c candidate faces on [n]."""
@@ -331,6 +334,11 @@ def _antichains(max_n: int, max_facets: int, max_size):
         return sum(math.comb(c, r) for r in range(1, min(max(max_facets, 1), c) + 1))
 
     _check_family(map(bound, range(2, max_n + 1)), "--max-n or --max-facets")
+    # with two vertices, two facets and facets of one vertex the family is
+    # not empty: {1} and {2}
+    _check_range(2, max_n)
+    _check_range(2, max_facets, "max_facets")
+    _check_range(1, max_size(2), "max_size")
     return (
         (n, masks)
         for n in range(2, max_n + 1)
@@ -434,6 +442,7 @@ def check_pure_complement_skeleton(max_n: int = 5):
         (2 ** math.comb(n, d) for n in range(1, max_n + 1) for d in range(1, n + 1)),
         "--max-n",
     )
+    _check_range(1, max_n)
     family = (
         SimplicialComplex(n, facets)
         for n in range(1, max_n + 1)

@@ -306,6 +306,21 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["lemma-2.1", "--max-facets", "1"], "max_facets"),
+            (["cor-2.2", "--max-n", "1"], "max_n"),
+            (["lemma-1.1", "--max-n", "0"], "max_n"),
+        ],
+        ids=["lemma-2.1", "cor-2.2", "lemma-1.1"],
+    )
+    def test_budget_that_empties_a_family_is_exit_1(self, argv, budget, capsys):
+        assert cli.main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {budget} is too small for this suite")
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("dual", {"ambient": 3, "facets": [[1, "a"]]}),
@@ -496,6 +511,40 @@ class TestReentrancy:
         assert run("betti", {"vars": 2, "generators": [[1, 0]]}, "--field", "gf2")[0] == 0
         assert cli.main(["frobnicate"]) == 1
         assert len(builds) == 1
+
+
+def _run_module(argv, stdout):
+    """``python -m srideals`` on argv in a child writing to stdout."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "srideals", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+class TestModuleEntryPoint:
+    ARGV = ["verify", "lemma-1.1", "--max-n", "2"]
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = _run_module(self.ARGV, subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["result"]["reports"][0]["instances"] == 5
+
+    def test_closed_stdout_keeps_the_exit_code(self):
+        # the read end is closed before the child starts, so its report
+        # write fails with EPIPE for certain
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run_module(self.ARGV, write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def _capped_exit_3(tmp_path, payload, argv, cap):

@@ -22,6 +22,8 @@ from srideals import (
     taylor_betti_table,
     verify_shelling,
 )
+from srideals import homological
+from srideals.complexes import minimal_nonfaces_masks
 from srideals.homological import squarefree_betti_masks, squarefree_projdim_masks
 
 # the 6-vertex triangulation of the real projective plane: 10 triangles,
@@ -156,6 +158,56 @@ class TestBettiTables:
         }
         assert fast == expected
         assert squarefree_projdim_masks(masks) == table.projdim
+
+    def test_field_reaches_the_nerve_path(self, monkeypatch):
+        # RP^2's own nonfaces give different tables, but only at b = [6],
+        # where ten generators send b down the down-closure path
+        nonfaces = minimal_nonfaces_masks(list(PROJECTIVE_PLANE.facet_masks), 6)
+        assert squarefree_betti_masks(nonfaces, 0) != squarefree_betti_masks(nonfaces, 2)
+        # One variable per facet of RP^2 and one generator per vertex v,
+        # the product of the facets missing v: generators cover every
+        # variable iff their vertices lie in no facet.  At the top element
+        # six generators meet ten support positions, so K^b is read from
+        # its nerve, which is RP^2 itself.
+        gens = [
+            sum(1 << j for j, f in enumerate(PROJECTIVE_PLANE.facet_masks) if not f >> v & 1)
+            for v in range(6)
+        ]
+        top = (1 << 10) - 1
+        nerve_tops = []
+        real = homological._nerve_faces
+
+        def spy(minimal, full):
+            if full == top:
+                nerve_tops.append(len(minimal))
+            return real(minimal, full)
+
+        monkeypatch.setattr(homological, "_nerve_faces", spy)
+        over_q = squarefree_betti_masks(gens, 0)
+        assert nerve_tops == [6]
+        assert squarefree_betti_masks(gens, 2) == {**over_q, (2, top): 1, (3, top): 1}
+
+    def test_generators_need_no_homology(self, monkeypatch):
+        calls = []
+        real = homological._profile_from_masks
+
+        def spy(faces, p):
+            calls.append(faces)
+            return real(faces, p)
+
+        monkeypatch.setattr(homological, "_profile_from_masks", spy)
+        assert squarefree_betti_masks([0b101, 0b111]) == {(0, 0b101): 1}
+        assert betti_table(MonomialIdeal(2, [Monomial((2, 1))])).as_dict() == {(0, (2, 1)): 1}
+        assert calls == []
+
+    def test_lcm_lattice_cap_names_its_knob(self):
+        # 16 disjoint one-variable masks: every nonempty subset joins to
+        # its own element, 2^16 - 1 = 65,535 of them
+        with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 50,000"):
+            squarefree_betti_masks([1 << i for i in range(16)])
+        ideal = MonomialIdeal(12, [Monomial.from_support((v,), 12) for v in range(1, 13)])
+        with pytest.raises(ResourceLimitError, match="max_lcms = 100 "):
+            betti_table(ideal, max_lcms=100)
 
     def test_generator_cap(self):
         gens = [

@@ -13,6 +13,7 @@ from srideals import (
     RATIONALS,
     GF2,
     DomainError,
+    FieldChoice,
     MonomialIdeal,
     SimplicialComplex,
     alexander_dual,
@@ -36,7 +37,12 @@ from srideals import (
     verify_shelling,
 )
 from srideals import _linalg
-from srideals.complexes import down_closure, minimal_nonfaces_masks, skeleton_complement
+from srideals.complexes import (
+    down_closure,
+    mask_face,
+    minimal_nonfaces_masks,
+    skeleton_complement,
+)
 from srideals.graphs import (
     Graph,
     _bron_kerbosch,
@@ -568,9 +574,8 @@ def test_maximal_cliques_match_brute_force(g):
     assert found == _naive_cliques_in_order(adj)
 
 
-# Ideals wide enough that some lcm-lattice elements have a support of more
-# than NERVE_MIN_WIDTH positions, so the Betti engine takes their homology
-# through the nerve of K^b's facets.
+# Ideals on 7 to 10 variables, whose wide lcm-lattice elements often have
+# fewer minimal tight masks than support positions and so take the nerve path.
 @given(monomial_ideals(min_n=7, max_n=10, min_gens=3, max_gens=8))
 @example(
     minimalize(
@@ -586,6 +591,28 @@ def test_maximal_cliques_match_brute_force(g):
 def test_betti_oracles_agree_on_wide_ideals(ideal):
     for field in (RATIONALS, GF2):
         assert betti_table(ideal, field) == taylor_betti_table(ideal, field)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
+        )
+    )
+)
+@example((4, [0b0011, 0b0011, 0b0111, 0b1100]))  # a duplicate and a multiple
+@settings(max_examples=150, deadline=None)
+def test_squarefree_masks_match_the_taylor_oracle(p, case):
+    # duplicate and comparable masks generate the same ideal as its
+    # minimal generators, so they must give the same Betti numbers
+    n, masks = case
+    ideal = minimalize([Monomial.from_support(mask_face(m), n) for m in masks])
+    table = taylor_betti_table(ideal, FieldChoice(p))
+    expected = {
+        (i, sum(1 << k for k, e in enumerate(b) if e)): r for (i, b), r in table.entries
+    }
+    assert squarefree_betti_masks(masks, p) == expected
 
 
 def _nonzero_prefix(ranks):

@@ -20,6 +20,7 @@ from srideals.verification import (
     iter_complexes_masks,
     random_chordal_graph,
     random_complex,
+    random_monomial_ideal,
     random_quasi_tree,
 )
 import random
@@ -57,6 +58,13 @@ class TestGenerators:
         rng = random.Random(5)
         for _ in range(25):
             assert is_chordal(random_chordal_graph(rng, rng.randint(2, 8)))[0]
+
+    def test_random_monomial_ideal_rejects_an_unreachable_degree(self):
+        # one variable with exponents at most 2 has no monomial of degree 3
+        with pytest.raises(DomainError, match="exceeds n \\* max_exp"):
+            random_monomial_ideal(random.Random(0), 1, 3, 1)
+        ideal = random_monomial_ideal(random.Random(0), 1, 2, 3)
+        assert [g.exponents for g in ideal.generators] == [(2,)]
 
 
 class TestLinearResolutionDecider:
