@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, over_cap
 
 Face = tuple[int, ...]
 
@@ -186,9 +186,8 @@ def _check_skeleton(cx: SimplicialComplex, i: int, count) -> None:
         raise DomainError(f"skeleton dimension {i} exceeds dim = {dim}")
     size = count()
     if size > MAX_SKELETON_FACES:
-        raise ResourceLimitError(
-            f"the {i}-skeleton on {cx.n} vertices lists {size} sets of size "
-            f"{i + 1}, above the cap MAX_SKELETON_FACES = {MAX_SKELETON_FACES}"
+        raise over_cap(
+            f"{i}-skeleton size", size, "complexes.MAX_SKELETON_FACES", MAX_SKELETON_FACES
         )
 
 
@@ -224,31 +223,27 @@ def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
 MAX_TRANSVERSALS = 200_000
 
 
-def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
-    """Inclusion-minimal nonface bitmasks of the complex on [n] with the
-    given facets, ordered by (size, mask).
+def minimal_transversals(edge_masks) -> list[int]:
+    """The inclusion-minimal masks that meet every given edge mask, ordered
+    by (size, mask); none when an edge is empty.
 
-    A set is a nonface iff it meets the complement of every facet, so the
-    minimal nonfaces are the minimal transversals of the facet
-    complements.  Berge's algorithm (Berge, *Hypergraphs*, ch. 2; see
-    Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.7) adds
-    one complement c at a time: a transversal meeting c is kept, and
-    every other one t is extended to t | v for each vertex v of c.  An
-    extension is minimal iff it contains no kept transversal; such a
-    kept transversal must contain v, and two extensions are never
-    comparable, so that is the only test.  The work is bounded by the
-    intermediate families, capped at MAX_TRANSVERSALS.
+    Berge's algorithm (Berge, *Hypergraphs*, ch. 2; see Miller-Sturmfels,
+    *Combinatorial Commutative Algebra*, Thm 1.7) adds one edge c at a
+    time: a transversal meeting c is kept, and every other one t is
+    extended to t | v for each vertex v of c.  An extension is minimal iff
+    it contains no kept transversal; such a kept transversal must contain
+    v, and two extensions are never comparable, so that is the only test.
+    The work is bounded by the intermediate families, capped at
+    MAX_TRANSVERSALS.
     """
-    full = (1 << n) - 1
     family = [0]
-    for fm in facet_masks:
-        comp = full & ~fm
-        kept = [t for t in family if t & comp]
-        missed = [t for t in family if not t & comp]
+    for edge in edge_masks:
+        kept = [t for t in family if t & edge]
+        missed = [t for t in family if not t & edge]
         if not missed:
             continue
         family = kept.copy()
-        rem = comp
+        rem = edge
         while rem:
             bit = rem & -rem
             rem ^= bit
@@ -258,11 +253,18 @@ def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
                 if not any(k & ext == k for k in through):
                     family.append(ext)
             if len(family) > MAX_TRANSVERSALS:
-                raise ResourceLimitError(
-                    f"more than MAX_TRANSVERSALS = {MAX_TRANSVERSALS} partial "
-                    f"minimal nonfaces on {n} vertices"
+                raise over_cap(
+                    "transversals", len(family), "complexes.MAX_TRANSVERSALS", MAX_TRANSVERSALS
                 )
     return sorted(family, key=lambda m: (m.bit_count(), m))
+
+
+def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
+    """Inclusion-minimal nonface bitmasks of the complex on [n] with the given
+    facets, ordered by (size, mask): the minimal transversals of the facet
+    complements, since a set is a nonface iff it meets every one of them."""
+    full = (1 << n) - 1
+    return minimal_transversals(full & ~fm for fm in facet_masks)
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple[list[Face], bool]:

@@ -7,3 +7,10 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded one of the configurable size caps."""
+
+
+def over_cap(what: str, value, name: str, cap: int, hint: str = "") -> ResourceLimitError:
+    """The one builder of cap errors: `what` = `value` is above `name` = `cap`,
+    `name` being a ``module.MAX_*`` constant or the keyword that set the cap."""
+    message = f"{what} = {value} exceeds {name} = {cap:,}"
+    return ResourceLimitError(f"{message} ({hint})" if hint else message)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import SimplicialComplex, dimension_info, mask_face
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, over_cap
 from .ideals import Monomial, MonomialIdeal
 from .quasitrees import leaf_order
 
@@ -240,10 +240,7 @@ MAX_CLIQUE_VERTICES = 24
 def clique_complex(g: Graph) -> SimplicialComplex:
     """The flag complex whose facets are the maximal cliques of g."""
     if g.n > MAX_CLIQUE_VERTICES:
-        raise ResourceLimitError(
-            f"n = {g.n} exceeds the clique-complex cap "
-            f"MAX_CLIQUE_VERTICES = {MAX_CLIQUE_VERTICES}"
-        )
+        raise over_cap("n", g.n, "graphs.MAX_CLIQUE_VERTICES", MAX_CLIQUE_VERTICES)
     return SimplicialComplex(g.n, [mask_face(m) for m in maximal_cliques(g)])
 
 

@@ -37,13 +37,21 @@ from functools import lru_cache
 
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, over_cap
 from .ideals import MonomialIdeal
 
 
 # Primality is checked by trial division up to sqrt(p), so the
 # characteristic is capped; the cap is itself prime (2**31 - 1).
 MAX_CHARACTERISTIC = 2**31 - 1
+# Vertices of reduced_homology and is_cohen_macaulay (2^|F| faces per facet F), generators
+# and variables of the Betti tables, lcm-lattice elements, facets of shelling_order.
+MAX_HOMOLOGY_VARS = 16
+MAX_CM_VARS = 14
+MAX_BETTI_GENERATORS = 12
+MAX_BETTI_VARS = 16
+MAX_LCMS = 50000
+MAX_SHELLING_FACETS = 12
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,8 @@ class FieldChoice:
         if self.p == 0:
             return
         if self.p > MAX_CHARACTERISTIC:
-            raise ResourceLimitError(
-                f"characteristic {self.p} exceeds the cap "
-                f"MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
+            raise over_cap(
+                "characteristic", self.p, "homological.MAX_CHARACTERISTIC", MAX_CHARACTERISTIC
             )
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
             raise DomainError(f"{self.p} is not prime")
@@ -141,23 +148,18 @@ def _profile_from_masks(faces: frozenset, p: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def reduced_homology(
-    cx, field: FieldChoice = RATIONALS, max_vars: int = 16
-) -> HomologyProfile:
+def reduced_homology(cx, field: FieldChoice = RATIONALS) -> HomologyProfile:
     """Reduced simplicial homology ranks over the chosen field.
 
     Accepts a SimplicialComplex or an explicit downward-closed iterable
-    of faces (vertex tuples).
+    of faces (vertex tuples), whose largest vertex stands for n.
     """
-    if isinstance(cx, SimplicialComplex):
-        if cx.n > max_vars:
-            raise ResourceLimitError(f"n = {cx.n} exceeds the homology cap {max_vars}")
-        faces = cx.face_mask_set
-    else:
-        faces = frozenset(face_mask(f) for f in cx)
-        if faces and max(f.bit_length() for f in faces) > max_vars:
-            raise ResourceLimitError(f"face list exceeds the homology cap {max_vars}")
-    return HomologyProfile(_profile_from_masks(frozenset(faces), field.p))
+    faces = None if isinstance(cx, SimplicialComplex) else frozenset(map(face_mask, cx))
+    n = cx.n if faces is None else max(faces, default=0).bit_length()
+    if n > MAX_HOMOLOGY_VARS:
+        raise over_cap("n", n, "homological.MAX_HOMOLOGY_VARS", MAX_HOMOLOGY_VARS)
+    faces = cx.face_mask_set if faces is None else faces
+    return HomologyProfile(_profile_from_masks(faces, field.p))
 
 
 @dataclass(frozen=True)
@@ -191,20 +193,20 @@ class BettiTable:
         return all(sum(b) == gen_degree + i for (i, b), _ in self.entries)
 
 
-MAX_LCMS = 50000
-
-
-def _check_betti_caps(ideal: MonomialIdeal, max_generators: int, max_vars: int):
+def _check_betti_caps(ideal: MonomialIdeal, max_generators=None, max_vars=None):
+    """Require a nonzero ideal within the caps, the constants where None."""
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
-    if len(ideal.generators) > max_generators:
-        raise ResourceLimitError(
-            f"{len(ideal.generators)} generators exceed the cap {max_generators}"
-        )
-    if ideal.num_vars > max_vars:
-        raise ResourceLimitError(
-            f"{ideal.num_vars} variables exceed the cap {max_vars}"
-        )
+    cap, name = max_generators, "max_generators"
+    if max_generators is None:
+        cap, name = MAX_BETTI_GENERATORS, "homological.MAX_BETTI_GENERATORS"
+    if len(ideal.generators) > cap:
+        raise over_cap("generators", len(ideal.generators), name, cap)
+    cap, name = max_vars, "max_vars"
+    if max_vars is None:
+        cap, name = MAX_BETTI_VARS, "homological.MAX_BETTI_VARS"
+    if ideal.num_vars > cap:
+        raise over_cap("variables", ideal.num_vars, name, cap)
 
 
 def _minimal_masks(masks) -> list[int]:
@@ -270,14 +272,14 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, max_lcms: int | N
     from the nerve of K^b's facets (:func:`_nerve_faces`); otherwise from
     the down-closure, its support renumbered from 0.
     """
-    cap, knob = (MAX_LCMS, "homological.MAX_LCMS") if max_lcms is None else (max_lcms, "max_lcms")
+    cap, name = (MAX_LCMS, "homological.MAX_LCMS") if max_lcms is None else (max_lcms, "max_lcms")
     lattice = set(gens)
     frontier = lattice
     while frontier:
         frontier = {join(b, g) for b in frontier for g in gens} - lattice
         lattice |= frontier
         if len(lattice) > cap:
-            raise ResourceLimitError(f"the lcm lattice exceeds {knob} = {cap:,} elements")
+            raise over_cap("lcm lattice size", len(lattice), name, cap, "counted so far")
     table: dict = {(0, g): 1 for g in gens}
     for b in lattice.difference(gens):
         full, tights = tight_masks(b)
@@ -298,16 +300,16 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, max_lcms: int | N
 def betti_table(
     ideal: MonomialIdeal,
     field: FieldChoice = RATIONALS,
-    max_generators: int = 12,
-    max_vars: int = 16,
+    max_generators: int | None = None,
+    max_vars: int | None = None,
     max_lcms: int | None = None,
 ) -> BettiTable:
     """Multigraded Betti numbers of I via upper-Koszul subcomplex homology.
 
     beta_{i,b}(I) is the rank of H~_{i-1} of the subcomplex at b, and
     only multidegrees in the lcm lattice of G(I) can contribute, which
-    is what keeps the computation feasible.  The lattice is capped at
-    `max_lcms` elements, ``MAX_LCMS`` when it is None.
+    is what keeps the computation feasible.  The keywords cap the input and
+    the lattice; None means ``MAX_BETTI_GENERATORS``, ``MAX_BETTI_VARS``, ``MAX_LCMS``.
     """
     _check_betti_caps(ideal, max_generators, max_vars)
     gens = [g.exponents for g in ideal.generators]
@@ -354,9 +356,7 @@ def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
     return max(i for i, _ in squarefree_betti_masks(gen_masks, p))
 
 
-def taylor_betti_table(
-    ideal: MonomialIdeal, field: FieldChoice = RATIONALS, max_generators: int = 12
-) -> BettiTable:
+def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTable:
     """Independent Betti oracle: homology of multidegree strands of the
     Taylor complex of S/I, shifted down one homological degree.
 
@@ -365,7 +365,7 @@ def taylor_betti_table(
     closed (a face whose lcm drops leaves the strand), and the builder
     drops such faces from the boundary.
     """
-    _check_betti_caps(ideal, max_generators, ideal.num_vars)
+    _check_betti_caps(ideal, max_vars=ideal.num_vars)
     gens = [g.exponents for g in ideal.generators]
     t = len(gens)
     zero = tuple([0] * ideal.num_vars)
@@ -400,28 +400,21 @@ def taylor_betti_table(
     return BettiTable.from_dict(ideal.num_vars, table)
 
 
-def projdim_and_reg(
-    ideal: MonomialIdeal,
-    field: FieldChoice = RATIONALS,
-    max_generators: int = 12,
-    max_vars: int = 16,
-) -> tuple[int, int, bool]:
+def projdim_and_reg(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> tuple[int, int, bool]:
     """(projective dimension, regularity, linear-resolution flag) of I."""
-    table = betti_table(ideal, field, max_generators, max_vars)
+    table = betti_table(ideal, field)
     degrees = set(ideal.generator_degrees)
     linear = len(degrees) == 1 and table.is_linear(next(iter(degrees)))
     return table.projdim, table.regularity, linear
 
 
-def is_cohen_macaulay(
-    cx: SimplicialComplex, field: FieldChoice = RATIONALS, max_vars: int = 14
-) -> bool:
+def is_cohen_macaulay(cx: SimplicialComplex, field: FieldChoice = RATIONALS) -> bool:
     """Reisner's criterion: every face link has vanishing reduced homology
     below its dimension."""
     if cx.is_void:
         raise DomainError("Cohen-Macaulayness of the void complex is undefined")
-    if cx.n > max_vars:
-        raise ResourceLimitError(f"n = {cx.n} exceeds the cap {max_vars}")
+    if cx.n > MAX_CM_VARS:
+        raise over_cap("n", cx.n, "homological.MAX_CM_VARS", MAX_CM_VARS)
     faces = cx.face_mask_set
     for f in faces:
         link = frozenset(g ^ f for g in faces if g & f == f)
@@ -443,19 +436,22 @@ def _shelling_extension_ok(diff, new: int, prefix: list[int]) -> bool:
     return all(diff[new][j] & singles for j in prefix)
 
 
-def shelling_order(cx: SimplicialComplex, max_facets: int = 12) -> list[int] | None:
+def shelling_order(cx: SimplicialComplex, max_facets: int | None = None) -> list[int] | None:
     """Backtracking search for a shelling order of a pure complex.
 
     Returns facet indices (0-based) or None when exhaustive search shows
-    the complex is not shellable.
+    the complex is not shellable.  `max_facets` is ``MAX_SHELLING_FACETS`` when None.
     """
     _, is_pure = dimension_info(cx)
     if not is_pure:
         raise DomainError("shellability is only defined for pure complexes")
     masks = cx.facet_masks
     t = len(masks)
-    if t > max_facets:
-        raise ResourceLimitError(f"{t} facets exceed the cap {max_facets}")
+    cap, name = max_facets, "max_facets"
+    if max_facets is None:
+        cap, name = MAX_SHELLING_FACETS, "homological.MAX_SHELLING_FACETS"
+    if t > cap:
+        raise over_cap("facets", t, name, cap)
     if t == 1:
         return [0]
     diff = [[masks[i] & ~masks[j] for j in range(t)] for i in range(t)]

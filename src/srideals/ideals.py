@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import lshift
 
-from .complexes import SimplicialComplex, face_mask
-from .errors import DomainError, ResourceLimitError
+from .complexes import MAX_SKELETON_FACES, SimplicialComplex, face_mask, mask_face
+from .complexes import minimal_transversals
+from .errors import DomainError, over_cap
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,9 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
     """Invert the two complex-to-ideal bridges.
 
     mode "stanley-reisner": the unique complex whose Stanley-Reisner
-    ideal is the given squarefree ideal (faces are the subsets whose
-    monomial lies outside the ideal).  mode "facet": the complex whose
+    ideal is the given squarefree ideal.  Its faces are the sets that
+    contain no generator support, so its facets are the complements of the
+    minimal transversals of the supports.  mode "facet": the complex whose
     facets are the supports of the generators.
     """
     if not ideal.is_squarefree:
@@ -260,16 +262,9 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
         return SimplicialComplex(n, [g.support for g in ideal.generators])
     if mode != "stanley-reisner":
         raise DomainError(f"unknown mode {mode!r}")
-    if ideal.is_zero:
-        return SimplicialComplex(n, [tuple(range(1, n + 1))])
-    gen_masks = [g.support_mask for g in ideal.generators]
-    faces = [
-        combo
-        for size in range(n + 1)
-        for combo in itertools.combinations(range(1, n + 1), size)
-        if not any(gm & face_mask(combo) == gm for gm in gen_masks)
-    ]
-    return SimplicialComplex.from_faces(n, faces)
+    full = (1 << n) - 1
+    transversals = minimal_transversals(g.support_mask for g in ideal.generators)
+    return SimplicialComplex(n, [mask_face(full ^ t) for t in transversals])
 
 
 # The most generator factors that power() adds up: k for each of the
@@ -279,6 +274,11 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
 # benchmark corpora reach is 21,420 (7,140 products of 34 generators, k = 3,
 # in thm-4.4 at its defaults).
 MAX_POWER_FACTORS = 300_000
+# graded_component_ideal lists C(n + e - 1, e) monomials of degree e = j - deg g
+# for each generator g; (x1) on 12 variables lists 75,582 at degree 9.
+MAX_GRADED_MONOMIALS = 100_000
+# The nodes that linear_quotients_order may visit on more than 12 generators.
+MAX_SEARCH_NODES = 500_000
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -296,9 +296,8 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     gens = ideal.generators
     count = math.comb(len(gens) + k - 1, k)
     if count * k > MAX_POWER_FACTORS:
-        raise ResourceLimitError(
-            f"the power k = {k} of {len(gens)} generators has {count} products of "
-            f"{k} factors, above the cap MAX_POWER_FACTORS = {MAX_POWER_FACTORS}"
+        raise over_cap(
+            f"power-{k} factors", count * k, "ideals.MAX_POWER_FACTORS", MAX_POWER_FACTORS
         )
     top = k * max(max(g.exponents) for g in gens)
     packed, stride, _ones, _guards = _packing(gens, top)
@@ -308,23 +307,20 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return minimalize([Monomial([p >> s & field for s in shifts]) for p in products])
 
 
-def graded_component_ideal(
-    ideal: MonomialIdeal, j: int, max_degree_above_min: int = 8
-) -> MonomialIdeal:
+def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     """The ideal generated by the degree-j component of the given ideal."""
     if ideal.is_zero:
         raise DomainError("graded component of the zero ideal")
     min_deg = min(ideal.generator_degrees)
     if j < min_deg:
         raise DomainError(f"degree {j} is below the minimal generator degree {min_deg}")
-    if j > min_deg + max_degree_above_min:
-        raise ResourceLimitError(
-            f"degree {j} exceeds the cap min_degree + {max_degree_above_min}"
-        )
     n = ideal.num_vars
+    extras = [j - d for d in ideal.generator_degrees]
+    count = sum(math.comb(n + e - 1, e) for e in extras if e >= 0)
+    if count > MAX_GRADED_MONOMIALS:
+        raise over_cap("monomials", count, "ideals.MAX_GRADED_MONOMIALS", MAX_GRADED_MONOMIALS)
     out = set()
-    for g in ideal.generators:
-        extra = j - g.degree
+    for g, extra in zip(ideal.generators, extras):
         if extra < 0:
             continue
         for combo in itertools.combinations_with_replacement(range(n), extra):
@@ -361,14 +357,15 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
         raise DomainError("i1 must be squarefree and generated in degree 2")
     if i1.num_vars != n:
         raise DomainError(f"i1 lives in {i1.num_vars} variables, expected {n}")
+    count = math.comb(n, ell + 1)
+    if count > MAX_SKELETON_FACES:
+        raise over_cap(f"{ell + 1}-sets", count, "complexes.MAX_SKELETON_FACES", MAX_SKELETON_FACES)
     gen_masks = [g.support_mask for g in i1.generators]
     gens = [
         Monomial.from_support(combo, n)
         for combo in itertools.combinations(range(1, n + 1), ell + 1)
         if any(gm & face_mask(combo) == gm for gm in gen_masks)
     ]
-    if not gens:
-        return MonomialIdeal(n, [])
     return MonomialIdeal(n, gens)
 
 
@@ -381,8 +378,8 @@ def linear_quotients_order(
     search proves that no ordering works.  Whether a prefix can be
     extended depends only on the prefix as a set, so failed prefix sets
     are memoized; greedy extension alone is not sound for None answers,
-    hence the backtracking.  max_nodes caps the number of search nodes
-    (default: unlimited for <= 12 generators, 500000 above).
+    hence the backtracking.  max_nodes caps the number of search nodes;
+    None means unlimited for <= 12 generators and ``MAX_SEARCH_NODES`` above.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no generators to order")
@@ -390,8 +387,9 @@ def linear_quotients_order(
     t = len(gens)
     if t == 1:
         return gens
+    name = "max_nodes"
     if max_nodes is None:
-        max_nodes = None if t <= 12 else 500_000
+        max_nodes, name = (None if t <= 12 else MAX_SEARCH_NODES), "ideals.MAX_SEARCH_NODES"
 
     # lin_var[k][i]: variable index when g_k / gcd(g_i, g_k) has degree 1.
     lin_var = [[-1] * t for _ in range(t)]
@@ -432,9 +430,7 @@ def linear_quotients_order(
             return False
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            raise ResourceLimitError(
-                f"linear-quotients search exceeded {max_nodes} nodes"
-            )
+            raise over_cap("linear-quotients search nodes", nodes, name, max_nodes)
         for i in sorted(remaining):
             if any(vmask[i] & quot_mask[j][i] == 0 for j in prefix):
                 continue

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, mask_face
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, over_cap
 from .ideals import Monomial, MonomialIdeal
 
 
@@ -387,9 +387,9 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
                 bit = 1 << (top - min(f, g) * t - max(f, g))
                 result.update(tail | bit for tail in tails)
                 if held + len(result) > MAX_RELATION_TREES:
-                    raise ResourceLimitError(
-                        f"relation trees: the leaf-removal memo holds more than "
-                        f"MAX_RELATION_TREES = {MAX_RELATION_TREES} edge sets"
+                    raise over_cap(
+                        "edge sets in the leaf-removal memo", held + len(result),
+                        "quasitrees.MAX_RELATION_TREES", MAX_RELATION_TREES,
                     )
         cache[alive] = result
         held += len(result)

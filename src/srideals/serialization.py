@@ -12,7 +12,7 @@ import re
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, over_cap
 from .graphs import Graph
 from .homological import BettiTable
 from .ideals import Monomial, MonomialIdeal, monomial_to_str
@@ -114,9 +114,7 @@ MAX_VARS = 1024
 def _count(obj: dict, key: str) -> int:
     n = _integer(obj, key)
     if n > MAX_VARS:
-        raise ResourceLimitError(
-            f'"{key}" = {n} exceeds the dense-vector cap MAX_VARS = {MAX_VARS}'
-        )
+        raise over_cap(f'"{key}"', n, "serialization.MAX_VARS", MAX_VARS)
     return n
 
 

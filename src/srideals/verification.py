@@ -33,7 +33,7 @@ from .complexes import (
     skeleton,
     skeleton_complement,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, over_cap
 from .graphs import (
     Graph,
     _bron_kerbosch,
@@ -132,9 +132,9 @@ def _check_family(sizes, knob: str) -> None:
     for size in sizes:
         total += size
         if total > MAX_EXHAUSTIVE_INSTANCES:
-            raise ResourceLimitError(
-                f"the exhaustive family exceeds MAX_EXHAUSTIVE_INSTANCES = "
-                f"{MAX_EXHAUSTIVE_INSTANCES:,} instances; lower {knob}"
+            raise over_cap(
+                "instances counted", total, "verification.MAX_EXHAUSTIVE_INSTANCES",
+                MAX_EXHAUSTIVE_INSTANCES, f"lower {knob}",
             )
 
 
@@ -161,8 +161,8 @@ _COMPLEX_COUNTS = (1, 4, 18, 166, 7_579, 7_828_352)
 # draw at most 10 vertices.
 MAX_SAMPLED_VERTICES = 24
 
-# The budgets that are vertex counts, each with the knob that lowers it.
-_VERTEX_BUDGETS = {"max_n": "--max-n", "sample_n": "sample_n"}
+# The budgets that are vertex counts, each with how to lower it.
+_VERTEX_BUDGETS = {"max_n": "lower --max-n", "sample_n": "lower sample_n"}
 
 
 def _check_range(lo: int, hi: int, budget: str = "max_n"):
@@ -171,9 +171,8 @@ def _check_range(lo: int, hi: int, budget: str = "max_n"):
     if hi < lo:
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
     if budget in _VERTEX_BUDGETS and hi > MAX_SAMPLED_VERTICES:
-        raise ResourceLimitError(
-            f"{budget} = {hi} exceeds MAX_SAMPLED_VERTICES = {MAX_SAMPLED_VERTICES}; "
-            f"lower {_VERTEX_BUDGETS[budget]}"
+        raise over_cap(
+            budget, hi, "MAX_SAMPLED_VERTICES", MAX_SAMPLED_VERTICES, _VERTEX_BUDGETS[budget]
         )
 
 
@@ -403,7 +402,7 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     d = next(iter(degrees))
     t = len(ideal.generators)
     if t <= 11:
-        return betti_table(ideal, field, max_generators=t).is_linear(d)
+        return betti_table(ideal, field).is_linear(d)
     gens = list(ideal.generators)
     for candidate in (gens, gens[::-1]):
         if verify_linear_quotients(candidate):

@@ -428,11 +428,41 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_resource_limit_is_exit_3(self, run):
+    def test_resource_limit_is_exit_3(self, tmp_path, capsys):
         gens = [[1 if k in (i, 13) else 0 for k in range(14)] for i in range(13)]
-        code, report = run("betti", {"vars": 14, "generators": gens})
-        assert code == 3
-        assert report is None
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"vars": 14, "generators": gens}))
+        assert cli.main(["betti", "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: resource limit: generators = 13 exceeds "
+            "homological.MAX_BETTI_GENERATORS = 12\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, payload, cap",
+        [
+            (
+                "shelling",
+                {"ambient": 13, "facets": [[v] for v in range(1, 14)]},
+                "facets = 13 exceeds homological.MAX_SHELLING_FACETS = 12",
+            ),
+            (
+                "projdim",
+                {"vars": 17, "generators": [[1] * 17]},
+                "variables = 17 exceeds homological.MAX_BETTI_VARS = 16",
+            ),
+        ],
+        ids=["shelling", "projdim"],
+    )
+    def test_cap_error_names_its_constant(self, command, payload, cap, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main([command, "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: resource limit: {cap}\n"
 
     def test_failed_check_is_exit_2(self, run, monkeypatch):
         # force the verifier to report a failure to exercise the exit path

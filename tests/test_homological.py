@@ -96,7 +96,7 @@ class TestReducedHomology:
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
-            reduced_homology(SimplicialComplex(20, [(1, 2)]), max_vars=16)
+            reduced_homology(SimplicialComplex(20, [(1, 2)]))
 
 
 class TestBettiTables:
@@ -213,8 +213,10 @@ class TestBettiTables:
         gens = [
             Monomial.from_support((i, 14), 14) for i in range(1, 14)
         ]
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="homological.MAX_BETTI_GENERATORS = 12$"):
             betti_table(MonomialIdeal(14, gens))
+        with pytest.raises(ResourceLimitError, match="generators = 13 exceeds max_generators = 11$"):
+            betti_table(MonomialIdeal(14, gens), max_generators=11)
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(DomainError):
@@ -237,6 +239,10 @@ class TestCohenMacaulay:
     def test_projective_plane_cm_depends_on_field(self):
         assert is_cohen_macaulay(PROJECTIVE_PLANE, RATIONALS)
         assert not is_cohen_macaulay(PROJECTIVE_PLANE, GF2)
+
+    def test_vertex_cap_names_its_constant(self):
+        with pytest.raises(ResourceLimitError, match="n = 15 exceeds homological.MAX_CM_VARS = 14"):
+            is_cohen_macaulay(SimplicialComplex(15, [(1, 2)]))
 
 
 class TestShelling:

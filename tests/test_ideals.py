@@ -1,5 +1,7 @@
 """Monomials, monomial ideals, complex/ideal bridges, linear quotients."""
 
+import time
+
 import pytest
 
 from srideals import (
@@ -107,6 +109,17 @@ class TestBridges:
         with pytest.raises(DomainError, match="squarefree"):
             complex_from_ideal(MonomialIdeal(2, [m(2, 0)]), "facet")
 
+    def test_sparse_ideal_on_200_variables_is_fast(self):
+        # (x1 x2, x3 x4, x5): the facets miss one of each of {1, 2}, {3, 4}, {5}
+        n = 200
+        ideal = MonomialIdeal(n, [Monomial.from_support(s, n) for s in [(1, 2), (3, 4), (5,)]])
+        start = time.perf_counter()
+        cx = complex_from_ideal(ideal, "stanley-reisner")
+        assert time.perf_counter() - start < 1
+        rest = tuple(range(6, n + 1))
+        assert cx == SimplicialComplex(n, [(a, b, *rest) for a in (1, 2) for b in (3, 4)])
+        assert stanley_reisner_ideal(cx) == ideal
+
 
 class TestPowerAndComponents:
     def test_square_of_two_variables(self):
@@ -139,8 +152,15 @@ class TestPowerAndComponents:
             graded_component_ideal(MonomialIdeal(2, [m(1, 1)]), 1)
 
     def test_graded_component_cap(self):
-        with pytest.raises(ResourceLimitError):
-            graded_component_ideal(MonomialIdeal(2, [m(1, 1)]), 100)
+        # C(67, 8) = 6,522,361,560 monomials of degree 8 on 60 variables
+        ideal = MonomialIdeal(60, [Monomial.from_support((1,), 60)])
+        with pytest.raises(ResourceLimitError, match="ideals.MAX_GRADED_MONOMIALS"):
+            graded_component_ideal(ideal, 9)
+
+    def test_graded_component_far_above_the_minimal_degree(self):
+        # degree 100 lists only the 99 multiples x1^a * x2^b of x1 * x2
+        comp = graded_component_ideal(MonomialIdeal(2, [m(1, 1)]), 100)
+        assert comp.generators == tuple(m(a, 100 - a) for a in range(1, 100))
 
 
 class TestRestrict:
@@ -167,6 +187,14 @@ class TestSkeletonIdealFromEdges:
     def test_requires_degree_two_input(self):
         with pytest.raises(DomainError):
             skeleton_ideal_from_one_skeleton(MonomialIdeal(3, [m(1, 1, 1)]), 2, 3)
+
+    def test_large_scan_is_capped_before_it_starts(self):
+        # C(30, 16) = 145,422,675 subsets of size 16
+        i1 = MonomialIdeal(30, [Monomial.from_support((1, 2), 30)])
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="complexes.MAX_SKELETON_FACES"):
+            skeleton_ideal_from_one_skeleton(i1, 15, 30)
+        assert time.perf_counter() - start < 1
 
 
 class TestLinearQuotients:

@@ -505,6 +505,30 @@ def test_minimal_nonfaces_match_the_subset_scan(case):
     assert minimal_nonfaces_masks(facet_masks, n) == _naive_minimal_nonfaces(facet_masks, n)
 
 
+def _naive_stanley_reisner_complex(gen_masks, n):
+    """The 2^n scan: the faces are the subsets that contain no generator."""
+    faces = [
+        mask_face(mask)
+        for mask in range(1 << n)
+        if not any(g & mask == g for g in gen_masks)
+    ]
+    return SimplicialComplex.from_faces(n, faces)
+
+
+@given(facet_lists())
+@example(([], 3))  # the zero ideal: the simplex
+@example(([0b001, 0b010, 0b100], 3))  # every variable: only the empty face
+@example(([0b0011, 0b0111], 4))  # a redundant generator
+@settings(max_examples=300, deadline=None)
+def test_stanley_reisner_complex_matches_the_subset_scan(case):
+    masks, n = case
+    gen_masks = [m for m in masks if m]  # the unit ideal is not supported
+    gens = [Monomial.from_support(mask_face(m), n) for m in gen_masks]
+    ideal = minimalize(gens) if gens else MonomialIdeal(n, [])
+    got = complex_from_ideal(ideal, "stanley-reisner")
+    assert got == _naive_stanley_reisner_complex(gen_masks, n)
+
+
 @st.composite
 def graphs(draw, max_n=10):
     n = draw(st.integers(min_value=1, max_value=max_n))
