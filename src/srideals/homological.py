@@ -8,7 +8,7 @@ Cohen-Macaulayness, and shelling-order search.
 Betti numbers come from one engine (Miller-Sturmfels, Thm 1.34): walk
 the lcm lattice of the generators and take the homology of the
 upper-Koszul complex K^b at each lattice element b.  :func:`betti_table`
-(exponent vectors) and :func:`squarefree_betti_masks` (support
+(packed exponent vectors) and :func:`squarefree_betti_masks` (support
 bitmasks) are its two entry points and differ only in how they
 represent a multidegree.  :func:`taylor_betti_table` is the independent
 oracle: homology of the multidegree strands of the Taylor complex.
@@ -38,7 +38,7 @@ from functools import lru_cache
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask
 from .errors import DomainError, over_cap
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _packing, _unpacked
 
 
 # Primality is checked by trial division up to sqrt(p), so the
@@ -310,27 +310,31 @@ def betti_table(
     only multidegrees in the lcm lattice of G(I) can contribute, which
     is what keeps the computation feasible.  The keywords cap the input and
     the lattice; None means ``MAX_BETTI_GENERATORS``, ``MAX_BETTI_VARS``, ``MAX_LCMS``.
+    Multidegrees are packed exponent vectors (``ideals._packing``) until
+    the final table: the join is the guard-subtract fieldwise max, and a
+    tight mask is the guard bits of supp(b) minus those of supp(b ^ g).
     """
     _check_betti_caps(ideal, max_generators, max_vars)
-    gens = [g.exponents for g in ideal.generators]
+    gens, stride, ones, guards = _packing([g.exponents for g in ideal.generators])
+    w = stride - 1
+
+    def support(b):  # the guard bits of b's nonzero fields
+        return ((b | guards) - ones) & guards
 
     def tight_masks(b):
-        support = [i for i, e in enumerate(b) if e]
-        tights = []
-        for g in gens:
-            if all(ge <= be for ge, be in zip(g, b)):
-                tight = 0
-                for idx, i in enumerate(support):
-                    if g[i] == b[i]:
-                        tight |= 1 << idx
-                tights.append(tight)
-        return (1 << len(support)) - 1, _minimal_masks(tights)
+        full, ceiling = support(b), b | guards
+        tights = [full & ~support(b ^ g) for g in gens if (ceiling - g) & guards == guards]
+        return full, _minimal_masks(tights)
 
-    def join(b, g):
-        return tuple(map(max, b, g))
+    def join(b, g):  # the fieldwise max: g plus b - g where b_v >= g_v
+        d = (b | guards) - g
+        kept = d & guards
+        return g + (d & (kept - (kept >> w)))
 
     table = _upper_koszul_betti(gens, join, tight_masks, field.p, max_lcms)
-    return BettiTable.from_dict(ideal.num_vars, table)
+    lattice = {b for _i, b in table}
+    vector = dict(zip(lattice, _unpacked(lattice, stride, ideal.num_vars)))
+    return BettiTable.from_dict(ideal.num_vars, {(i, vector[b]): r for (i, b), r in table.items()})
 
 
 def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import lshift
 
 from .complexes import MAX_SKELETON_FACES, SimplicialComplex, face_mask, mask_face
@@ -30,7 +29,7 @@ class Monomial:
         exps = tuple(exponents)
         if not exps:
             raise DomainError("a monomial needs at least one variable")
-        if any(not isinstance(e, int) or e < 0 for e in exps):
+        if not all(map(isinstance, exps, itertools.repeat(int))) or min(exps) < 0:
             raise DomainError(f"exponents must be nonnegative integers: {exps}")
         object.__setattr__(self, "exponents", exps)
 
@@ -63,11 +62,7 @@ class Monomial:
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for i, e in enumerate(self.exponents):
-            if e:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, e in enumerate(self.exponents) if e)
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -93,22 +88,20 @@ class Monomial:
 
 def monomial_to_str(m: Monomial) -> str:
     """The monomial as ``x1*x2^2``; the unit monomial is ``1``."""
-    if m.degree == 0:
-        return "1"
-    parts = []
-    for i, e in enumerate(m.exponents):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+    parts = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(m.exponents) if e]
+    return "*".join(parts) or "1"
 
 
-def _gen_sort_key(m: Monomial):
-    return (m.degree, m.exponents)
+def _canonical(monomials):
+    """The distinct monomials sorted by (degree, exponents), with their
+    exponent vectors and degrees in the same order: one dict keyed by the
+    exponents, a sort by exponents and a stable sort by degree."""
+    by_exps = {m.exponents: m for m in monomials}
+    exps = sorted(sorted(by_exps), key=sum)
+    return tuple(map(by_exps.__getitem__, exps)), exps, tuple(map(sum, exps))
 
 
-def _packing(monomials, top: int | None = None):
+def _packing(vectors, top: int | None = None):
     """Pack exponent vectors into ints for word-parallel comparisons.
 
     Variable v owns the field of ``stride = w + 1`` bits at ``v * stride``:
@@ -123,12 +116,19 @@ def _packing(monomials, top: int | None = None):
     ``((b | guards) - a) & guards == guards``.
     """
     if top is None:
-        top = max(max(m.exponents) for m in monomials)
+        top = max(map(max, vectors))
     stride = top.bit_length() + 1
-    shifts = range(0, monomials[0].num_vars * stride, stride)
+    shifts = range(0, len(vectors[0]) * stride, stride)
     ones = sum(1 << s for s in shifts)
-    packed = [sum(map(lshift, m.exponents, shifts)) for m in monomials]
+    packed = [sum(map(lshift, v, shifts)) for v in vectors]
     return packed, stride, ones, ones << (stride - 1)
+
+
+def _unpacked(packed, stride: int, n: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of n variables packed at ``stride`` (:func:`_packing`)."""
+    field = (1 << (stride - 1)) - 1
+    shifts = range(0, n * stride, stride)
+    return [tuple([p >> s & field for s in shifts]) for p in packed]
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,8 @@ class MonomialIdeal:
     The constructor insists that the given generators already form the
     minimal system (pairwise non-dividing); use :func:`minimalize` to
     reduce an arbitrary generating set first.  An empty generator list
-    is the zero ideal.
+    is the zero ideal.  ``generator_degrees`` holds the generators' degrees
+    in the same order.
 
     Distinct monomials of equal degree never divide each other, and a
     monomial never divides one of lower degree, so the check compares each
@@ -153,17 +154,21 @@ class MonomialIdeal:
     def __init__(self, num_vars: int, generators):
         if not isinstance(num_vars, int) or num_vars < 1:
             raise DomainError(f"num_vars must be a positive integer, got {num_vars!r}")
-        gens = sorted(set(generators), key=_gen_sort_key)
-        for g in gens:
-            if g.num_vars != num_vars:
-                raise DomainError(
-                    f"generator {g} has {g.num_vars} variables, expected {num_vars}"
-                )
-            if g.degree == 0:
-                raise DomainError("the unit ideal is not supported")
-        degrees = [g.degree for g in gens]
+        self._store(num_vars, *_canonical(generators))
+
+    def _store(self, num_vars: int, gens, exps, degrees):
+        """Check and store distinct generators given in canonical order with
+        their exponent vectors and degrees (:func:`_canonical`)."""
+        if gens and (degrees[0] == 0 or any(map(num_vars.__ne__, map(len, exps)))):
+            for g in gens:
+                if g.num_vars != num_vars:
+                    raise DomainError(
+                        f"generator {g} has {g.num_vars} variables, expected {num_vars}"
+                    )
+                if g.degree == 0:
+                    raise DomainError("the unit ideal is not supported")
         if gens and degrees[0] != degrees[-1]:
-            packed, _stride, _ones, guards = _packing(gens)
+            packed, _stride, _ones, guards = _packing(exps)
             for i, a in enumerate(packed):
                 for j in range(bisect_right(degrees, degrees[i]), len(gens)):
                     if (packed[j] | guards) - a & guards == guards:
@@ -172,6 +177,7 @@ class MonomialIdeal:
                         )
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generator_degrees", tuple(degrees))
 
     @property
     def is_zero(self) -> bool:
@@ -180,10 +186,6 @@ class MonomialIdeal:
     @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.generators)
-
-    @cached_property
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.generators)
 
     def contains(self, m: Monomial) -> bool:
         """Ideal membership for a monomial."""
@@ -203,28 +205,25 @@ def minimalize(monomials) -> MonomialIdeal:
     monomial of strictly lower degree divides it: a distinct monomial of
     equal degree cannot, and a dropped one's divisors are kept ones.  The
     divisibility test is the packed subtract-and-mask of :func:`_packing`.
+    The ideal is stored from the one sort, with every check of its class.
     """
-    mons = list(monomials)
-    if not mons:
+    unique, exps, degrees = _canonical(monomials)
+    if not unique:
         raise DomainError("minimalize needs at least one monomial")
-    n = mons[0].num_vars
-    if any(m.num_vars != n for m in mons):
+    n = len(exps[0])
+    if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
-    unique = sorted(set(mons), key=_gen_sort_key)
-    if unique[0].degree == unique[-1].degree:
-        return MonomialIdeal(n, unique)
-    packed, _stride, _ones, guards = _packing(unique)
-    kept: list[Monomial] = []
-    kept_packed: list[int] = []
-    for _degree, bucket in itertools.groupby(
-        zip(unique, packed), key=lambda pair: pair[0].degree
-    ):
-        below = list(kept_packed)
-        for m, b in bucket:
-            if not any((b | guards) - a & guards == guards for a in below):
-                kept.append(m)
-                kept_packed.append(b)
-    return MonomialIdeal(n, kept)
+    if degrees[0] != degrees[-1]:
+        packed, _stride, _ones, guards = _packing(exps)
+        keep: list[int] = []
+        for k, b in enumerate(packed):
+            lower = keep[: bisect_left(keep, bisect_left(degrees, degrees[k]))]
+            if not any((b | guards) - packed[a] & guards == guards for a in lower):
+                keep.append(k)
+        unique, exps, degrees = ([seq[k] for k in keep] for seq in (unique, exps, degrees))
+    ideal = MonomialIdeal.__new__(MonomialIdeal)
+    ideal._store(n, unique, exps, degrees)
+    return ideal
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
@@ -299,16 +298,17 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         raise over_cap(
             f"power-{k} factors", count * k, "ideals.MAX_POWER_FACTORS", MAX_POWER_FACTORS
         )
-    top = k * max(max(g.exponents) for g in gens)
-    packed, stride, _ones, _guards = _packing(gens, top)
-    field = (1 << (stride - 1)) - 1
-    shifts = range(0, ideal.num_vars * stride, stride)
+    exps = [g.exponents for g in gens]
+    packed, stride, _ones, _guards = _packing(exps, k * max(map(max, exps)))
     products = set(map(sum, itertools.combinations_with_replacement(packed, k)))
-    return minimalize([Monomial([p >> s & field for s in shifts]) for p in products])
+    return minimalize(map(Monomial, _unpacked(products, stride, ideal.num_vars)))
 
 
 def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
-    """The ideal generated by the degree-j component of the given ideal."""
+    """The ideal generated by the degree-j component of the given ideal.
+
+    g times each monomial of degree j - deg g is a packed g plus packed unit
+    vectors (:func:`_packing`), and each distinct sum is unpacked once."""
     if ideal.is_zero:
         raise DomainError("graded component of the zero ideal")
     min_deg = min(ideal.generator_degrees)
@@ -319,16 +319,14 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     count = sum(math.comb(n + e - 1, e) for e in extras if e >= 0)
     if count > MAX_GRADED_MONOMIALS:
         raise over_cap("monomials", count, "ideals.MAX_GRADED_MONOMIALS", MAX_GRADED_MONOMIALS)
-    out = set()
-    for g, extra in zip(ideal.generators, extras):
-        if extra < 0:
-            continue
-        for combo in itertools.combinations_with_replacement(range(n), extra):
-            exps = list(g.exponents)
-            for i in combo:
-                exps[i] += 1
-            out.add(Monomial(exps))
-    return minimalize(out)
+    below = [(g.exponents, e) for g, e in zip(ideal.generators, extras) if e >= 0]
+    top = max(max(g) + e for g, e in below)
+    packed, stride, _ones, _guards = _packing([g for g, _ in below], top)
+    units = [1 << s for s in range(0, n * stride, stride)]
+    sums = set()
+    for p, (_, extra) in zip(packed, below):
+        sums.update(map(p.__add__, map(sum, itertools.combinations_with_replacement(units, extra))))
+    return minimalize(map(Monomial, _unpacked(sums, stride, n)))
 
 
 def restrict_ideal(ideal: MonomialIdeal, bound) -> MonomialIdeal:
@@ -472,60 +470,47 @@ def verify_linear_quotients(order: list[Monomial]) -> bool:
     some g_k : g_i (k < i) that is a single variable.  It reads nothing from
     :func:`linear_quotients_order`.
 
-    On packed vectors (:func:`_packing`), ``d = (g_k | guards) - (g_i +
-    ones)`` keeps the guards of the variables where g_k exceeds g_i, each
-    with the excess minus one in the field below; g_k : g_i is a variable
-    exactly when one guard survives and its field is zero.  Every field of
-    ``g_k | guards`` is at least 2^w and every field of ``g_i + ones`` at
-    most 2^w, so no field borrows from the next.
-
-    The whole prefix is tested at once.  Block j of one int holds
-    ``g_j | guards`` in its low ``n * stride`` bits, and the block's top bit
-    is a sentinel that is 0 there; subtracting ``g_i + ones`` copied into
-    every block gives every d_j, and no borrow crosses a block because none
-    leaves its top field.  For X whose blocks are at most their sentinel,
-    ``(H - X) & H``, with H the sentinels, keeps the sentinel of exactly the
-    blocks where X is zero, again without a borrow across blocks.  With it,
-    one pass marks the blocks where g_j : g_i is a variable, their guards
-    are read off one colon variable at a time, and a last pass asks whether
-    some d_j keeps none of those guards.  That is a constant number of int
-    operations per generator and colon variable, each over the prefix.
+    The scan works on bit columns over generator positions: for each
+    variable v and each exponent c that occurs at v, one int holds the
+    positions j with ``g_j[v] == c`` and one the positions with
+    ``g_j[v] > c`` (dicts keyed by the exponents that occur, so a huge
+    exponent costs nothing).  For g_i, the ``> g_i[v]`` column of each v,
+    masked to the prefix j < i, holds the j where x_v divides g_j : g_i.
+    Two accumulators give the j that exceed g_i at exactly one variable; g_j
+    : g_i is x_v exactly when j is one of them and lies in the ``== g_i[v]
+    + 1`` column of v, which makes v a colon variable.  g_i fails iff some
+    j < i lies in none of the ``> g_i[v]`` columns of the colon variables.
+    That is a constant number of int operations per generator and variable,
+    each over the prefix.
     """
     if len(order) < 2:
         return True
     n = order[0].num_vars
     if any(m.num_vars != n for m in order):
         raise DomainError("monomials have mixed variable counts")
-    packed, stride, ones, guards = _packing(order)
-    w = stride - 1
-    top = n * stride
-    width = top + 1
-    # The prefix g_0 .. g_{i-1}, and a 1, the guards and the sentinel of
-    # each of its blocks; each grows by one block per generator.
-    prefix = unit = block_guards = sentinels = 0
-    for i, g in enumerate(packed):
-        if i:
-            d = prefix - (g + ones) * unit
-            e = d & block_guards
-            x = e | sentinels
-            # Zero exactly where one guard survives and its field is zero:
-            # e_j & (e_j - 1) flags a second guard (the sentinel keeps the
-            # decrement in the block), and e_j - (e_j >> w) covers the
-            # fields of the surviving guards.  A block with no guard is left
-            # at its sentinel, so it is not linear.
-            x = x & (x - unit) ^ sentinels | d & (e - (e >> w))
-            linear_blocks = (sentinels - x) & sentinels
-            found = e & (linear_blocks - (linear_blocks >> top))
-            linear = 0
-            while found:
-                guard = 1 << (found.bit_length() - 1) % width
-                linear |= guard
-                found &= ~(guard * unit)
-            if (sentinels - (d & linear * unit)) & sentinels:
-                return False
-        shift = i * width
-        prefix |= (g | guards) << shift
-        unit |= 1 << shift
-        block_guards |= guards << shift
-        sentinels |= 1 << (shift + top)
+    columns = list(zip(*(m.exponents for m in order)))
+    tables = []  # per variable: c -> (the > c column, the == c + 1 column)
+    for column in columns:
+        at: dict[int, int] = {}
+        for j, c in enumerate(column):
+            at[c] = at.get(c, 0) | 1 << j
+        table, higher = {}, 0
+        for c in sorted(at, reverse=True):
+            table[c] = higher, at.get(c + 1, 0)
+            higher |= at[c]
+        tables.append(table)
+    # Row i holds g_i's own pair of columns for each variable.
+    for i, row in enumerate(zip(*map(map, [t.__getitem__ for t in tables], columns))):
+        prefix = (1 << i) - 1
+        once = twice = 0
+        for above, _ in row:
+            twice |= once & above
+            once |= above
+        single = once & ~twice & prefix
+        covered = 0
+        for above, successor in row:
+            if single & successor:
+                covered |= above
+        if covered & prefix != prefix:
+            return False
     return True

@@ -15,7 +15,7 @@ from .complexes import SimplicialComplex
 from .errors import DomainError, over_cap
 from .graphs import Graph
 from .homological import BettiTable
-from .ideals import Monomial, MonomialIdeal, monomial_to_str
+from .ideals import Monomial, MonomialIdeal, minimalize, monomial_to_str
 from .quasitrees import RelationTree
 
 
@@ -181,11 +181,7 @@ def ideal_from_json(obj) -> MonomialIdeal:
             gens.append(Monomial(g))
         else:
             raise DomainError(f"generator {g!r} is neither a string nor an integer vector")
-    if not gens:
-        return MonomialIdeal(n, [])
-    from .ideals import minimalize as _minimalize
-
-    return _minimalize(gens)
+    return minimalize(gens) if gens else MonomialIdeal(n, [])
 
 
 def ideal_to_json(ideal: MonomialIdeal, pretty: bool = False) -> dict:

@@ -45,6 +45,7 @@ from .graphs import (
     mcs_order,
 )
 from .homological import (
+    MAX_SHELLING_FACETS,
     RATIONALS,
     FieldChoice,
     betti_table,
@@ -384,6 +385,12 @@ def _run_family(suite: str, family, check, **notes) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# has_linear_resolution past 11 generators: the nodes of its certificate
+# search (then it falls back to the Betti table) and that table's lattice.
+MAX_CERTIFICATE_NODES = 200_000
+MAX_FALLBACK_LCMS = 200_000
+
+
 def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> bool:
     """Decide whether I has a linear resolution over the chosen field.
 
@@ -408,12 +415,12 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
         if verify_linear_quotients(candidate):
             return True
     try:
-        if linear_quotients_order(ideal, max_nodes=200_000) is not None:
+        if linear_quotients_order(ideal, max_nodes=MAX_CERTIFICATE_NODES) is not None:
             return True
     except ResourceLimitError:
         pass
     table = betti_table(
-        ideal, field, max_generators=t, max_vars=ideal.num_vars, max_lcms=200_000
+        ideal, field, max_generators=t, max_vars=ideal.num_vars, max_lcms=MAX_FALLBACK_LCMS
     )
     return table.is_linear(d)
 
@@ -593,6 +600,11 @@ def check_shellable_vs_linear_quotients(
     family = _sampled(seed, samples, 3, max_n, draw)
     if samples > 0:  # C(n, d) >= 3 for 2 <= d < n, so only max_facets can empty the range
         _check_range(2, max_facets, "max_facets")
+        # C(n, d) peaks at n = max_n, d = min(4, max_n // 2): past the cap a
+        # draw could only fail in shelling_order, so refuse before the first.
+        if min(max_facets, math.comb(max_n, min(4, max_n // 2))) > MAX_SHELLING_FACETS:
+            cap = "homological.MAX_SHELLING_FACETS"
+            raise over_cap("max_facets", max_facets, cap, MAX_SHELLING_FACETS, "lower --max-facets")
     report = _run_family("thm-1.4c", family, check, samples=samples)
     report["notes"].update(shellable=shellable, not_shellable=report["instances"] - shellable)
     return report

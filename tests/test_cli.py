@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal
+from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal, verification
 from srideals.serialization import ideal_to_json
 from srideals.verification import SUITES
 
@@ -649,6 +649,25 @@ class TestSuiteCaps:
     )
     def test_huge_sampled_vertex_count_is_prompt_exit_3(self, tmp_path, argv):
         _capped_exit_3(tmp_path, None, argv, "MAX_SAMPLED_VERTICES")
+
+    def test_shelling_budget_beyond_the_search_cap_is_refused_up_front(
+        self, monkeypatch, capsys
+    ):
+        # thm-1.4c would draw complexes of up to 30 facets and then stop at
+        # the first shelling search over 12; no complex may be drawn at all
+        def no_draw(*args):
+            raise AssertionError("a complex was drawn")
+
+        monkeypatch.setattr(verification, "random_pure_complex", no_draw)
+        argv = ["verify", "thm-1.4c", "--max-facets", "30", "--samples", "200"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: resource limit: max_facets = 30 exceeds "
+            "homological.MAX_SHELLING_FACETS = 12 (lower --max-facets)\n"
+        )
+        # on 5 vertices no draw has more than C(5, 2) = 10 facets
+        monkeypatch.undo()
+        assert cli.main([*argv[:4], "--samples", "5", "--max-n", "5"]) == 0
 
     def test_names_the_flag(self, capsys):
         assert cli.main(["verify", "thm-3.3", "--max-n", "7"]) == 3

@@ -15,6 +15,7 @@ from srideals import (
     complement_complex,
     facet_ideal,
     is_cohen_macaulay,
+    minimalize,
     projdim_and_reg,
     reduced_homology,
     shelling_order,
@@ -141,6 +142,24 @@ class TestBettiTables:
         for ideal in ideals:
             for field in (RATIONALS, GF2):
                 assert betti_table(ideal, field) == taylor_betti_table(ideal, field)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            # x1^1000 needs 10 value bits in every packed field
+            [(1000, 0, 0), (3, 2, 0), (0, 7, 1), (0, 0, 5)],
+            [(1000, 0), (999, 1), (1, 999), (0, 1000)],
+            # mixed degrees, with exponents at the field-width edges 2^w - 1, 2^w
+            [(1, 1, 0), (0, 3, 1), (4, 0, 2), (0, 0, 7), (8, 0, 0)],
+            [(2**40, 0, 0, 0), (1, 1, 1, 0), (0, 2, 0, 3), (0, 0, 15, 16)],
+        ],
+    )
+    def test_taylor_oracle_agrees_on_wide_exponents(self, vectors):
+        ideal = minimalize([Monomial(v) for v in vectors])
+        for field in (RATIONALS, GF2):
+            table = betti_table(ideal, field)
+            assert table == taylor_betti_table(ideal, field)
+            assert table.total(0) == len(ideal.generators)
 
     def test_projective_plane_ideal_field_sensitivity(self):
         ideal = stanley_reisner_ideal(PROJECTIVE_PLANE)

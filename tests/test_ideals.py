@@ -27,6 +27,9 @@ def m(*exps):
     return Monomial(exps)
 
 
+B = 2**40
+
+
 class TestMonomial:
     def test_arithmetic(self):
         a, b = m(2, 0, 1), m(1, 1, 0)
@@ -79,6 +82,69 @@ class TestMonomialIdeal:
     def test_minimalize(self):
         ideal = minimalize([m(1, 1), m(1, 2), m(2, 1), m(0, 3)])
         assert ideal.generators == (m(1, 1), m(0, 3))
+
+
+# Generators or error message of MonomialIdeal(n, gens) and minimalize(gens):
+# the same before and after their canonical sort became one dict and one
+# sort of (degree, exponents) pairs.
+CANONICAL_CASES = {
+    "duplicated-unsorted": (
+        3,
+        [(0, 2, 1), (1, 1, 0), (0, 2, 1), (1, 0, 1), (1, 1, 0)],
+        [(1, 0, 1), (1, 1, 0), (0, 2, 1)],
+        [(1, 0, 1), (1, 1, 0), (0, 2, 1)],
+    ),
+    "mixed-degree": (
+        3,
+        [(2, 0, 0), (1, 1, 1), (0, 0, 3), (0, 1, 0)],
+        "generators are not minimal: Monomial(x2) and Monomial(x1*x2*x3) are comparable",
+        [(0, 1, 0), (2, 0, 0), (0, 0, 3)],
+    ),
+    "huge-exponents": (
+        2,
+        [(B, 0), (1, 1), (0, B), (2 * B, 0)],
+        f"generators are not minimal: Monomial(x1^{B}) and Monomial(x1^{2 * B}) are comparable",
+        [(1, 1), (0, B), (B, 0)],
+    ),
+    "mixed-num-vars": (
+        3,
+        [(1, 0, 0), (1, 1), (0, 0, 1)],
+        "generator Monomial(x1*x2) has 2 variables, expected 3",
+        "monomials have mixed variable counts",
+    ),
+    "mixed-num-vars-sorted-first": (
+        2,
+        [(1, 0, 0), (1, 1)],
+        "generator Monomial(x1) has 3 variables, expected 2",
+        "monomials have mixed variable counts",
+    ),
+    "unit": (2, [(1, 0), (0, 0)], "the unit ideal is not supported", "the unit ideal is not supported"),
+    "unit-with-mixed-num-vars": (
+        2,
+        [(0, 0, 0), (1, 0)],
+        "generator Monomial(1) has 3 variables, expected 2",
+        "monomials have mixed variable counts",
+    ),
+    "empty": (2, [], [], "minimalize needs at least one monomial"),
+}
+
+
+@pytest.mark.parametrize("case", CANONICAL_CASES)
+def test_canonical_generators_and_errors(case):
+    n, vectors, as_ideal, minimal = CANONICAL_CASES[case]
+    for build, expected in (
+        (lambda gens: MonomialIdeal(n, gens), as_ideal),
+        (minimalize, minimal),
+    ):
+        gens = [Monomial(v) for v in vectors]
+        if isinstance(expected, str):
+            with pytest.raises(DomainError) as err:
+                build(gens)
+            assert str(err.value) == expected
+        else:
+            ideal = build(gens)
+            assert [g.exponents for g in ideal.generators] == expected
+            assert ideal.generator_degrees == tuple(map(sum, expected))
 
 
 class TestBridges:
@@ -242,6 +308,24 @@ class TestLinearQuotients:
         for candidate in (order, order[::-1]):
             with pytest.raises(DomainError, match="mixed variable counts"):
                 verify_linear_quotients(candidate)
+
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            # x1^B : x1^(B-1) x2 = x1, and x1^(B-1) x2 : x1^(B-1) x3 = x2
+            ([(B, 0, 0), (B - 1, 1, 0), (B - 1, 0, 1)], True),
+            # the colon variable sits in the == B + 1 column of x1
+            ([(B + 1, 0), (B, 1)], True),
+            ([(B, 1), (B + 1, 0)], True),
+            # x1^(B+2) : x1^B x2 = x1^2 is no variable
+            ([(B + 2, 0), (B, 1)], False),
+            ([(B, 0), (0, B)], False),
+            # (1) : x1^B = (1) is not generated by variables
+            ([(0,), (B,)], False),
+        ],
+    )
+    def test_exponents_beyond_2_to_the_40(self, order, expected):
+        assert verify_linear_quotients([Monomial(v) for v in order]) is expected
 
     def test_mixed_degree_order_can_still_be_linear(self):
         # (x):(y^2) = (x) is generated by a single variable

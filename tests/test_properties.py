@@ -22,6 +22,7 @@ from srideals import (
     complex_from_ideal,
     dimension_info,
     facet_ideal,
+    graded_component_ideal,
     linear_quotients_order,
     minimalize,
     Monomial,
@@ -400,6 +401,39 @@ def test_verify_linear_quotients_on_long_orders(orders):
         assert verify_linear_quotients([Monomial(v) for v in order]) == (
             _naive_linear_quotients(order)
         )
+
+
+# Ideals whose exponents span several packed-field widths (1 to 41 value
+# bits), of mixed degrees: the Betti engine joins and compares them packed.
+@given(exponent_vectors(max_vectors=6))
+@settings(max_examples=150, deadline=None)
+def test_betti_oracles_agree_on_wide_exponents(vectors):
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return
+    ideal = minimalize([Monomial(v) for v in vectors])
+    for field in (RATIONALS, GF2):
+        assert betti_table(ideal, field) == taylor_betti_table(ideal, field)
+
+
+def _naive_graded_component(vectors, n, j):
+    """Every exponent vector of degree j divisible by one of `vectors`."""
+    out = set()
+    for combo in itertools.combinations_with_replacement(range(n), j):
+        e = tuple(combo.count(v) for v in range(n))
+        if any(_naive_divides(g, e) for g in vectors):
+            out.add(e)
+    return out
+
+
+@given(monomial_ideals(max_exp=4), st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_graded_component_matches_naive_reference(ideal, extra):
+    j = min(ideal.generator_degrees) + extra
+    vectors = [g.exponents for g in ideal.generators]
+    expected = sorted(_naive_graded_component(vectors, ideal.num_vars, j))
+    got = graded_component_ideal(ideal, j)
+    assert [g.exponents for g in got.generators] == expected
 
 
 # A plain dense Gaussian elimination, over Fraction for p = 0 and mod p
