@@ -72,7 +72,9 @@ from .quasitrees import (
     is_quasi_tree,
     leaf_order,
     leaf_report,
+    minor_certificates,
     reconstruct_generators,
+    reconstructs,
     relation_trees,
     relation_tree_from_edges,
     selected_relation_rows,

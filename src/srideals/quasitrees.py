@@ -6,6 +6,18 @@ shifts to 1-based).  The generators attached to a complex are always
 the facet-complement monomials x_{F_i^c} *in facet order*, which keeps
 the relation matrix, the Taylor relations and the reconstructed
 generators aligned on the same index set.
+
+Lemma 2.1's two checks of a relation tree each have one kernel on packed
+exponent ints (:func:`ideals._packing`), with a batch entry that packs
+per call what all trees share and returns one verdict per tree:
+:func:`minor_certificates` (the maximal minors of the tree's relation
+rows, by column elimination in :func:`_minor`) and :func:`reconstructs`
+(the generators as products of the tree's labels, by rerooting in
+:func:`_products`).  The certificate reads only the complex's rows and
+the reconstruction only each tree's edges and labels.
+:func:`verify_minor_certificate`, :func:`tree_minor_det` and
+:func:`reconstruct_generators` are single-tree wrappers over the same
+kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, mask_face
 from .errors import DomainError, over_cap
-from .ideals import Monomial, MonomialIdeal
+from .ideals import Monomial, MonomialIdeal, _packing, _unpacked
 
 
 @dataclass(frozen=True)
@@ -241,64 +253,81 @@ def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
     return RelationTree(len(gens), tuple(sorted(edges)), tuple(sorted(labels)))
 
 
-def _add_exponents(acc: list[int], mono: Monomial) -> None:
-    """Multiply the exponent vector `acc` by `mono` in place."""
-    for k, e in enumerate(mono.exponents):
-        if e:
-            acc[k] += e
+def _incidence(rows, width: int) -> list[int]:
+    """Per column c < width, the rows (as bits) with an entry in column c."""
+    inc = [0] * width
+    for r, (i, j, _, _) in enumerate(rows):
+        inc[i] |= 1 << r
+        inc[j] |= 1 << r
+    return inc
+
+
+def _minor(rows, inc: list[int], cols: int) -> tuple[int, int] | None:
+    """(sign, packed product) of the minor of packed rows on the columns
+    in the bitmask `cols`, or None, by repeatedly eliminating the lowest
+    column with a single nonzero entry.
+
+    rows[r] = (i, j, p_i, p_j) has +p_i in column i and -p_j in column j,
+    exponent vectors packed by :func:`ideals._packing` in fields wide
+    enough for the product; inc is :func:`_incidence`.  A column is
+    eliminable when ``inc[c] & alive`` has one bit.  Cofactor expansion
+    along it contributes the entry's sign times (-1)^(row+col), with row
+    and col counted among the alive rows and columns.  For a spanning tree
+    the elimination always completes and the determinant is one signed
+    monomial (no cancellation can occur); a stall means it vanishes (the
+    rows share a cycle).
+    """
+    if not rows:
+        return None
+    alive = (1 << len(rows)) - 1
+    sign, product = 1, 0
+    while alive:
+        rest = cols
+        while rest:
+            bit = rest & -rest
+            hit = inc[bit.bit_length() - 1] & alive
+            if hit and not hit & (hit - 1):
+                break
+            rest ^= bit
+        else:
+            return None
+        i, j, p_i, p_j = rows[hit.bit_length() - 1]
+        if bit >> j & 1:
+            sign = -sign
+            product += p_j
+        else:
+            product += p_i
+        if ((alive & (hit - 1)).bit_count() + (cols & (bit - 1)).bit_count()) & 1:
+            sign = -sign
+        alive ^= hit
+        cols ^= bit
+    return sign, product
 
 
 def tree_minor_det(
     rows: list[tuple[int, int, Monomial, Monomial]], drop_col: int
 ) -> SignedMonomial | None:
-    """Signed det of the minor obtained by dropping one column, by
-    repeatedly eliminating columns with a single nonzero entry.
+    """Signed det of the minor obtained by dropping one column, or None
+    when it vanishes.
 
     Each row (i, j, m_i, m_j) has entry +m_i in column i and -m_j in
-    column j.  For a spanning tree the elimination always completes and
-    the determinant is a single signed monomial (no cancellation can
-    occur); a stall means the determinant vanishes (the rows share a
-    cycle) and None is returned.
+    column j; the elimination is :func:`_minor`'s.
     """
-    active = []
-    counts: dict[int, int] = {}  # nonzero entries per column, kept current
-    for i, j, mi, mj in rows:
-        cells = {}
-        if i != drop_col:
-            cells[i] = (1, mi)
-        if j != drop_col:
-            cells[j] = (-1, mj)
-        for c in cells:
-            counts[c] = counts.get(c, 0) + 1
-        active.append(cells)
-    if not active:
+    if not rows:
         return None
-    cols = sorted(counts)
-    acc = [0] * rows[0][2].num_vars  # the exponent vector of the product
-    sign = 1
-    while active:
-        for pos, col in enumerate(cols):
-            if counts[col] == 1:
-                break
-        else:
-            return None
-        for row_idx, cells in enumerate(active):
-            if col in cells:
-                break
-        del active[row_idx]
-        del cols[pos]
-        entry_sign, mono = cells[col]
-        # Cofactor expansion along a column with one nonzero entry: the
-        # sign contribution is the entry's sign times (-1)^(row+col)
-        # relative to the current (shrunken) matrix.  No other row meets
-        # col, so only the counts of this row's columns change.
-        if (row_idx + pos) & 1:
-            entry_sign = -entry_sign
-        sign *= entry_sign
-        for c in cells:
-            counts[c] -= 1
-        _add_exponents(acc, mono)
-    return sign, Monomial(acc)
+    n = rows[0][2].num_vars
+    monomials = [m for _, _, m_i, m_j in rows for m in (m_i, m_j)]
+    if any(m.num_vars != n for m in monomials):
+        raise DomainError("relation rows have mixed variable counts")
+    exps = [m.exponents for m in monomials]
+    packed, stride, _, _ = _packing(exps, len(rows) * max(map(max, exps)))
+    packed_rows = [(i, j, *packed[2 * r : 2 * r + 2]) for r, (i, j, _, _) in enumerate(rows)]
+    inc = _incidence(packed_rows, 1 + max(max(i, j) for i, j, _, _ in rows))
+    cols = sum(1 << c for c, bits in enumerate(inc) if bits and c != drop_col)
+    det = _minor(packed_rows, inc, cols)
+    if det is None:
+        return None
+    return det[0], Monomial(_unpacked([det[1]], stride, n)[0])
 
 
 def selected_relation_rows(
@@ -318,22 +347,55 @@ def selected_relation_rows(
     ]
 
 
-def verify_minor_certificate(cx: SimplicialComplex, tree) -> bool:
-    """Check |det(M#(j))| = x_[n] / x_{F_j} for every column j, where M#
-    consists of the relation-matrix rows selected by the tree's edges."""
-    t = len(cx.facets)
-    edges = tuple(tree.edges) if isinstance(tree, RelationTree) else tuple(tree)
-    if not _is_tree(t, sorted(edges)):
+def _spanning_edges(t: int, tree) -> list[tuple[int, int]]:
+    """The sorted edges of a tree or edge list, checked to span [0, t)."""
+    edges = sorted((i, j) for i, j in (tree.edges if isinstance(tree, RelationTree) else tree))
+    if not all(0 <= i < t and 0 <= j < t for i, j in edges) or not _is_tree(t, edges):
         raise DomainError("certificate edges must form a spanning tree on the facets")
+    return edges
+
+
+def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
+    """For each tree (a RelationTree or an edge list), whether
+    |det(M#(j))| = x_[n] / x_{F_j} for every column j, where M# consists
+    of the relation-matrix rows selected by the tree's edges.
+
+    Each facet pair's row and each x_{F_j^c} is packed once per call, in
+    fields of (t-1).bit_length() value bits: a minor multiplies t - 1
+    squarefree entries.
+    """
+    t = len(cx.facets)
+    if t < 2:
+        raise DomainError("the minor certificate needs at least two facets")
+    edge_lists = [_spanning_edges(t, tree) for tree in trees]
     masks = cx.facet_masks
-    rows = selected_relation_rows(cx, edges)
     full = (1 << cx.n) - 1
-    for j in range(t):
-        expected = Monomial.from_support(mask_face(full & ~masks[j]), cx.n)
-        det = tree_minor_det(rows, j)
-        if det is None or det[1].exponents != expected.exponents:
-            return False
-    return True
+    pairs = sorted({e for edges in edge_lists for e in edges})
+    supports = [full & ~m for m in masks]
+    for i, j in pairs:
+        supports += (masks[i] & ~masks[j], masks[j] & ~masks[i])
+    packed = _packing([[m >> v & 1 for v in range(cx.n)] for m in supports], t - 1)[0]
+    expected = packed[:t]
+    rows = {e: (*e, *packed[t + 2 * k : t + 2 * k + 2]) for k, e in enumerate(pairs)}
+    every = (1 << t) - 1
+    verdicts = []
+    for edges in edge_lists:
+        tree_rows = [rows[e] for e in edges]
+        inc = _incidence(tree_rows, t)
+        for j in range(t):
+            det = _minor(tree_rows, inc, every ^ 1 << j)
+            if det is None or det[1] != expected[j]:
+                verdicts.append(False)
+                break
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+def verify_minor_certificate(cx: SimplicialComplex, tree) -> bool:
+    """Check |det(M#(j))| = x_[n] / x_{F_j} for every column j
+    (:func:`minor_certificates` for one tree)."""
+    return minor_certificates(cx, [tree])[0]
 
 
 # Cap on the edge sets held across relation_trees' memo, one per alive
@@ -417,50 +479,87 @@ def _edges_of(edge_set: int, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
-    """Recover the generators from a labeled relation tree.
-
-    For each index i the tree is oriented away from i and the directed
-    edge k -> j contributes the quotient u_kj; the product over all
-    edges is the generator u_i.  One walk from index 0 gives u_0; moving
-    the root across an edge a -> b turns only that edge around, so
-    u_b = u_a / u_ab * u_ba, taken along the walk's edges.
-    """
-    t = tree.num_generators
-    if t < 2:
+def _label_variables(tree: RelationTree) -> int:
+    """The variable count shared by a tree's labels."""
+    if tree.num_generators < 2:
         raise DomainError("reconstruction needs a tree with at least one edge")
-    adj: dict[int, list[int]] = {k: [] for k in range(t)}
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     nv = tree.labels[0][1][0].num_vars
     if any(u.num_vars != nv or v.num_vars != nv for _, (u, v) in tree.labels):
         raise DomainError("relation tree labels have mixed variable counts")
-    labels = dict(reversed(tree.labels))  # the first label per edge, as label()
+    return nv
 
-    def quotient(a: int, b: int) -> Monomial:
-        """u_ab, what the edge contributes when oriented a -> b."""
-        u_ij, u_ji = labels[min(a, b), max(a, b)]
-        return u_ij if a < b else u_ji
 
+def _pack_labels(trees, extra):
+    """Pack each distinct label pair of the trees once, together with the
+    exponent vectors in `extra`, in fields wide enough for a product of
+    t - 1 labels: ({id(pair): (u_ij, u_ji)}, packed extra, stride)."""
+    pairs = list({id(pair): pair for tree in trees for _, pair in tree.labels}.values())
+    vectors = [m.exponents for pair in pairs for m in pair] + list(extra)
+    longest = max(tree.num_generators for tree in trees) - 1
+    top = max([longest * max(map(max, vectors)), *map(max, extra)])
+    packed, stride, _, _ = _packing(vectors, top)
+    by_id = {id(pair): (packed[2 * k], packed[2 * k + 1]) for k, pair in enumerate(pairs)}
+    return by_id, packed[2 * len(pairs) :], stride
+
+
+def _products(tree: RelationTree, packed_labels) -> list[int]:
+    """The packed u_0, ..., u_{t-1} of one tree.
+
+    For each index i the tree is oriented away from i and the directed
+    edge k -> j contributes the quotient u_kj; the product over all edges
+    is u_i.  One walk from index 0 gives u_0; moving the root across an
+    edge a -> b turns only that edge around, so u_b = u_a - u_ab + u_ba
+    on packed ints (u_a holds u_ab, so no field borrows).
+    """
+    t = tree.num_generators
+    quotient = {}  # (a, b) -> u_ab, what the edge contributes oriented a -> b
+    adj: list[list[int]] = [[] for _ in range(t)]
+    for (i, j), pair in reversed(tree.labels):  # the first label per edge wins
+        quotient[i, j], quotient[j, i] = packed_labels[id(pair)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     walk = []  # (a, b) for each edge, a nearer to index 0, in walk order
-    seen = {0}
+    seen = [True] + [False] * (t - 1)
     stack = [0]
     while stack:
         a = stack.pop()
         for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
+            if not seen[b]:
+                seen[b] = True
                 stack.append(b)
                 walk.append((a, b))
-    products = [[0] * nv for _ in range(t)]
+    products = [0] * t
+    products[0] = sum(quotient[e] for e in walk)
     for a, b in walk:
-        _add_exponents(products[0], quotient(a, b))
-    for a, b in walk:
-        products[b] = [
-            x - y + z
-            for x, y, z in zip(
-                products[a], quotient(a, b).exponents, quotient(b, a).exponents
-            )
-        ]
-    return [Monomial(p) for p in products]
+        products[b] = products[a] - quotient[a, b] + quotient[b, a]
+    return products
+
+
+def reconstructs(trees, generators) -> list[bool]:
+    """For each labeled relation tree, whether it gives back exactly the
+    given generators (:func:`reconstruct_generators` for every tree, with
+    each distinct label packed once per call and no monomial built)."""
+    trees = list(trees)
+    nvs = [_label_variables(tree) for tree in trees]
+    gens = [g.exponents for g in generators]
+    n = len(gens[0]) if gens else 0
+    matching = [
+        nv == n and tree.num_generators == len(gens) for tree, nv in zip(trees, nvs)
+    ]
+    if not any(matching) or any(len(g) != n for g in gens):
+        return [False] * len(trees)
+    candidates = [tree for tree, ok in zip(trees, matching) if ok]
+    packed_labels, packed_gens, _ = _pack_labels(candidates, gens)
+    return [
+        ok and _products(tree, packed_labels) == packed_gens
+        for tree, ok in zip(trees, matching)
+    ]
+
+
+def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
+    """Recover the generators from a labeled relation tree (the products
+    of :func:`_products`)."""
+    n = _label_variables(tree)
+    packed_labels, _, stride = _pack_labels([tree], [])
+    return [Monomial(p) for p in _unpacked(_products(tree, packed_labels), stride, n)]

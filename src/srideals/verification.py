@@ -72,9 +72,9 @@ from .quasitrees import (
     leaf_order,
     leaf_order_masks,
     leaf_report,
-    reconstruct_generators,
+    minor_certificates,
+    reconstructs,
     relation_trees,
-    verify_minor_certificate,
 )
 from .serialization import complex_to_json, ideal_to_json
 
@@ -670,10 +670,11 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
         t = len(masks)
         cx = complex_from_masks(n, masks)
         all_edges = list(itertools.combinations(range(t), 2))
+        spanning = [
+            tree for tree in itertools.combinations(all_edges, t - 1) if _is_tree(t, tree)
+        ]
         passing = {
-            tree
-            for tree in itertools.combinations(all_edges, t - 1)
-            if _is_tree(t, tree) and verify_minor_certificate(cx, tree)
+            tree for tree, ok in zip(spanning, minor_certificates(cx, spanning)) if ok
         }
         is_qt = leaf_order_masks(list(masks)) is not None
         if is_qt != bool(passing):
@@ -686,8 +687,8 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
             yield {"complex": _masks_witness(n, masks), "mismatch": "tree sets"}
             return
         gens = facet_complement_generators(cx)
-        for tr in trees:
-            if reconstruct_generators(tr) != gens:
+        for tr, ok in zip(trees, reconstructs(trees, gens)):
+            if not ok:
                 yield {"complex": _masks_witness(n, masks), "tree": [list(e) for e in tr.edges]}
                 return
 

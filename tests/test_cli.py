@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srideals import SimplicialComplex, cli, run_suite, stanley_reisner_ideal, verification
-from srideals.serialization import ideal_to_json
+from srideals.quasitrees import (
+    _is_tree,
+    facet_complement_generators,
+    minor_certificates,
+    relation_tree_from_edges,
+    relation_trees,
+)
+from srideals.serialization import ideal_to_json, relation_tree_to_json
 from srideals.verification import SUITES
 
 WORKED_EXAMPLE = {"ambient": 6, "facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [3, 4, 6]]}
@@ -470,6 +478,37 @@ class TestExitCodes:
         code, report = run("quasitree", WORKED_EXAMPLE)
         assert code == 2
         assert any(not c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize(
+        "payload, covering",
+        [(WORKED_EXAMPLE, True), ({"ambient": 5, "facets": [[1], [2, 3], [2, 4]]}, False)],
+    )
+    def test_one_bad_tree_among_relation_trees_is_one_failed_check(
+        self, run, monkeypatch, payload, covering
+    ):
+        # A spanning tree that is no relation tree, with Taylor labels, slipped
+        # into the middle of the list: on a covering complex the minor
+        # certificate rejects it, otherwise only reconstruction can.
+        cx = SimplicialComplex(payload["ambient"], payload["facets"])
+        trees = relation_trees(cx)
+        t = len(cx.facets)
+        bad = next(
+            relation_tree_from_edges(facet_complement_generators(cx), edges)
+            for edges in itertools.combinations(itertools.combinations(range(t), 2), t - 1)
+            if _is_tree(t, edges) and edges not in {tr.edges for tr in trees}
+        )
+        if covering:
+            assert minor_certificates(cx, [bad]) == [False]
+        middle = len(trees) // 2
+        monkeypatch.setattr(
+            cli, "relation_trees", lambda cx, limit: trees[:middle] + [bad] + trees[middle:]
+        )
+        code, report = run("relation-trees", payload)
+        assert code == 2
+        assert report["result"]["count"] == len(trees) + 1
+        assert report["checks"] == [
+            {"name": "tree-certificate", "passed": False, "witness": relation_tree_to_json(bad)}
+        ]
 
 
 class TestDeterminism:

@@ -64,9 +64,12 @@ from srideals.quasitrees import (
     RelationTree,
     facet_complement_generators,
     leaf_order,
+    minor_certificates,
     reconstruct_generators,
+    reconstructs,
     relation_tree_from_edges,
     relation_trees,
+    selected_relation_rows,
     tree_minor_det,
     verify_minor_certificate,
 )
@@ -821,18 +824,18 @@ def tree_edges(draw, t):
     return sorted(edges)
 
 
-def _exponent_monomials(n):
-    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(Monomial)
+def _exponent_monomials(n, max_exp=3):
+    return st.lists(st.integers(0, max_exp), min_size=n, max_size=n).map(Monomial)
 
 
 @st.composite
-def labelled_trees(draw):
-    """A random spanning tree on t <= 9 generators with arbitrary (not
+def labelled_trees(draw, max_t=9, max_exp=3):
+    """A random spanning tree on t <= max_t generators with arbitrary (not
     squarefree) generators and relation-matrix rows, so that several
     factors of a product can share a variable."""
-    t = draw(st.integers(2, 9))
+    t = draw(st.integers(2, max_t))
     n = draw(st.integers(1, 4))
-    monomials = _exponent_monomials(n)
+    monomials = _exponent_monomials(n, max_exp)
     gens = draw(st.lists(monomials, min_size=t, max_size=t))
     edges = draw(tree_edges(t))
     rows = [(i, j, draw(monomials), draw(monomials)) for i, j in edges]
@@ -921,6 +924,150 @@ def test_rerooted_products_match_the_per_root_walk(t, n, data):
     assert reconstruct_generators(tree) == [
         _reference_generator(tree, root, n) for root in range(t)
     ]
+
+
+def _reference_products(tree, num_vars):
+    return [_reference_generator(tree, root, num_vars) for root in range(tree.num_generators)]
+
+
+def _times_x1(m):
+    return Monomial((m.exponents[0] + 1,) + m.exponents[1:])
+
+
+# Wide exponents: a product of 11 labels up to 2^40 needs 44-bit fields.
+wide_labelled_trees = labelled_trees(max_t=12, max_exp=2**40)
+
+
+@given(st.lists(wide_labelled_trees, min_size=1, max_size=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_reconstruction_matches_the_per_root_oracle(cases, data):
+    # One call packs the labels of trees of different sizes and variable
+    # counts; a tree matches only the generators it multiplies out to.
+    trees = [tree for tree, _, _ in cases]
+    products = [_reference_products(tree, n) for tree, _, n in cases]
+    gens = list(data.draw(st.sampled_from(products)))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(gens) - 1))
+        gens[k] = _times_x1(gens[k])
+    assert reconstructs(trees, gens) == [p == gens for p in products]
+    assert [reconstruct_generators(tree) for tree in trees] == products
+
+
+@given(wide_labelled_trees, st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_reconstruction_fails_on_a_perturbed_label(case, data):
+    tree, _, n = case
+    gens = _reference_products(tree, n)
+    e, (u, v) = data.draw(st.sampled_from(tree.labels))
+    bent = RelationTree(
+        tree.num_generators,
+        tree.edges,
+        tuple((f, (_times_x1(u), v) if f == e else lab) for f, lab in tree.labels),
+    )
+    # root i orients e = (i, j) away from itself, so u_i picks up the change
+    assert reconstructs([tree, bent], gens) == [True, False]
+    assert reconstructs([bent], _reference_products(bent, n)) == [True]
+
+
+@given(wide_labelled_trees, st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_first_label_of_an_edge_wins(case, data):
+    tree, _, n = case
+    e = data.draw(st.sampled_from(tree.edges))
+    monomials = _exponent_monomials(n, 2**40)
+    other = (data.draw(monomials), data.draw(monomials))
+    after = RelationTree(tree.num_generators, tree.edges, tree.labels + ((e, other),))
+    before = RelationTree(tree.num_generators, tree.edges, ((e, other),) + tree.labels)
+    replaced = RelationTree(
+        tree.num_generators,
+        tree.edges,
+        tuple((f, other if f == e else lab) for f, lab in tree.labels),
+    )
+    assert after.label(*e) == tree.label(*e) and before.label(*e) == other
+    expected = [_reference_products(tree, n), _reference_products(replaced, n)]
+    assert [reconstruct_generators(after), reconstruct_generators(before)] == expected
+    verdicts = reconstructs([after, before, tree], expected[0])
+    assert verdicts == [True, expected[1] == expected[0], True]
+
+
+@given(wide_labelled_trees)
+@settings(max_examples=60, deadline=None)
+def test_wide_tree_minors_match_the_leibniz_term(case):
+    tree, rows, n = case
+    for col in range(tree.num_generators):
+        assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, tree.num_generators, n)
+
+
+@given(quasi_trees(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_certificates_match_the_per_tree_minor_oracle(cx, data):
+    # A relation tree, every spanning tree one edge away from it (most of
+    # which fail) and a few random spanning trees, checked in one call.
+    t = len(cx.facets)
+    gens = facet_complement_generators(cx)
+    relation = relation_trees(cx, limit=2000)
+    tree = data.draw(st.sampled_from(relation)).edges
+    batch = [tree]
+    for e in tree:
+        rest = [f for f in tree if f != e]
+        side = _depths(rest, e[0])
+        batch += [
+            sorted(rest + [f])
+            for f in itertools.combinations(range(t), 2)
+            if f != e and (f[0] in side) != (f[1] in side)
+        ]
+    batch += data.draw(st.lists(tree_edges(t), max_size=5))
+    oracle = [
+        all(
+            _reference_tree_minor(selected_relation_rows(cx, edges), j, t, cx.n)[1] == gens[j]
+            for j in range(t)
+        )
+        for edges in batch
+    ]
+    assert minor_certificates(cx, batch) == oracle
+    assert oracle == [tuple(edges) in {tr.edges for tr in relation} for edges in batch]
+    assert [verify_minor_certificate(cx, edges) for edges in batch[:3]] == oracle[:3]
+
+
+@given(quasi_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_certificates_reject_what_the_single_call_rejects(cx, data):
+    # t - 1 facet pairs that need not form a tree, some possibly out of range
+    t = len(cx.facets)
+    pairs = st.tuples(st.integers(-1, t), st.integers(-1, t))
+    edges = data.draw(st.lists(pairs, min_size=t - 1, max_size=t - 1))
+    tree = data.draw(tree_edges(t))
+    in_range = all(0 <= v < t for e in edges for v in e)
+    if in_range and len(_depths(edges, 0)) == t:
+        assert minor_certificates(cx, [tree, edges]) == [
+            verify_minor_certificate(cx, tree),
+            verify_minor_certificate(cx, edges),
+        ]
+        return
+    for call in (
+        lambda: verify_minor_certificate(cx, edges),
+        lambda: minor_certificates(cx, [tree, edges]),
+    ):
+        with pytest.raises(DomainError, match="spanning tree"):
+            call()
+
+
+@given(wide_labelled_trees, st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_batch_reconstruction_rejects_mixed_variable_counts(case, m):
+    tree, _, n = case
+    assume(m != n)
+    (e, (u, v)), *rest = tree.labels
+    mixed = RelationTree(
+        tree.num_generators, tree.edges, ((e, (u, Monomial([1] * m))), *rest)
+    )
+    gens = _reference_products(tree, n)
+    for call in (
+        lambda: reconstruct_generators(mixed),
+        lambda: reconstructs([tree, mixed], gens),
+    ):
+        with pytest.raises(DomainError, match="mixed variable counts"):
+            call()
 
 
 @st.composite

@@ -12,7 +12,9 @@ from srideals import (
     is_quasi_tree,
     leaf_order,
     leaf_report,
+    minor_certificates,
     reconstruct_generators,
+    reconstructs,
     relation_tree_from_edges,
     relation_trees,
     selected_relation_rows,
@@ -132,6 +134,26 @@ class TestRelationTrees:
         assert not verify_minor_certificate(
             worked_example, [(0, 1), (0, 2), (0, 3)]
         )
+
+    def test_certificate_needs_two_facets(self):
+        # even the single facet [n], whose empty minor is 1 = x_[n]/x_[n]
+        for cx in (SimplicialComplex(3, [(1, 2, 3)]), SimplicialComplex(3, [(1,)])):
+            with pytest.raises(DomainError, match="at least two facets"):
+                verify_minor_certificate(cx, [])
+            with pytest.raises(DomainError, match="at least two facets"):
+                minor_certificates(cx, [[]])
+
+    def test_batch_verdicts_follow_the_tree_order(self, worked_example):
+        trees = relation_trees(worked_example)
+        star = [(0, 1), (0, 2), (0, 3)]
+        batch = [trees[0], star, *trees[1:]]
+        assert minor_certificates(worked_example, batch) == [True, False, True, True]
+        assert minor_certificates(worked_example, []) == []
+        gens = facet_complement_generators(worked_example)
+        bad = relation_tree_from_edges(gens, star)
+        assert reconstructs([trees[0], bad, trees[1]], gens) == [True, False, True]
+        assert reconstructs([], gens) == []
+        assert reconstructs(trees, gens[:3]) == [False] * 3
 
     def test_reconstruction_recovers_the_generators(self, worked_example):
         gens = facet_complement_generators(worked_example)
