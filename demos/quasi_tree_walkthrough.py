@@ -1,4 +1,5 @@
-"""A guided tour of one quasi-tree: leaves, relation trees, Betti numbers.
+"""A guided tour of one quasi-tree: leaves, relation trees, the relation
+matrix and its minors, Betti numbers.
 
 Run with:  python3 demos/quasi_tree_walkthrough.py
 """
@@ -6,6 +7,7 @@ Run with:  python3 demos/quasi_tree_walkthrough.py
 from srideals import (
     SimplicialComplex,
     betti_table,
+    build_m_delta,
     complement_complex,
     facet_complement_generators,
     facet_ideal,
@@ -15,7 +17,6 @@ from srideals import (
     projdim_and_reg,
     reconstruct_generators,
     relation_trees,
-    selected_relation_rows,
     tree_minor_det,
     verify_minor_certificate,
 )
@@ -50,9 +51,15 @@ def main():
         recon = reconstruct_generators(tree) == gens
         print(f"edges {edges}: determinant certificate={ok}, reconstruction={recon}")
 
-    print("\n-- signed minors of the first tree --")
+    print("\n-- the relation matrix and the signed minors of the first tree --")
+    rows = build_m_delta(cx)
+    for i, j, m_i, m_j in rows:
+        print(
+            f"row ({i + 1}, {j + 1}): +{monomial_to_str(m_i)} in column {i + 1}, "
+            f"-{monomial_to_str(m_j)} in column {j + 1}"
+        )
     tree = trees[0]
-    rows = selected_relation_rows(cx, tree.edges)
+    rows = [row for row in rows if row[:2] in tree.edges]
     for j in range(len(gens)):
         sign, mono = tree_minor_det(rows, j)
         print(

@@ -64,9 +64,7 @@ from .ideals import (
 )
 from .quasitrees import (
     LeafReport,
-    MonomialMatrix,
     RelationTree,
-    TaylorRelation,
     build_m_delta,
     facet_complement_generators,
     is_quasi_tree,
@@ -77,9 +75,6 @@ from .quasitrees import (
     reconstructs,
     relation_trees,
     relation_tree_from_edges,
-    selected_relation_rows,
-    taylor_pairs,
-    taylor_relations,
     tree_minor_det,
     verify_leaf_order,
     verify_minor_certificate,

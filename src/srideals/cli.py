@@ -202,21 +202,17 @@ def _cmd_relation_trees(args):
 
 def _cmd_mdelta(args):
     cx = _load_complex(args)
-    m = build_m_delta(cx)
-    rows = []
-    for row, (i, j) in enumerate(m.row_labels):
-        cells = []
-        for (r, c), (sign, mono) in m.entries:
-            if r == row:
-                cells.append(
-                    {
-                        "col": c + 1,
-                        "sign": sign,
-                        "monomial": monomial_to_json(mono, args.pretty),
-                    }
-                )
-        rows.append({"pair": [i + 1, j + 1], "entries": cells})
-    return complex_to_json(cx), {"rows": rows, "cols": m.num_cols}, []
+    rows = [
+        {
+            "pair": [i + 1, j + 1],
+            "entries": [
+                {"col": i + 1, "sign": 1, "monomial": monomial_to_json(m_i, args.pretty)},
+                {"col": j + 1, "sign": -1, "monomial": monomial_to_json(m_j, args.pretty)},
+            ],
+        }
+        for i, j, m_i, m_j in build_m_delta(cx)
+    ]
+    return complex_to_json(cx), {"rows": rows, "cols": len(cx.facets)}, []
 
 
 def _cmd_betti(args):

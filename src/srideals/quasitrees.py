@@ -4,8 +4,14 @@ trees, and generator reconstruction for quasi-trees.
 Facet indices are 0-based throughout the Python API (the JSON layer
 shifts to 1-based).  The generators attached to a complex are always
 the facet-complement monomials x_{F_i^c} *in facet order*, which keeps
-the relation matrix, the Taylor relations and the reconstructed
-generators aligned on the same index set.
+the relation matrix, the Taylor labels and the reconstructed generators
+aligned on the same index set.
+
+Lemma 2.1 pairs the relation matrix M_Delta with the Taylor labels of
+these generators, and each has one builder: :func:`build_m_delta` gives
+M_Delta's rows (i, j, x_{F_i\\F_j}, x_{F_j\\F_i}), the form that
+:func:`tree_minor_det` takes, and :func:`_taylor_label` the label
+(u_ij, u_ji) of a tree edge.
 
 Lemma 2.1's two checks of a relation tree each have one kernel on packed
 exponent ints (:func:`ideals._packing`), with a batch entry that packs
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, mask_face
 from .errors import DomainError, over_cap
-from .ideals import Monomial, MonomialIdeal, _packing, _unpacked
+from .ideals import Monomial, _packing, _unpacked
 
 
 @dataclass(frozen=True)
@@ -123,22 +129,6 @@ def is_quasi_tree(cx: SimplicialComplex) -> bool:
 SignedMonomial = tuple[int, Monomial]
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """Sparse matrix of signed monomials; row (i,j) holds +x_{F_i \\ F_j}
-    in column i and -x_{F_j \\ F_i} in column j."""
-
-    row_labels: tuple[tuple[int, int], ...]
-    num_cols: int
-    entries: tuple  # ((row, col), (sign, Monomial)) pairs
-
-    def entry(self, row: int, col: int) -> SignedMonomial | None:
-        for (r, c), sm in self.entries:
-            if (r, c) == (row, col):
-                return sm
-        return None
-
-
 def facet_complement_generators(cx: SimplicialComplex) -> list[Monomial]:
     """x_{F_i^c} in facet order; the generators of I(cx^c) indexed by facets."""
     full = (1 << cx.n) - 1
@@ -147,49 +137,24 @@ def facet_complement_generators(cx: SimplicialComplex) -> list[Monomial]:
     ]
 
 
-def build_m_delta(cx: SimplicialComplex) -> MonomialMatrix:
-    """The C(t,2) x t matrix of pairwise facet differences."""
+def build_m_delta(cx: SimplicialComplex) -> list[tuple[int, int, Monomial, Monomial]]:
+    """The rows (i, j, x_{F_i\\F_j}, x_{F_j\\F_i}), i < j in order, of the
+    C(t,2) x t matrix of pairwise facet differences: row (i, j) holds
+    +x_{F_i\\F_j} in column i and -x_{F_j\\F_i} in column j, the form that
+    :func:`tree_minor_det` takes."""
     t = len(cx.facets)
     if t < 2:
         raise DomainError("the relation matrix needs at least two facets")
     masks = cx.facet_masks
-    labels = []
-    entries = []
-    for row, (i, j) in enumerate(itertools.combinations(range(t), 2)):
-        labels.append((i, j))
-        entries.append(
-            ((row, i), (1, Monomial.from_support(mask_face(masks[i] & ~masks[j]), cx.n)))
+    return [
+        (
+            i,
+            j,
+            Monomial.from_support(mask_face(masks[i] & ~masks[j]), cx.n),
+            Monomial.from_support(mask_face(masks[j] & ~masks[i]), cx.n),
         )
-        entries.append(
-            ((row, j), (-1, Monomial.from_support(mask_face(masks[j] & ~masks[i]), cx.n)))
-        )
-    return MonomialMatrix(tuple(labels), t, tuple(entries))
-
-
-@dataclass(frozen=True)
-class TaylorRelation:
-    """The syzygy u_ji e_i - u_ij e_j between generators i < j."""
-
-    i: int
-    j: int
-    u_ij: Monomial
-    u_ji: Monomial
-
-
-def taylor_pairs(gens: list[Monomial]) -> list[TaylorRelation]:
-    """All C(t,2) Taylor relations of an explicit generator sequence."""
-    if len(gens) < 2:
-        raise DomainError("Taylor relations need at least two generators")
-    out = []
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        g = gens[i].gcd(gens[j])
-        out.append(TaylorRelation(i, j, gens[i].quotient(g), gens[j].quotient(g)))
-    return out
-
-
-def taylor_relations(ideal: MonomialIdeal) -> list[TaylorRelation]:
-    """Taylor relations of G(I) in canonical generator order."""
-    return taylor_pairs(list(ideal.generators))
+        for i, j in itertools.combinations(range(t), 2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -330,23 +295,6 @@ def tree_minor_det(
     return det[0], Monomial(_unpacked([det[1]], stride, n)[0])
 
 
-def selected_relation_rows(
-    cx: SimplicialComplex, edges
-) -> list[tuple[int, int, Monomial, Monomial]]:
-    """Relation-matrix rows (i, j, x_{F_i\\F_j}, x_{F_j\\F_i}) for the
-    given facet pairs, sorted by (i, j)."""
-    masks = cx.facet_masks
-    return [
-        (
-            i,
-            j,
-            Monomial.from_support(mask_face(masks[i] & ~masks[j]), cx.n),
-            Monomial.from_support(mask_face(masks[j] & ~masks[i]), cx.n),
-        )
-        for i, j in sorted(edges)
-    ]
-
-
 def _spanning_edges(t: int, tree) -> list[tuple[int, int]]:
     """The sorted edges of a tree or edge list, checked to span [0, t)."""
     edges = sorted((i, j) for i, j in (tree.edges if isinstance(tree, RelationTree) else tree))
@@ -457,10 +405,11 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
         held += len(result)
         return result
 
-    edge_sets = [
-        _edges_of(es, t)
-        for es in sorted(enumerate_trees(frozenset(range(t))), reverse=True)[:limit]
-    ]
+    try:
+        found = enumerate_trees(frozenset(range(t)))
+    finally:
+        del enumerate_trees  # it refers to itself; this frees the memo now
+    edge_sets = [_edges_of(es, t) for es in sorted(found, reverse=True)[:limit]]
     gens = facet_complement_generators(cx)
     labels = {e: _taylor_label(gens, *e) for e in {e for es in edge_sets for e in es}}
     return [

@@ -85,7 +85,10 @@ def dumps_report(obj) -> str:
             seen.add(key)
         return text
 
-    return render(obj, "\n")
+    try:
+        return render(obj, "\n")
+    finally:
+        del render  # it refers to itself; this frees it and its memo now
 
 
 def load_json(text: str):
@@ -280,22 +283,3 @@ def relation_trees_to_json(trees) -> list[dict]:
 
 def relation_tree_to_json(tree: RelationTree) -> dict:
     return relation_trees_to_json([tree])[0]
-
-
-def relation_tree_from_json(obj) -> RelationTree:
-    if not isinstance(obj, dict) or "t" not in obj or "edges" not in obj:
-        raise DomainError('a relation tree needs the keys "t", "edges", "labels"')
-    edges = []
-    labels = []
-    for e in obj["edges"]:
-        i, j = sorted(e)
-        edges.append((i - 1, j - 1))
-    for key, lab in obj.get("labels", {}).items():
-        a, b = key.split("-")
-        labels.append(
-            (
-                (int(a) - 1, int(b) - 1),
-                (Monomial(lab["u_ij"]), Monomial(lab["u_ji"])),
-            )
-        )
-    return RelationTree(obj["t"], tuple(sorted(edges)), tuple(sorted(labels)))

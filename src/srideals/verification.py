@@ -69,7 +69,7 @@ from .ideals import (
 from .quasitrees import (
     _is_tree,
     facet_complement_generators,
-    leaf_order,
+    is_quasi_tree,
     leaf_order_masks,
     leaf_report,
     minor_certificates,
@@ -299,10 +299,6 @@ def random_monomial_ideal(
 def _is_proper(cx: SimplicialComplex) -> bool:
     """Not the full simplex, whose dual is void and whose complement is undefined."""
     return cx.facet_masks[-1] != (1 << cx.n) - 1
-
-
-def _has_leaf_order(cx: SimplicialComplex) -> bool:
-    return leaf_order(cx) is not None
 
 
 def _complexes(
@@ -733,7 +729,7 @@ def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: in
         if not is_flag:
             yield complex_to_json(cx)
 
-    family = _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, _has_leaf_order)
+    family = _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, is_quasi_tree)
     return _run_family("lemma-3.2", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
@@ -781,7 +777,7 @@ def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: in
     """Removing any leaf from a quasi-tree leaves a quasi-tree."""
     family = (
         (cx, f)
-        for cx in _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, _has_leaf_order)
+        for cx in _complexes(seed, exhaustive_n, samples, 3, 9, random_quasi_tree, is_quasi_tree)
         if len(cx.facets) >= 2
         for f in range(len(cx.facets))
         if leaf_report(cx, f).is_leaf
@@ -790,7 +786,7 @@ def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: in
     def check(item):
         cx, f = item
         rest = [g for i, g in enumerate(cx.facets) if i != f]
-        if not _has_leaf_order(SimplicialComplex(cx.n, rest)):
+        if not is_quasi_tree(SimplicialComplex(cx.n, rest)):
             yield {"complex": complex_to_json(cx), "removed": f}
 
     return _run_family("cor-3.5", family, check, exhaustive_n=exhaustive_n, samples=samples)
@@ -930,10 +926,11 @@ def check_power_linear_resolutions(
 ):
     """All powers of a skeleton-complement facet ideal of a quasi-tree
     have linear resolutions (checked for exponents 1..max_power)."""
+    _check_range(1, max_power, "max_power")
     explicit = list(complexes) if complexes else []
     sampled = _sampled(seed, samples, 3, max_n, random_quasi_tree)
     # the sampled complexes are quasi-trees by construction
-    if not all(map(_has_leaf_order, explicit)):
+    if not all(map(is_quasi_tree, explicit)):
         raise DomainError("the power suite needs quasi-tree inputs")
 
     def check(item):

@@ -147,6 +147,10 @@ class TestReports:
         }
         assert all(c["passed"] for c in report["checks"])
 
+    def test_relation_trees_reply_leaves_no_reference_cycle(self, run, cyclic_garbage):
+        run("relation-trees", WORKED_EXAMPLE)  # the first call builds the parser
+        assert cyclic_garbage(run, "relation-trees", WORKED_EXAMPLE) == 0
+
     def test_relation_trees_without_covering_facets(self, run):
         # vertex 3 unused: reconstruction works up to the common factor
         payload = {"ambient": 3, "facets": [[1], [2]]}
@@ -161,6 +165,40 @@ class TestReports:
         first = report["result"]["rows"][0]
         assert first["pair"] == [1, 2]
         assert {"col": 1, "sign": 1, "monomial": "x1"} in first["entries"]
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["exponents", "pretty"])
+    def test_mdelta_reply_holds_every_row_in_order(self, run, pretty):
+        # (i, j, F_i \ F_j, F_j \ F_i), 1-based, for i < j in order; each row
+        # holds +x_{F_i \ F_j} in column i, then -x_{F_j \ F_i} in column j
+        differences = [
+            (1, 2, [1], [4]),
+            (1, 3, [1, 2], [4, 5]),
+            (1, 4, [1, 2], [4, 6]),
+            (2, 3, [2], [5]),
+            (2, 4, [2], [6]),
+            (3, 4, [5], [6]),
+        ]
+
+        def monomial(support):
+            if pretty:
+                return "*".join(f"x{v}" for v in support)
+            return [int(v in support) for v in range(1, 7)]
+
+        code, report = run("mdelta", WORKED_EXAMPLE, *["--pretty"][: int(pretty)])
+        assert code == 0
+        assert report["result"] == {
+            "cols": 4,
+            "rows": [
+                {
+                    "pair": [i, j],
+                    "entries": [
+                        {"col": i, "sign": 1, "monomial": monomial(f_i)},
+                        {"col": j, "sign": -1, "monomial": monomial(f_j)},
+                    ],
+                }
+                for i, j, f_i, f_j in differences
+            ],
+        }
 
     def test_betti_projdim_reg(self, run):
         ideal = {"vars": 2, "generators": [[1, 0], [0, 1]]}
@@ -319,10 +357,15 @@ class TestExitCodes:
             (["lemma-2.1", "--max-facets", "1"], "max_facets"),
             (["cor-2.2", "--max-n", "1"], "max_n"),
             (["lemma-1.1", "--max-n", "0"], "max_n"),
+            (["thm-4.4", "--max-power", "0"], "max_power"),
+            (["thm-4.4", "--max-power", "0", "--complex", "{complex}"], "max_power"),
         ],
-        ids=["lemma-2.1", "cor-2.2", "lemma-1.1"],
+        ids=["lemma-2.1", "cor-2.2", "lemma-1.1", "thm-4.4", "thm-4.4 --complex"],
     )
-    def test_budget_that_empties_a_family_is_exit_1(self, argv, budget, capsys):
+    def test_budget_that_empties_a_family_is_exit_1(self, argv, budget, tmp_path, capsys):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(WORKED_EXAMPLE))
+        argv = [arg.format(complex=path) for arg in argv]
         assert cli.main(["verify", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,7 @@
 """Leaves, leaf orders, relation matrices, relation trees, reconstruction."""
 
+import itertools
+
 import pytest
 
 from srideals import (
@@ -17,15 +19,11 @@ from srideals import (
     reconstructs,
     relation_tree_from_edges,
     relation_trees,
-    selected_relation_rows,
-    taylor_pairs,
-    taylor_relations,
     tree_minor_det,
     verify_leaf_order,
     verify_minor_certificate,
 )
-from srideals.ideals import MonomialIdeal
-from srideals.quasitrees import leaf_order_masks
+from srideals.quasitrees import _taylor_label, leaf_order_masks
 
 
 class TestLeaves:
@@ -77,26 +75,20 @@ class TestLeafOrders:
 
 class TestRelationMatrix:
     def test_shape_and_entries(self, worked_example):
-        m = build_m_delta(worked_example)
-        assert len(m.row_labels) == 6
-        assert m.num_cols == 4
+        rows = build_m_delta(worked_example)
+        assert [row[:2] for row in rows] == list(itertools.combinations(range(4), 2))
         # row (0, 1): F_0 \ F_1 = {1}, F_1 \ F_0 = {4}
-        sign_i, mono_i = m.entry(0, 0)
-        sign_j, mono_j = m.entry(0, 1)
-        assert (sign_i, mono_i.support) == (1, (1,))
-        assert (sign_j, mono_j.support) == (-1, (4,))
-        assert m.entry(0, 2) is None
+        _, _, m_i, m_j = rows[0]
+        assert (m_i.support, m_j.support) == ((1,), (4,))
+        assert all(m.num_vars == 6 for _, _, m_i, m_j in rows for m in (m_i, m_j))
 
     def test_matrix_rows_match_taylor_relations(self, worked_example):
         # the relation matrix of the complex is exactly the matrix of
-        # Taylor relations of the facet-complement generators
-        m = build_m_delta(worked_example)
+        # Taylor relations of the facet-complement generators: row (i, j)
+        # holds +u_ji in column i and -u_ij in column j
         gens = facet_complement_generators(worked_example)
-        relations = taylor_pairs(gens)
-        assert [(r.i, r.j) for r in relations] == list(m.row_labels)
-        for row, rel in enumerate(relations):
-            assert m.entry(row, rel.i) == (1, rel.u_ji)
-            assert m.entry(row, rel.j) == (-1, rel.u_ij)
+        for i, j, m_i, m_j in build_m_delta(worked_example):
+            assert _taylor_label(gens, i, j) == (m_j, m_i)
 
     def test_needs_two_facets(self):
         with pytest.raises(DomainError):
@@ -106,14 +98,7 @@ class TestRelationMatrix:
 class TestTaylorRelations:
     def test_relation_of_two_coprime_generators(self):
         gens = [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1))]
-        (rel,) = taylor_pairs(gens)
-        assert rel.u_ij == gens[0]
-        assert rel.u_ji == gens[1]
-
-    def test_canonical_order_entry_point(self):
-        ideal = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 1))])
-        (rel,) = taylor_relations(ideal)
-        assert (rel.i, rel.j) == (0, 1)
+        assert _taylor_label(gens, 0, 1) == (gens[0], gens[1])
 
 
 class TestRelationTrees:
@@ -164,15 +149,17 @@ class TestRelationTrees:
         # with rows sorted by (i, j), dropping column j flips the sign
         # with the parity of j: (-1)^j det(M#(j)) = u_j (1-based j)
         gens = facet_complement_generators(worked_example)
+        rows = build_m_delta(worked_example)
         for tree in relation_trees(worked_example):
-            rows = selected_relation_rows(worked_example, tree.edges)
+            tree_rows = [row for row in rows if row[:2] in tree.edges]
             for j in range(4):
-                sign, mono = tree_minor_det(rows, j)
+                sign, mono = tree_minor_det(tree_rows, j)
                 assert mono == gens[j]
                 assert sign == (-1) ** (j + 1)
 
     def test_cycle_rows_have_zero_determinant(self, worked_example):
-        rows = selected_relation_rows(worked_example, [(0, 1), (0, 2), (1, 2)])
+        cycle = {(0, 1), (0, 2), (1, 2)}
+        rows = [row for row in build_m_delta(worked_example) if row[:2] in cycle]
         assert tree_minor_det(rows, 3) is None
 
     def test_two_facet_case(self):
@@ -188,6 +175,10 @@ class TestRelationTrees:
     def test_limit_validation(self, worked_example):
         with pytest.raises(DomainError):
             relation_trees(worked_example, limit=0)
+
+    def test_leaves_no_reference_cycle(self, worked_example, cyclic_garbage):
+        # the leaf-removal memo is freed on return, not by the cycle collector
+        assert cyclic_garbage(relation_trees, worked_example) == 0
 
 
 class TestRelationTreeValue:

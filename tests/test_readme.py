@@ -1,4 +1,5 @@
-"""The README's table of resource caps matches the caps in the source."""
+"""The README's quick start runs, and its table of resource caps matches
+the caps in the source."""
 
 import importlib
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "srideals"
+README = ROOT / "README.md"
 # A limit on how many failures a suite report records; it raises nothing.
 NOT_CAPS = {"verification.MAX_RECORDED_FAILURES"}
 
@@ -20,8 +22,14 @@ def _source_caps() -> set[str]:
 
 def _table_rows() -> list[tuple[str, str]]:
     """(constant, value cell) for each row of the README caps table."""
-    readme = (ROOT / "README.md").read_text()
-    return re.findall(r"^\| `(\w+\.MAX_\w+)` \| ([^|]+) \|", readme, re.MULTILINE)
+    return re.findall(r"^\| `(\w+\.MAX_\w+)` \| ([^|]+) \|", README.read_text(), re.MULTILINE)
+
+
+def test_readme_quick_start_runs():
+    # the README's one python block, run as written: every name it shows
+    # must still import and every assert in it must hold
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_cap_table_lists_exactly_the_caps():

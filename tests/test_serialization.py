@@ -30,7 +30,6 @@ from srideals.serialization import (
     load_json,
     monomial_from_str,
     monomial_to_str,
-    relation_tree_from_json,
     relation_tree_to_json,
     relation_trees_to_json,
 )
@@ -145,12 +144,16 @@ class TestBettiAndTreeJson:
         assert obj["linear"] is True
         assert {"i": 1, "multidegree": [1, 1], "rank": 1} in obj["entries"]
 
-    def test_relation_tree_round_trip(self, worked_example):
+    def test_relation_tree_json_form(self, worked_example):
         for tree in relation_trees(worked_example):
-            obj = relation_tree_to_json(tree)
-            assert obj["t"] == 4
-            assert all(1 <= i < j <= 4 for i, j in obj["edges"])
-            assert relation_tree_from_json(obj) == tree
+            assert relation_tree_to_json(tree) == {
+                "t": 4,
+                "edges": [[i + 1, j + 1] for i, j in tree.edges],
+                "labels": {
+                    f"{i + 1}-{j + 1}": {"u_ij": list(u.exponents), "u_ji": list(v.exponents)}
+                    for (i, j), (u, v) in tree.labels
+                },
+            }
 
     def test_trees_of_one_reply_share_each_label_dict(self, worked_example):
         trees = relation_trees(worked_example)
@@ -247,6 +250,11 @@ class TestReportEmitter:
         trees = relation_trees(worked_example)
         reply = {"trees": relation_trees_to_json(trees * 3)}
         assert dumps_report(reply) + "\n" == _json_dumps(reply)
+
+    def test_leaves_no_reference_cycle(self, worked_example, cyclic_garbage):
+        reply = {"trees": relation_trees_to_json(relation_trees(worked_example) * 3)}
+        assert cyclic_garbage(dumps_report, {"a": [1, 2]}) == 0
+        assert cyclic_garbage(dumps_report, reply) == 0
 
     @pytest.mark.parametrize(
         "value",
