@@ -30,12 +30,10 @@ def face_mask(face) -> int:
 
 def mask_face(mask: int) -> Face:
     face = []
-    v = 1
     while mask:
-        if mask & 1:
-            face.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        face.append(low.bit_length())
+        mask ^= low
     return tuple(face)
 
 
@@ -70,8 +68,9 @@ def _face_sort_key(face: Face):
     return (len(face), face)
 
 
-def _maximal_faces(faces: list[Face]) -> list[Face]:
-    """The faces that lie in no other one, from distinct faces sorted by size.
+def _maximal_faces(faces: list[Face], masks=None) -> list[Face]:
+    """The faces that lie in no other one, from distinct faces sorted by size
+    (with their bitmasks, computed when not given).
 
     Distinct faces of equal size cannot nest, so each face is compared only
     with the strictly larger ones, which follow the last face of its size;
@@ -80,7 +79,8 @@ def _maximal_faces(faces: list[Face]) -> list[Face]:
     sizes = list(map(len, faces))
     if not faces or sizes[0] == sizes[-1]:
         return faces
-    masks = list(map(face_mask, faces))
+    if masks is None:
+        masks = list(map(face_mask, faces))
     maximal = []
     for face, mask, size in zip(faces, masks, sizes):
         for other in masks[bisect_right(sizes, size) :]:
@@ -89,6 +89,11 @@ def _maximal_faces(faces: list[Face]) -> list[Face]:
         else:
             maximal.append(face)
     return maximal
+
+
+def _check_ambient(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"ambient size must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,9 @@ class SimplicialComplex:
     facets: tuple[Face, ...]
 
     def __init__(self, n: int, facets):
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"ambient size must be a positive integer, got {n!r}")
+        _check_ambient(n)
         canon = sorted({canonical_face(f, n) for f in facets}, key=_face_sort_key)
-        maximal = _maximal_faces(canon)
-        if len(maximal) < len(canon):
-            face = min(set(canon).difference(maximal), key=_face_sort_key)
-            raise DomainError(
-                f"facets are not an antichain: {face} is contained in another facet"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets", tuple(canon))
+        self._store(n, canon, list(map(face_mask, canon)))
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
@@ -123,9 +120,38 @@ class SimplicialComplex:
         canon = sorted({canonical_face(f, n) for f in faces}, key=_face_sort_key)
         return cls(n, _maximal_faces(canon))
 
-    @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        return tuple(face_mask(f) for f in self.facets)
+    @classmethod
+    def from_masks(cls, n: int, masks) -> "SimplicialComplex":
+        """The complex on [n] whose facets have the given bitmasks (vertex v
+        at bit v - 1), with the range and antichain checks of the
+        constructor and its error messages; ``facet_masks`` is preset."""
+        _check_ambient(n)
+        unique = set()
+        for m in masks:
+            high = m >> n
+            if high:
+                raise DomainError(
+                    f"vertex {n + (high & -high).bit_length()} out of range [1, {n}]"
+                )
+            unique.add(m)
+        pairs = sorted((mask_face(m), m) for m in unique)
+        pairs.sort(key=lambda pair: len(pair[0]))
+        cx = cls.__new__(cls)
+        cx._store(n, [face for face, _ in pairs], [m for _, m in pairs])
+        return cx
+
+    def _store(self, n: int, canon: list[Face], masks: list[int]) -> None:
+        """Check that the distinct faces in canonical order, with their
+        masks, form an antichain, and store them."""
+        maximal = _maximal_faces(canon, masks)
+        if len(maximal) < len(canon):
+            face = min(set(canon).difference(maximal), key=_face_sort_key)
+            raise DomainError(
+                f"facets are not an antichain: {face} is contained in another facet"
+            )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facets", tuple(canon))
+        object.__setattr__(self, "facet_masks", tuple(masks))
 
     @cached_property
     def face_mask_set(self) -> frozenset:
@@ -207,8 +233,8 @@ def skeleton_complement(cx: SimplicialComplex, ell: int) -> SimplicialComplex:
     _check_skeleton(cx, ell, lambda: math.comb(cx.n, ell + 1))
     facets = cx.facet_masks
     subsets = map(sum, itertools.combinations([1 << v for v in range(cx.n)], ell + 1))
-    missing = [mask_face(m) for m in subsets if not any(m & fm == m for fm in facets)]
-    return SimplicialComplex(cx.n, missing)
+    missing = [m for m in subsets if not any(m & fm == m for fm in facets)]
+    return SimplicialComplex.from_masks(cx.n, missing)
 
 
 def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
@@ -286,24 +312,19 @@ def alexander_dual(cx: SimplicialComplex):
 
     Returns VOID_DUAL when cx is the full simplex on [n].
     """
-    nonfaces, _ = minimal_nonfaces(cx)
+    nonfaces = minimal_nonfaces_masks(cx.facet_masks, cx.n)
     if not nonfaces:
         return VOID_DUAL
-    full = set(range(1, cx.n + 1))
-    duals = [tuple(sorted(full - set(f))) for f in nonfaces]
-    return SimplicialComplex(cx.n, duals)
+    full = (1 << cx.n) - 1
+    return SimplicialComplex.from_masks(cx.n, [full ^ m for m in nonfaces])
 
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """The complex whose facets are the complements of the facets of cx."""
-    full = set(range(1, cx.n + 1))
-    comps = []
-    for f in cx.facets:
-        comp = full - set(f)
-        if not comp:
-            raise DomainError(f"facet {f} equals the full vertex set [n]")
-        comps.append(tuple(sorted(comp)))
-    return SimplicialComplex(cx.n, comps)
+    full = (1 << cx.n) - 1
+    if full in cx.facet_masks:  # then it is the only facet
+        raise DomainError(f"facet {cx.facets[0]} equals the full vertex set [n]")
+    return SimplicialComplex.from_masks(cx.n, [full ^ m for m in cx.facet_masks])
 
 
 def contains_face(cx: SimplicialComplex, face) -> bool:

@@ -1,14 +1,18 @@
 """Finite simple graphs on [n]: chordality with verifiable witnesses,
-complements, edge ideals, clique complexes and the higher-Dirac check."""
+complements, edge ideals, clique complexes and the higher-Dirac check.
+
+Graphs are held as neighbor bitmasks.  Maximal cliques come from one
+kernel, :func:`maximal_clique_masks`, an iterative Bron-Kerbosch search
+with the Tomita-Tanaka-Takahashi pivot on an explicit stack, which both
+:func:`maximal_cliques` and the thm-3.3 suite call.
+"""
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
-from .complexes import SimplicialComplex, dimension_info, mask_face
+from .complexes import SimplicialComplex, dimension_info
 from .errors import DomainError, over_cap
 from .ideals import Monomial, MonomialIdeal
 from .quasitrees import leaf_order
@@ -16,7 +20,11 @@ from .quasitrees import leaf_order
 
 @dataclass(frozen=True)
 class Graph:
-    """A loop-free multigraph-free graph: sorted pairs {i, j} on [1, n]."""
+    """A loop-free multigraph-free graph: sorted pairs {i, j} on [1, n].
+
+    ``adjacency[v-1]`` is the neighbor bitmask of vertex v, filled in by
+    the same pass that validates the edges.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -25,6 +33,7 @@ class Graph:
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"vertex count must be a positive integer, got {n!r}")
         canon = set()
+        adj = [0] * n
         for e in edges:
             i, j = e
             if j < i:
@@ -34,17 +43,11 @@ class Graph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise DomainError(f"edge ({i}, {j}) out of range [1, {n}]")
             canon.add((i, j))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """adjacency[v-1] is the neighbor bitmask of vertex v."""
-        adj = [0] * self.n
-        for i, j in self.edges:
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
-        return tuple(adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "adjacency", tuple(adj))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i - 1] >> (j - 1) & 1)
@@ -72,14 +75,14 @@ def mcs_order(adj: tuple[int, ...]) -> list[int]:
     A bucket queue over bitmasks (Tarjan-Yannakakis, SIAM J. Comput. 13,
     1984): buckets[w] is the mask of unvisited vertices with w visited
     neighbors, and each step pops the lowest bit of the highest nonempty
-    bucket.
+    bucket.  The popped vertex's unvisited neighbors then move up one
+    bucket, one AND per bucket from the top down, so no per-vertex weight
+    is kept.
     """
     n = len(adj)
-    weight = [0] * n
     buckets = [0] * (n + 1)
-    buckets[0] = (1 << n) - 1
+    buckets[0] = unvisited = (1 << n) - 1
     top = 0
-    unvisited = buckets[0]
     order = []
     for _ in range(n):
         while not buckets[top]:
@@ -91,15 +94,15 @@ def mcs_order(adj: tuple[int, ...]) -> list[int]:
         order.append(v)
         rem = adj[v] & unvisited
         if rem:
+            w = top
             top += 1
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            u = bit.bit_length() - 1
-            w = weight[u]
-            buckets[w] ^= bit
-            buckets[w + 1] |= bit
-            weight[u] = w + 1
+            while rem:
+                moved = buckets[w] & rem
+                if moved:
+                    buckets[w] ^= moved
+                    buckets[w + 1] |= moved
+                    rem ^= moved
+                w -= 1
     return order
 
 
@@ -124,6 +127,8 @@ def _chordless_cycle(adj) -> list[int] | None:
     For each vertex v and non-adjacent pair u, w of its neighbors, a
     shortest u-w path avoiding N[v] \\ {u, w} closes up with v into a
     chordless cycle; such a triple exists in every non-chordal graph.
+    The path comes from a breadth-first search that visits each vertex's
+    neighbors in increasing order.
     """
     n = len(adj)
     for v in range(n):
@@ -136,24 +141,24 @@ def _chordless_cycle(adj) -> list[int] | None:
         for u, w in itertools.combinations(nbrs, 2):
             if adj[u] >> w & 1:
                 continue
-            forbidden = (adj[v] | 1 << v) & ~(1 << u) & ~(1 << w)
-            prev = {u: None}
-            queue = deque([u])
-            while queue:
-                a = queue.popleft()
+            allowed = ~((adj[v] | 1 << v) & ~(1 << u) & ~(1 << w))
+            prev = [-1] * n
+            seen = 1 << u
+            queue = [u]
+            for a in queue:  # the list grows while it is read
                 if a == w:
-                    path = []
-                    while a is not None:
-                        path.append(a)
+                    path = [a]
+                    while a != u:
                         a = prev[a]
+                        path.append(a)
                     return [v] + path[::-1]
-                cand = adj[a] & ~forbidden
+                cand = adj[a] & allowed & ~seen
+                seen |= cand
                 while cand:
                     bit = cand & -cand
                     b = bit.bit_length() - 1
-                    if b not in prev:
-                        prev[b] = a
-                        queue.append(b)
+                    prev[b] = a
+                    queue.append(b)
                     cand ^= bit
     return None
 
@@ -196,42 +201,55 @@ def verify_cycle_witness(g: Graph, cycle: list[int]) -> bool:
     return True
 
 
-def _bron_kerbosch(adj, r, p, x, out):
-    """Append to out every maximal clique R | S with S a clique in P and
-    no vertex of X adjacent to all of it (Bron-Kerbosch, CACM 16, 1973).
+def maximal_clique_masks(adj) -> list[int]:
+    """Every maximal clique of the graph with neighbor masks adj, as a
+    bitmask, in search order (isolated vertices included).
 
-    The pivot u in P | X maximizes |P & N(u)|, ties to the lowest vertex
-    (Tomita-Tanaka-Takahashi, TCS 363, 2006), so only P \\ N(u) branches.
+    Bron-Kerbosch (CACM 16, 1973) on an explicit stack: a node (R, P, X)
+    reports R when P and X are empty; otherwise it takes the pivot u in
+    P | X that maximizes |P & N(u)|, ties to the lowest vertex
+    (Tomita-Tanaka-Takahashi, TCS 363, 2006), and branches on each v in
+    P \\ N(u) in increasing order to (R | v, P & N(v), X & N(v)), moving v
+    from P to X after its branch.  A stack entry is a node with the
+    candidates it has not branched on yet.  A node whose P is one vertex v
+    has the one branch R | v, which is maximal iff no vertex of X is
+    adjacent to v, so it reports R | v without a pivot.
     """
-    if not p and not x:
-        out.append(r)
-        return
-    pivot = -1
-    best = -1
-    pool = p | x
-    while pool:
-        bit = pool & -pool
-        pool ^= bit
-        u = bit.bit_length() - 1
-        size = (adj[u] & p).bit_count()
-        if size > best:
-            best = size
-            pivot = u
-    cand = p & ~adj[pivot]
-    while cand:
-        bit = cand & -cand
-        v = bit.bit_length() - 1
-        _bron_kerbosch(adj, r | bit, p & adj[v], x & adj[v], out)
-        p &= ~bit
-        x |= bit
-        cand ^= bit
+    out = []
+    stack = []
+    r, p, x = 0, (1 << len(adj)) - 1, 0
+    while True:
+        if p & (p - 1):
+            best = -1
+            pool = p | x
+            while pool:
+                bit = pool & -pool
+                pool ^= bit
+                size = (adj[bit.bit_length() - 1] & p).bit_count()
+                if size > best:
+                    best, pivot = size, bit
+            stack.append((r, p, x, p & ~adj[pivot.bit_length() - 1]))
+        elif p:
+            if not x & adj[p.bit_length() - 1]:
+                out.append(r | p)
+        elif not x:
+            out.append(r)
+        while stack:
+            r, p, x, cand = stack.pop()
+            if cand:
+                bit = cand & -cand
+                if cand != bit:
+                    stack.append((r, p ^ bit, x | bit, cand ^ bit))
+                nbrs = adj[bit.bit_length() - 1]
+                r, p, x = r | bit, p & nbrs, x & nbrs
+                break
+        else:
+            return out
 
 
 def maximal_cliques(g: Graph) -> list[int]:
     """All maximal cliques as bitmasks (isolated vertices included)."""
-    out: list[int] = []
-    _bron_kerbosch(g.adjacency, 0, (1 << g.n) - 1, 0, out)
-    return sorted(out)
+    return sorted(maximal_clique_masks(g.adjacency))
 
 
 MAX_CLIQUE_VERTICES = 24
@@ -241,7 +259,7 @@ def clique_complex(g: Graph) -> SimplicialComplex:
     """The flag complex whose facets are the maximal cliques of g."""
     if g.n > MAX_CLIQUE_VERTICES:
         raise over_cap("n", g.n, "graphs.MAX_CLIQUE_VERTICES", MAX_CLIQUE_VERTICES)
-    return SimplicialComplex(g.n, [mask_face(m) for m in maximal_cliques(g)])
+    return SimplicialComplex.from_masks(g.n, maximal_cliques(g))
 
 
 def one_skeleton_graph(cx: SimplicialComplex) -> Graph:

@@ -484,12 +484,15 @@ def shelling_order(cx: SimplicialComplex, max_facets: int | None = None) -> list
         dead.add(key)
         return False
 
-    for first in range(t):
-        prefix = [first]
-        remaining = set(range(t)) - {first}
-        if extend(prefix, remaining, masks[first]):
-            return prefix
-    return None
+    try:
+        for first in range(t):
+            prefix = [first]
+            remaining = set(range(t)) - {first}
+            if extend(prefix, remaining, masks[first]):
+                return prefix
+        return None
+    finally:
+        del extend  # it refers to itself; this frees the memo now
 
 
 def verify_shelling(cx: SimplicialComplex, order: list[int]) -> bool:

@@ -14,8 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import lshift
 
-from .complexes import MAX_SKELETON_FACES, SimplicialComplex, face_mask, mask_face
-from .complexes import minimal_transversals
+from .complexes import MAX_SKELETON_FACES, SimplicialComplex, face_mask
+from .complexes import minimal_nonfaces_masks, minimal_transversals
 from .errors import DomainError, over_cap
 
 
@@ -226,23 +226,29 @@ def minimalize(monomials) -> MonomialIdeal:
     return ideal
 
 
+def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
+    """The ideal generated by the squarefree monomials whose supports are
+    the given bitmasks, with every check of its class."""
+    exps = sorted({tuple([m >> v & 1 for v in range(n)]) for m in masks})
+    exps.sort(key=sum)
+    ideal = MonomialIdeal.__new__(MonomialIdeal)
+    ideal._store(n, tuple(map(Monomial, exps)), exps, tuple(map(sum, exps)))
+    return ideal
+
+
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """I_cx, generated by the monomials of the minimal nonfaces."""
-    from .complexes import minimal_nonfaces
-
-    nonfaces, _ = minimal_nonfaces(cx)
-    if nonfaces and nonfaces[0] == ():
+    nonfaces = minimal_nonfaces_masks(cx.facet_masks, cx.n)
+    if nonfaces and nonfaces[0] == 0:
         raise DomainError("the void complex has no Stanley-Reisner ideal")
-    gens = [Monomial.from_support(f, cx.n) for f in nonfaces]
-    return MonomialIdeal(cx.n, gens)
+    return _squarefree_ideal(cx.n, nonfaces)
 
 
 def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """I(cx), generated by the monomials of the facets."""
     if cx.is_void:
         raise DomainError("facet ideal requires at least one facet")
-    gens = [Monomial.from_support(f, cx.n) for f in cx.facets]
-    return MonomialIdeal(cx.n, gens)
+    return _squarefree_ideal(cx.n, cx.facet_masks)
 
 
 def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
@@ -257,13 +263,13 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
     if not ideal.is_squarefree:
         raise DomainError("complex_from_ideal requires a squarefree ideal")
     n = ideal.num_vars
+    supports = [g.support_mask for g in ideal.generators]
     if mode == "facet":
-        return SimplicialComplex(n, [g.support for g in ideal.generators])
+        return SimplicialComplex.from_masks(n, supports)
     if mode != "stanley-reisner":
         raise DomainError(f"unknown mode {mode!r}")
     full = (1 << n) - 1
-    transversals = minimal_transversals(g.support_mask for g in ideal.generators)
-    return SimplicialComplex(n, [mask_face(full ^ t) for t in transversals])
+    return SimplicialComplex.from_masks(n, [full ^ t for t in minimal_transversals(supports)])
 
 
 # The most generator factors that power() adds up: k for each of the
@@ -449,17 +455,20 @@ def linear_quotients_order(
         dead.add(key)
         return False
 
-    for first in range(t):
-        prefix = [first]
-        remaining = set(range(t)) - {first}
-        vmask = [0] * t
-        for c in remaining:
-            v = lin_var[first][c]
-            if v >= 0:
-                vmask[c] |= 1 << v
-        if extend(prefix, remaining, vmask):
-            return [gens[i] for i in prefix]
-    return None
+    try:
+        for first in range(t):
+            prefix = [first]
+            remaining = set(range(t)) - {first}
+            vmask = [0] * t
+            for c in remaining:
+                v = lin_var[first][c]
+                if v >= 0:
+                    vmask[c] |= 1 << v
+            if extend(prefix, remaining, vmask):
+                return [gens[i] for i in prefix]
+        return None
+    finally:
+        del extend  # it refers to itself; this frees the memo now
 
 
 def verify_linear_quotients(order: list[Monomial]) -> bool:

@@ -1,6 +1,15 @@
 """Leaves, leaf orders, the pairwise-difference relation matrix, relation
 trees, and generator reconstruction for quasi-trees.
 
+A facet f is a leaf when some other facet g, its branch, contains f's
+intersection with every other facet.  The search and the verifier test
+this in two ways.  :func:`leaf_order_masks` collects, at each removal
+step, the vertices that lie in at least two alive facets and calls f a
+leaf when some other alive facet contains f's share of them.
+:func:`verify_leaf_order`, :func:`leaf_report` and :func:`relation_trees`
+keep :func:`_branches`, which compares f's intersection with each other
+facet against its intersection with their union.
+
 Facet indices are 0-based throughout the Python API (the JSON layer
 shifts to 1-based).  The generators attached to a complex are always
 the facet-complement monomials x_{F_i^c} *in facet order*, which keeps
@@ -80,22 +89,32 @@ def _branches(masks, alive, f):
             yield g
 
 
-def _is_leaf_of(masks, alive, f) -> bool:
-    """A single alive facet is a leaf; otherwise f needs a branch."""
-    return len(alive) == 1 or next(_branches(masks, alive, f), None) is not None
-
-
 def leaf_order_masks(masks: list[int]) -> list[int] | None:
     """Leaf order on a list of facet bitmasks, or None.
 
     Works by reverse greedy leaf removal (always sound: removing a leaf
     of a quasi-tree leaves a quasi-tree), taking the lowest-index leaf
-    at every step for determinism.
+    at every step for determinism.  Each step first collects `twice`, the
+    vertices of at least two alive facets; f meets the other alive facets
+    in ``masks[f] & twice``, so f is a leaf iff some other alive g contains
+    that, one AND per pair.
     """
     alive = list(range(len(masks)))
     removed: list[int] = []
     while len(alive) > 1:
-        leaf = next((f for f in alive if _is_leaf_of(masks, alive, f)), None)
+        once = twice = 0
+        for f in alive:
+            twice |= once & masks[f]
+            once |= masks[f]
+        leaf = None
+        for f in alive:
+            shared = masks[f] & twice
+            for g in alive:
+                if g != f and not shared & ~masks[g]:
+                    leaf = f
+                    break
+            if leaf is not None:
+                break
         if leaf is None:
             return None
         alive.remove(leaf)
@@ -115,9 +134,8 @@ def verify_leaf_order(cx: SimplicialComplex, order: list[int]) -> bool:
     if sorted(order) != list(range(len(cx.facets))):
         return False
     masks = list(cx.facet_masks)
-    for i in range(len(order)):
-        prefix = order[: i + 1]
-        if not _is_leaf_of(masks, prefix, order[i]):
+    for i in range(1, len(order)):
+        if next(_branches(masks, order[: i + 1], order[i]), None) is None:
             return False
     return True
 

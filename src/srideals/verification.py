@@ -36,12 +36,12 @@ from .complexes import (
 from .errors import DomainError, ResourceLimitError, over_cap
 from .graphs import (
     Graph,
-    _bron_kerbosch,
     _is_peo,
     clique_complex,
     complement_graph,
     edge_ideal,
     higher_dirac_check,
+    maximal_clique_masks,
     mcs_order,
 )
 from .homological import (
@@ -139,15 +139,11 @@ def _check_family(sizes, knob: str) -> None:
             )
 
 
-def complex_from_masks(n, masks) -> SimplicialComplex:
-    return SimplicialComplex(n, [mask_face(m) for m in masks])
-
-
 def _small_complexes(max_n):
     """Every complex on [n] for n = 1..max_n, in enumeration order."""
     for n in range(1, max_n + 1):
         for masks in iter_complexes_masks(n):
-            yield complex_from_masks(n, masks)
+            yield SimplicialComplex.from_masks(n, masks)
 
 
 # The number of complexes on [n] for n = 1..6: nonempty antichains of
@@ -247,15 +243,20 @@ def random_graph(rng: random.Random, n: int, p=None) -> Graph:
     return Graph(n, edges)
 
 
-def _coded_graph(n: int, code: int):
-    """(n, adjacency masks) of the graph on [n] whose edges are the vertex
-    pairs, in lexicographic order, at the set bits of code."""
-    adj = [0] * n
-    for idx, (a, b) in enumerate(itertools.combinations(range(n), 2)):
-        if code >> idx & 1:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return n, tuple(adj)
+def _coded_graphs(n: int, codes):
+    """(n, adjacency masks) for each code: the graph on [n] whose edges are
+    the vertex pairs, in lexicographic order, at the set bits of the code.
+    Each pair's vertices and bits are listed once for all codes."""
+    pairs = [(a, 1 << a, b, 1 << b) for a, b in itertools.combinations(range(n), 2)]
+    for code in codes:
+        adj = [0] * n
+        while code:
+            low = code & -code
+            a, bit_a, b, bit_b = pairs[low.bit_length() - 1]
+            adj[a] |= bit_b
+            adj[b] |= bit_a
+            code ^= low
+        yield n, tuple(adj)
 
 
 def random_chordal_graph(rng: random.Random, n: int) -> Graph:
@@ -664,7 +665,7 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     def check(item):
         n, masks = item
         t = len(masks)
-        cx = complex_from_masks(n, masks)
+        cx = SimplicialComplex.from_masks(n, masks)
         all_edges = list(itertools.combinations(range(t), 2))
         spanning = [
             tree for tree in itertools.combinations(all_edges, t - 1) if _is_tree(t, tree)
@@ -749,15 +750,14 @@ def check_chordal_quasi_tree(
     rng = random.Random(seed)
     chordal_graphs = (random_chordal_graph(rng, sample_n) for _ in range(chordal_samples))
     family = itertools.chain(
-        (_coded_graph(n, code) for n in range(1, max_n + 1) for code in range(1 << math.comb(n, 2))),
-        (_coded_graph(sample_n, rng.getrandbits(math.comb(sample_n, 2))) for _ in range(samples)),
+        *(_coded_graphs(n, range(1 << math.comb(n, 2))) for n in range(1, max_n + 1)),
+        _coded_graphs(sample_n, (rng.getrandbits(math.comb(sample_n, 2)) for _ in range(samples))),
         ((g.n, g.adjacency) for g in chordal_graphs),
     )
 
     def check(item):
         n, adj = item
-        cliques: list[int] = []
-        _bron_kerbosch(adj, 0, (1 << n) - 1, 0, cliques)
+        cliques = maximal_clique_masks(adj)
         if _is_peo(adj, mcs_order(adj)) != (leaf_order_masks(cliques) is not None):
             pairs = itertools.combinations(range(n), 2)
             yield {"n": n, "edges": [[a + 1, b + 1] for a, b in pairs if adj[a] >> b & 1]}

@@ -284,6 +284,13 @@ class TestShelling:
         assert order is not None
         assert verify_shelling(cx, order)
 
+    def test_search_leaves_no_reference_cycle(self, cyclic_garbage):
+        # the recursive search is released on return, with its memo
+        path = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
+        disjoint = SimplicialComplex(4, [(1, 2), (3, 4)])
+        assert cyclic_garbage(shelling_order, path) == 0
+        assert cyclic_garbage(shelling_order, disjoint) == 0
+
     def test_impure_complex_rejected(self):
         with pytest.raises(DomainError):
             shelling_order(SimplicialComplex(3, [(1, 2), (3,)]))

@@ -331,6 +331,15 @@ class TestLinearQuotients:
         # (x):(y^2) = (x) is generated by a single variable
         assert verify_linear_quotients([m(1, 0), m(0, 2)])
 
+    def test_search_leaves_no_reference_cycle(self, worked_example, cyclic_garbage):
+        from srideals import complement_complex
+
+        # the recursive search is released on return, with its memo
+        found = facet_ideal(complement_complex(worked_example))
+        none = MonomialIdeal(4, [m(1, 1, 0, 0), m(0, 0, 1, 1)])
+        assert cyclic_garbage(linear_quotients_order, found) == 0
+        assert cyclic_garbage(linear_quotients_order, none) == 0
+
     def test_search_agrees_with_exhaustive_verification(self):
         import itertools
 

@@ -40,15 +40,16 @@ from srideals import (
 from srideals import _linalg
 from srideals.complexes import (
     down_closure,
+    face_mask,
     mask_face,
     minimal_nonfaces_masks,
     skeleton_complement,
 )
 from srideals.graphs import (
     Graph,
-    _bron_kerbosch,
     clique_complex,
     higher_dirac_check,
+    maximal_clique_masks,
     maximal_cliques,
     mcs_order,
     one_skeleton_graph,
@@ -65,6 +66,7 @@ from srideals.quasitrees import (
     build_m_delta,
     facet_complement_generators,
     leaf_order,
+    leaf_order_masks,
     minor_certificates,
     reconstruct_generators,
     reconstructs,
@@ -149,6 +151,35 @@ def test_construction_matches_the_all_pairs_scan(case):
     assert str(err.value) == (
         f"facets are not an antichain: {contained[0]} is contained in another facet"
     )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the text of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return str(err)
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=10),
+            st.lists(st.integers(1 << n, 1 << (n + 2)), max_size=2),
+        )
+    )
+)
+@example((3, [0b011, 0b001], []))  # a nested pair
+@example((3, [0b001], [0b1001]))  # vertex 4 outside [3]
+@settings(max_examples=300, deadline=None)
+def test_from_masks_matches_the_tuple_constructor(case):
+    n, masks, outside = case
+    masks = masks + outside
+    built = _outcome(SimplicialComplex.from_masks, n, masks)
+    assert built == _outcome(SimplicialComplex, n, [mask_face(m) for m in masks])
+    if isinstance(built, SimplicialComplex):
+        assert built.facet_masks == tuple(map(face_mask, built.facets))
 
 
 @given(complexes(max_n=5))
@@ -630,9 +661,7 @@ def test_maximal_cliques_match_brute_force(g):
 
     brute = [m for m in range(1, 1 << g.n) if is_clique(m) and is_maximal(m)]
     assert maximal_cliques(g) == brute
-    found: list[int] = []
-    _bron_kerbosch(adj, 0, (1 << g.n) - 1, 0, found)
-    assert found == _naive_cliques_in_order(adj)
+    assert maximal_clique_masks(adj) == _naive_cliques_in_order(adj)
 
 
 # Ideals on 7 to 10 variables, whose wide lcm-lattice elements often have
@@ -725,6 +754,41 @@ def quasi_trees(draw, max_facets=6):
         n += new
     relabel = draw(st.permutations(range(1, n + 1)))
     return SimplicialComplex(n, [tuple(sorted(relabel[v - 1] for v in f)) for f in facets])
+
+
+def _greedy_leaf_order(masks):
+    """The leaf order by the branch test on the union of the other alive
+    facets, lowest-index leaf first: the greedy that the shared-vertex
+    test replaced."""
+
+    def is_leaf(alive, f):
+        union = 0
+        for h in alive:
+            if h != f:
+                union |= masks[h]
+        union &= masks[f]
+        return any(g != f and masks[g] & masks[f] == union for g in alive)
+
+    alive = list(range(len(masks)))
+    removed = []
+    while len(alive) > 1:
+        leaf = next((f for f in alive if is_leaf(alive, f)), None)
+        if leaf is None:
+            return None
+        alive.remove(leaf)
+        removed.append(leaf)
+    return alive + removed[::-1]
+
+
+@given(
+    st.lists(st.integers(0, (1 << 7) - 1), max_size=10)
+    | quasi_trees(max_facets=10).flatmap(lambda cx: st.permutations(cx.facet_masks))
+)
+@example([0b0011, 0b0110, 0b1100, 0b1001])  # a 4-cycle: no leaf at all
+@example([0b11, 0b11, 0b01])  # repeated and nested masks
+@settings(max_examples=500, deadline=None)
+def test_leaf_order_masks_matches_the_union_greedy(masks):
+    assert leaf_order_masks(masks) == _greedy_leaf_order(masks)
 
 
 def _naive_relation_edge_sets(masks):

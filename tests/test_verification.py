@@ -15,7 +15,6 @@ from srideals.verification import (
     check_projdim_regularity_duality,
     check_quasi_trees_are_flag,
     check_restriction_resolution,
-    complex_from_masks,
     has_linear_resolution,
     iter_complexes_masks,
     random_chordal_graph,
@@ -41,7 +40,7 @@ class TestGenerators:
 
     def test_enumeration_yields_valid_complexes(self):
         for masks in iter_complexes_masks(3):
-            cx = complex_from_masks(3, masks)
+            cx = SimplicialComplex.from_masks(3, masks)
             assert isinstance(cx, SimplicialComplex)
 
     def test_random_complex_is_reproducible(self):
