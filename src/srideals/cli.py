@@ -105,66 +105,55 @@ def _read_input(path) -> str:
     return sys.stdin.read()
 
 
-def _load_complex(args):
-    return complex_from_json(
-        load_json(_read_input(args.file)), minimalize=getattr(args, "minimalize", False)
-    )
+# Each input kind: how to load it from the input text, and how to echo it
+# as the report's inputs.  The lambdas look the library functions up when
+# called, so a function rebound under its name here (as bench/tracing.py
+# does) is the one that runs.
+_KINDS = {
+    "complex": (lambda text: complex_from_json(load_json(text)), lambda cx: complex_to_json(cx)),
+    "ideal": (lambda text: ideal_from_json(load_json(text)), lambda ideal: ideal_to_json(ideal)),
+    "graph": (lambda text: graph_from_json(load_json(text)), lambda g: graph_to_json(g)),
+}
 
 
-def _load_ideal(args):
-    return ideal_from_json(load_json(_read_input(args.file)))
+def _flag(*names, **options):
+    return names, options
 
 
-def _load_graph(args):
-    text = _read_input(args.file)
-    if getattr(args, "graph6", False):
-        return graph_from_graph6(text)
-    return graph_from_json(load_json(text))
+_PRETTY = _flag("--pretty", action="store_true", help="monomials as x1*x2 strings")
+_FIELD = _flag("--field", type=_parse_field, default="q", help="coefficient field: q, gf2, gf<p>")
+# Each of these two stores its own loader as ``load``, in place of the kind's.
+_MINIMALIZE = _flag(
+    "--minimalize",
+    dest="load",
+    action="store_const",
+    const=lambda text: complex_from_json(load_json(text), minimalize=True),
+)
+_GRAPH6 = _flag(
+    "--graph6",
+    dest="load",
+    action="store_const",
+    const=lambda text: graph_from_graph6(text),
+    help="input is graph6",
+)
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, result, checks)
+# steps: each maps the loaded input and the parsed flags to (result, checks)
 # --------------------------------------------------------------------------
 
 
-def _cmd_dual(args):
-    cx = _load_complex(args)
+def _dual(cx, args):
     dual = alexander_dual(cx)
-    if dual is VOID_DUAL:
-        result = {"dual": "void"}
-    else:
-        result = {"dual": complex_to_json(dual)}
-    return complex_to_json(cx), result, []
+    return {"dual": "void" if dual is VOID_DUAL else complex_to_json(dual)}, []
 
 
-def _cmd_complement(args):
-    cx = _load_complex(args)
-    return complex_to_json(cx), {"complement": complex_to_json(complement_complex(cx))}, []
-
-
-def _cmd_skeleton(args):
-    cx = _load_complex(args)
-    return complex_to_json(cx), {"skeleton": complex_to_json(skeleton(cx, args.i))}, []
-
-
-def _cmd_nonfaces(args):
-    cx = _load_complex(args)
+def _nonfaces(cx, args):
     nf, flag = minimal_nonfaces(cx)
-    return complex_to_json(cx), {"nonfaces": [list(f) for f in nf], "flag": flag}, []
+    return {"nonfaces": [list(f) for f in nf], "flag": flag}, []
 
 
-def _cmd_sr_ideal(args):
-    cx = _load_complex(args)
-    return complex_to_json(cx), {"ideal": ideal_to_json(stanley_reisner_ideal(cx), args.pretty)}, []
-
-
-def _cmd_facet_ideal(args):
-    cx = _load_complex(args)
-    return complex_to_json(cx), {"ideal": ideal_to_json(facet_ideal(cx), args.pretty)}, []
-
-
-def _cmd_quasitree(args):
-    cx = _load_complex(args)
+def _quasitree(cx, args):
     order = leaf_order(cx)
     checks = []
     if order is not None:
@@ -173,11 +162,10 @@ def _cmd_quasitree(args):
         "is_quasi_tree": order is not None,
         "leaf_order": None if order is None else [i + 1 for i in order],
     }
-    return complex_to_json(cx), result, checks
+    return result, checks
 
 
-def _cmd_relation_trees(args):
-    cx = _load_complex(args)
+def _relation_trees(cx, args):
     trees = relation_trees(cx, limit=args.limit)
     gens = facet_complement_generators(cx)
     # The determinant identity presumes facets covering [n]; otherwise the
@@ -189,19 +177,13 @@ def _cmd_relation_trees(args):
     if covering:
         verdicts = [a and b for a, b in zip(verdicts, minor_certificates(cx, trees))]
     trees_json = relation_trees_to_json(trees)
-    checks = [
-        _check("tree-certificate", False, tr_json)
-        for tr_json, ok in zip(trees_json, verdicts)
-        if not ok
-    ]
+    checks = [_check("tree-certificate", False, t) for t, ok in zip(trees_json, verdicts) if not ok]
     if not checks:
         checks.append(_check("tree-certificates", True, None))
-    result = {"count": len(trees), "trees": trees_json}
-    return complex_to_json(cx), result, checks
+    return {"count": len(trees), "trees": trees_json}, checks
 
 
-def _cmd_mdelta(args):
-    cx = _load_complex(args)
+def _mdelta(cx, args):
     rows = [
         {
             "pair": [i + 1, j + 1],
@@ -212,29 +194,14 @@ def _cmd_mdelta(args):
         }
         for i, j, m_i, m_j in build_m_delta(cx)
     ]
-    return complex_to_json(cx), {"rows": rows, "cols": len(cx.facets)}, []
+    return {"rows": rows, "cols": len(cx.facets)}, []
 
 
-def _cmd_betti(args):
-    ideal = _load_ideal(args)
-    table = betti_table(ideal, args.field)
-    return ideal_to_json(ideal), betti_to_json(table, ideal.generator_degrees), []
+def _betti(ideal, args):
+    return betti_to_json(betti_table(ideal, args.field), ideal.generator_degrees), []
 
 
-def _cmd_projdim(args):
-    ideal = _load_ideal(args)
-    pd, _reg, _lin = projdim_and_reg(ideal, args.field)
-    return ideal_to_json(ideal), {"projdim": pd}, []
-
-
-def _cmd_reg(args):
-    ideal = _load_ideal(args)
-    _pd, reg, _lin = projdim_and_reg(ideal, args.field)
-    return ideal_to_json(ideal), {"reg": reg}, []
-
-
-def _cmd_chordal(args):
-    g = _load_graph(args)
+def _chordal(g, args):
     chordal, witness = is_chordal(g)
     if chordal:
         ok = verify_elimination_witness(g, witness)
@@ -242,26 +209,17 @@ def _cmd_chordal(args):
     else:
         ok = verify_cycle_witness(g, witness)
         kind = "chordless-cycle"
-    checks = [_check(f"witness-{kind}", ok, witness)]
-    return graph_to_json(g), {"chordal": chordal, "witness": witness}, checks
+    return {"chordal": chordal, "witness": witness}, [_check(f"witness-{kind}", ok, witness)]
 
 
-def _cmd_clique_complex(args):
-    g = _load_graph(args)
-    return graph_to_json(g), {"complex": complex_to_json(clique_complex(g))}, []
-
-
-def _cmd_dirac(args):
-    g = _load_graph(args)
+def _dirac(g, args):
     chordal, witness = is_chordal(g)
     qt = leaf_order(clique_complex(g)) is not None
     checks = [_check("chordal-iff-quasi-tree", chordal == qt, graph_to_json(g))]
-    result = {"chordal": chordal, "clique_complex_quasi_tree": qt, "agree": chordal == qt}
-    return graph_to_json(g), result, checks
+    return {"chordal": chordal, "clique_complex_quasi_tree": qt, "agree": chordal == qt}, checks
 
 
-def _cmd_higher_dirac(args):
-    cx = _load_complex(args)
+def _higher_dirac(cx, args):
     rep = higher_dirac_check(cx)
     result = {
         "holds": rep.holds,
@@ -271,30 +229,18 @@ def _cmd_higher_dirac(args):
         "isolated_vertices": isolated_vertices(cx),
         "one_skeleton": graph_to_json(one_skeleton_graph(cx)),
     }
-    checks = [_check("sides-agree", rep.holds, complex_to_json(cx))]
-    return complex_to_json(cx), result, checks
+    return result, [_check("sides-agree", rep.holds, complex_to_json(cx))]
 
 
-def _cmd_power(args):
-    ideal = _load_ideal(args)
-    return ideal_to_json(ideal), {"ideal": ideal_to_json(power(ideal, args.k), args.pretty)}, []
-
-
-def _cmd_restrict(args):
-    ideal = _load_ideal(args)
+def _restrict(ideal, args):
     try:
         bound = [int(x) for x in args.a.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse bound {args.a!r}; expected e.g. 1,0,2")
-    return (
-        ideal_to_json(ideal),
-        {"ideal": ideal_to_json(restrict_ideal(ideal, bound), args.pretty)},
-        [],
-    )
+    return {"ideal": ideal_to_json(restrict_ideal(ideal, bound), args.pretty)}, []
 
 
-def _cmd_shelling(args):
-    cx = _load_complex(args)
+def _shelling(cx, args):
     order = shelling_order(cx)
     checks = []
     if order is not None:
@@ -303,22 +249,19 @@ def _cmd_shelling(args):
         "shellable": order is not None,
         "order": None if order is None else [i + 1 for i in order],
     }
-    return complex_to_json(cx), result, checks
+    return result, checks
 
 
-def _cmd_linear_quotients(args):
-    ideal = _load_ideal(args)
+def _linear_quotients(ideal, args):
     order = linear_quotients_order(ideal)
     checks = []
     if order is not None:
-        checks.append(
-            _check("quotients-verified", verify_linear_quotients(order), None)
-        )
+        checks.append(_check("quotients-verified", verify_linear_quotients(order), None))
     result = {
         "has_linear_quotients": order is not None,
         "order": None if order is None else [monomial_to_json(m, args.pretty) for m in order],
     }
-    return ideal_to_json(ideal), result, checks
+    return result, checks
 
 
 def _cmd_verify(args):
@@ -335,10 +278,7 @@ def _cmd_verify(args):
         reports = run_all(args.seed, **budgets)
     else:
         reports = [run_suite(args.suite, args.seed, **budgets)]
-    checks = [
-        _check(rep["suite"], rep["passed"], rep["failures"][:1] or None)
-        for rep in reports
-    ]
+    checks = [_check(rep["suite"], rep["passed"], rep["failures"][:1] or None) for rep in reports]
     return {"suite": args.suite, "seed": args.seed}, {"reports": reports}, checks
 
 
@@ -346,28 +286,65 @@ def _check(name, passed, witness):
     return {"name": name, "passed": bool(passed), "witness": witness}
 
 
-_HANDLERS = {
-    "dual": _cmd_dual,
-    "complement": _cmd_complement,
-    "skeleton": _cmd_skeleton,
-    "nonfaces": _cmd_nonfaces,
-    "sr-ideal": _cmd_sr_ideal,
-    "facet-ideal": _cmd_facet_ideal,
-    "quasitree": _cmd_quasitree,
-    "relation-trees": _cmd_relation_trees,
-    "mdelta": _cmd_mdelta,
-    "betti": _cmd_betti,
-    "projdim": _cmd_projdim,
-    "reg": _cmd_reg,
-    "chordal": _cmd_chordal,
-    "clique-complex": _cmd_clique_complex,
-    "dirac": _cmd_dirac,
-    "higher-dirac": _cmd_higher_dirac,
-    "power": _cmd_power,
-    "restrict": _cmd_restrict,
-    "shelling": _cmd_shelling,
-    "linear-quotients": _cmd_linear_quotients,
-    "verify": _cmd_verify,
+# Every subcommand but verify: name -> (input kind, its flags after -f, step).
+# argparse lists the subcommands in this order.
+_COMMANDS = {
+    "dual": ("complex", (), _dual),
+    "complement": (
+        "complex",
+        (),
+        lambda cx, args: ({"complement": complex_to_json(complement_complex(cx))}, []),
+    ),
+    "nonfaces": ("complex", (), _nonfaces),
+    "skeleton": (
+        "complex",
+        (_flag("-i", type=int, required=True, help="skeleton dimension"),),
+        lambda cx, args: ({"skeleton": complex_to_json(skeleton(cx, args.i))}, []),
+    ),
+    "sr-ideal": (
+        "complex",
+        (_PRETTY,),
+        lambda cx, args: ({"ideal": ideal_to_json(stanley_reisner_ideal(cx), args.pretty)}, []),
+    ),
+    "facet-ideal": (
+        "complex",
+        (_PRETTY,),
+        lambda cx, args: ({"ideal": ideal_to_json(facet_ideal(cx), args.pretty)}, []),
+    ),
+    "quasitree": ("complex", (_MINIMALIZE,), _quasitree),
+    "relation-trees": ("complex", (_flag("--limit", type=int, default=1000),), _relation_trees),
+    "mdelta": ("complex", (_PRETTY,), _mdelta),
+    "betti": ("ideal", (_FIELD,), _betti),
+    "projdim": (
+        "ideal",
+        (_FIELD,),
+        lambda ideal, args: ({"projdim": projdim_and_reg(ideal, args.field)[0]}, []),
+    ),
+    "reg": (
+        "ideal",
+        (_FIELD,),
+        lambda ideal, args: ({"reg": projdim_and_reg(ideal, args.field)[1]}, []),
+    ),
+    "chordal": ("graph", (_GRAPH6,), _chordal),
+    "clique-complex": (
+        "graph",
+        (_GRAPH6,),
+        lambda g, args: ({"complex": complex_to_json(clique_complex(g))}, []),
+    ),
+    "dirac": ("graph", (_GRAPH6,), _dirac),
+    "higher-dirac": ("complex", (), _higher_dirac),
+    "power": (
+        "ideal",
+        (_PRETTY, _flag("-k", type=int, required=True)),
+        lambda ideal, args: ({"ideal": ideal_to_json(power(ideal, args.k), args.pretty)}, []),
+    ),
+    "restrict": (
+        "ideal",
+        (_PRETTY, _flag("-a", required=True, help="comma-separated exponent bound")),
+        _restrict,
+    ),
+    "shelling": ("complex", (), _shelling),
+    "linear-quotients": ("ideal", (_PRETTY,), _linear_quotients),
 }
 
 
@@ -381,40 +358,12 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="srideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_input=True, pretty=False, field=False):
+    for name, (kind, flags, _step) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("-f", "--file", help="input file (default: stdin)")
-        if pretty:
-            p.add_argument("--pretty", action="store_true", help="monomials as x1*x2 strings")
-        if field:
-            p.add_argument(
-                "--field", type=_parse_field, default="q", help="coefficient field: q, gf2, gf<p>"
-            )
-        return p
-
-    for name in ("dual", "complement", "nonfaces"):
-        add(name)
-    add("skeleton").add_argument("-i", type=int, required=True, help="skeleton dimension")
-    add("sr-ideal", pretty=True)
-    add("facet-ideal", pretty=True)
-    p = add("quasitree")
-    p.add_argument("--minimalize", action="store_true")
-    add("relation-trees").add_argument("--limit", type=int, default=1000)
-    add("mdelta", pretty=True)
-    add("betti", field=True)
-    add("projdim", field=True)
-    add("reg", field=True)
-    for name in ("chordal", "clique-complex", "dirac"):
-        add(name).add_argument("--graph6", action="store_true", help="input is graph6")
-    add("higher-dirac")
-    add("power", pretty=True).add_argument("-k", type=int, required=True)
-    add("restrict", pretty=True).add_argument(
-        "-a", required=True, help="comma-separated exponent bound"
-    )
-    add("shelling")
-    add("linear-quotients", pretty=True)
+        p.set_defaults(load=_KINDS[kind][0])
+        p.add_argument("-f", "--file", help="input file (default: stdin)")
+        for names, options in flags:
+            p.add_argument(*names, **options)
 
     # a budget flag that is not given stays out of the namespace, so each
     # suite keeps its own default for it
@@ -435,11 +384,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        inputs, result, checks = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+        if args.command == "verify":
+            inputs, result, checks = _cmd_verify(args)
+        else:
+            kind, _flags, step = _COMMANDS[args.command]
+            x = args.load(_read_input(args.file))
+            inputs = _KINDS[kind][1](x)
+            result, checks = step(x, args)
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -36,6 +36,8 @@ class Graph:
         adj = [0] * n
         for e in edges:
             i, j = e
+            if type(i) is not int or type(j) is not int:  # bool is rejected too
+                raise DomainError(f"vertex {j if type(i) is int else i!r} is not an integer")
             if j < i:
                 i, j = j, i
             if i == j:

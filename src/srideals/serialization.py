@@ -263,6 +263,9 @@ def relation_trees_to_json(trees) -> list[dict]:
     for tree in trees:
         labels = {}
         for (i, j), pair in tree.labels:
+            key = f"{i + 1}-{j + 1}"
+            if key in labels:  # an edge's first label is its label, as in RelationTree.label
+                continue
             hit = shared.get(id(pair))
             if hit is None:
                 u_ij, u_ji = pair
@@ -270,7 +273,7 @@ def relation_trees_to_json(trees) -> list[dict]:
                 shared[id(pair)] = (pair, lab)
             else:
                 lab = hit[1]
-            labels[f"{i + 1}-{j + 1}"] = lab
+            labels[key] = lab
         out.append(
             {
                 "t": tree.num_generators,

@@ -331,11 +331,10 @@ def _antichains(max_n: int, max_facets: int, max_size):
         return sum(math.comb(c, r) for r in range(1, min(max(max_facets, 1), c) + 1))
 
     _check_family(map(bound, range(2, max_n + 1)), "--max-n or --max-facets")
-    # with two vertices, two facets and facets of one vertex the family is
-    # not empty: {1} and {2}
+    # with two vertices, two facets and facets of one vertex (max_size(2) is
+    # at least 1 for every caller) the family is not empty: {1} and {2}
     _check_range(2, max_n)
     _check_range(2, max_facets, "max_facets")
-    _check_range(1, max_size(2), "max_size")
     return (
         (n, masks)
         for n in range(2, max_n + 1)
@@ -526,11 +525,14 @@ def check_cm_vs_linear_resolution(
     )
 
 
+# The fewest vertices of a thm-1.4b sample.
+_DUALITY_MIN_SAMPLE_N = 7
+
+
 def check_projdim_regularity_duality(
     seed: int = 0,
     exhaustive_n: int = 5,
     samples: int = 150,
-    min_sample_n: int = 7,
     max_n: int = 8,
     field: FieldChoice = RATIONALS,
 ):
@@ -555,7 +557,7 @@ def check_projdim_regularity_duality(
         if pd + 1 != reg:
             yield complex_to_json(cx)
 
-    family = _complexes(seed, exhaustive_n, samples, min_sample_n, max_n)
+    family = _complexes(seed, exhaustive_n, samples, _DUALITY_MIN_SAMPLE_N, max_n)
     return _run_family(
         "thm-1.4b", family, check, exhaustive_n=exhaustive_n, samples=samples, field=repr(field)
     )
@@ -692,12 +694,11 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     return _run_family("lemma-2.1", family, check, max_n=max_n, max_facets=max_facets)
 
 
-def check_quasi_tree_projdim(
-    max_n: int = 6,
-    max_facets: int = 4,
-    max_size: int = 3,
-    field: FieldChoice = RATIONALS,
-):
+# The most vertices of a cor-2.2 facet.
+_QUASI_TREE_FACET_SIZE = 3
+
+
+def check_quasi_tree_projdim(max_n: int = 6, max_facets: int = 4, field: FieldChoice = RATIONALS):
     """Leaf order exists iff the facet ideal of the complement complex
     has projective dimension 1 (complexes with >= 2 facets; a single
     facet gives a principal ideal of projective dimension 0)."""
@@ -710,14 +711,14 @@ def check_quasi_tree_projdim(
         if is_qt != (pd == 1):
             yield _masks_witness(n, masks)
 
-    family = _antichains(max_n, max_facets, lambda n: min(max_size, n - 1))
+    family = _antichains(max_n, max_facets, lambda n: min(_QUASI_TREE_FACET_SIZE, n - 1))
     return _run_family(
         "cor-2.2",
         family,
         check,
         max_n=max_n,
         max_facets=max_facets,
-        max_size=max_size,
+        max_size=_QUASI_TREE_FACET_SIZE,
         field=repr(field),
     )
 
@@ -844,28 +845,29 @@ def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: in
     return _run_family("lemma-4.2", family, check, samples=samples, max_n=max_n)
 
 
+# lemma-4.3 restricts each ideal it finds to this many random bounds, and
+# draws at most _RESTRICTION_ATTEMPTS ideals in all.
+_BOUNDS_PER_IDEAL = 3
+_RESTRICTION_ATTEMPTS = 5_000
+
+
 def check_restriction_resolution(
-    seed: int = 0,
-    ideals: int = 100,
-    bounds_per_ideal: int = 3,
-    max_n: int = 8,
-    field: FieldChoice = RATIONALS,
-    max_attempts: int = 5_000,
+    seed: int = 0, ideals: int = 100, max_n: int = 8, field: FieldChoice = RATIONALS
 ):
     """Restricting a linear-resolution ideal to the generators below a
     bound keeps the resolution linear; moreover its Betti table is
     exactly the sub-table of multidegrees below the bound."""
-    if ideals > 0 and max_attempts > 0:
+    if ideals > 0:
         _check_range(4, max_n)  # the lower bound of the edge-ideal draws
     rng = random.Random(seed)
     found = 0
 
     def family():
-        """(ideal, its Betti table, bound) for bounds_per_ideal random bounds
+        """(ideal, its Betti table, bound) for _BOUNDS_PER_IDEAL random bounds
         below each random ideal that has a linear resolution, until ideals
-        of them are found or max_attempts ideals are drawn."""
+        of them are found or _RESTRICTION_ATTEMPTS ideals are drawn."""
         nonlocal found
-        for _ in range(max_attempts):
+        for _ in range(_RESTRICTION_ATTEMPTS):
             if found >= ideals:
                 return
             kind = rng.randrange(3)
@@ -891,7 +893,7 @@ def check_restriction_resolution(
                 continue
             found += 1
             caps = [max(g.exponents[i] for g in ideal.generators) for i in range(ideal.num_vars)]
-            for _ in range(bounds_per_ideal):
+            for _ in range(_BOUNDS_PER_IDEAL):
                 yield ideal, table, tuple(rng.randint(0, c) for c in caps)
 
     def check(item):
@@ -910,7 +912,7 @@ def check_restriction_resolution(
             yield {"ideal": ideal_to_json(ideal), "bound": list(a)}
 
     report = _run_family(
-        "lemma-4.3", family(), check, bounds_per_ideal=bounds_per_ideal, field=repr(field)
+        "lemma-4.3", family(), check, bounds_per_ideal=_BOUNDS_PER_IDEAL, field=repr(field)
     )
     report["notes"]["linear_ideals"] = found
     return report

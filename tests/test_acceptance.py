@@ -90,7 +90,7 @@ def test_acceptance_1_worked_example(worked_example):
 
 def test_acceptance_2_leaf_order_iff_projdim_one():
     start = time.perf_counter()
-    report = check_quasi_tree_projdim(max_n=6, max_facets=4, max_size=3)
+    report = check_quasi_tree_projdim(max_n=6, max_facets=4)
     elapsed = time.perf_counter() - start
     assert report["instances"] == 40741
     assert elapsed < 300

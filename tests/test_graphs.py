@@ -38,6 +38,13 @@ class TestGraphValue:
         with pytest.raises(DomainError):
             Graph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("vertex", [1.5, "a", True])
+    def test_non_integer_vertex_rejected(self, vertex):
+        with pytest.raises(DomainError, match=f"vertex {vertex!r} is not an integer"):
+            Graph(3, [(vertex, 2)])
+        with pytest.raises(DomainError, match=f"vertex {vertex!r} is not an integer"):
+            Graph(3, [(2, vertex)])
+
     def test_adjacency_and_has_edge(self):
         g = Graph(3, [(1, 2)])
         assert g.has_edge(2, 1)

@@ -75,6 +75,7 @@ from srideals.quasitrees import (
     tree_minor_det,
     verify_minor_certificate,
 )
+from srideals.serialization import relation_tree_to_json
 from srideals.verification import random_quasi_tree
 
 
@@ -1052,6 +1053,8 @@ def test_the_first_label_of_an_edge_wins(case, data):
     assert [reconstruct_generators(after), reconstruct_generators(before)] == expected
     verdicts = reconstructs([after, before, tree], expected[0])
     assert verdicts == [True, expected[1] == expected[0], True]
+    assert relation_tree_to_json(after) == relation_tree_to_json(tree)
+    assert relation_tree_to_json(before) == relation_tree_to_json(replaced)
 
 
 @given(wide_labelled_trees)

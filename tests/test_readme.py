@@ -1,9 +1,12 @@
-"""The README's quick start runs, and its table of resource caps matches
-the caps in the source."""
+"""The README's quick start runs, its table of resource caps matches the
+caps in the source, and its list of subcommands matches the CLI."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
+
+from srideals import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "srideals"
@@ -41,3 +44,25 @@ def test_readme_cap_table_gives_each_value():
         module, name = constant.split(".")
         cap = getattr(importlib.import_module(f"srideals.{module}"), name)
         assert value == f"{cap:,}", constant
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_readme_lists_exactly_the_subcommands():
+    # the first sentence of the paragraph lists them, each opening a
+    # backticked span such as `quasitree [--minimalize]`
+    (sentence,) = re.findall(r"^Subcommands: (.*?)\.\s", README.read_text(), re.M | re.S)
+    named = re.findall(r"`([a-z][a-z0-9-]*)[^`]*`", sentence)
+    assert sorted(named) == sorted(_subparsers())
+
+
+def test_field_and_graph6_are_on_the_readme_commands():
+    def taking(flag):
+        return {name for name, p in _subparsers().items() if flag in p._option_string_actions}
+
+    # verify's --field is a budget, documented with the suites
+    assert taking("--field") - {"verify"} == {"betti", "projdim", "reg"}
+    assert taking("--graph6") == {"chordal", "clique-complex", "dirac"}
