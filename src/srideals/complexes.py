@@ -92,7 +92,7 @@ def _maximal_faces(faces: list[Face], masks=None) -> list[Face]:
 
 
 def _check_ambient(n) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is rejected too
         raise DomainError(f"ambient size must be a positive integer, got {n!r}")
 
 

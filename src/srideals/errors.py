@@ -10,7 +10,6 @@ class ResourceLimitError(RuntimeError):
 
 
 def over_cap(what: str, value, name: str, cap: int, hint: str = "") -> ResourceLimitError:
-    """The one builder of cap errors: `what` = `value` is above `name` = `cap`,
-    `name` being a ``module.MAX_*`` constant or the keyword that set the cap."""
+    """The one builder of cap errors: `what` = `value` is above the constant `name` = `cap`."""
     message = f"{what} = {value} exceeds {name} = {cap:,}"
     return ResourceLimitError(f"{message} ({hint})" if hint else message)

@@ -30,12 +30,15 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is rejected too
             raise DomainError(f"vertex count must be a positive integer, got {n!r}")
         canon = set()
         adj = [0] * n
         for e in edges:
-            i, j = e
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise DomainError(f"edge {e!r} is not a pair of vertices") from None
             if type(i) is not int or type(j) is not int:  # bool is rejected too
                 raise DomainError(f"vertex {j if type(i) is int else i!r} is not an integer")
             if j < i:

@@ -152,7 +152,7 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __init__(self, num_vars: int, generators):
-        if not isinstance(num_vars, int) or num_vars < 1:
+        if type(num_vars) is not int or num_vars < 1:  # bool is rejected too
             raise DomainError(f"num_vars must be a positive integer, got {num_vars!r}")
         self._store(num_vars, *_canonical(generators))
 
@@ -282,7 +282,8 @@ MAX_POWER_FACTORS = 300_000
 # graded_component_ideal lists C(n + e - 1, e) monomials of degree e = j - deg g
 # for each generator g; (x1) on 12 variables lists 75,582 at degree 9.
 MAX_GRADED_MONOMIALS = 100_000
-# The nodes that linear_quotients_order may visit on more than 12 generators.
+# The nodes that linear_quotients_order may visit.  Each is a distinct set of
+# remaining generators, so fewer than 19 generators never reach the cap.
 MAX_SEARCH_NODES = 500_000
 
 
@@ -373,28 +374,20 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
     return MonomialIdeal(n, gens)
 
 
-def linear_quotients_order(
-    ideal: MonomialIdeal, max_nodes: int | None = None
-) -> list[Monomial] | None:
+def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
     """Search for an ordering of G(I) with linear quotients.
 
     Returns one valid ordering, or None when an exhaustive backtracking
     search proves that no ordering works.  Whether a prefix can be
     extended depends only on the prefix as a set, so failed prefix sets
     are memoized; greedy extension alone is not sound for None answers,
-    hence the backtracking.  max_nodes caps the number of search nodes;
-    None means unlimited for <= 12 generators and ``MAX_SEARCH_NODES`` above.
+    hence the backtracking.  More than ``MAX_SEARCH_NODES`` search nodes
+    is a ResourceLimitError.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no generators to order")
     gens = list(ideal.generators)
     t = len(gens)
-    if t == 1:
-        return gens
-    name = "max_nodes"
-    if max_nodes is None:
-        max_nodes, name = (None if t <= 12 else MAX_SEARCH_NODES), "ideals.MAX_SEARCH_NODES"
-
     # lin_var[k][i]: variable index when g_k / gcd(g_i, g_k) has degree 1.
     lin_var = [[-1] * t for _ in range(t)]
     for k in range(t):
@@ -433,8 +426,10 @@ def linear_quotients_order(
         if key in dead:
             return False
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise over_cap("linear-quotients search nodes", nodes, name, max_nodes)
+        if nodes > MAX_SEARCH_NODES:
+            raise over_cap(
+                "linear-quotients search nodes", nodes, "ideals.MAX_SEARCH_NODES", MAX_SEARCH_NODES
+            )
         for i in sorted(remaining):
             if any(vmask[i] & quot_mask[j][i] == 0 for j in prefix):
                 continue

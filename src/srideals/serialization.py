@@ -1,8 +1,11 @@
 """JSON wire formats for complexes, ideals, graphs, Betti tables and
 relation trees, plus the human-readable monomial syntax and graph6 import.
 
-Vertices and variable indices are 1-based on the wire; relation-tree and
-leaf-order indices are likewise shifted to 1-based here and nowhere else.
+Vertices and variables are 1-based everywhere.  Facet and generator indices
+are 0-based in the library and shifted to 1-based where their JSON is built:
+relation trees here; leaf orders, shelling orders and M_Delta in ``cli``,
+whose leaf-order and shelling check witnesses stay 0-based.
+``graphs.is_chordal`` shifts its witness vertices from bit positions itself.
 """
 
 from __future__ import annotations

@@ -48,6 +48,8 @@ from .homological import (
     MAX_SHELLING_FACETS,
     RATIONALS,
     FieldChoice,
+    _packed_betti_table,
+    _shelling_search,
     betti_table,
     is_cohen_macaulay,
     shelling_order,
@@ -95,12 +97,12 @@ MAX_EXHAUSTIVE_INSTANCES = 250_000
 # ---------------------------------------------------------------------------
 
 
-def iter_complexes_masks(n, max_facets=None, max_size=None, min_size=1):
+def iter_complexes_masks(n, max_facets=None, max_size=None):
     """All complexes on [n] as tuples of facet bitmasks (nonempty antichains
-    of subsets with sizes in [min_size, max_size]), in DFS order."""
+    of nonempty subsets of at most max_size vertices), in DFS order."""
     max_size = n if max_size is None else min(max_size, n)
     candidates = sorted(
-        (m for m in range(1, 1 << n) if min_size <= m.bit_count() <= max_size),
+        (m for m in range(1, 1 << n) if m.bit_count() <= max_size),
         key=lambda m: (m.bit_count(), m),
     )
     chosen: list[int] = []
@@ -186,11 +188,10 @@ def _sampled(seed: int, samples: int, lo: int, hi: int, draw):
     return (draw(rng, rng.randint(lo, hi)) for _ in range(samples))
 
 
-def random_complex(rng: random.Random, n: int, max_facets: int = 6, max_size=None):
+def random_complex(rng: random.Random, n: int, max_facets: int = 6):
     """A complex built from random faces, minimalized."""
-    max_size = n if max_size is None else min(max_size, n)
     faces = [
-        rng.sample(range(1, n + 1), rng.randint(1, max_size))
+        rng.sample(range(1, n + 1), rng.randint(1, n))
         for _ in range(rng.randint(1, max_facets))
     ]
     return SimplicialComplex.from_faces(n, faces)
@@ -210,8 +211,8 @@ def _random_pure(rng: random.Random, n: int, max_count: int) -> SimplicialComple
     return random_pure_complex(rng, n, d, rng.randint(1, min(max_count, math.comb(n, d))))
 
 
-def random_quasi_tree(rng: random.Random, n: int, max_facets: int = 6, max_size: int = 4):
-    """Grow a quasi-tree by repeated leaf attachment.
+def random_quasi_tree(rng: random.Random, n: int, max_facets: int = 6):
+    """Grow a quasi-tree from a first facet of 2 to 4 vertices by leaf attachment.
 
     Each new facet is S | T with S a proper subset of an existing facet G
     and T a nonempty set of fresh vertices, which makes it a leaf (its
@@ -219,7 +220,7 @@ def random_quasi_tree(rng: random.Random, n: int, max_facets: int = 6, max_size:
     keeps the facets an antichain.  The construction order is therefore
     itself a leaf order.
     """
-    size = rng.randint(2, min(max_size, n))
+    size = rng.randint(2, min(4, n))
     facets = [sorted(rng.sample(range(1, n + 1), size))]
     used = set(facets[0])
     while len(facets) < max_facets:
@@ -235,8 +236,9 @@ def random_quasi_tree(rng: random.Random, n: int, max_facets: int = 6, max_size:
     return SimplicialComplex(n, facets)
 
 
-def random_graph(rng: random.Random, n: int, p=None) -> Graph:
-    p = rng.random() if p is None else p
+def random_graph(rng: random.Random, n: int) -> Graph:
+    """A graph on [n] whose edges are each kept with one random probability."""
+    p = rng.random()
     edges = [
         e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p
     ]
@@ -271,12 +273,11 @@ def random_chordal_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_monomial_ideal(
-    rng: random.Random, n: int, degree: int, count: int, max_exp: int = 2
-) -> MonomialIdeal:
-    """A random ideal generated in a single degree (duplicates dropped)."""
+def random_monomial_ideal(rng: random.Random, n: int, degree: int, count: int) -> MonomialIdeal:
+    """A random ideal in a single degree, exponents at most 2 (duplicates dropped)."""
     from .ideals import Monomial, minimalize
 
+    max_exp = 2
     if degree > n * max_exp:
         raise DomainError(f"degree {degree} exceeds n * max_exp = {n} * {max_exp}")
     gens = set()
@@ -381,9 +382,7 @@ def _run_family(suite: str, family, check, **notes) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# has_linear_resolution past 11 generators: the nodes of its certificate
-# search (then it falls back to the Betti table) and that table's lattice.
-MAX_CERTIFICATE_NODES = 200_000
+# The lcm lattice of has_linear_resolution's fallback Betti table.
 MAX_FALLBACK_LCMS = 200_000
 
 
@@ -394,8 +393,9 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     a linear-quotients order is a sound positive certificate (quotients
     imply a linear resolution for equigenerated ideals); canonical and
     reversed generator order are tried before the backtracking search.
-    Only when no certificate is found does the full Betti computation
-    run, so a True answer is always cheap and a False answer is exact.
+    Only when none is found does the Betti table run, uncapped but for its
+    lattice (``MAX_FALLBACK_LCMS``), so a True answer is always cheap and a
+    False answer is exact.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no resolution to classify")
@@ -403,22 +403,19 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     if len(degrees) > 1:
         return False
     d = next(iter(degrees))
-    t = len(ideal.generators)
-    if t <= 11:
+    if len(ideal.generators) <= 11:
         return betti_table(ideal, field).is_linear(d)
     gens = list(ideal.generators)
     for candidate in (gens, gens[::-1]):
         if verify_linear_quotients(candidate):
             return True
     try:
-        if linear_quotients_order(ideal, max_nodes=MAX_CERTIFICATE_NODES) is not None:
+        if linear_quotients_order(ideal) is not None:
             return True
     except ResourceLimitError:
         pass
-    table = betti_table(
-        ideal, field, max_generators=t, max_vars=ideal.num_vars, max_lcms=MAX_FALLBACK_LCMS
-    )
-    return table.is_linear(d)
+    cap = "verification.MAX_FALLBACK_LCMS"
+    return _packed_betti_table(ideal, field.p, cap, MAX_FALLBACK_LCMS).is_linear(d)
 
 
 def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:
@@ -593,7 +590,7 @@ def check_shellable_vs_linear_quotients(
         if order is not None:
             shellable += 1
             for i in range(dimension_info(cx)[0]):
-                if shelling_order(skeleton(cx, i), max_facets=64) is None:
+                if _shelling_search(skeleton(cx, i).facet_masks) is None:
                     yield {"complex": complex_to_json(cx), "skeleton": i}
 
     family = _sampled(seed, samples, 3, max_n, draw)
@@ -642,7 +639,7 @@ def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 
 
     def check(item):
         cx, i = item
-        if shelling_order(skeleton(cx, i), max_facets=64) is None:
+        if _shelling_search(skeleton(cx, i).facet_masks) is None:
             yield {"complex": complex_to_json(cx), "skeleton": i}
 
     return _run_family("lemma-1.6", family, check, samples=samples)

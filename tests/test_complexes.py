@@ -35,6 +35,13 @@ class TestConstruction:
         with pytest.raises(DomainError, match="out of range"):
             SimplicialComplex(3, [(1, 4)])
 
+    @pytest.mark.parametrize(
+        "build", [lambda: SimplicialComplex(True, [[1]]), lambda: SimplicialComplex.from_masks(True, [1])]
+    )
+    def test_bool_ambient_rejected(self, build):
+        with pytest.raises(DomainError, match="ambient size must be a positive integer"):
+            build()
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             SimplicialComplex(3, [(1, 1, 2)])

@@ -1,5 +1,7 @@
 """Graphs: chordality witnesses, cliques, clique complexes, Dirac checks."""
 
+import re
+
 import pytest
 
 from srideals import (
@@ -44,6 +46,15 @@ class TestGraphValue:
             Graph(3, [(vertex, 2)])
         with pytest.raises(DomainError, match=f"vertex {vertex!r} is not an integer"):
             Graph(3, [(2, vertex)])
+
+    def test_bool_vertex_count_rejected(self):
+        with pytest.raises(DomainError, match="vertex count must be a positive integer"):
+            Graph(True, [])
+
+    @pytest.mark.parametrize("edge", [(1, 2, 3), 1])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        with pytest.raises(DomainError, match=re.escape(f"edge {edge!r} is not a pair")):
+            Graph(3, [edge])
 
     def test_adjacency_and_has_edge(self):
         g = Graph(3, [(1, 2)])

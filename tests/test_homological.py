@@ -224,9 +224,6 @@ class TestBettiTables:
         # its own element, 2^16 - 1 = 65,535 of them
         with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 50,000"):
             squarefree_betti_masks([1 << i for i in range(16)])
-        ideal = MonomialIdeal(12, [Monomial.from_support((v,), 12) for v in range(1, 13)])
-        with pytest.raises(ResourceLimitError, match="max_lcms = 100 "):
-            betti_table(ideal, max_lcms=100)
 
     def test_generator_cap(self):
         gens = [
@@ -234,8 +231,6 @@ class TestBettiTables:
         ]
         with pytest.raises(ResourceLimitError, match="homological.MAX_BETTI_GENERATORS = 12$"):
             betti_table(MonomialIdeal(14, gens))
-        with pytest.raises(ResourceLimitError, match="generators = 13 exceeds max_generators = 11$"):
-            betti_table(MonomialIdeal(14, gens), max_generators=11)
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(DomainError):

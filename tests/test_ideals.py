@@ -69,6 +69,10 @@ class TestMonomialIdeal:
         with pytest.raises(DomainError, match="unit"):
             MonomialIdeal(2, [m(0, 0)])
 
+    def test_bool_variable_count_rejected(self):
+        with pytest.raises(DomainError, match="num_vars must be a positive integer"):
+            MonomialIdeal(True, [])
+
     def test_zero_ideal(self):
         ideal = MonomialIdeal(2, [])
         assert ideal.is_zero

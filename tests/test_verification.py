@@ -25,7 +25,7 @@ from srideals.verification import (
 import random
 
 from srideals import MonomialIdeal, Monomial
-from srideals.graphs import is_chordal
+from srideals.graphs import Graph, complement_graph, edge_ideal, is_chordal
 from srideals.quasitrees import leaf_order
 
 
@@ -66,6 +66,53 @@ class TestGenerators:
         assert [g.exponents for g in ideal.generators] == [(2,)]
 
 
+# Edge ideals of 12 generators, one for each route that has_linear_resolution
+# takes past 11 generators: (n, edges, the (step, verdict) calls in order).
+_LONG_ROUTES = {
+    "canonical order": (
+        6,
+        [
+            (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5),
+            (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+        ],
+        [("verify_linear_quotients", True)],
+    ),
+    "reversed order": (
+        6,
+        [
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+            (2, 4), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6),
+        ],
+        [("verify_linear_quotients", False), ("verify_linear_quotients", True)],
+    ),
+    "search": (
+        7,
+        [
+            (1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+            (2, 6), (2, 7), (3, 6), (4, 7), (5, 6), (6, 7),
+        ],
+        [
+            ("verify_linear_quotients", False),
+            ("verify_linear_quotients", False),
+            ("linear_quotients_order", True),
+        ],
+    ),
+    "Betti fallback": (
+        7,
+        [
+            (1, 2), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4),
+            (3, 4), (3, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+        ],
+        [
+            ("verify_linear_quotients", False),
+            ("verify_linear_quotients", False),
+            ("linear_quotients_order", False),
+            ("_packed_betti_table", False),
+        ],
+    ),
+}
+
+
 class TestLinearResolutionDecider:
     def test_mixed_degrees_are_never_linear(self):
         ideal = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 2))])
@@ -80,6 +127,40 @@ class TestLinearResolutionDecider:
     def test_zero_ideal_rejected(self):
         with pytest.raises(DomainError):
             has_linear_resolution(MonomialIdeal(2, []))
+
+    @pytest.mark.parametrize("route", _LONG_ROUTES)
+    def test_each_route_past_eleven_generators(self, monkeypatch, route):
+        n, edges, expected = _LONG_ROUTES[route]
+        calls = []
+
+        def spy(step, verdict):
+            real = getattr(verification, step)
+
+            def wrapped(*args):
+                out = real(*args)
+                calls.append((step, verdict(out)))
+                return out
+
+            monkeypatch.setattr(verification, step, wrapped)
+
+        spy("betti_table", lambda table: table.is_linear(2))
+        spy("verify_linear_quotients", bool)
+        spy("linear_quotients_order", lambda order: order is not None)
+        spy("_packed_betti_table", lambda table: table.is_linear(2))
+        graph = Graph(n, edges)
+        ideal = edge_ideal(graph)
+        assert len(ideal.generators) == len(edges) > 11
+        verdict = has_linear_resolution(ideal)
+        assert calls == expected
+        # Froberg: an edge ideal has a linear resolution iff the complement
+        # of its graph is chordal
+        assert verdict == is_chordal(complement_graph(graph))[0]
+
+    def test_fallback_cap_names_its_constant(self, monkeypatch):
+        n, edges, _ = _LONG_ROUTES["Betti fallback"]
+        monkeypatch.setattr(verification, "MAX_FALLBACK_LCMS", 10)
+        with pytest.raises(ResourceLimitError, match="verification.MAX_FALLBACK_LCMS = 10 "):
+            has_linear_resolution(edge_ideal(Graph(n, edges)))
 
 
 # sha256 of dumps_report(run_all(seed=s)): a change to any family (its draws,
