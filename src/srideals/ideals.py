@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import lshift
 
-from .complexes import MAX_SKELETON_FACES, SimplicialComplex, face_mask
+from .complexes import MAX_SKELETON_FACES, SimplicialComplex
 from .complexes import minimal_nonfaces_masks, minimal_transversals
 from .errors import DomainError, over_cap
 
@@ -29,7 +29,7 @@ class Monomial:
         exps = tuple(exponents)
         if not exps:
             raise DomainError("a monomial needs at least one variable")
-        if not all(map(isinstance, exps, itertools.repeat(int))) or min(exps) < 0:
+        if not {int}.issuperset(map(type, exps)) or min(exps) < 0:  # bool is rejected too
             raise DomainError(f"exponents must be nonnegative integers: {exps}")
         object.__setattr__(self, "exponents", exps)
 
@@ -101,33 +101,44 @@ def _canonical(monomials):
     return tuple(map(by_exps.__getitem__, exps)), exps, tuple(map(sum, exps))
 
 
-def _packing(vectors, top: int | None = None):
+def _packing(vectors, top: int | None = None, degree: bool = False):
     """Pack exponent vectors into ints for word-parallel comparisons.
 
-    Variable v owns the field of ``stride = w + 1`` bits at ``v * stride``:
-    w value bits, where ``w = top.bit_length()`` and ``top`` (default: the
-    largest exponent) bounds every value the field will hold, and one guard
-    bit above them.  Returns ``(packed, stride, ones, guards)``, where
-    ``ones`` has a 1 in each field and ``guards`` each field's guard bit.
+    Each of the n variables owns a field of ``stride = w + 1`` bits: w value
+    bits, where ``w = top.bit_length()`` and ``top`` (default: the largest
+    exponent) bounds every value the field will hold, and one guard bit
+    above them.  x1 owns the most significant field, at ``(n - 1) * stride``,
+    and x_n the field at 0.  With ``degree``, the vector's degree is added at
+    ``n * stride``, above every field and with no width limit, so that a sum
+    of packed vectors carries the degree of the product and the order of
+    packed ints is the canonical (degree, exponents) order.  Returns
+    ``(packed, stride, ones, guards)``, where ``ones`` has a 1 in each
+    variable field and ``guards`` each variable field's guard bit.
 
     For packed a and b, ``(b | guards) - a`` computes ``2^w + b_v - a_v``
     in every field without borrowing from the next one, and the field keeps
     its guard exactly when ``a_v <= b_v``; so a divides b iff
-    ``((b | guards) - a) & guards == guards``.
+    ``((b | guards) - a) & guards == guards``.  A degree field lies above
+    every guard, so the test reads none of it.
     """
     if top is None:
         top = max(map(max, vectors))
     stride = top.bit_length() + 1
-    shifts = range(0, len(vectors[0]) * stride, stride)
+    n = len(vectors[0])
+    shifts = range((n - 1) * stride, -1, -stride)
     ones = sum(1 << s for s in shifts)
     packed = [sum(map(lshift, v, shifts)) for v in vectors]
+    if degree:
+        high = n * stride
+        packed = [p + (sum(v) << high) for p, v in zip(packed, vectors)]
     return packed, stride, ones, ones << (stride - 1)
 
 
 def _unpacked(packed, stride: int, n: int) -> list[tuple[int, ...]]:
-    """The exponent vectors of n variables packed at ``stride`` (:func:`_packing`)."""
+    """The exponent vectors of n variables packed at ``stride`` (:func:`_packing`),
+    without any degree field."""
     field = (1 << (stride - 1)) - 1
-    shifts = range(0, n * stride, stride)
+    shifts = range((n - 1) * stride, -1, -stride)
     return [tuple([p >> s & field for s in shifts]) for p in packed]
 
 
@@ -201,11 +212,8 @@ class MonomialIdeal:
 def minimalize(monomials) -> MonomialIdeal:
     """Reduce a nonempty list of monomials to the minimal generating set.
 
-    After sorting by (degree, exponents) a monomial is dropped when a kept
-    monomial of strictly lower degree divides it: a distinct monomial of
-    equal degree cannot, and a dropped one's divisors are kept ones.  The
-    divisibility test is the packed subtract-and-mask of :func:`_packing`.
-    The ideal is stored from the one sort, with every check of its class.
+    The monomials are sorted by (degree, exponents) (:func:`_canonical`)
+    and reduced by :func:`_minimal_ideal`.
     """
     unique, exps, degrees = _canonical(monomials)
     if not unique:
@@ -213,6 +221,19 @@ def minimalize(monomials) -> MonomialIdeal:
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
+    return _minimal_ideal(n, unique, exps, degrees)
+
+
+def _minimal_ideal(n: int, gens, exps, degrees) -> MonomialIdeal:
+    """The ideal of distinct monomials in n variables given in canonical
+    order, with their exponent vectors and degrees in the same order.
+
+    A monomial is dropped when a kept monomial of strictly lower degree
+    divides it: a distinct monomial of equal degree cannot, and a dropped
+    one's divisors are kept ones.  The divisibility test is the packed
+    subtract-and-mask of :func:`_packing`.  The ideal is stored with every
+    check of its class.
+    """
     if degrees[0] != degrees[-1]:
         packed, _stride, _ones, guards = _packing(exps)
         keep: list[int] = []
@@ -220,10 +241,20 @@ def minimalize(monomials) -> MonomialIdeal:
             lower = keep[: bisect_left(keep, bisect_left(degrees, degrees[k]))]
             if not any((b | guards) - packed[a] & guards == guards for a in lower):
                 keep.append(k)
-        unique, exps, degrees = ([seq[k] for k in keep] for seq in (unique, exps, degrees))
+        gens, exps, degrees = ([seq[k] for k in keep] for seq in (gens, exps, degrees))
     ideal = MonomialIdeal.__new__(MonomialIdeal)
-    ideal._store(n, unique, exps, degrees)
+    ideal._store(n, gens, exps, degrees)
     return ideal
+
+
+def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
+    """:func:`_minimal_ideal` of distinct vectors of n variables packed at
+    ``stride`` with a degree field (:func:`_packing`): one sort of the ints
+    gives the canonical order, and the degree is the field above ``n * stride``."""
+    packed = sorted(packed)
+    exps = _unpacked(packed, stride, n)
+    degrees = list(map((n * stride).__rrshift__, packed))
+    return _minimal_ideal(n, list(map(Monomial, exps)), exps, degrees)
 
 
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
@@ -290,10 +321,11 @@ MAX_SEARCH_NODES = 500_000
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generating set of the k-th power, k >= 1.
 
-    Each product is a sum of packed exponent vectors whose fields are wide
-    enough for k times the largest exponent, so only distinct products are
-    unpacked into monomials.  More than ``MAX_POWER_FACTORS`` factors over
-    all products is a ResourceLimitError.
+    Each product is a sum of packed exponent vectors (:func:`_packing`, with
+    the degree field) whose fields are wide enough for k times the largest
+    exponent, so only distinct products are unpacked into monomials, in the
+    order of one sort of their ints.  More than ``MAX_POWER_FACTORS``
+    factors over all products is a ResourceLimitError.
     """
     if k < 1:
         raise DomainError(f"power exponent must be >= 1, got {k}")
@@ -306,16 +338,17 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
             f"power-{k} factors", count * k, "ideals.MAX_POWER_FACTORS", MAX_POWER_FACTORS
         )
     exps = [g.exponents for g in gens]
-    packed, stride, _ones, _guards = _packing(exps, k * max(map(max, exps)))
+    packed, stride, _ones, _guards = _packing(exps, k * max(map(max, exps)), degree=True)
     products = set(map(sum, itertools.combinations_with_replacement(packed, k)))
-    return minimalize(map(Monomial, _unpacked(products, stride, ideal.num_vars)))
+    return _ideal_from_packed(products, stride, ideal.num_vars)
 
 
 def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     """The ideal generated by the degree-j component of the given ideal.
 
     g times each monomial of degree j - deg g is a packed g plus packed unit
-    vectors (:func:`_packing`), and each distinct sum is unpacked once."""
+    vectors (:func:`_packing`, with the degree field), and each distinct sum
+    is unpacked once, in the order of one sort of the ints."""
     if ideal.is_zero:
         raise DomainError("graded component of the zero ideal")
     min_deg = min(ideal.generator_degrees)
@@ -328,12 +361,13 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
         raise over_cap("monomials", count, "ideals.MAX_GRADED_MONOMIALS", MAX_GRADED_MONOMIALS)
     below = [(g.exponents, e) for g, e in zip(ideal.generators, extras) if e >= 0]
     top = max(max(g) + e for g, e in below)
-    packed, stride, _ones, _guards = _packing([g for g, _ in below], top)
-    units = [1 << s for s in range(0, n * stride, stride)]
+    packed, stride, _ones, _guards = _packing([g for g, _ in below], top, degree=True)
+    degree_one = 1 << n * stride
+    units = [degree_one + (1 << s) for s in range(0, n * stride, stride)]
     sums = set()
     for p, (_, extra) in zip(packed, below):
         sums.update(map(p.__add__, map(sum, itertools.combinations_with_replacement(units, extra))))
-    return minimalize(map(Monomial, _unpacked(sums, stride, n)))
+    return _ideal_from_packed(sums, stride, n)
 
 
 def restrict_ideal(ideal: MonomialIdeal, bound) -> MonomialIdeal:
@@ -352,7 +386,8 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
 
     When i1 is the facet ideal of the complement of a flag complex's
     1-skeleton, this reproduces the facet ideal of the complement of its
-    ell-skeleton without touching the complex itself.
+    ell-skeleton without touching the complex itself.  Each generator's
+    support is extended by every (ell - 1)-set of the other variables.
     """
     if ell + 1 > n:
         raise DomainError(f"degree {ell + 1} exceeds the number of variables {n}")
@@ -365,13 +400,13 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
     count = math.comb(n, ell + 1)
     if count > MAX_SKELETON_FACES:
         raise over_cap(f"{ell + 1}-sets", count, "complexes.MAX_SKELETON_FACES", MAX_SKELETON_FACES)
-    gen_masks = [g.support_mask for g in i1.generators]
-    gens = [
-        Monomial.from_support(combo, n)
-        for combo in itertools.combinations(range(1, n + 1), ell + 1)
-        if any(gm & face_mask(combo) == gm for gm in gen_masks)
-    ]
-    return MonomialIdeal(n, gens)
+    bits = [1 << v for v in range(n)]
+    masks = set()
+    for g in i1.generators:
+        gm = g.support_mask
+        rest = [b for b in bits if not b & gm]
+        masks.update(map(gm.__add__, map(sum, itertools.combinations(rest, ell - 1))))
+    return _squarefree_ideal(n, masks)
 
 
 def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
@@ -466,6 +501,55 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
         del extend  # it refers to itself; this frees the memo now
 
 
+def _value_columns(exps) -> list[dict[int, int]]:
+    """For each variable v of t exponent vectors of n variables, a dict from
+    each exponent c that occurs at v to the bit column of the positions j
+    with ``exps[j][v] == c`` (bit j for position j), built in C.
+
+    Each exponent gets a code: itself when every exponent fits in a byte,
+    else its rank among the distinct exponents, so a huge exponent costs
+    nothing.  The base-256 digits of the codes at one place form a byte
+    string, a plane, laid out variable by variable (``v * t + j``) by n
+    strided slices.  For each digit d that occurs, ``bytes.translate``
+    turns the plane into ASCII 0s and 1s with a 1 where the digit is d, and
+    ``int`` reads it reversed in base 2.  A code's bits are the AND of its
+    digits' over the planes (up to 256 codes take one plane), and those
+    bits shifted right by ``v * t`` and masked to t bits are its column at
+    v.  The translate tables are built per call.
+    """
+    n, t = len(exps[0]), len(exps)
+    try:  # every exponent fits in a byte and is its own code
+        codes = bytes(itertools.chain.from_iterable(exps))
+        values = range(256)
+    except ValueError:  # else each exponent's code is its rank
+        flat = list(itertools.chain.from_iterable(exps))
+        values = sorted(set(flat))
+        codes = list(map(dict(zip(values, itertools.count())).__getitem__, flat))
+    count = len(values)
+    zeros = b"0" * 256
+    found: dict[int, int] = {}
+    for s in range(0, (count - 1).bit_length() or 1, 8):
+        digits = bytes(codes if count <= 256 else map((255).__and__, map(s.__rrshift__, codes)))
+        plane = b"".join([digits[v::n] for v in range(n)])
+        at, left = {}, len(plane)
+        for d in range(256):  # the digits that occur, until every byte is counted
+            if k := plane.count(d):
+                at[d] = int(plane.translate(zeros[:d] + b"1" + zeros[d + 1 :])[::-1], 2)
+                left -= k
+                if not left:
+                    break
+        if count > 256:
+            at = {c: found.get(c, -1) & at[c >> s & 255] for c in range(count)}
+        found = at
+    full = (1 << t) - 1
+    tables: list[dict[int, int]] = [{} for _ in range(n)]
+    for c, bits in found.items():
+        for v, table in enumerate(tables):
+            if column := bits >> v * t & full:
+                table[values[c]] = column
+    return tables
+
+
 def verify_linear_quotients(order: list[Monomial]) -> bool:
     """Independent check of the linear-quotients condition on an ordering.
 
@@ -477,27 +561,25 @@ def verify_linear_quotients(order: list[Monomial]) -> bool:
     The scan works on bit columns over generator positions: for each
     variable v and each exponent c that occurs at v, one int holds the
     positions j with ``g_j[v] == c`` and one the positions with
-    ``g_j[v] > c`` (dicts keyed by the exponents that occur, so a huge
-    exponent costs nothing).  For g_i, the ``> g_i[v]`` column of each v,
-    masked to the prefix j < i, holds the j where x_v divides g_j : g_i.
-    Two accumulators give the j that exceed g_i at exactly one variable; g_j
-    : g_i is x_v exactly when j is one of them and lies in the ``== g_i[v]
-    + 1`` column of v, which makes v a colon variable.  g_i fails iff some
-    j < i lies in none of the ``> g_i[v]`` columns of the colon variables.
-    That is a constant number of int operations per generator and variable,
-    each over the prefix.
+    ``g_j[v] > c``, in dicts keyed by the exponents that occur; the ``== c``
+    columns are built in C by :func:`_value_columns`.  For g_i, the
+    ``> g_i[v]`` column of each v, masked to the prefix j < i, holds the j
+    where x_v divides g_j : g_i.  Two accumulators give the j that exceed
+    g_i at exactly one variable; g_j : g_i is x_v exactly when j is one of
+    them and lies in the ``== g_i[v] + 1`` column of v, which makes v a
+    colon variable.  g_i fails iff some j < i lies in none of the
+    ``> g_i[v]`` columns of the colon variables.  That is a constant number
+    of int operations per generator and variable, each over the prefix.
     """
     if len(order) < 2:
         return True
-    n = order[0].num_vars
-    if any(m.num_vars != n for m in order):
+    exps = [m.exponents for m in order]
+    n = len(exps[0])
+    if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
-    columns = list(zip(*(m.exponents for m in order)))
+    columns = list(zip(*exps))
     tables = []  # per variable: c -> (the > c column, the == c + 1 column)
-    for column in columns:
-        at: dict[int, int] = {}
-        for j, c in enumerate(column):
-            at[c] = at.get(c, 0) | 1 << j
+    for at in _value_columns(exps):
         table, higher = {}, 0
         for c in sorted(at, reverse=True):
             table[c] = higher, at.get(c + 1, 0)

@@ -171,7 +171,11 @@ def _check_range(lo: int, hi: int, budget: str = "max_n"):
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
     if budget in _VERTEX_BUDGETS and hi > MAX_SAMPLED_VERTICES:
         raise over_cap(
-            budget, hi, "MAX_SAMPLED_VERTICES", MAX_SAMPLED_VERTICES, _VERTEX_BUDGETS[budget]
+            budget,
+            hi,
+            "verification.MAX_SAMPLED_VERTICES",
+            MAX_SAMPLED_VERTICES,
+            _VERTEX_BUDGETS[budget],
         )
 
 

@@ -730,7 +730,7 @@ class TestSuiteCaps:
         ids=["thm-1.4c", "prop-1.3"],
     )
     def test_huge_sampled_vertex_count_is_prompt_exit_3(self, tmp_path, argv):
-        _capped_exit_3(tmp_path, None, argv, "MAX_SAMPLED_VERTICES")
+        _capped_exit_3(tmp_path, None, argv, "verification.MAX_SAMPLED_VERTICES")
 
     def test_shelling_budget_beyond_the_search_cap_is_refused_up_front(
         self, monkeypatch, capsys

@@ -55,6 +55,10 @@ class TestMonomial:
         with pytest.raises(DomainError):
             Monomial((1, -1))
 
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            Monomial((True, 0))
+
 
 class TestMonomialIdeal:
     def test_generators_sorted_by_degree_then_lex(self):

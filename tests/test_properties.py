@@ -31,6 +31,7 @@ from srideals import (
     reduced_homology,
     restrict_ideal,
     skeleton,
+    skeleton_ideal_from_one_skeleton,
     stanley_reisner_ideal,
     taylor_betti_table,
     verify_leaf_order,
@@ -383,7 +384,7 @@ def test_power_matches_naive_reference(vectors, k):
     ideal = minimalize([Monomial(v) for v in vectors])
     got = power(ideal, k)
     expected = _naive_power([g.exponents for g in ideal.generators], k)
-    assert {g.exponents for g in got.generators} == expected
+    assert [g.exponents for g in got.generators] == sorted(expected, key=lambda e: (sum(e), e))
 
 
 @given(exponent_vectors(min_vectors=2) | equigenerated_orders())
@@ -438,6 +439,31 @@ def test_verify_linear_quotients_on_long_orders(orders):
         )
 
 
+@st.composite
+def many_valued_orders(draw):
+    """Orders of 301-341 generators with exponents past one byte and a
+    column of more than 256 distinct values: (x1, x2)^N times x3^0, x3 or
+    x3^(2^40) (a common factor keeps linear quotients) in lex order, which
+    has linear quotients, reversed, with one adjacent pair swapped near the
+    end, which fails there, and shuffled."""
+    big = draw(st.integers(300, 340))
+    third = draw(st.sampled_from([0, 1, 2**40]))
+    gens = [(a, big - a, third) for a in range(big, -1, -1)]
+    swap = draw(st.integers(len(gens) - 40, len(gens) - 2))
+    swapped = list(gens)
+    swapped[swap : swap + 2] = gens[swap + 1], gens[swap]
+    return [gens, gens[::-1], swapped, draw(st.permutations(gens))]
+
+
+@given(many_valued_orders())
+@settings(max_examples=3, deadline=None)
+def test_verify_linear_quotients_on_many_valued_columns(orders):
+    for order in orders:
+        assert verify_linear_quotients([Monomial(v) for v in order]) == (
+            _naive_linear_quotients(order)
+        )
+
+
 # Ideals whose exponents span several packed-field widths (1 to 41 value
 # bits), of mixed degrees: the Betti engine joins and compares them packed.
 @given(exponent_vectors(max_vectors=6))
@@ -466,7 +492,8 @@ def _naive_graded_component(vectors, n, j):
 def test_graded_component_matches_naive_reference(ideal, extra):
     j = min(ideal.generator_degrees) + extra
     vectors = [g.exponents for g in ideal.generators]
-    expected = sorted(_naive_graded_component(vectors, ideal.num_vars, j))
+    expected = _naive_graded_component(vectors, ideal.num_vars, j)
+    expected = sorted(expected, key=lambda e: (sum(e), e))
     got = graded_component_ideal(ideal, j)
     assert [g.exponents for g in got.generators] == expected
 
@@ -1164,6 +1191,23 @@ def test_skeleton_complement_matches_the_subset_scan(cx, data):
     for bad in (-1, dim + 1):
         with pytest.raises(DomainError, match="skeleton dimension"):
             skeleton_complement(cx, bad)
+
+
+@given(st.integers(2, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_skeleton_ideal_from_one_skeleton_matches_the_subset_scan(n, data):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    ell = data.draw(st.integers(1, n - 1))
+    i1 = MonomialIdeal(n, [Monomial.from_support(e, n) for e in edges])
+    subsets = [
+        tuple(int(v in s) for v in range(1, n + 1))
+        for s in itertools.combinations(range(1, n + 1), ell + 1)
+        if any(set(e) <= set(s) for e in edges)
+    ]
+    expected = sorted(subsets, key=lambda e: (sum(e), e))
+    got = skeleton_ideal_from_one_skeleton(i1, ell, n)
+    assert [g.exponents for g in got.generators] == expected
 
 
 def test_skeleton_complement_of_the_void_complex_is_rejected():

@@ -170,6 +170,14 @@ RUN_ALL_DIGESTS = {
     0: "644a9770c9e7c4a3804f47bc86db059a7145b60821e5ed3762f1aef910c0956d",
     1: "2b64b632f9b040338859d0a7b9006c115ffd0da554c9d506cf80ae34f7530332",
 }
+# sha256 of dumps_report(run_suite("thm-4.4", seed=s)) at its keyword
+# defaults (20 samples on up to 7 vertices, powers up to 3), which reach far
+# larger powers than run_all's quick budgets.  A suite report carries no
+# timing field, so the digest covers the whole report.
+THM_44_DIGESTS = {
+    0: "ed893b0fc004d27552272d6643e909a8f4f377d137b0e3ea9d5089c3c8d800ba",
+    1: "7167138674ca755a2386f54b21b143db87101579ecb72513bed8bede9063b9fd",
+}
 _TOO_SMALL = "max_n is too small"
 
 
@@ -182,6 +190,13 @@ class TestSuites:
             assert failed == []
             assert all(r["instances"] > 0 for r in reports)
             text = serialization.dumps_report(reports)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
+
+    def test_power_suite_at_its_defaults(self):
+        for seed, digest in THM_44_DIGESTS.items():
+            report = verification.run_suite("thm-4.4", seed=seed)
+            assert report["passed"]
+            text = serialization.dumps_report(report)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
     def test_power_suite_rejects_non_quasi_tree_input(self, near_miss):
@@ -228,7 +243,7 @@ class TestSuites:
                 check_chordal_quasi_tree,
                 {"max_n": 1, "samples": 1, "chordal_samples": 0, "sample_n": 200_000},
                 ResourceLimitError,
-                "sample_n = 200000 exceeds MAX_SAMPLED_VERTICES .*sample_n",
+                "sample_n = 200000 exceeds verification.MAX_SAMPLED_VERTICES .*sample_n",
             ),
         ],
         ids=[
