@@ -42,6 +42,7 @@ from .homological import (
     HomologyProfile,
     betti_table,
     is_cohen_macaulay,
+    projdim,
     projdim_and_reg,
     reduced_homology,
     shelling_order,

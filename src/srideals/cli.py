@@ -34,6 +34,7 @@ from .graphs import (
 from .homological import (
     FieldChoice,
     betti_table,
+    projdim,
     projdim_and_reg,
     shelling_order,
     verify_shelling,
@@ -318,7 +319,7 @@ _COMMANDS = {
     "projdim": (
         "ideal",
         (_FIELD,),
-        lambda ideal, args: ({"projdim": projdim_and_reg(ideal, args.field)[0]}, []),
+        lambda ideal, args: ({"projdim": projdim(ideal, args.field)}, []),
     ),
     "reg": (
         "ideal",

@@ -52,10 +52,12 @@ def down_closure(masks) -> frozenset:
 
 def canonical_face(face, n: int) -> Face:
     """Sorted duplicate-free tuple with all members in [1, n]."""
-    members = sorted(face)
-    for v in members:
+    members = list(face)
+    for v in members:  # before the sort, which cannot order mixed types
         if not isinstance(v, int) or isinstance(v, bool):
             raise DomainError(f"vertex {v!r} is not an integer")
+    members.sort()
+    for v in members:
         if not 1 <= v <= n:
             raise DomainError(f"vertex {v} out of range [1, {n}]")
     for a, b in zip(members, members[1:]):

@@ -24,6 +24,16 @@ reduces the down-closure, at most 2^|supp b| faces.  By the nerve lemma (Bjorner
 "Topological methods", Handbook of Combinatorics, Thm 10.6) both have
 the same reduced homology.
 
+Projective dimension needs only the largest i with some beta_{i,b} != 0,
+so :func:`projdim` and :func:`squarefree_projdim_masks` walk the same
+lattice with the same homology at b, but bound the degree first.  At a
+non-generator b with m minimal tight masks t, beta_{i,b} != 0 forces
+i <= min(m - 1, |supp b| - min |t|).  For K^b has dimension
+|supp b| - min |t| - 1, and it is either a cone or has the homology of a
+nerve on m vertices that is not a full simplex, of dimension at most
+m - 2.  The walk takes homology by decreasing bound and stops once no
+bound left beats the best degree found (:func:`_upper_koszul_projdim`).
+
 All ranks are exact: each boundary matrix is a list of sparse columns,
 one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
 against stored pivot columns, by XOR of int bitsets over GF(2) and by
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask
@@ -246,15 +257,24 @@ def _compress(masks, full: int) -> list[int]:
     return compressed
 
 
-def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap_name: str, cap: int) -> dict:
-    """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of the
-    minimal generators `gens`.
+def _lcm_lattice(gens: list, join, cap_name: str, cap: int) -> set:
+    """Every join of a nonempty subset of the minimal generators `gens`:
+    the lcm lattice, the only multidegrees that can carry Betti numbers.
+    More than `cap` elements is a ResourceLimitError naming `cap_name`."""
+    lattice = set(gens)
+    frontier = lattice
+    while frontier:
+        frontier = {join(b, g) for b in frontier for g in gens} - lattice
+        lattice |= frontier
+        if len(lattice) > cap:
+            raise over_cap("lcm lattice size", len(lattice), cap_name, cap, "counted so far")
+    return lattice
 
-    The lattice is every join of a nonempty generator subset, and only
-    its members can carry Betti numbers; a lattice of more than `cap`
-    elements is a ResourceLimitError naming `cap_name`.  Each generator is an atom with
-    beta_{0,g} = 1 and nothing else.  At every other b, ``tight_masks(b)``
-    returns the support of b as a mask `full` and the inclusion-minimal
+
+def _koszul_profile(full: int, tights: list[int], p: int) -> tuple[int, ...]:
+    """The reduced homology ranks of K^b(I), so that entry i is beta_{i,b}.
+
+    `full` is the support of b as a mask and `tights` the inclusion-minimal
     tight masks within it: for a generator g dividing b, the support
     positions j with g_j = b_j.  A subset F of supp(b) is a face of the
     upper-Koszul complex K^b(I) iff it misses the tight mask of some such
@@ -269,28 +289,72 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap_name: str, ca
     times as many faces on those, a nerve-only engine had a 30% higher
     latency tail and 5% lower throughput.
     """
-    lattice = set(gens)
-    frontier = lattice
-    while frontier:
-        frontier = {join(b, g) for b in frontier for g in gens} - lattice
-        lattice |= frontier
-        if len(lattice) > cap:
-            raise over_cap("lcm lattice size", len(lattice), cap_name, cap, "counted so far")
+    width = full.bit_count()
+    if len(tights) < width:
+        faces = _nerve_faces(tights, full)
+    else:
+        if full & (full + 1):  # support not yet numbered from 0
+            tights = _compress(tights, full)
+        faces = down_closure(((1 << width) - 1) ^ t for t in tights)
+    return _profile_from_masks(faces, p)
+
+
+def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap_name: str, cap: int) -> dict:
+    """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of the
+    minimal generators `gens` (:func:`_lcm_lattice`).
+
+    Each generator is an atom with beta_{0,g} = 1 and nothing else.  At
+    every other b, ``tight_masks(b)`` returns the support of b as a mask
+    and its inclusion-minimal tight masks, smallest first, and
+    :func:`_koszul_profile` gives the Betti numbers at b.
+    """
     table: dict = {(0, g): 1 for g in gens}
-    for b in lattice.difference(gens):
-        full, tights = tight_masks(b)
-        width = full.bit_count()
-        if len(tights) < width:
-            faces = _nerve_faces(tights, full)
-        else:
-            if full & (full + 1):  # support not yet numbered from 0
-                tights = _compress(tights, full)
-            faces = down_closure(((1 << width) - 1) ^ t for t in tights)
-        profile = _profile_from_masks(faces, p)
-        for i, r in enumerate(profile):
+    for b in _lcm_lattice(gens, join, cap_name, cap).difference(gens):
+        for i, r in enumerate(_koszul_profile(*tight_masks(b), p)):
             if r:
                 table[(i, b)] = r
     return table
+
+
+def _upper_koszul_projdim(gens: list, join, tight_masks, p: int, cap_name: str, cap: int) -> int:
+    """max(i) over the table of :func:`_upper_koszul_betti`, from the same
+    lattice and the same homology at b, taken at as few elements as the
+    degree bound allows.
+
+    At a non-generator b with m minimal tight masks t, beta_{i,b} != 0
+    forces i <= bound(b) = min(m - 1, |supp b| - min |t|).  Proof: K^b
+    has the m facets supp(b) minus t, none of them empty (t = supp b would
+    make b a generator), so it has dimension |supp b| - min |t| - 1 and
+    H~_{i-1}(K^b) = 0 for i > |supp b| - min |t|.  If the m facets share
+    a vertex, K^b is a cone and has no homology at all; otherwise their
+    nerve, which has the homology of K^b (Bjorner, Thm 10.6), is a proper
+    subcomplex of the simplex on m vertices, of dimension at most m - 2,
+    so H~_{i-1}(K^b) = 0 for i > m - 1.  The generators give degree 0, so
+    the walk visits the other elements by decreasing bound and stops once
+    no bound left exceeds the best degree found.
+    """
+    bounded = []
+    for b in _lcm_lattice(gens, join, cap_name, cap).difference(gens):
+        full, tights = tight_masks(b)
+        bound = min(len(tights) - 1, full.bit_count() - tights[0].bit_count())
+        if bound > 0:
+            bounded.append((bound, full, tights))
+    bounded.sort(key=itemgetter(0), reverse=True)
+    best = 0
+    for bound, full, tights in bounded:
+        if bound <= best:
+            break
+        for i, r in enumerate(_koszul_profile(full, tights, p)):
+            if r and i > best:
+                best = i
+    return best
+
+
+def _check_betti_input(ideal: MonomialIdeal):
+    """The input caps of :func:`betti_table` and :func:`projdim`, in order."""
+    _check_betti_generators(ideal)
+    if ideal.num_vars > MAX_BETTI_VARS:
+        raise over_cap("variables", ideal.num_vars, "homological.MAX_BETTI_VARS", MAX_BETTI_VARS)
 
 
 def betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTable:
@@ -302,18 +366,24 @@ def betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTa
     ``MAX_BETTI_GENERATORS`` generators and ``MAX_BETTI_VARS`` variables,
     the lattice at ``MAX_LCMS`` elements.
     """
-    _check_betti_generators(ideal)
-    if ideal.num_vars > MAX_BETTI_VARS:
-        raise over_cap("variables", ideal.num_vars, "homological.MAX_BETTI_VARS", MAX_BETTI_VARS)
+    _check_betti_input(ideal)
     return _packed_betti_table(ideal, field.p, "homological.MAX_LCMS", MAX_LCMS)
 
 
-def _packed_betti_table(ideal: MonomialIdeal, p: int, cap_name: str, cap: int) -> BettiTable:
-    """:func:`betti_table` with only its lcm lattice capped, at `cap` (named
-    `cap_name` in the error).  Multidegrees are packed exponent vectors
-    (``ideals._packing``) until the final table: the join is the
-    guard-subtract fieldwise max, and a tight mask is the guard bits of
-    supp(b) minus those of supp(b ^ g).
+def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
+    """The projective dimension of I, ``betti_table(ideal, field).projdim``,
+    by the degree-bounded walk of :func:`_upper_koszul_projdim`, under the
+    caps of :func:`betti_table` checked in the same order."""
+    _check_betti_input(ideal)
+    gens, join, tight_masks, _stride = _packed_engine(ideal)
+    return _upper_koszul_projdim(gens, join, tight_masks, field.p, "homological.MAX_LCMS", MAX_LCMS)
+
+
+def _packed_engine(ideal: MonomialIdeal):
+    """The engine's inputs for the generators of I as packed exponent
+    vectors (``ideals._packing``): (gens, join, tight_masks, stride).  The
+    join is the guard-subtract fieldwise max, and a tight mask is the
+    guard bits of supp(b) minus those of supp(b ^ g).
     """
     gens, stride, ones, guards = _packing([g.exponents for g in ideal.generators])
     w = stride - 1
@@ -331,21 +401,25 @@ def _packed_betti_table(ideal: MonomialIdeal, p: int, cap_name: str, cap: int) -
         kept = d & guards
         return g + (d & (kept - (kept >> w)))
 
+    return gens, join, tight_masks, stride
+
+
+def _packed_betti_table(ideal: MonomialIdeal, p: int, cap_name: str, cap: int) -> BettiTable:
+    """:func:`betti_table` with only its lcm lattice capped, at `cap` (named
+    `cap_name` in the error), on the packed engine (:func:`_packed_engine`);
+    multidegrees stay packed until the final table."""
+    gens, join, tight_masks, stride = _packed_engine(ideal)
     table = _upper_koszul_betti(gens, join, tight_masks, p, cap_name, cap)
     lattice = {b for _i, b in table}
     vector = dict(zip(lattice, _unpacked(lattice, stride, ideal.num_vars)))
     return BettiTable.from_dict(ideal.num_vars, {(i, vector[b]): r for (i, b), r in table.items()})
 
 
-def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
-    """Betti numbers of a squarefree ideal given by generator support masks.
-
-    Keys are (i, multidegree-mask).  This is :func:`betti_table` on
-    bitmasks: the same engine, with a multidegree b stored as its support
-    mask and the tight mask of a generator g dividing b equal to g itself,
-    so the minimal generators below b are its minimal tight masks.  The
-    lcm lattice is capped at ``MAX_LCMS``.
-    """
+def _squarefree_engine(gen_masks):
+    """The engine's inputs for generator support masks: (gens, tight_masks).
+    A multidegree b is its support mask and the tight mask of a generator
+    g dividing b is g itself, so the minimal generators below b are its
+    minimal tight masks."""
     gens = _minimal_masks(gen_masks)
     if not gens or 0 in gens:
         raise DomainError("need squarefree generators of positive degree")
@@ -353,11 +427,27 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     def tight_masks(b):
         return b, [g for g in gens if g & b == g]
 
+    return gens, tight_masks
+
+
+def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
+    """Betti numbers of a squarefree ideal given by generator support masks.
+
+    Keys are (i, multidegree-mask).  This is :func:`betti_table` on
+    bitmasks (:func:`_squarefree_engine`).  The lcm lattice is capped at
+    ``MAX_LCMS``.
+    """
+    gens, tight_masks = _squarefree_engine(gen_masks)
     return _upper_koszul_betti(gens, int.__or__, tight_masks, p, "homological.MAX_LCMS", MAX_LCMS)
 
 
 def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
-    return max(i for i, _ in squarefree_betti_masks(gen_masks, p))
+    """The projective dimension of the squarefree ideal with the given
+    generator support masks: max(i) over :func:`squarefree_betti_masks`,
+    by the degree-bounded walk of :func:`_upper_koszul_projdim`.  The lcm
+    lattice is capped at ``MAX_LCMS``."""
+    gens, tight_masks = _squarefree_engine(gen_masks)
+    return _upper_koszul_projdim(gens, int.__or__, tight_masks, p, "homological.MAX_LCMS", MAX_LCMS)
 
 
 def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTable:

@@ -38,6 +38,8 @@ class Monomial:
         """The squarefree monomial x_F for a vertex set F in [1, n]."""
         exps = [0] * n
         for v in vertices:
+            if type(v) is not int:  # bool is rejected too
+                raise DomainError(f"vertex {v!r} is not an integer")
             if not 1 <= v <= n:
                 raise DomainError(f"vertex {v} out of range [1, {n}]")
             exps[v - 1] = 1
@@ -440,61 +442,73 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
                         break
             if deg == 1:
                 lin_var[k][i] = var
-    # quot_mask[j][i]: support of g_j : g_i (variables with ej > ei); a
-    # colon variable x_v certifies g_j only when it divides this quotient.
-    quot_mask = [
-        [
-            sum(1 << idx for idx, (a, b) in enumerate(zip(gj.exponents, gi.exponents)) if a > b)
-            for gi in gens
-        ]
-        for gj in gens
-    ]
+    # by_var[i][v]: the generators j whose colon g_j : g_i is divisible by
+    # x_v; a colon variable x_v of g_i certifies exactly those j.
+    by_var = [[0] * ideal.num_vars for _ in range(t)]
+    for j, gj in enumerate(gens):
+        for i, gi in enumerate(gens):
+            for idx, (a, b) in enumerate(zip(gj.exponents, gi.exponents)):
+                if a > b:
+                    by_var[i][idx] |= 1 << j
+    # cover[i][vm]: the generators certified by the colon variables vm of
+    # g_i, the OR of by_var[i][v] over v in vm.  Candidate i may follow the
+    # placed set when it covers every placed generator.
+    cover = [{} for _ in range(t)]
 
-    dead: set[frozenset] = set()
+    def covered(i: int, vm: int) -> int:
+        found = cover[i].get(vm)
+        if found is None:
+            found = 0
+            rem = vm
+            while rem:
+                bit = rem & -rem
+                found |= by_var[i][bit.bit_length() - 1]
+                rem ^= bit
+            cover[i][vm] = found
+        return found
+
+    everyone = (1 << t) - 1
+    dead: set[int] = set()  # masks of remaining generators that cannot be ordered
     nodes = 0
 
-    def extend(prefix: list[int], remaining: set[int], vmask: list[int]) -> bool:
+    def extend(prefix: list[int], placed: int, vmask: list[int]) -> bool:
         nonlocal nodes
-        if not remaining:
+        left = everyone ^ placed
+        if not left:
             return True
-        key = frozenset(remaining)
-        if key in dead:
+        if left in dead:
             return False
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise over_cap(
                 "linear-quotients search nodes", nodes, "ideals.MAX_SEARCH_NODES", MAX_SEARCH_NODES
             )
-        for i in sorted(remaining):
-            if any(vmask[i] & quot_mask[j][i] == 0 for j in prefix):
+        remaining = [c for c in range(t) if left >> c & 1]
+        for i in remaining:
+            if placed & ~covered(i, vmask[i]):
                 continue
             prefix.append(i)
-            remaining.discard(i)
-            saved = [vmask[c] for c in remaining]
-            rem_list = list(remaining)
-            for c in rem_list:
+            saved = vmask[:]
+            for c in remaining:
                 v = lin_var[i][c]
                 if v >= 0:
                     vmask[c] |= 1 << v
-            if extend(prefix, remaining, vmask):
+            if extend(prefix, placed | 1 << i, vmask):
                 return True
-            for c, s in zip(rem_list, saved):
-                vmask[c] = s
-            remaining.add(i)
+            vmask[:] = saved
             prefix.pop()
-        dead.add(key)
+        dead.add(left)
         return False
 
     try:
         for first in range(t):
-            prefix = [first]
-            remaining = set(range(t)) - {first}
             vmask = [0] * t
-            for c in remaining:
+            for c in range(t):
                 v = lin_var[first][c]
                 if v >= 0:
                     vmask[c] |= 1 << v
-            if extend(prefix, remaining, vmask):
+            prefix = [first]
+            if extend(prefix, 1 << first, vmask):
                 return [gens[i] for i in prefix]
         return None
     finally:

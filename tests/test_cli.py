@@ -504,8 +504,17 @@ class TestExitCodes:
                 {"vars": 17, "generators": [[1] * 17]},
                 "variables = 17 exceeds homological.MAX_BETTI_VARS = 16",
             ),
+            (
+                # over both input caps: the generator cap is checked first
+                "projdim",
+                {
+                    "vars": 17,
+                    "generators": [[int(k in (i, 16)) for k in range(17)] for i in range(13)],
+                },
+                "generators = 13 exceeds homological.MAX_BETTI_GENERATORS = 12",
+            ),
         ],
-        ids=["shelling", "projdim"],
+        ids=["shelling", "projdim", "projdim-generators"],
     )
     def test_cap_error_names_its_constant(self, command, payload, cap, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -514,6 +523,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: resource limit: {cap}\n"
+
+    def test_projdim_of_the_zero_ideal_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"vars": 2, "generators": []}))
+        assert cli.main(["projdim", "-f", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Betti table of the zero ideal is undefined\n"
 
     def test_failed_check_is_exit_2(self, run, monkeypatch):
         # force the verifier to report a failure to exercise the exit path

@@ -1,5 +1,7 @@
 """Homology, Betti tables, projective dimension, regularity, shellings."""
 
+import itertools
+
 import pytest
 
 from srideals import (
@@ -16,6 +18,7 @@ from srideals import (
     facet_ideal,
     is_cohen_macaulay,
     minimalize,
+    projdim,
     projdim_and_reg,
     reduced_homology,
     shelling_order,
@@ -177,6 +180,7 @@ class TestBettiTables:
         }
         assert fast == expected
         assert squarefree_projdim_masks(masks) == table.projdim
+        assert projdim(ideal) == table.projdim
 
     def test_field_reaches_the_nerve_path(self, monkeypatch):
         # RP^2's own nonfaces give different tables, but only at b = [6],
@@ -219,11 +223,45 @@ class TestBettiTables:
         assert betti_table(MonomialIdeal(2, [Monomial((2, 1))])).as_dict() == {(0, (2, 1)): 1}
         assert calls == []
 
+    def test_projdim_walk_takes_homology_only_where_the_bound_allows(self, monkeypatch):
+        # The six 2-subsets of 4 vertices: the lattice holds them, the four
+        # 3-subsets (bound min(3 - 1, 3 - 2) = 1) and the top element
+        # (bound min(6 - 1, 4 - 2) = 2).  K^top is the complete graph on
+        # the four vertices, with beta_{2,top} = 3, so the walk stops there.
+        gens = [a | b for a, b in itertools.combinations([1, 2, 4, 8], 2)]
+        calls = []
+        real = homological._profile_from_masks
+
+        def spy(faces, p):
+            calls.append(faces)
+            return real(faces, p)
+
+        monkeypatch.setattr(homological, "_profile_from_masks", spy)
+        real.cache_clear()
+        assert squarefree_projdim_masks(gens) == 2
+        assert len(calls) == 1
+        real.cache_clear()
+        calls.clear()
+        assert max(i for i, _ in squarefree_betti_masks(gens)) == 2
+        assert len(calls) == 5
+
     def test_lcm_lattice_cap_names_its_knob(self):
         # 16 disjoint one-variable masks: every nonempty subset joins to
         # its own element, 2^16 - 1 = 65,535 of them
-        with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 50,000"):
-            squarefree_betti_masks([1 << i for i in range(16)])
+        for engine in (squarefree_betti_masks, squarefree_projdim_masks):
+            with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 50,000"):
+                engine([1 << i for i in range(16)])
+
+    @pytest.mark.parametrize("engine", [betti_table, projdim])
+    def test_packed_caps_are_checked_in_order(self, engine):
+        # 13 generators in 17 variables: the generator cap is named first
+        gens = [Monomial.from_support((i, 17), 17) for i in range(1, 14)]
+        with pytest.raises(ResourceLimitError, match="homological.MAX_BETTI_GENERATORS = 12$"):
+            engine(MonomialIdeal(17, gens))
+        with pytest.raises(ResourceLimitError, match="homological.MAX_BETTI_VARS = 16$"):
+            engine(MonomialIdeal(17, gens[:12]))
+        with pytest.raises(DomainError, match="zero ideal"):
+            engine(MonomialIdeal(17, []))
 
     def test_generator_cap(self):
         gens = [

@@ -21,6 +21,7 @@ from srideals import (
     stanley_reisner_ideal,
     verify_linear_quotients,
 )
+from srideals import ideals
 
 
 def m(*exps):
@@ -347,6 +348,24 @@ class TestLinearQuotients:
         none = MonomialIdeal(4, [m(1, 1, 0, 0), m(0, 0, 1, 1)])
         assert cyclic_garbage(linear_quotients_order, found) == 0
         assert cyclic_garbage(linear_quotients_order, none) == 0
+
+    def test_search_cap_fires_at_a_pinned_node(self, monkeypatch):
+        # Ten squarefree cubics in six variables with no order (request 45
+        # of the cli-ops benchmark corpus): proving that visits 469 nodes,
+        # so the cap fires at any value below that and at none from it on.
+        gens = [
+            (0, 0, 1, 0, 1, 1), (1, 0, 1, 0, 0, 1), (1, 0, 0, 1, 0, 1), (0, 0, 0, 1, 1, 1),
+            (1, 0, 0, 1, 1, 0), (1, 0, 1, 1, 0, 0), (1, 1, 0, 1, 0, 0), (1, 0, 0, 0, 1, 1),
+            (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 0),
+        ]  # fmt: skip
+        ideal = MonomialIdeal(6, [Monomial(g) for g in gens])
+        monkeypatch.setattr(ideals, "MAX_SEARCH_NODES", 469)
+        assert linear_quotients_order(ideal) is None
+        monkeypatch.setattr(ideals, "MAX_SEARCH_NODES", 468)
+        with pytest.raises(
+            ResourceLimitError, match="nodes = 469 exceeds ideals.MAX_SEARCH_NODES = 468$"
+        ):
+            linear_quotients_order(ideal)
 
     def test_search_agrees_with_exhaustive_verification(self):
         import itertools

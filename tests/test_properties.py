@@ -27,6 +27,7 @@ from srideals import (
     minimalize,
     Monomial,
     power,
+    projdim,
     pure_complement,
     reduced_homology,
     restrict_ideal,
@@ -61,6 +62,7 @@ from srideals.homological import (
     _profile_from_masks,
     shelling_order,
     squarefree_betti_masks,
+    squarefree_projdim_masks,
 )
 from srideals.quasitrees import (
     RelationTree,
@@ -731,6 +733,54 @@ def test_squarefree_masks_match_the_taylor_oracle(p, case):
         (i, sum(1 << k for k, e in enumerate(b) if e)): r for (i, b), r in table.entries
     }
     assert squarefree_betti_masks(masks, p) == expected
+
+
+_FIELDS = [RATIONALS, GF2, FieldChoice(3)]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=repr)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
+    )
+)
+# the minimal nonfaces of the 6-vertex real projective plane: projdim 3
+# over GF(2) and 2 otherwise
+@example(
+    [0b1101, 0b1110, 0b10011, 0b10110, 0b11001, 0b100011, 0b100101, 0b101010, 0b110100, 0b111000]
+)
+@settings(max_examples=150, deadline=None)
+def test_projdim_walk_matches_the_whole_table(field, masks):
+    table = squarefree_betti_masks(masks, field.p)
+    assert squarefree_projdim_masks(masks, field.p) == max(i for i, _ in table)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=repr)
+@given(monomial_ideals(max_n=5, max_gens=6, max_exp=3))
+@settings(max_examples=100, deadline=None)
+def test_packed_projdim_matches_the_taylor_oracle(field, ideal):
+    assert projdim(ideal, field) == taylor_betti_table(ideal, field).projdim
+
+
+_BAD_VERTICES = (
+    st.sampled_from([None, True, False, 1.0, "1"])
+    | st.floats()
+    | st.text(max_size=2)
+)
+
+
+@given(_BAD_VERTICES, st.integers(min_value=1, max_value=3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_bad_vertex_types_are_domain_errors(bad, good, bad_first):
+    pair = (bad, good) if bad_first else (good, bad)
+    for build in (
+        lambda: Graph(3, [pair]),
+        lambda: SimplicialComplex(3, [pair]),
+        lambda: SimplicialComplex.from_faces(3, [pair]),
+        lambda: Monomial.from_support(pair, 3),
+    ):
+        with pytest.raises(DomainError, match="is not an integer"):
+            build()
 
 
 def _nonzero_prefix(ranks):
