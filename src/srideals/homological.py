@@ -416,10 +416,10 @@ def _packed_betti_table(ideal: MonomialIdeal, p: int, cap_name: str, cap: int) -
 
 
 def _squarefree_engine(gen_masks):
-    """The engine's inputs for generator support masks: (gens, tight_masks).
-    A multidegree b is its support mask and the tight mask of a generator
-    g dividing b is g itself, so the minimal generators below b are its
-    minimal tight masks."""
+    """The engine's inputs for generator support masks: (gens, join,
+    tight_masks).  A multidegree b is its support mask, the join is OR,
+    and the tight mask of a generator g dividing b is g itself, so the
+    minimal generators below b are its minimal tight masks."""
     gens = _minimal_masks(gen_masks)
     if not gens or 0 in gens:
         raise DomainError("need squarefree generators of positive degree")
@@ -427,7 +427,7 @@ def _squarefree_engine(gen_masks):
     def tight_masks(b):
         return b, [g for g in gens if g & b == g]
 
-    return gens, tight_masks
+    return gens, int.__or__, tight_masks
 
 
 def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
@@ -437,8 +437,8 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     bitmasks (:func:`_squarefree_engine`).  The lcm lattice is capped at
     ``MAX_LCMS``.
     """
-    gens, tight_masks = _squarefree_engine(gen_masks)
-    return _upper_koszul_betti(gens, int.__or__, tight_masks, p, "homological.MAX_LCMS", MAX_LCMS)
+    engine = _squarefree_engine(gen_masks)
+    return _upper_koszul_betti(*engine, p, "homological.MAX_LCMS", MAX_LCMS)
 
 
 def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
@@ -446,8 +446,8 @@ def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
     generator support masks: max(i) over :func:`squarefree_betti_masks`,
     by the degree-bounded walk of :func:`_upper_koszul_projdim`.  The lcm
     lattice is capped at ``MAX_LCMS``."""
-    gens, tight_masks = _squarefree_engine(gen_masks)
-    return _upper_koszul_projdim(gens, int.__or__, tight_masks, p, "homological.MAX_LCMS", MAX_LCMS)
+    engine = _squarefree_engine(gen_masks)
+    return _upper_koszul_projdim(*engine, p, "homological.MAX_LCMS", MAX_LCMS)
 
 
 def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTable:
