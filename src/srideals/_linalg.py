@@ -13,6 +13,11 @@ makes this an in-place integer update; any other pivot over the rationals
 multiplies the column by a and then divides out the gcd of its entries.
 All arithmetic is on integers, so no floating point ever enters the
 homology engine.
+
+The rows where the pivot columns end are the pivot rows.  A caller that
+passes a set as ``pivots`` receives them: each is the last row of a
+combination of the columns, which is what the homology engine's clearing
+needs (``homological._profile_from_masks``).
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from __future__ import annotations
 from math import gcd
 
 
-def rank(columns: list, p: int = 0) -> int:
+def rank(columns: list, p: int = 0, pivots: set | None = None) -> int:
     """Rank over Q (p = 0) or over GF(p), p prime, of the integer matrix
     whose columns are the mappings ``{row: entry}`` in `columns`.
 
     Rows are non-negative ints; entries that vanish (mod p) are ignored.
+    If `pivots` is a set, the pivot rows are added to it, one per unit of
+    rank: row r is added when some combination of the columns has its
+    last nonzero entry in row r.
     """
     if p == 2:
         bit_pivots: dict[int, int] = {}
@@ -40,9 +48,11 @@ def rank(columns: list, p: int = 0) -> int:
                     bit_pivots[last] = bits
                     break
                 bits ^= pivot
+        if pivots is not None:
+            pivots.update(last - 1 for last in bit_pivots)
         return len(bit_pivots)
 
-    pivots: dict[int, dict[int, int]] = {}
+    reduced: dict[int, dict[int, int]] = {}
     for column in columns:
         if p:
             col = {row: entry % p for row, entry in column.items() if entry % p}
@@ -50,7 +60,7 @@ def rank(columns: list, p: int = 0) -> int:
             col = {row: entry for row, entry in column.items() if entry}
         while col:
             last = max(col)
-            pivot = pivots.get(last)
+            pivot = reduced.get(last)
             if pivot is None:
                 a = col[last]
                 if p and a != 1:
@@ -58,7 +68,7 @@ def rank(columns: list, p: int = 0) -> int:
                     col = {row: entry * inv % p for row, entry in col.items()}
                 elif a == -1:
                     col = {row: -entry for row, entry in col.items()}
-                pivots[last] = col
+                reduced[last] = col
                 break
             c = col[last]
             a = pivot[last]
@@ -79,4 +89,6 @@ def rank(columns: list, p: int = 0) -> int:
                 g = gcd(*col.values())
                 if g > 1:
                     col = {row: entry // g for row, entry in col.items()}
-    return len(pivots)
+    if pivots is not None:
+        pivots.update(reduced)
+    return len(reduced)

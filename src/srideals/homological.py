@@ -37,7 +37,14 @@ bound left beats the best degree found (:func:`_upper_koszul_projdim`).
 All ranks are exact: each boundary matrix is a list of sparse columns,
 one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
 against stored pivot columns, by XOR of int bitsets over GF(2) and by
-integer column updates over the rationals and odd GF(p).
+integer column updates over the rationals and odd GF(p).  The engine
+clears (Chen-Kerber, "Persistent homology computation with a twist",
+2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014): it reduces
+the boundary maps from the top dimension down and skips each k-face that
+is the pivot row of a reduced column one dimension up, for that column is
+a cycle ending in the face, so the face's own column lies in the span of
+the earlier ones (:func:`_profile_from_masks`).  The Taylor oracle
+reduces every column.
 """
 
 from __future__ import annotations
@@ -106,14 +113,15 @@ class HomologyProfile:
         return not any(self.ranks)
 
 
-def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
+def _boundary_rank(lower: list[int], upper: list[int], p: int, pivots: set | None = None) -> int:
     """Rank of the boundary map from upper faces to lower faces.
 
     The map is one sparse column ``{row: +-1}`` per upper face, the rows
     indexing `lower`.  Removing the j-th lowest bit of a face gives sign
     (-1)^j.  A sub-face missing from `lower` contributes no entry: that
     never happens for a downward-closed complex and is the rule for a
-    Taylor strand.
+    Taylor strand.  A set passed as `pivots` receives the pivot rows of
+    the reduction, as indices into `lower` (:func:`_linalg.rank`).
     """
     if not lower or not upper:
         return 0
@@ -131,7 +139,7 @@ def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
             sign = -sign
             rem ^= bit
         columns.append(column)
-    return _rank(columns, p)
+    return _rank(columns, p, pivots)
 
 
 @lru_cache(maxsize=262144)
@@ -140,6 +148,15 @@ def _profile_from_masks(faces: frozenset, p: int) -> tuple[int, ...]:
 
     The empty set of faces (void complex) yields no ranks at all; the
     complex {emptyset} yields rank 1 in degree -1.
+
+    The boundary maps d_k, from k-faces to (k-1)-faces, are reduced from
+    the top dimension down, and d_k skips the k-faces that are pivot rows
+    of d_{k+1} (clearing).  Such a row sigma is the last face of a cycle
+    d_{k+1}(c) = a*sigma + (earlier k-faces), a != 0, so
+    d_k(sigma) = -(1/a) * d_k(earlier k-faces): the skipped column lies
+    in the span of the earlier columns, over every field, so by induction
+    on sigma in the span of the kept ones, and the rank of d_k does not
+    change.
     """
     if not faces:
         return ()
@@ -150,8 +167,13 @@ def _profile_from_masks(faces: frozenset, p: int) -> tuple[int, ...]:
     for k, masks in by_dim.items():
         masks.sort()
     bd_rank = {}
-    for k in range(0, top + 1):
-        bd_rank[k] = _boundary_rank(by_dim.get(k - 1, []), by_dim.get(k, []), p)
+    cleared: set[int] = set()  # pivot rows of d_{k+1}, as indices into the k-faces
+    for k in range(top, -1, -1):
+        upper = by_dim.get(k, [])
+        if cleared:
+            upper = [m for i, m in enumerate(upper) if i not in cleared]
+            cleared = set()
+        bd_rank[k] = _boundary_rank(by_dim.get(k - 1, []), upper, p, cleared)
     ranks = []
     for k in range(-1, top + 1):
         nk = len(by_dim.get(k, []))
@@ -454,10 +476,11 @@ def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> 
     """Independent Betti oracle: homology of multidegree strands of the
     Taylor complex of S/I, shifted down one homological degree.
 
-    Of the Betti engine it shares only the boundary-matrix builder; its
-    strands, lcms and rank count are its own.  A strand is not downward
-    closed (a face whose lcm drops leaves the strand), and the builder
-    drops such faces from the boundary.
+    Of the Betti engine it shares only the boundary-matrix builder and
+    the rank kernel; its strands, lcms and rank count are its own, and it
+    reduces every column, without the engine's clearing.  A strand is not
+    downward closed (a face whose lcm drops leaves the strand), and the
+    builder drops such faces from the boundary.
     """
     _check_betti_generators(ideal)
     gens = [g.exponents for g in ideal.generators]

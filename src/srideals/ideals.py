@@ -169,9 +169,11 @@ class MonomialIdeal:
             raise DomainError(f"num_vars must be a positive integer, got {num_vars!r}")
         self._store(num_vars, *_canonical(generators))
 
-    def _store(self, num_vars: int, gens, exps, degrees):
+    def _store(self, num_vars: int, gens, exps, degrees, minimal: bool = False):
         """Check and store distinct generators given in canonical order with
-        their exponent vectors and degrees (:func:`_canonical`)."""
+        their exponent vectors and degrees (:func:`_canonical`).  With
+        `minimal` the caller has already shown that no generator divides
+        another, and the comparable-pair scan is skipped."""
         if gens and (degrees[0] == 0 or any(map(num_vars.__ne__, map(len, exps)))):
             for g in gens:
                 if g.num_vars != num_vars:
@@ -180,7 +182,7 @@ class MonomialIdeal:
                     )
                 if g.degree == 0:
                     raise DomainError("the unit ideal is not supported")
-        if gens and degrees[0] != degrees[-1]:
+        if gens and degrees[0] != degrees[-1] and not minimal:
             packed, _stride, _ones, guards = _packing(exps)
             for i, a in enumerate(packed):
                 for j in range(bisect_right(degrees, degrees[i]), len(gens)):
@@ -233,8 +235,9 @@ def _minimal_ideal(n: int, gens, exps, degrees) -> MonomialIdeal:
     A monomial is dropped when a kept monomial of strictly lower degree
     divides it: a distinct monomial of equal degree cannot, and a dropped
     one's divisors are kept ones.  The divisibility test is the packed
-    subtract-and-mask of :func:`_packing`.  The ideal is stored with every
-    check of its class.
+    subtract-and-mask of :func:`_packing`.  What is kept is minimal, so the
+    ideal is stored with every check of its class but the comparable-pair
+    scan.
     """
     if degrees[0] != degrees[-1]:
         packed, _stride, _ones, guards = _packing(exps)
@@ -245,7 +248,7 @@ def _minimal_ideal(n: int, gens, exps, degrees) -> MonomialIdeal:
                 keep.append(k)
         gens, exps, degrees = ([seq[k] for k in keep] for seq in (gens, exps, degrees))
     ideal = MonomialIdeal.__new__(MonomialIdeal)
-    ideal._store(n, gens, exps, degrees)
+    ideal._store(n, gens, exps, degrees, minimal=True)
     return ideal
 
 

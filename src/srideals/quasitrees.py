@@ -313,10 +313,17 @@ def tree_minor_det(
     return det[0], Monomial(_unpacked([det[1]], stride, n)[0])
 
 
-def _spanning_edges(t: int, tree) -> list[tuple[int, int]]:
-    """The sorted edges of a tree or edge list, checked to span [0, t)."""
-    edges = sorted((i, j) for i, j in (tree.edges if isinstance(tree, RelationTree) else tree))
-    if not all(0 <= i < t and 0 <= j < t for i, j in edges) or not _is_tree(t, edges):
+def _spanning_edges(t: int, tree):
+    """The edges of a tree or edge list, checked to span [0, t).  A
+    RelationTree was checked to be a spanning tree when it was built, so
+    only its size is checked and its edges are taken as they are; an edge
+    list is sorted and checked."""
+    if isinstance(tree, RelationTree):
+        edges, spans = tree.edges, tree.num_generators == t
+    else:
+        edges = sorted((i, j) for i, j in tree)
+        spans = all(0 <= i < t and 0 <= j < t for i, j in edges) and _is_tree(t, edges)
+    if not spans:
         raise DomainError("certificate edges must form a spanning tree on the facets")
     return edges
 
@@ -328,7 +335,10 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
 
     Each facet pair's row and each x_{F_j^c} is packed once per call, in
     fields of (t-1).bit_length() value bits: a minor multiplies t - 1
-    squarefree entries.
+    squarefree entries.  A RelationTree's edges were checked when it was
+    built and are used in their own order, since only the product of a
+    minor is compared and it does not depend on the order of the rows; an
+    edge list is sorted and checked to be a spanning tree first.
     """
     t = len(cx.facets)
     if t < 2:

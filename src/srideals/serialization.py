@@ -35,61 +35,72 @@ def dumps_report(obj) -> str:
     bool and None.  Anything else raises TypeError, as ``json`` does; a
     container that contains itself raises RecursionError.
 
-    A list of plain ints is one ``str.join``.  A container that is met a
-    second time, at the same depth, is not rendered again: its text is
-    kept from then on, keyed by ``id()`` as ``json`` keys its circular
-    markers, so a label dict shared by hundreds of relation trees costs one
-    rendering while containers met once keep nothing.  The caller's
-    objects are not copied, so they must not change during the call.
+    Every piece of text is appended to one list, joined once at the end,
+    so no container's text is copied into its parent's.  A list of plain
+    ints is one piece.  A container met a second time, at the same depth,
+    is not rendered again: its text is the join of the slice of the list
+    that its first rendering wrote, kept from then on as one piece, keyed
+    by ``id()`` as ``json`` keys its circular markers.  So a label dict
+    shared by hundreds of relation trees costs one rendering and one join,
+    while containers met once keep only the bounds of their slice.  The
+    caller's objects are not copied, so they must not change during the
+    call.
     """
-    seen = set()
-    memo = {}
+    out: list[str] = []
+    append = out.append
+    # (id, indent) -> the (start, end) of its first rendering in out, and
+    # its text once it is met again
+    memo: dict = {}
 
     def render(value, nl):
         kind = type(value)
         if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if kind is list or kind is tuple:
-            if not value:
-                return "[]"
-            inner = nl + "  "
-            if _INT_ONLY.issuperset(map(type, value)):
-                return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
-        elif kind is dict:
-            if not value:
-                return "{}"
-            inner = nl + "  "
-        else:
+            text = encode_basestring_ascii(value)
+        elif kind is int:
+            text = int.__repr__(value)
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif value is None:
+            text = "null"
+        elif kind is not dict and kind is not list and kind is not tuple:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        key = (id(value), nl)
-        text = memo.get(key)
-        if text is not None:
-            return text
-        if kind is dict:
-            items = []
-            for k in sorted(value):
-                if type(k) is not str:
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                items.append(f"{encode_basestring_ascii(k)}: {render(value[k], inner)}")
-            text = "{" + inner + ("," + inner).join(items) + nl + "}"
+        elif not value:
+            text = "{}" if kind is dict else "[]"
+        elif kind is not dict and _INT_ONLY.issuperset(map(type, value)):
+            inner = nl + "  "
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
         else:
-            text = "[" + inner + ("," + inner).join([render(v, inner) for v in value]) + nl + "]"
-        if key in seen:
-            memo[key] = text
-        else:
-            seen.add(key)
-        return text
+            key = (id(value), nl)
+            text = memo.get(key)
+            if type(text) is tuple:  # the bounds of its first rendering
+                text = memo[key] = "".join(out[text[0] : text[1]])
+            elif text is None:
+                start = len(out)
+                inner = nl + "  "
+                sep = "," + inner
+                if kind is dict:
+                    lead = "{" + inner
+                    for k in sorted(value):
+                        if type(k) is not str:
+                            raise TypeError(f"keys must be str, not {type(k).__name__}")
+                        append(f"{lead}{encode_basestring_ascii(k)}: ")
+                        render(value[k], inner)
+                        lead = sep
+                    append(nl + "}")
+                else:
+                    lead = "[" + inner
+                    for v in value:
+                        append(lead)
+                        render(v, inner)
+                        lead = sep
+                    append(nl + "]")
+                memo[key] = (start, len(out))
+                return
+        append(text)
 
     try:
-        return render(obj, "\n")
+        render(obj, "\n")
+        return "".join(out)
     finally:
         del render  # it refers to itself; this frees it and its memo now
 

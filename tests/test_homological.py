@@ -90,6 +90,23 @@ class TestReducedHomology:
         assert over_gf2.rank(1) == 1
         assert over_gf2.rank(2) == 1
 
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_clearing_skips_the_pivot_rows_of_the_dimension_above(self, monkeypatch, p):
+        # The full simplex on 6 vertices has 63 nonempty faces.  Reduced
+        # from the top down, each dimension skips its faces that are pivot
+        # rows one dimension up: 1 + 5 + 10 + 10 + 5 + 1 = 32 columns.
+        columns = []
+        real = homological._rank
+
+        def spy(cols, q, pivots=None):
+            columns.append(len(cols))
+            return real(cols, q, pivots)
+
+        monkeypatch.setattr(homological, "_rank", spy)
+        full = frozenset(range(1 << 6))
+        assert homological._profile_from_masks.__wrapped__(full, p) == (0,) * 7
+        assert columns == [1, 5, 10, 10, 5, 1]
+
     def test_explicit_face_list_input(self):
         profile = reduced_homology([(), (1,), (2,)])
         assert profile.rank(0) == 1
@@ -163,6 +180,25 @@ class TestBettiTables:
             table = betti_table(ideal, field)
             assert table == taylor_betti_table(ideal, field)
             assert table.total(0) == len(ideal.generators)
+
+    def test_taylor_oracle_reduces_every_strand_column(self, monkeypatch):
+        # The edge ideal of the 4-cycle: the strand at x1x2x3x4 holds 2
+        # pairs, the 4 triples and all four generators, and the oracle
+        # reduces all 4 + 1 columns above the pairs, where clearing would
+        # skip the triple that is the pivot row of the top column.
+        columns = []
+        real = homological._rank
+
+        def spy(cols, p, pivots=None):
+            assert pivots is None
+            columns.append(len(cols))
+            return real(cols, p, pivots)
+
+        monkeypatch.setattr(homological, "_rank", spy)
+        edges = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
+        table = taylor_betti_table(MonomialIdeal(4, [Monomial(e) for e in edges]))
+        assert sorted(columns) == [1, 4]
+        assert [table.total(i) for i in range(3)] == [4, 4, 1]
 
     def test_projective_plane_ideal_field_sensitivity(self):
         ideal = stanley_reisner_ideal(PROJECTIVE_PLANE)

@@ -57,6 +57,7 @@ from srideals.graphs import (
     one_skeleton_graph,
 )
 from srideals.homological import (
+    _boundary_rank,
     _minimal_masks,
     _nerve_faces,
     _profile_from_masks,
@@ -359,6 +360,21 @@ def test_minimalize_matches_naive_reference(vectors):
     assert [g.exponents for g in minimalize(monomials).generators] == expected
 
 
+@given(exponent_vectors(min_vectors=2), st.integers(min_value=1, max_value=2))
+@settings(max_examples=300, deadline=None)
+def test_constructor_accepts_what_minimalize_and_power_store(vectors, k):
+    # minimalize and power store their result without the constructor's
+    # comparable-pair scan; on mixed degrees, where that scan runs, it
+    # accepts the result unchanged
+    vectors = [v for v in vectors if any(v)]
+    assume(len({sum(v) for v in vectors}) > 1)
+    ideal = minimalize([Monomial(v) for v in vectors])
+    for stored in (ideal, power(ideal, k)):
+        again = MonomialIdeal(stored.num_vars, stored.generators)
+        assert again.generators == stored.generators
+        assert again.generator_degrees == stored.generator_degrees
+
+
 @given(exponent_vectors())
 @settings(max_examples=300, deadline=None)
 def test_monomial_ideal_accepts_exactly_the_minimal_systems(vectors):
@@ -556,8 +572,66 @@ def sparse_columns(draw):
 @settings(max_examples=200, deadline=None)
 def test_sparse_rank_matches_dense_elimination(p, columns):
     snapshot = [dict(c) for c in columns]
-    assert _linalg.rank(columns, p) == _naive_rank(columns, p)
+    pivots = set()
+    rank = _linalg.rank(columns, p, pivots)
+    assert rank == _naive_rank(columns, p)
     assert columns == snapshot  # the input columns are not modified
+    # one distinct pivot row per unit of rank, and row r is one iff some
+    # combination of the columns ends there: the rows >= r have a larger
+    # rank than the rows > r
+    assert len(pivots) == rank
+    suffix = [
+        _naive_rank([{row: e for row, e in c.items() if row >= r} for c in columns], p)
+        for r in range(9)
+    ]
+    assert pivots == {r for r in range(8) if suffix[r] > suffix[r + 1]}
+
+
+def _uncleared_profile(faces, p):
+    """Reduced homology ranks from one :func:`_boundary_rank` per degree,
+    every column reduced."""
+    by_dim = {}
+    for m in faces:
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    if not by_dim:
+        return ()
+    for masks in by_dim.values():
+        masks.sort()
+    top = max(by_dim)
+    bd = {k: _boundary_rank(by_dim.get(k - 1, []), by_dim.get(k, []), p) for k in range(top + 1)}
+    return tuple(
+        len(by_dim.get(k, [])) - bd.get(k, 0) - bd.get(k + 1, 0) for k in range(-1, top + 1)
+    )
+
+
+@st.composite
+def downward_closed_faces(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    return down_closure(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)))
+
+
+# The minimal nonfaces of the 6-vertex real projective plane, and its
+# faces: acyclic over QQ and GF(3), with H~_1 = H~_2 = GF(2) over GF(2).
+_RP2_NONFACES = [
+    0b1101, 0b1110, 0b10011, 0b10110, 0b11001, 0b100011, 0b100101, 0b101010, 0b110100, 0b111000
+]
+_RP2_FACES = frozenset(
+    m for m in range(1 << 6) if not any(m & t == t for t in _RP2_NONFACES)
+)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@given(downward_closed_faces())
+@example(_RP2_FACES)
+@example(frozenset(range(1 << 6)))  # the full simplex on 6 vertices
+@example(frozenset([0]))  # {empty face}
+@example(frozenset())  # the void complex
+@settings(max_examples=300, deadline=None)
+def test_cleared_profile_matches_full_reduction(p, faces):
+    profile = _profile_from_masks.__wrapped__(faces, p)
+    assert profile == _uncleared_profile(faces, p)
+    if faces == _RP2_FACES:
+        assert profile == ((0, 0, 1, 1) if p == 2 else (0, 0, 0, 0))
 
 
 # The combinatorial kernels against references that enumerate: every
@@ -744,11 +818,7 @@ _FIELDS = [RATIONALS, GF2, FieldChoice(3)]
         lambda n: st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
     )
 )
-# the minimal nonfaces of the 6-vertex real projective plane: projdim 3
-# over GF(2) and 2 otherwise
-@example(
-    [0b1101, 0b1110, 0b10011, 0b10110, 0b11001, 0b100011, 0b100101, 0b101010, 0b110100, 0b111000]
-)
+@example(_RP2_NONFACES)  # projdim 3 over GF(2) and 2 otherwise
 @settings(max_examples=150, deadline=None)
 def test_projdim_walk_matches_the_whole_table(field, masks):
     table = squarefree_betti_masks(masks, field.p)

@@ -128,6 +128,16 @@ class TestRelationTrees:
             with pytest.raises(DomainError, match="at least two facets"):
                 minor_certificates(cx, [[]])
 
+    def test_relation_tree_on_other_facets_is_no_spanning_tree(self, worked_example):
+        # a RelationTree's edges are not checked again, but its size is
+        near_cx = SimplicialComplex(6, [(1, 2, 3), (2, 3, 4), (3, 4, 5)])
+        for tree in relation_trees(near_cx):
+            with pytest.raises(DomainError, match="spanning tree"):
+                minor_certificates(worked_example, [tree])
+        for tree in relation_trees(worked_example):
+            with pytest.raises(DomainError, match="spanning tree"):
+                minor_certificates(near_cx, [tree])
+
     def test_batch_verdicts_follow_the_tree_order(self, worked_example):
         trees = relation_trees(worked_example)
         star = [(0, 1), (0, 2), (0, 3)]

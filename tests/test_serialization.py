@@ -13,6 +13,7 @@ from srideals import (
     Graph,
     Monomial,
     MonomialIdeal,
+    SimplicialComplex,
     betti_table,
     facet_ideal,
     relation_trees,
@@ -236,6 +237,18 @@ def _json_dumps(value):
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# The largest relation-trees reply of the benchmark corpus: 432 trees, about
+# 1 MB, each label dict shared by every tree through its facet pair.
+_LARGE_REPLY = {
+    "trees": relation_trees_to_json(
+        relation_trees(SimplicialComplex(9, [[1, 5], [4, 5], [3], [2, 7], [9], [6]]))
+    )
+}
+# one dict at three depths, twice at the first
+_SHARED = {"u": [1, 2], "v": ["w", None]}
+_SHARED_AT_THREE_DEPTHS = {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}], "d": _SHARED}
+
+
 class TestReportEmitter:
     @given(_REPORT_VALUES | _shared_values())
     @example({})
@@ -243,6 +256,8 @@ class TestReportEmitter:
     @example({"e": {}, "l": [], "t": ()})
     @example([True, False, 1, 0, None, -1])
     @example({"\u0000\x1f": "\u2028\ud800", 'q"\\': "é"})
+    @example(_LARGE_REPLY)
+    @example(_SHARED_AT_THREE_DEPTHS)
     def test_writes_the_bytes_of_json_dumps(self, value):
         assert dumps_report(value) + "\n" == _json_dumps(value)
 
