@@ -230,7 +230,7 @@ def _check_betti_generators(ideal: MonomialIdeal):
     """Require a nonzero ideal of at most ``MAX_BETTI_GENERATORS`` generators."""
     if ideal.is_zero:
         raise DomainError("Betti table of the zero ideal is undefined")
-    t = len(ideal.generators)
+    t = len(ideal.exponents)
     if t > MAX_BETTI_GENERATORS:
         raise over_cap("generators", t, "homological.MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS)
 
@@ -407,7 +407,7 @@ def _packed_engine(ideal: MonomialIdeal):
     join is the guard-subtract fieldwise max, and a tight mask is the
     guard bits of supp(b) minus those of supp(b ^ g).
     """
-    gens, stride, ones, guards = _packing([g.exponents for g in ideal.generators])
+    gens, stride, ones, guards = _packing(ideal.exponents)
     w = stride - 1
 
     def support(b):  # the guard bits of b's nonzero fields
@@ -483,7 +483,7 @@ def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> 
     builder drops such faces from the boundary.
     """
     _check_betti_generators(ideal)
-    gens = [g.exponents for g in ideal.generators]
+    gens = ideal.exponents
     t = len(gens)
     zero = tuple([0] * ideal.num_vars)
 

@@ -2,8 +2,11 @@
 
 Everything here is field-free: a monomial is an exponent vector, an
 ideal is its unique minimal generating set, canonically ordered by
-(degree, lexicographic on exponents).  The zero ideal is a first-class
-value (empty generator list); the unit ideal is rejected everywhere.
+(degree, lexicographic on exponents).  An ideal stores that set as the
+tuple of its exponent vectors, which is all the kernels read; its
+:class:`Monomial` objects are built on first use.  The zero ideal is a
+first-class value (empty generator list); the unit ideal is rejected
+everywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from operator import lshift
 
 from .complexes import MAX_SKELETON_FACES, SimplicialComplex
@@ -64,7 +69,7 @@ class Monomial:
 
     @property
     def support_mask(self) -> int:
-        return sum(1 << i for i, e in enumerate(self.exponents) if e)
+        return _support_mask(self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -86,6 +91,11 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({monomial_to_str(self)})"
+
+
+def _support_mask(exps) -> int:
+    """The bitmask of the variables with positive exponent, x1 at bit 0."""
+    return sum(1 << i for i, e in enumerate(exps) if e)
 
 
 def monomial_to_str(m: Monomial) -> str:
@@ -113,7 +123,9 @@ def _packing(vectors, top: int | None = None, degree: bool = False):
     and x_n the field at 0.  With ``degree``, the vector's degree is added at
     ``n * stride``, above every field and with no width limit, so that a sum
     of packed vectors carries the degree of the product and the order of
-    packed ints is the canonical (degree, exponents) order.  Returns
+    packed ints is the canonical (degree, exponents) order; and when ``top``
+    fits in 7 bits the fields are whole bytes (``stride = 8``), which
+    :func:`_unpacked` reads without shifts.  Returns
     ``(packed, stride, ones, guards)``, where ``ones`` has a 1 in each
     variable field and ``guards`` each variable field's guard bit.
 
@@ -125,7 +137,7 @@ def _packing(vectors, top: int | None = None, degree: bool = False):
     """
     if top is None:
         top = max(map(max, vectors))
-    stride = top.bit_length() + 1
+    stride = 8 if degree and top < 128 else top.bit_length() + 1
     n = len(vectors[0])
     shifts = range((n - 1) * stride, -1, -stride)
     ones = sum(1 << s for s in shifts)
@@ -138,7 +150,14 @@ def _packing(vectors, top: int | None = None, degree: bool = False):
 
 def _unpacked(packed, stride: int, n: int) -> list[tuple[int, ...]]:
     """The exponent vectors of n variables packed at ``stride`` (:func:`_packing`),
-    without any degree field."""
+    ignoring any degree field.  Whole-byte fields (``stride == 8``, whose
+    guard bits are clear) are the big-endian bytes of the low ``n`` bytes of
+    each int, one ``int.to_bytes`` per vector; other fields are shifted out
+    one by one."""
+    if stride == 8:
+        low = (1 << 8 * n) - 1
+        data = b"".join([(p & low).to_bytes(n, "big") for p in packed])
+        return list(zip(*[iter(data)] * n))  # consecutive runs of n bytes
     field = (1 << (stride - 1)) - 1
     shifts = range((n - 1) * stride, -1, -stride)
     return [tuple([p >> s & field for s in shifts]) for p in packed]
@@ -151,8 +170,14 @@ class MonomialIdeal:
     The constructor insists that the given generators already form the
     minimal system (pairwise non-dividing); use :func:`minimalize` to
     reduce an arbitrary generating set first.  An empty generator list
-    is the zero ideal.  ``generator_degrees`` holds the generators' degrees
-    in the same order.
+    is the zero ideal.
+
+    The fields are ``num_vars`` and ``exponents``, the canonical tuple of
+    the generators' exponent vectors, so equality and hashing compare
+    those.  ``generators`` holds the same generators as :class:`Monomial`
+    objects: the constructor keeps the caller's own, and an ideal computed
+    here builds them when they are first read.  ``generator_degrees``
+    holds the generators' degrees in the same order.
 
     Distinct monomials of equal degree never divide each other, and a
     monomial never divides one of lower degree, so the check compares each
@@ -162,49 +187,58 @@ class MonomialIdeal:
     """
 
     num_vars: int
-    generators: tuple[Monomial, ...]
+    exponents: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars: int, generators):
         if type(num_vars) is not int or num_vars < 1:  # bool is rejected too
             raise DomainError(f"num_vars must be a positive integer, got {num_vars!r}")
-        self._store(num_vars, *_canonical(generators))
+        unique, exps, degrees = _canonical(generators)
+        self._store(num_vars, exps, degrees)
+        self.__dict__["generators"] = unique
 
-    def _store(self, num_vars: int, gens, exps, degrees, minimal: bool = False):
-        """Check and store distinct generators given in canonical order with
-        their exponent vectors and degrees (:func:`_canonical`).  With
+    def _store(self, num_vars: int, exps, degrees, minimal: bool = False) -> "MonomialIdeal":
+        """Check and store distinct exponent vectors given in canonical order
+        with their degrees (:func:`_canonical`), and return the ideal.  With
         `minimal` the caller has already shown that no generator divides
         another, and the comparable-pair scan is skipped."""
-        if gens and (degrees[0] == 0 or any(map(num_vars.__ne__, map(len, exps)))):
-            for g in gens:
-                if g.num_vars != num_vars:
+        if exps and (degrees[0] == 0 or any(map(num_vars.__ne__, map(len, exps)))):
+            for e in exps:
+                if len(e) != num_vars:
                     raise DomainError(
-                        f"generator {g} has {g.num_vars} variables, expected {num_vars}"
+                        f"generator {Monomial(e)} has {len(e)} variables, expected {num_vars}"
                     )
-                if g.degree == 0:
+                if not any(e):
                     raise DomainError("the unit ideal is not supported")
-        if gens and degrees[0] != degrees[-1] and not minimal:
+        if exps and degrees[0] != degrees[-1] and not minimal:
             packed, _stride, _ones, guards = _packing(exps)
             for i, a in enumerate(packed):
-                for j in range(bisect_right(degrees, degrees[i]), len(gens)):
+                for j in range(bisect_right(degrees, degrees[i]), len(exps)):
                     if (packed[j] | guards) - a & guards == guards:
                         raise DomainError(
-                            f"generators are not minimal: {gens[i]} and {gens[j]} are comparable"
+                            f"generators are not minimal: {Monomial(exps[i])} and "
+                            f"{Monomial(exps[j])} are comparable"
                         )
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "exponents", tuple(exps))
         object.__setattr__(self, "generator_degrees", tuple(degrees))
+        return self
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial, self.exponents))
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.exponents
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.generators)
+        return all(e <= 1 for v in self.exponents for e in v)
 
     def contains(self, m: Monomial) -> bool:
         """Ideal membership for a monomial."""
-        return any(g.divides(m) for g in self.generators)
+        b = m.exponents
+        return any(all(map(int.__le__, e, b)) for e in self.exponents)
 
     def __repr__(self):
         if self.is_zero:
@@ -219,21 +253,21 @@ def minimalize(monomials) -> MonomialIdeal:
     The monomials are sorted by (degree, exponents) (:func:`_canonical`)
     and reduced by :func:`_minimal_ideal`.
     """
-    unique, exps, degrees = _canonical(monomials)
-    if not unique:
+    _unique, exps, degrees = _canonical(monomials)
+    if not exps:
         raise DomainError("minimalize needs at least one monomial")
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
-    return _minimal_ideal(n, unique, exps, degrees)
+    return _minimal_ideal(n, exps, degrees)
 
 
-def _minimal_ideal(n: int, gens, exps, degrees) -> MonomialIdeal:
-    """The ideal of distinct monomials in n variables given in canonical
-    order, with their exponent vectors and degrees in the same order.
+def _minimal_ideal(n: int, exps, degrees) -> MonomialIdeal:
+    """The ideal of distinct exponent vectors of n variables given in
+    canonical order, with their degrees in the same order.
 
-    A monomial is dropped when a kept monomial of strictly lower degree
-    divides it: a distinct monomial of equal degree cannot, and a dropped
+    A vector is dropped when a kept vector of strictly lower degree
+    divides it: a distinct vector of equal degree cannot, and a dropped
     one's divisors are kept ones.  The divisibility test is the packed
     subtract-and-mask of :func:`_packing`.  What is kept is minimal, so the
     ideal is stored with every check of its class but the comparable-pair
@@ -246,10 +280,8 @@ def _minimal_ideal(n: int, gens, exps, degrees) -> MonomialIdeal:
             lower = keep[: bisect_left(keep, bisect_left(degrees, degrees[k]))]
             if not any((b | guards) - packed[a] & guards == guards for a in lower):
                 keep.append(k)
-        gens, exps, degrees = ([seq[k] for k in keep] for seq in (gens, exps, degrees))
-    ideal = MonomialIdeal.__new__(MonomialIdeal)
-    ideal._store(n, gens, exps, degrees, minimal=True)
-    return ideal
+        exps, degrees = ([seq[k] for k in keep] for seq in (exps, degrees))
+    return MonomialIdeal.__new__(MonomialIdeal)._store(n, exps, degrees, minimal=True)
 
 
 def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
@@ -257,19 +289,17 @@ def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
     ``stride`` with a degree field (:func:`_packing`): one sort of the ints
     gives the canonical order, and the degree is the field above ``n * stride``."""
     packed = sorted(packed)
-    exps = _unpacked(packed, stride, n)
     degrees = list(map((n * stride).__rrshift__, packed))
-    return _minimal_ideal(n, list(map(Monomial, exps)), exps, degrees)
+    return _minimal_ideal(n, _unpacked(packed, stride, n), degrees)
 
 
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
     """The ideal generated by the squarefree monomials whose supports are
-    the given bitmasks, with every check of its class."""
+    the given bitmasks, an antichain (facets, minimal nonfaces or sets of
+    one size), stored without the comparable-pair scan."""
     exps = sorted({tuple([m >> v & 1 for v in range(n)]) for m in masks})
     exps.sort(key=sum)
-    ideal = MonomialIdeal.__new__(MonomialIdeal)
-    ideal._store(n, tuple(map(Monomial, exps)), exps, tuple(map(sum, exps)))
-    return ideal
+    return MonomialIdeal.__new__(MonomialIdeal)._store(n, exps, list(map(sum, exps)), minimal=True)
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
@@ -299,7 +329,7 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
     if not ideal.is_squarefree:
         raise DomainError("complex_from_ideal requires a squarefree ideal")
     n = ideal.num_vars
-    supports = [g.support_mask for g in ideal.generators]
+    supports = list(map(_support_mask, ideal.exponents))
     if mode == "facet":
         return SimplicialComplex.from_masks(n, supports)
     if mode != "stanley-reisner":
@@ -328,21 +358,20 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
     Each product is a sum of packed exponent vectors (:func:`_packing`, with
     the degree field) whose fields are wide enough for k times the largest
-    exponent, so only distinct products are unpacked into monomials, in the
-    order of one sort of their ints.  More than ``MAX_POWER_FACTORS``
+    exponent, so only distinct products are unpacked into exponent vectors,
+    in the order of one sort of their ints.  More than ``MAX_POWER_FACTORS``
     factors over all products is a ResourceLimitError.
     """
     if k < 1:
         raise DomainError(f"power exponent must be >= 1, got {k}")
     if ideal.is_zero:
         return ideal
-    gens = ideal.generators
-    count = math.comb(len(gens) + k - 1, k)
+    exps = ideal.exponents
+    count = math.comb(len(exps) + k - 1, k)
     if count * k > MAX_POWER_FACTORS:
         raise over_cap(
             f"power-{k} factors", count * k, "ideals.MAX_POWER_FACTORS", MAX_POWER_FACTORS
         )
-    exps = [g.exponents for g in gens]
     packed, stride, _ones, _guards = _packing(exps, k * max(map(max, exps)), degree=True)
     products = set(map(sum, itertools.combinations_with_replacement(packed, k)))
     return _ideal_from_packed(products, stride, ideal.num_vars)
@@ -364,7 +393,7 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     count = sum(math.comb(n + e - 1, e) for e in extras if e >= 0)
     if count > MAX_GRADED_MONOMIALS:
         raise over_cap("monomials", count, "ideals.MAX_GRADED_MONOMIALS", MAX_GRADED_MONOMIALS)
-    below = [(g.exponents, e) for g, e in zip(ideal.generators, extras) if e >= 0]
+    below = [(g, e) for g, e in zip(ideal.exponents, extras) if e >= 0]
     top = max(max(g) + e for g, e in below)
     packed, stride, _ones, _guards = _packing([g for g, _ in below], top, degree=True)
     degree_one = 1 << n * stride
@@ -407,8 +436,7 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
         raise over_cap(f"{ell + 1}-sets", count, "complexes.MAX_SKELETON_FACES", MAX_SKELETON_FACES)
     bits = [1 << v for v in range(n)]
     masks = set()
-    for g in i1.generators:
-        gm = g.support_mask
+    for gm in map(_support_mask, i1.exponents):
         rest = [b for b in bits if not b & gm]
         masks.update(map(gm.__add__, map(sum, itertools.combinations(rest, ell - 1))))
     return _squarefree_ideal(n, masks)
@@ -426,16 +454,16 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no generators to order")
-    gens = list(ideal.generators)
-    t = len(gens)
+    exps = ideal.exponents
+    t = len(exps)
     # lin_var[k][i]: variable index when g_k / gcd(g_i, g_k) has degree 1.
     lin_var = [[-1] * t for _ in range(t)]
     for k in range(t):
-        ek = gens[k].exponents
+        ek = exps[k]
         for i in range(t):
             if i == k:
                 continue
-            ei = gens[i].exponents
+            ei = exps[i]
             deg = var = 0
             for idx, (a, b) in enumerate(zip(ek, ei)):
                 if a > b:
@@ -448,9 +476,9 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
     # by_var[i][v]: the generators j whose colon g_j : g_i is divisible by
     # x_v; a colon variable x_v of g_i certifies exactly those j.
     by_var = [[0] * ideal.num_vars for _ in range(t)]
-    for j, gj in enumerate(gens):
-        for i, gi in enumerate(gens):
-            for idx, (a, b) in enumerate(zip(gj.exponents, gi.exponents)):
+    for j, ej in enumerate(exps):
+        for i, ei in enumerate(exps):
+            for idx, (a, b) in enumerate(zip(ej, ei)):
                 if a > b:
                     by_var[i][idx] |= 1 << j
     # cover[i][vm]: the generators certified by the colon variables vm of
@@ -512,7 +540,7 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
                     vmask[c] |= 1 << v
             prefix = [first]
             if extend(prefix, 1 << first, vmask):
-                return [gens[i] for i in prefix]
+                return [ideal.generators[i] for i in prefix]
         return None
     finally:
         del extend  # it refers to itself; this frees the memo now
@@ -567,8 +595,10 @@ def _value_columns(exps) -> list[dict[int, int]]:
     return tables
 
 
-def verify_linear_quotients(order: list[Monomial]) -> bool:
-    """Independent check of the linear-quotients condition on an ordering.
+def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool:
+    """Independent check of the linear-quotients condition on an ordering
+    of monomials, each given as a :class:`Monomial` or as its exponent
+    tuple (as ``MonomialIdeal.exponents`` holds them, taken as valid).
 
     For each g_i, the colon ideal (g_1, ..., g_{i-1}) : g_i must be
     generated by variables: every g_j : g_i (j < i) must be divisible by
@@ -590,7 +620,7 @@ def verify_linear_quotients(order: list[Monomial]) -> bool:
     """
     if len(order) < 2:
         return True
-    exps = [m.exponents for m in order]
+    exps = [getattr(m, "exponents", m) for m in order]
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")

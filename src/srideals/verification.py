@@ -407,9 +407,9 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     if len(degrees) > 1:
         return False
     d = next(iter(degrees))
-    if len(ideal.generators) <= 11:
+    if len(ideal.exponents) <= 11:
         return betti_table(ideal, field).is_linear(d)
-    gens = list(ideal.generators)
+    gens = ideal.exponents
     for candidate in (gens, gens[::-1]):
         if verify_linear_quotients(candidate):
             return True
@@ -884,7 +884,7 @@ def check_restriction_resolution(
                 dim, _pure = dimension_info(qt)
                 ideal = _complement_ideal(qt, rng.randint(1, dim))
             # only the edge and skeleton ideals can be zero or have over 8 generators
-            if ideal.is_zero or len(ideal.generators) > 8:
+            if ideal.is_zero or len(ideal.exponents) > 8:
                 continue
             degrees = set(ideal.generator_degrees)
             if len(degrees) != 1:
@@ -893,7 +893,7 @@ def check_restriction_resolution(
             if not table.is_linear(next(iter(degrees))):
                 continue
             found += 1
-            caps = [max(g.exponents[i] for g in ideal.generators) for i in range(ideal.num_vars)]
+            caps = list(map(max, zip(*ideal.exponents)))
             for _ in range(_BOUNDS_PER_IDEAL):
                 yield ideal, table, tuple(rng.randint(0, c) for c in caps)
 

@@ -363,16 +363,24 @@ def test_minimalize_matches_naive_reference(vectors):
 @given(exponent_vectors(min_vectors=2), st.integers(min_value=1, max_value=2))
 @settings(max_examples=300, deadline=None)
 def test_constructor_accepts_what_minimalize_and_power_store(vectors, k):
-    # minimalize and power store their result without the constructor's
+    # minimalize, power, graded_component_ideal, facet_ideal and
+    # stanley_reisner_ideal store their result without the constructor's
     # comparable-pair scan; on mixed degrees, where that scan runs, it
-    # accepts the result unchanged
+    # accepts the result unchanged, as an equal ideal whose Monomials are
+    # the stored exponent vectors
     vectors = [v for v in vectors if any(v)]
     assume(len({sum(v) for v in vectors}) > 1)
     ideal = minimalize([Monomial(v) for v in vectors])
-    for stored in (ideal, power(ideal, k)):
+    n = ideal.num_vars
+    cx = SimplicialComplex.from_faces(n, [[i + 1 for i, e in enumerate(v) if e] for v in vectors])
+    component = graded_component_ideal(ideal, min(ideal.generator_degrees) + k - 1)
+    for stored in (ideal, power(ideal, k), component, facet_ideal(cx), stanley_reisner_ideal(cx)):
         again = MonomialIdeal(stored.num_vars, stored.generators)
+        assert again == stored
+        assert hash(again) == hash(stored)
         assert again.generators == stored.generators
         assert again.generator_degrees == stored.generator_degrees
+        assert stored.exponents == tuple(g.exponents for g in stored.generators)
 
 
 @given(exponent_vectors())
@@ -395,6 +403,9 @@ def test_monomial_ideal_accepts_exactly_the_minimal_systems(vectors):
 
 @given(exponent_vectors(max_vectors=5), st.integers(min_value=1, max_value=3))
 @settings(max_examples=200, deadline=None)
+@example(vectors=[(42, 1), (1, 3)], k=3)  # k * max = 126: whole-byte fields
+@example(vectors=[(127, 0), (1, 1)], k=1)  # 127, the largest 7-bit value
+@example(vectors=[(64, 0), (1, 2), (0, 3)], k=2)  # 128: 9-bit fields, shifts
 def test_power_matches_naive_reference(vectors, k):
     vectors = [v for v in vectors if any(v)]
     if not vectors:
@@ -408,9 +419,9 @@ def test_power_matches_naive_reference(vectors, k):
 @given(exponent_vectors(min_vectors=2) | equigenerated_orders())
 @settings(max_examples=400, deadline=None)
 def test_verify_linear_quotients_matches_naive_reference(order):
-    assert verify_linear_quotients([Monomial(v) for v in order]) == _naive_linear_quotients(
-        list(order)
-    )
+    expected = _naive_linear_quotients(list(order))
+    assert verify_linear_quotients([Monomial(v) for v in order]) == expected
+    assert verify_linear_quotients([tuple(v) for v in order]) == expected
 
 
 @st.composite

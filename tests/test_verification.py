@@ -1,6 +1,7 @@
 """The bulk verification drivers at quick budgets, plus their generators."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -24,7 +25,8 @@ from srideals.verification import (
 )
 import random
 
-from srideals import MonomialIdeal, Monomial
+from srideals import MonomialIdeal, Monomial, facet_ideal, power
+from srideals.complexes import skeleton_complement
 from srideals.graphs import Graph, complement_graph, edge_ideal, is_chordal
 from srideals.quasitrees import leaf_order
 
@@ -155,6 +157,30 @@ class TestLinearResolutionDecider:
         # Froberg: an edge ideal has a linear resolution iff the complement
         # of its graph is chordal
         assert verdict == is_chordal(complement_graph(graph))[0]
+
+    def test_power_path_builds_no_monomial(self, monkeypatch, worked_example):
+        # thm-4.4's path past eleven generators reads exponent vectors only;
+        # a computed ideal builds its Monomials when they are first read
+        ideal = facet_ideal(skeleton_complement(worked_example, 1))
+        built = []
+        real = Monomial.__init__
+
+        def counting(self, exponents):
+            built.append(exponents)
+            real(self, exponents)
+
+        monkeypatch.setattr(Monomial, "__init__", counting)
+        cube = power(ideal, 3)
+        assert len(cube.exponents) > 11
+        assert has_linear_resolution(cube)
+        assert built == []
+        monkeypatch.undo()
+        # the cube is generated in one degree, so every product is minimal
+        triples = itertools.combinations_with_replacement(ideal.generators, 3)
+        products = {a * b * c for a, b, c in triples}
+        expected = MonomialIdeal(ideal.num_vars, products)
+        assert cube.generators == expected.generators
+        assert cube == expected
 
     def test_fallback_cap_names_its_constant(self, monkeypatch):
         n, edges, _ = _LONG_ROUTES["Betti fallback"]
