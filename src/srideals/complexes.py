@@ -206,9 +206,10 @@ MAX_SKELETON_FACES = 100_000
 
 
 def _check_skeleton(cx: SimplicialComplex, i: int, count) -> None:
-    """Require 0 <= i <= dim cx, and at most MAX_SKELETON_FACES sets from count()."""
-    if i < 0:
-        raise DomainError(f"skeleton dimension must be nonnegative, got {i}")
+    """Require an integer 0 <= i <= dim cx, and at most MAX_SKELETON_FACES sets
+    from count()."""
+    if type(i) is not int or i < 0:  # bool is rejected too
+        raise DomainError(f"skeleton dimension must be a nonnegative integer, got {i!r}")
     dim, _ = dimension_info(cx)
     if i > dim:
         raise DomainError(f"skeleton dimension {i} exceeds dim = {dim}")

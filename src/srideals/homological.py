@@ -79,6 +79,8 @@ class FieldChoice:
     p: int = 0
 
     def __post_init__(self):
+        if type(self.p) is not int:  # bool is rejected too
+            raise DomainError(f"the characteristic must be an integer, got {self.p!r}")
         if self.p == 0:
             return
         if self.p > MAX_CHARACTERISTIC:
@@ -279,17 +281,19 @@ def _compress(masks, full: int) -> list[int]:
     return compressed
 
 
-def _lcm_lattice(gens: list, join, cap_name: str, cap: int) -> set:
+def _lcm_lattice(gens: list, join) -> set:
     """Every join of a nonempty subset of the minimal generators `gens`:
     the lcm lattice, the only multidegrees that can carry Betti numbers.
-    More than `cap` elements is a ResourceLimitError naming `cap_name`."""
+    More than ``MAX_LCMS`` elements is a ResourceLimitError."""
     lattice = set(gens)
     frontier = lattice
     while frontier:
         frontier = {join(b, g) for b in frontier for g in gens} - lattice
         lattice |= frontier
-        if len(lattice) > cap:
-            raise over_cap("lcm lattice size", len(lattice), cap_name, cap, "counted so far")
+        if len(lattice) > MAX_LCMS:
+            raise over_cap(
+                "lcm lattice size", len(lattice), "homological.MAX_LCMS", MAX_LCMS, "counted so far"
+            )
     return lattice
 
 
@@ -321,7 +325,7 @@ def _koszul_profile(full: int, tights: list[int], p: int) -> tuple[int, ...]:
     return _profile_from_masks(faces, p)
 
 
-def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap_name: str, cap: int) -> dict:
+def _upper_koszul_betti(gens: list, join, tight_masks, p: int) -> dict:
     """The Betti engine: {(i, b): beta_{i,b}} over the lcm lattice of the
     minimal generators `gens` (:func:`_lcm_lattice`).
 
@@ -331,14 +335,14 @@ def _upper_koszul_betti(gens: list, join, tight_masks, p: int, cap_name: str, ca
     :func:`_koszul_profile` gives the Betti numbers at b.
     """
     table: dict = {(0, g): 1 for g in gens}
-    for b in _lcm_lattice(gens, join, cap_name, cap).difference(gens):
+    for b in _lcm_lattice(gens, join).difference(gens):
         for i, r in enumerate(_koszul_profile(*tight_masks(b), p)):
             if r:
                 table[(i, b)] = r
     return table
 
 
-def _upper_koszul_projdim(gens: list, join, tight_masks, p: int, cap_name: str, cap: int) -> int:
+def _upper_koszul_projdim(gens: list, join, tight_masks, p: int) -> int:
     """max(i) over the table of :func:`_upper_koszul_betti`, from the same
     lattice and the same homology at b, taken at as few elements as the
     degree bound allows.
@@ -356,7 +360,7 @@ def _upper_koszul_projdim(gens: list, join, tight_masks, p: int, cap_name: str, 
     no bound left exceeds the best degree found.
     """
     bounded = []
-    for b in _lcm_lattice(gens, join, cap_name, cap).difference(gens):
+    for b in _lcm_lattice(gens, join).difference(gens):
         full, tights = tight_masks(b)
         bound = min(len(tights) - 1, full.bit_count() - tights[0].bit_count())
         if bound > 0:
@@ -389,7 +393,7 @@ def betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTa
     the lattice at ``MAX_LCMS`` elements.
     """
     _check_betti_input(ideal)
-    return _packed_betti_table(ideal, field.p, "homological.MAX_LCMS", MAX_LCMS)
+    return _packed_betti_table(ideal, field.p)
 
 
 def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
@@ -398,7 +402,7 @@ def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
     caps of :func:`betti_table` checked in the same order."""
     _check_betti_input(ideal)
     gens, join, tight_masks, _stride = _packed_engine(ideal)
-    return _upper_koszul_projdim(gens, join, tight_masks, field.p, "homological.MAX_LCMS", MAX_LCMS)
+    return _upper_koszul_projdim(gens, join, tight_masks, field.p)
 
 
 def _packed_engine(ideal: MonomialIdeal):
@@ -426,12 +430,12 @@ def _packed_engine(ideal: MonomialIdeal):
     return gens, join, tight_masks, stride
 
 
-def _packed_betti_table(ideal: MonomialIdeal, p: int, cap_name: str, cap: int) -> BettiTable:
-    """:func:`betti_table` with only its lcm lattice capped, at `cap` (named
-    `cap_name` in the error), on the packed engine (:func:`_packed_engine`);
-    multidegrees stay packed until the final table."""
+def _packed_betti_table(ideal: MonomialIdeal, p: int) -> BettiTable:
+    """:func:`betti_table` with only its lcm lattice capped, on the packed
+    engine (:func:`_packed_engine`); multidegrees stay packed until the
+    final table."""
     gens, join, tight_masks, stride = _packed_engine(ideal)
-    table = _upper_koszul_betti(gens, join, tight_masks, p, cap_name, cap)
+    table = _upper_koszul_betti(gens, join, tight_masks, p)
     lattice = {b for _i, b in table}
     vector = dict(zip(lattice, _unpacked(lattice, stride, ideal.num_vars)))
     return BettiTable.from_dict(ideal.num_vars, {(i, vector[b]): r for (i, b), r in table.items()})
@@ -460,7 +464,7 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     ``MAX_LCMS``.
     """
     engine = _squarefree_engine(gen_masks)
-    return _upper_koszul_betti(*engine, p, "homological.MAX_LCMS", MAX_LCMS)
+    return _upper_koszul_betti(*engine, p)
 
 
 def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
@@ -469,7 +473,7 @@ def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
     by the degree-bounded walk of :func:`_upper_koszul_projdim`.  The lcm
     lattice is capped at ``MAX_LCMS``."""
     engine = _squarefree_engine(gen_masks)
-    return _upper_koszul_projdim(*engine, p, "homological.MAX_LCMS", MAX_LCMS)
+    return _upper_koszul_projdim(*engine, p)
 
 
 def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTable:

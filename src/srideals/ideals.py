@@ -236,8 +236,10 @@ class MonomialIdeal:
         return all(e <= 1 for v in self.exponents for e in v)
 
     def contains(self, m: Monomial) -> bool:
-        """Ideal membership for a monomial."""
+        """Ideal membership for a monomial in the ideal's variables."""
         b = m.exponents
+        if len(b) != self.num_vars:
+            raise DomainError(f"monomial {m} has {len(b)} variables, expected {self.num_vars}")
         return any(all(map(int.__le__, e, b)) for e in self.exponents)
 
     def __repr__(self):
@@ -362,8 +364,8 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     in the order of one sort of their ints.  More than ``MAX_POWER_FACTORS``
     factors over all products is a ResourceLimitError.
     """
-    if k < 1:
-        raise DomainError(f"power exponent must be >= 1, got {k}")
+    if type(k) is not int or k < 1:  # bool is rejected too
+        raise DomainError(f"power exponent must be an integer >= 1, got {k!r}")
     if ideal.is_zero:
         return ideal
     exps = ideal.exponents
@@ -383,6 +385,8 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     g times each monomial of degree j - deg g is a packed g plus packed unit
     vectors (:func:`_packing`, with the degree field), and each distinct sum
     is unpacked once, in the order of one sort of the ints."""
+    if type(j) is not int:  # bool is rejected too
+        raise DomainError(f"degree must be an integer, got {j!r}")
     if ideal.is_zero:
         raise DomainError("graded component of the zero ideal")
     min_deg = min(ideal.generator_degrees)
@@ -407,7 +411,7 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
 def restrict_ideal(ideal: MonomialIdeal, bound) -> MonomialIdeal:
     """Keep the generators whose exponent vector is componentwise <= bound."""
     a = tuple(bound)
-    if len(a) != ideal.num_vars or any(not isinstance(v, int) or v < 0 for v in a):
+    if len(a) != ideal.num_vars or any(type(v) is not int or v < 0 for v in a):
         raise DomainError(
             f"bound must be a length-{ideal.num_vars} vector of nonnegative integers"
         )
@@ -423,6 +427,8 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
     ell-skeleton without touching the complex itself.  Each generator's
     support is extended by every (ell - 1)-set of the other variables.
     """
+    if type(ell) is not int or type(n) is not int:  # bool is rejected too
+        raise DomainError(f"ell and n must be integers, got {ell!r} and {n!r}")
     if ell + 1 > n:
         raise DomainError(f"degree {ell + 1} exceeds the number of variables {n}")
     if ell + 1 < 2:

@@ -395,8 +395,8 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
     Each facet pair's Taylor label is computed once and shared by every
     tree that uses the edge.
     """
-    if limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
+    if type(limit) is not int or limit < 1:  # bool is rejected too
+        raise DomainError(f"limit must be a positive integer, got {limit!r}")
     masks = list(cx.facet_masks)
     t = len(masks)
     if leaf_order_masks(masks) is None:

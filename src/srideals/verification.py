@@ -386,30 +386,25 @@ def _run_family(suite: str, family, check, **notes) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# The lcm lattice of has_linear_resolution's fallback Betti table.
-MAX_FALLBACK_LCMS = 200_000
-
-
 def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> bool:
     """Decide whether I has a linear resolution over the chosen field.
 
-    Small generating sets go straight to the Betti table.  For large ones
-    a linear-quotients order is a sound positive certificate (quotients
-    imply a linear resolution for equigenerated ideals); canonical and
-    reversed generator order are tried before the backtracking search.
-    Only when none is found does the Betti table run, uncapped but for its
-    lattice (``MAX_FALLBACK_LCMS``), so a True answer is always cheap and a
-    False answer is exact.
+    Mixed degrees never have one.  An equigenerated ideal with linear
+    quotients has one over every field (Herzog-Takayama, "Resolutions by
+    mapping cones", 2002), so the canonical and reversed orders and then
+    the search are tried as certificates.  Only when none is found does
+    the Betti table over the field decide, capped only at its lcm lattice
+    (``homological.MAX_LCMS``), so a False answer is exact.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no resolution to classify")
     degrees = set(ideal.generator_degrees)
     if len(degrees) > 1:
         return False
-    d = next(iter(degrees))
-    if len(ideal.exponents) <= 11:
-        return betti_table(ideal, field).is_linear(d)
     gens = ideal.exponents
+    # The reversed order alone certifies 24 of the 1,197 ideals of three
+    # passes over the `powers` benchmark corpus; running the search on those
+    # instead halves that workload's throughput.
     for candidate in (gens, gens[::-1]):
         if verify_linear_quotients(candidate):
             return True
@@ -418,8 +413,7 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
             return True
     except ResourceLimitError:
         pass
-    cap = "verification.MAX_FALLBACK_LCMS"
-    return _packed_betti_table(ideal, field.p, cap, MAX_FALLBACK_LCMS).is_linear(d)
+    return _packed_betti_table(ideal, field.p).is_linear(next(iter(degrees)))
 
 
 def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:

@@ -6,6 +6,7 @@ import pytest
 
 from srideals import (
     DomainError,
+    FieldChoice,
     Monomial,
     MonomialIdeal,
     ResourceLimitError,
@@ -16,12 +17,15 @@ from srideals import (
     linear_quotients_order,
     minimalize,
     power,
+    relation_trees,
     restrict_ideal,
+    skeleton,
     skeleton_ideal_from_one_skeleton,
     stanley_reisner_ideal,
     verify_linear_quotients,
 )
 from srideals import ideals
+from srideals.complexes import skeleton_complement
 
 
 def m(*exps):
@@ -88,6 +92,14 @@ class TestMonomialIdeal:
         assert ideal.contains(m(2, 5))
         assert not ideal.contains(m(1, 0))
 
+    def test_membership_needs_the_ideal_s_variable_count(self):
+        # a shorter or longer vector must not be compared position by position
+        ideal = MonomialIdeal(2, [m(0, 1)])
+        with pytest.raises(DomainError, match="has 1 variables, expected 2"):
+            ideal.contains(m(0))
+        with pytest.raises(DomainError, match="has 3 variables, expected 2"):
+            ideal.contains(m(0, 1, 5))
+
     def test_minimalize(self):
         ideal = minimalize([m(1, 1), m(1, 2), m(2, 1), m(0, 3)])
         assert ideal.generators == (m(1, 1), m(0, 3))
@@ -136,6 +148,33 @@ CANONICAL_CASES = {
     ),
     "empty": (2, [], [], "minimalize needs at least one monomial"),
 }
+
+
+# Calls whose integer argument is a bool or a float: each is a DomainError,
+# never a TypeError or a bool read as 0 or 1.
+_NOT_INTEGERS = {
+    "power True": lambda cx: power(facet_ideal(cx), True),
+    "power 2.0": lambda cx: power(facet_ideal(cx), 2.0),
+    "graded component True": lambda cx: graded_component_ideal(facet_ideal(cx), True),
+    "graded component 4.0": lambda cx: graded_component_ideal(facet_ideal(cx), 4.0),
+    "restrict bound True": lambda cx: restrict_ideal(MonomialIdeal(2, [m(1, 1)]), [True, 0]),
+    "skeleton True": lambda cx: skeleton(cx, True),
+    "skeleton 0.0": lambda cx: skeleton(cx, 0.0),
+    "skeleton complement 1.0": lambda cx: skeleton_complement(cx, 1.0),
+    "skeleton ideal ell 2.0": lambda cx: skeleton_ideal_from_one_skeleton(
+        MonomialIdeal(4, [m(1, 1, 0, 0)]), 2.0, 4
+    ),
+    "relation trees limit True": lambda cx: relation_trees(cx, limit=True),
+    "relation trees limit 2.0": lambda cx: relation_trees(cx, limit=2.0),
+    "field 3.0": lambda cx: FieldChoice(3.0),
+    "field True": lambda cx: FieldChoice(True),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_INTEGERS)
+def test_integer_arguments_reject_bools_and_floats(worked_example, call):
+    with pytest.raises(DomainError, match="integer"):
+        _NOT_INTEGERS[call](worked_example)
 
 
 @pytest.mark.parametrize("case", CANONICAL_CASES)

@@ -80,7 +80,7 @@ from srideals.quasitrees import (
     verify_minor_certificate,
 )
 from srideals.serialization import relation_tree_to_json
-from srideals.verification import random_quasi_tree
+from srideals.verification import has_linear_resolution, random_quasi_tree
 
 
 @st.composite
@@ -841,6 +841,23 @@ def test_projdim_walk_matches_the_whole_table(field, masks):
 @settings(max_examples=100, deadline=None)
 def test_packed_projdim_matches_the_taylor_oracle(field, ideal):
     assert projdim(ideal, field) == taylor_betti_table(ideal, field).projdim
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=repr)
+@given(
+    monomial_ideals(max_n=5, max_gens=8)
+    | equigenerated_orders()
+    .filter(lambda order: len(order) <= 8)
+    .map(lambda order: MonomialIdeal(len(order[0]), [Monomial(v) for v in order]))
+)
+@settings(max_examples=150, deadline=None)
+def test_linear_resolution_matches_the_taylor_oracle(field, ideal):
+    # the certificates (linear quotients, over every field) and the Betti
+    # table over the field both answer; the Taylor complex is the oracle
+    degrees = set(ideal.generator_degrees)
+    table = taylor_betti_table(ideal, field)
+    expected = len(degrees) == 1 and table.is_linear(min(degrees))
+    assert has_linear_resolution(ideal, field) == expected
 
 
 _BAD_VERTICES = (

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from srideals import DomainError, ResourceLimitError, SimplicialComplex, run_all
-from srideals import serialization, verification
+from srideals import betti_table, homological, serialization, verification
 from srideals.verification import (
     SUITES,
     check_chordal_quasi_tree,
@@ -68,9 +68,26 @@ class TestGenerators:
         assert [g.exponents for g in ideal.generators] == [(2,)]
 
 
-# Edge ideals of 12 generators, one for each route that has_linear_resolution
-# takes past 11 generators: (n, edges, the (step, verdict) calls in order).
+# Edge ideals, one for each route that has_linear_resolution takes, on 12
+# generators and on fewer: (n, edges, the (step, verdict) calls in order).
+# Whatever the generator count, a Betti table is built only when every
+# certificate fails.
 _LONG_ROUTES = {
+    "canonical order, 5 generators": (
+        5,
+        [(1, 5), (2, 5), (3, 5), (4, 5), (3, 4)],
+        [("verify_linear_quotients", True)],
+    ),
+    "Betti table, 2 generators": (
+        4,
+        [(1, 2), (3, 4)],
+        [
+            ("verify_linear_quotients", False),
+            ("verify_linear_quotients", False),
+            ("linear_quotients_order", False),
+            ("_packed_betti_table", False),
+        ],
+    ),
     "canonical order": (
         6,
         [
@@ -151,7 +168,7 @@ class TestLinearResolutionDecider:
         spy("_packed_betti_table", lambda table: table.is_linear(2))
         graph = Graph(n, edges)
         ideal = edge_ideal(graph)
-        assert len(ideal.generators) == len(edges) > 11
+        assert len(ideal.generators) == len(edges)
         verdict = has_linear_resolution(ideal)
         assert calls == expected
         # Froberg: an edge ideal has a linear resolution iff the complement
@@ -184,9 +201,19 @@ class TestLinearResolutionDecider:
 
     def test_fallback_cap_names_its_constant(self, monkeypatch):
         n, edges, _ = _LONG_ROUTES["Betti fallback"]
-        monkeypatch.setattr(verification, "MAX_FALLBACK_LCMS", 10)
-        with pytest.raises(ResourceLimitError, match="verification.MAX_FALLBACK_LCMS = 10 "):
+        monkeypatch.setattr(homological, "MAX_LCMS", 10)
+        with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 10 "):
             has_linear_resolution(edge_ideal(Graph(n, edges)))
+
+    def test_certificate_needs_no_betti_caps(self):
+        # five generators in 17 variables: past MAX_BETTI_VARS, so betti_table
+        # refuses the ideal, but its canonical order has linear quotients
+        _, edges, _ = _LONG_ROUTES["canonical order, 5 generators"]
+        ideal = edge_ideal(Graph(17, edges))
+        assert len(ideal.exponents) <= 11 and ideal.num_vars > homological.MAX_BETTI_VARS
+        with pytest.raises(ResourceLimitError, match="homological.MAX_BETTI_VARS"):
+            betti_table(ideal)
+        assert has_linear_resolution(ideal)
 
 
 # sha256 of dumps_report(run_all(seed=s)): a change to any family (its draws,
