@@ -187,7 +187,7 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
 def verify_elimination_witness(g: Graph, order: list[int]) -> bool:
     """Each vertex's earlier neighbors in the order must form a clique."""
-    if sorted(order) != list(range(1, g.n + 1)):
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(1, g.n + 1)):
         return False
     adj = g.adjacency
     return _is_peo(adj, [v - 1 for v in order])
@@ -196,7 +196,7 @@ def verify_elimination_witness(g: Graph, order: list[int]) -> bool:
 def verify_cycle_witness(g: Graph, cycle: list[int]) -> bool:
     """The witness must be a chordless cycle of length >= 4."""
     k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+    if k < 4 or len(set(cycle)) != k or not all(type(v) is int and 0 < v <= g.n for v in cycle):
         return False
     for a in range(k):
         for b in range(a + 1, k):

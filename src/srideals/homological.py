@@ -615,9 +615,9 @@ def _shelling_search(masks) -> list[int] | None:
 
 def verify_shelling(cx: SimplicialComplex, order: list[int]) -> bool:
     """Direct pairwise check of the shelling condition on a facet order."""
-    masks = [cx.facet_masks[i] for i in order]
-    if sorted(order) != list(range(len(cx.facets))):
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facets))):
         return False
+    masks = [cx.facet_masks[i] for i in order]
     for i in range(1, len(masks)):
         singles = 0
         for k in range(i):

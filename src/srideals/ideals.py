@@ -41,6 +41,8 @@ class Monomial:
     @classmethod
     def from_support(cls, vertices, n: int) -> "Monomial":
         """The squarefree monomial x_F for a vertex set F in [1, n]."""
+        if type(n) is not int:  # bool is rejected too
+            raise DomainError(f"the variable count must be an integer, got {n!r}")
         exps = [0] * n
         for v in vertices:
             if type(v) is not int:  # bool is rejected too
@@ -451,64 +453,39 @@ def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> Mon
 def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
     """Search for an ordering of G(I) with linear quotients.
 
-    Returns one valid ordering, or None when an exhaustive backtracking
-    search proves that no ordering works.  Whether a prefix can be
-    extended depends only on the prefix as a set, so failed prefix sets
-    are memoized; greedy extension alone is not sound for None answers,
-    hence the backtracking.  More than ``MAX_SEARCH_NODES`` search nodes
-    is a ResourceLimitError.
+    Returns the lexicographically first valid ordering of the generator
+    indices, or None when none works.  Whether a prefix can be extended
+    depends only on the prefix as a set, so the depth-first search (with
+    candidates in index order) memoizes failed sets.  More than
+    ``MAX_SEARCH_NODES`` search nodes is a ResourceLimitError.
+
+    One pass over the pairs fills two bitmask tables: ``by_var[i][v]``
+    holds the j with x_v dividing g_j : g_i, and ``colon[i][v]`` the k with
+    g_k : g_i = x_v.  Candidate i may follow the placed set when it lies in
+    the OR of ``by_var[i][v]`` over the v with ``colon[i][v] & placed``.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no generators to order")
     exps = ideal.exponents
-    t = len(exps)
-    # lin_var[k][i]: variable index when g_k / gcd(g_i, g_k) has degree 1.
-    lin_var = [[-1] * t for _ in range(t)]
-    for k in range(t):
-        ek = exps[k]
-        for i in range(t):
-            if i == k:
-                continue
-            ei = exps[i]
-            deg = var = 0
-            for idx, (a, b) in enumerate(zip(ek, ei)):
+    t, n = len(exps), ideal.num_vars
+    by_var = [[0] * n for _ in range(t)]
+    colon = [[0] * n for _ in range(t)]
+    for ei, above, linear in zip(exps, by_var, colon):
+        for k, ek in enumerate(exps):
+            bit = 1 << k
+            excess = var = 0
+            for v, (a, b) in enumerate(zip(ek, ei)):
                 if a > b:
-                    deg += a - b
-                    var = idx
-                    if deg > 1:
-                        break
-            if deg == 1:
-                lin_var[k][i] = var
-    # by_var[i][v]: the generators j whose colon g_j : g_i is divisible by
-    # x_v; a colon variable x_v of g_i certifies exactly those j.
-    by_var = [[0] * ideal.num_vars for _ in range(t)]
-    for j, ej in enumerate(exps):
-        for i, ei in enumerate(exps):
-            for idx, (a, b) in enumerate(zip(ej, ei)):
-                if a > b:
-                    by_var[i][idx] |= 1 << j
-    # cover[i][vm]: the generators certified by the colon variables vm of
-    # g_i, the OR of by_var[i][v] over v in vm.  Candidate i may follow the
-    # placed set when it covers every placed generator.
-    cover = [{} for _ in range(t)]
-
-    def covered(i: int, vm: int) -> int:
-        found = cover[i].get(vm)
-        if found is None:
-            found = 0
-            rem = vm
-            while rem:
-                bit = rem & -rem
-                found |= by_var[i][bit.bit_length() - 1]
-                rem ^= bit
-            cover[i][vm] = found
-        return found
-
+                    above[v] |= bit
+                    excess += a - b
+                    var = v
+            if excess == 1:
+                linear[var] |= bit
     everyone = (1 << t) - 1
     dead: set[int] = set()  # masks of remaining generators that cannot be ordered
     nodes = 0
 
-    def extend(prefix: list[int], placed: int, vmask: list[int]) -> bool:
+    def extend(prefix: list[int], placed: int) -> bool:
         nonlocal nodes
         left = everyone ^ placed
         if not left:
@@ -520,84 +497,55 @@ def linear_quotients_order(ideal: MonomialIdeal) -> list[Monomial] | None:
             raise over_cap(
                 "linear-quotients search nodes", nodes, "ideals.MAX_SEARCH_NODES", MAX_SEARCH_NODES
             )
-        remaining = [c for c in range(t) if left >> c & 1]
-        for i in remaining:
-            if placed & ~covered(i, vmask[i]):
+        for i in range(t):
+            if not left >> i & 1 or left ^ 1 << i in dead:  # a dead rest costs no call
+                continue
+            certified = 0
+            for above, linear in zip(by_var[i], colon[i]):
+                if linear & placed:
+                    certified |= above
+            if placed & ~certified:
                 continue
             prefix.append(i)
-            saved = vmask[:]
-            for c in remaining:
-                v = lin_var[i][c]
-                if v >= 0:
-                    vmask[c] |= 1 << v
-            if extend(prefix, placed | 1 << i, vmask):
+            if extend(prefix, placed | 1 << i):
                 return True
-            vmask[:] = saved
             prefix.pop()
         dead.add(left)
         return False
 
     try:
         for first in range(t):
-            vmask = [0] * t
-            for c in range(t):
-                v = lin_var[first][c]
-                if v >= 0:
-                    vmask[c] |= 1 << v
             prefix = [first]
-            if extend(prefix, 1 << first, vmask):
+            if extend(prefix, 1 << first):
                 return [ideal.generators[i] for i in prefix]
         return None
     finally:
         del extend  # it refers to itself; this frees the memo now
 
 
-def _value_columns(exps) -> list[dict[int, int]]:
-    """For each variable v of t exponent vectors of n variables, a dict from
-    each exponent c that occurs at v to the bit column of the positions j
-    with ``exps[j][v] == c`` (bit j for position j), built in C.
+def _value_columns(columns) -> list[dict[int, int]]:
+    """For each column (one variable's exponents at the generator
+    positions), a dict from each exponent c in it to the bit column of the
+    positions j where it occurs (bit j for position j).
 
-    Each exponent gets a code: itself when every exponent fits in a byte,
-    else its rank among the distinct exponents, so a huge exponent costs
-    nothing.  The base-256 digits of the codes at one place form a byte
-    string, a plane, laid out variable by variable (``v * t + j``) by n
-    strided slices.  For each digit d that occurs, ``bytes.translate``
-    turns the plane into ASCII 0s and 1s with a 1 where the digit is d, and
-    ``int`` reads it reversed in base 2.  A code's bits are the AND of its
-    digits' over the planes (up to 256 codes take one plane), and those
-    bits shifted right by ``v * t`` and masked to t bits are its column at
-    v.  The translate tables are built per call.
+    A column of exponents below 256 is one ``bytes`` string; for each value
+    c in it, ``bytes.translate`` writes ASCII 1s where the byte is c and 0s
+    elsewhere, and ``int`` reads that reversed in base 2.  A column with an
+    exponent of 256 or more is scanned in Python.
     """
-    n, t = len(exps[0]), len(exps)
-    try:  # every exponent fits in a byte and is its own code
-        codes = bytes(itertools.chain.from_iterable(exps))
-        values = range(256)
-    except ValueError:  # else each exponent's code is its rank
-        flat = list(itertools.chain.from_iterable(exps))
-        values = sorted(set(flat))
-        codes = list(map(dict(zip(values, itertools.count())).__getitem__, flat))
-    count = len(values)
     zeros = b"0" * 256
-    found: dict[int, int] = {}
-    for s in range(0, (count - 1).bit_length() or 1, 8):
-        digits = bytes(codes if count <= 256 else map((255).__and__, map(s.__rrshift__, codes)))
-        plane = b"".join([digits[v::n] for v in range(n)])
-        at, left = {}, len(plane)
-        for d in range(256):  # the digits that occur, until every byte is counted
-            if k := plane.count(d):
-                at[d] = int(plane.translate(zeros[:d] + b"1" + zeros[d + 1 :])[::-1], 2)
-                left -= k
-                if not left:
-                    break
-        if count > 256:
-            at = {c: found.get(c, -1) & at[c >> s & 255] for c in range(count)}
-        found = at
-    full = (1 << t) - 1
-    tables: list[dict[int, int]] = [{} for _ in range(n)]
-    for c, bits in found.items():
-        for v, table in enumerate(tables):
-            if column := bits >> v * t & full:
-                table[values[c]] = column
+    tables = []
+    for column in columns:
+        table: dict[int, int] = {}
+        try:
+            data = bytes(column)
+        except ValueError:  # an exponent of 256 or more
+            for j, c in enumerate(column):
+                table[c] = table.get(c, 0) | 1 << j
+        else:
+            for c in set(data):
+                table[c] = int(data.translate(zeros[:c] + b"1" + zeros[c + 1 :])[::-1], 2)
+        tables.append(table)
     return tables
 
 
@@ -615,12 +563,12 @@ def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool
     variable v and each exponent c that occurs at v, one int holds the
     positions j with ``g_j[v] == c`` and one the positions with
     ``g_j[v] > c``, in dicts keyed by the exponents that occur; the ``== c``
-    columns are built in C by :func:`_value_columns`.  For g_i, the
-    ``> g_i[v]`` column of each v, masked to the prefix j < i, holds the j
-    where x_v divides g_j : g_i.  Two accumulators give the j that exceed
-    g_i at exactly one variable; g_j : g_i is x_v exactly when j is one of
-    them and lies in the ``== g_i[v] + 1`` column of v, which makes v a
-    colon variable.  g_i fails iff some j < i lies in none of the
+    columns are built one variable at a time by :func:`_value_columns`.
+    For g_i, the ``> g_i[v]`` column of each v, masked to the prefix j < i,
+    holds the j where x_v divides g_j : g_i.  Two accumulators give the j
+    that exceed g_i at exactly one variable; g_j : g_i is x_v exactly when j
+    is one of them and lies in the ``== g_i[v] + 1`` column of v, which
+    makes v a colon variable.  g_i fails iff some j < i lies in none of the
     ``> g_i[v]`` columns of the colon variables.  That is a constant number
     of int operations per generator and variable, each over the prefix.
     """
@@ -632,7 +580,7 @@ def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool
         raise DomainError("monomials have mixed variable counts")
     columns = list(zip(*exps))
     tables = []  # per variable: c -> (the > c column, the == c + 1 column)
-    for at in _value_columns(exps):
+    for at in _value_columns(columns):
         table, higher = {}, 0
         for c in sorted(at, reverse=True):
             table[c] = higher, at.get(c + 1, 0)

@@ -57,6 +57,8 @@ class LeafReport:
 def leaf_report(cx: SimplicialComplex, f: int) -> LeafReport:
     """Classify facet f: leaf or not, with branches and free vertices."""
     t = len(cx.facets)
+    if type(f) is not int:  # bool is rejected too
+        raise DomainError(f"facet index must be an integer, got {f!r}")
     if not 0 <= f < t:
         raise DomainError(f"facet index {f} out of range [0, {t})")
     masks = list(cx.facet_masks)
@@ -131,7 +133,7 @@ def leaf_order(cx: SimplicialComplex) -> list[int] | None:
 
 def verify_leaf_order(cx: SimplicialComplex, order: list[int]) -> bool:
     """Independent prefix check: order[i] must be a leaf of the prefix."""
-    if sorted(order) != list(range(len(cx.facets))):
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facets))):
         return False
     masks = list(cx.facet_masks)
     for i in range(1, len(order)):

@@ -160,22 +160,15 @@ _COMPLEX_COUNTS = (1, 4, 18, 166, 7_579, 7_828_352)
 # draw at most 10 vertices.
 MAX_SAMPLED_VERTICES = 24
 
-# The budgets that are vertex counts, each with how to lower it.
-_VERTEX_BUDGETS = {"max_n": "lower --max-n", "sample_n": "lower sample_n"}
-
 
 def _check_range(lo: int, hi: int, budget: str = "max_n"):
     """An empty range lo..hi is a DomainError naming the budget that emptied
-    it; a vertex count above MAX_SAMPLED_VERTICES is a ResourceLimitError."""
+    it; a max_n above MAX_SAMPLED_VERTICES is a ResourceLimitError."""
     if hi < lo:
         raise DomainError(f"{budget} is too small for this suite: it must be at least {lo}")
-    if budget in _VERTEX_BUDGETS and hi > MAX_SAMPLED_VERTICES:
+    if budget == "max_n" and hi > MAX_SAMPLED_VERTICES:
         raise over_cap(
-            budget,
-            hi,
-            "verification.MAX_SAMPLED_VERTICES",
-            MAX_SAMPLED_VERTICES,
-            _VERTEX_BUDGETS[budget],
+            budget, hi, "verification.MAX_SAMPLED_VERTICES", MAX_SAMPLED_VERTICES, "lower --max-n"
         )
 
 
@@ -730,24 +723,22 @@ def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: in
     return _run_family("lemma-3.2", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
+# The vertex count of thm-3.3's random and constructively-chordal samples.
+_SAMPLE_N = 7
+
+
 def check_chordal_quasi_tree(
-    seed: int = 0,
-    max_n: int = 6,
-    samples: int = 100_000,
-    sample_n: int = 7,
-    chordal_samples: int = 2_000,
+    seed: int = 0, max_n: int = 6, samples: int = 100_000, chordal_samples: int = 2_000
 ):
     """A graph is chordal iff its maximal-clique complex has a leaf order:
     exhaustive over all graphs on up to max_n vertices, plus seeded
-    random and constructively-chordal samples at sample_n vertices."""
+    random and constructively-chordal samples at _SAMPLE_N vertices."""
     _check_family((2 ** math.comb(n, 2) for n in range(1, max_n + 1)), "--max-n")
-    if samples > 0 or chordal_samples > 0:
-        _check_range(1, sample_n, "sample_n")
-    rng = random.Random(seed)
-    chordal_graphs = (random_chordal_graph(rng, sample_n) for _ in range(chordal_samples))
+    rng, bits = random.Random(seed), math.comb(_SAMPLE_N, 2)
+    chordal_graphs = (random_chordal_graph(rng, _SAMPLE_N) for _ in range(chordal_samples))
     family = itertools.chain(
         *(_coded_graphs(n, range(1 << math.comb(n, 2))) for n in range(1, max_n + 1)),
-        _coded_graphs(sample_n, (rng.getrandbits(math.comb(sample_n, 2)) for _ in range(samples))),
+        _coded_graphs(_SAMPLE_N, (rng.getrandbits(bits) for _ in range(samples))),
         ((g.n, g.adjacency) for g in chordal_graphs),
     )
 
@@ -764,7 +755,7 @@ def check_chordal_quasi_tree(
         check,
         max_n=max_n,
         samples=samples,
-        sample_n=sample_n,
+        sample_n=_SAMPLE_N,
         chordal_samples=chordal_samples,
     )
 
@@ -977,16 +968,29 @@ SUITES = {
 
 def _run(suites, seed, budgets) -> list[dict]:
     """Run each (function, base keywords) pair with ``seed`` and every budget
-    it takes.  A budget that no suite in the run takes, or a negative count,
-    is a DomainError rather than silently dropped."""
+    it takes.  A budget that no suite in the run takes, a seed or budget
+    whose type is not that of its suite parameter's default (an int, a
+    FieldChoice, a list of SimplicialComplex for ``complexes``), or a
+    negative count is a DomainError rather than dropped or a late failure."""
     takes = [inspect.signature(fn).parameters for fn, _base in suites]
     unused = [key for key in budgets if not any(key in params for params in takes)]
     if unused:
         raise DomainError(f"no selected suite takes the budget {', '.join(unused)}")
+    given = {"seed": seed, **budgets}
+    defaults = {key: param.default for params in takes for key, param in params.items()}
+    for key, value in given.items():
+        default = defaults.get(key, 0)  # a seed that no suite in the run takes
+        kind, ok = "an integer", type(value) is int  # bool is rejected too
+        if isinstance(default, FieldChoice):
+            kind, ok = "a FieldChoice", isinstance(value, FieldChoice)
+        elif default is None:  # complexes, the one budget that defaults to None
+            kind = "a list of SimplicialComplex"
+            ok = isinstance(value, list) and all(isinstance(c, SimplicialComplex) for c in value)
+        if not ok:
+            raise DomainError(f"budget {key} must be {kind}, got {value!r}")
     negative = [key for key, value in budgets.items() if type(value) is int and value < 0]
     if negative:
         raise DomainError(f"budget {', '.join(negative)} must not be negative")
-    given = {"seed": seed, **budgets}
     return [
         fn(**{**base, **{key: value for key, value in given.items() if key in params}})
         for (fn, base), params in zip(suites, takes)

@@ -103,9 +103,7 @@ def test_acceptance_2_leaf_order_iff_projdim_one():
 
 def test_acceptance_3_chordal_iff_clique_complex_quasi_tree():
     start = time.perf_counter()
-    report = check_chordal_quasi_tree(
-        seed=0, max_n=6, samples=100_000, sample_n=7, chordal_samples=2_000
-    )
+    report = check_chordal_quasi_tree(seed=0, max_n=6, samples=100_000, chordal_samples=2_000)
     elapsed = time.perf_counter() - start
     assert report["instances"] >= 100_000 + 2 ** 15  # samples + exhaustive part
     assert elapsed < 300

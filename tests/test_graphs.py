@@ -103,6 +103,11 @@ class TestChordality:
         g = Graph(4, cycle_graph(4).edges + ((1, 3),))
         assert not verify_cycle_witness(g, [1, 2, 3, 4])
 
+    def test_cycle_witness_verifier_rejects_vertices_out_of_range(self):
+        # vertex 0 must not stand for vertex 4 (the last adjacency row)
+        assert not verify_cycle_witness(cycle_graph(4), [0, 1, 2, 3])
+        assert not verify_cycle_witness(cycle_graph(4), [1, 2, 3, 5])
+
     def test_elimination_verifier_rejects_bad_orders(self):
         g = cycle_graph(4)
         assert not verify_elimination_witness(g, [1, 2, 3, 4])

@@ -14,6 +14,7 @@ from srideals import (
     complex_from_ideal,
     facet_ideal,
     graded_component_ideal,
+    leaf_report,
     linear_quotients_order,
     minimalize,
     power,
@@ -168,6 +169,10 @@ _NOT_INTEGERS = {
     "relation trees limit 2.0": lambda cx: relation_trees(cx, limit=2.0),
     "field 3.0": lambda cx: FieldChoice(3.0),
     "field True": lambda cx: FieldChoice(True),
+    "from support n True": lambda cx: Monomial.from_support((1,), True),
+    "from support n 2.0": lambda cx: Monomial.from_support((1,), 2.0),
+    "leaf report True": lambda cx: leaf_report(cx, True),
+    "leaf report 1.5": lambda cx: leaf_report(cx, 1.5),
 }
 
 

@@ -65,6 +65,7 @@ from srideals.homological import (
     squarefree_betti_masks,
     squarefree_projdim_masks,
 )
+from srideals.ideals import _value_columns
 from srideals.quasitrees import (
     RelationTree,
     build_m_delta,
@@ -491,6 +492,51 @@ def test_verify_linear_quotients_on_many_valued_columns(orders):
         assert verify_linear_quotients([Monomial(v) for v in order]) == (
             _naive_linear_quotients(order)
         )
+
+
+@st.composite
+def squarefree_equigenerated_ideals(draw, max_gens=6):
+    """Squarefree ideals of one degree, where linear quotients are common."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=n - 1))
+    support = st.sets(st.integers(0, n - 1), min_size=d, max_size=d)
+    supports = draw(st.lists(support, min_size=1, max_size=max_gens))
+    gens = {tuple(int(v in s) for v in range(n)) for s in supports}
+    return MonomialIdeal(n, [Monomial(g) for g in gens])
+
+
+@given(monomial_ideals(max_gens=6) | squarefree_equigenerated_ideals())
+@settings(max_examples=300, deadline=None)
+def test_search_returns_the_first_valid_permutation(ideal):
+    # the search tries candidates in index order, so the order it returns
+    # (which the linear-quotients command prints) is the lexicographically
+    # first permutation of G(I), by index, with linear quotients
+    gens = ideal.exponents
+    first = next(
+        (
+            p
+            for p in itertools.permutations(range(len(gens)))
+            if _naive_linear_quotients([gens[i] for i in p])
+        ),
+        None,
+    )
+    expected = None if first is None else [ideal.generators[i] for i in first]
+    assert linear_quotients_order(ideal) == expected
+
+
+@given(exponent_vectors())
+@settings(max_examples=300, deadline=None)
+@example(vectors=[(255, 0), (0, 255), (255, 255)])  # the largest byte
+@example(vectors=[(255, 0), (256, 1), (0, 2**40)])  # past one byte
+def test_value_columns_match_a_per_position_scan(vectors):
+    columns = list(zip(*vectors))
+    expected = []
+    for column in columns:
+        at = {}
+        for j, c in enumerate(column):
+            at[c] = at.get(c, 0) | 1 << j
+        expected.append(at)
+    assert _value_columns(columns) == expected
 
 
 # Ideals whose exponents span several packed-field widths (1 to 41 value

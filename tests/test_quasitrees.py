@@ -6,6 +6,7 @@ import pytest
 
 from srideals import (
     DomainError,
+    Graph,
     Monomial,
     RelationTree,
     SimplicialComplex,
@@ -20,8 +21,11 @@ from srideals import (
     relation_tree_from_edges,
     relation_trees,
     tree_minor_det,
+    verify_cycle_witness,
+    verify_elimination_witness,
     verify_leaf_order,
     verify_minor_certificate,
+    verify_shelling,
 )
 from srideals.quasitrees import _taylor_label, leaf_order_masks
 
@@ -67,6 +71,28 @@ class TestLeafOrders:
         # any permutation must keep every prefix a quasi-tree with the
         # last element a leaf; putting both far ends first fails
         assert not verify_leaf_order(worked_example, [0, 2, 1, 3])
+
+    @pytest.mark.parametrize("verifier", ["leaf order", "shelling", "elimination", "cycle"])
+    @pytest.mark.parametrize("entries", ["floats", "bools"])
+    def test_witness_verifiers_answer_false_on_non_integer_entries(
+        self, worked_example, verifier, entries
+    ):
+        # each verifier accepts its witness, and answers False (rather than
+        # raising) once an entry is the equal float or bool
+        four_cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        chorded = Graph(4, four_cycle.edges + ((1, 3),))
+        verify, instance, witness = {
+            "leaf order": (verify_leaf_order, worked_example, [3, 2, 1, 0]),
+            "shelling": (verify_shelling, worked_example, [0, 1, 2, 3]),
+            "elimination": (verify_elimination_witness, chorded, [1, 2, 3, 4]),
+            "cycle": (verify_cycle_witness, four_cycle, [1, 2, 3, 4]),
+        }[verifier]
+        assert verify(instance, witness) is True
+        if entries == "floats":
+            bad = [float(v) for v in witness]
+        else:
+            bad = [v == 1 if v in (0, 1) else v for v in witness]
+        assert verify(instance, bad) is False
 
     def test_mask_level_entry_point(self):
         assert sorted(leaf_order_masks([0b011, 0b110])) == [0, 1]

@@ -1,5 +1,6 @@
 """The bulk verification drivers at quick budgets, plus their generators."""
 
+import functools
 import hashlib
 import itertools
 
@@ -9,7 +10,6 @@ from srideals import DomainError, ResourceLimitError, SimplicialComplex, run_all
 from srideals import betti_table, homological, serialization, verification
 from srideals.verification import (
     SUITES,
-    check_chordal_quasi_tree,
     check_cm_vs_linear_resolution,
     check_dual_ideal_identity,
     check_power_linear_resolutions,
@@ -291,12 +291,12 @@ class TestSuites:
                 ResourceLimitError,
                 "MAX_EXHAUSTIVE_INSTANCES .*exhaustive_n",
             ),
-            # C(200000, 2) random bits per sampled graph
+            # thm-3.3 samples at a fixed vertex count: sample_n is no budget
             (
-                check_chordal_quasi_tree,
+                functools.partial(verification.run_suite, "thm-3.3"),
                 {"max_n": 1, "samples": 1, "chordal_samples": 0, "sample_n": 200_000},
-                ResourceLimitError,
-                "sample_n = 200000 exceeds verification.MAX_SAMPLED_VERTICES .*sample_n",
+                DomainError,
+                "no selected suite takes the budget sample_n$",
             ),
         ],
         ids=[
@@ -318,3 +318,24 @@ class TestSuites:
         monkeypatch.setattr(verification, "_small_complexes", unconsumed)
         with pytest.raises(error, match=match):
             suite(**budgets)
+
+    @pytest.mark.parametrize(
+        "suite, budget, value",
+        [
+            ("thm-4.4", "samples", 2.0),
+            ("thm-4.4", "samples", True),
+            ("thm-4.4", "max_power", 2.0),
+            ("thm-4.4", "seed", 1.5),
+            ("lemma-1.1", "seed", True),  # a suite that takes no seed
+            ("thm-1.4a", "field", 0),
+            ("thm-4.4", "complexes", [[1, 2]]),
+            ("thm-4.4", "complexes", None),
+        ],
+        ids=lambda case: str(case).replace(" ", ""),
+    )
+    def test_budget_of_the_wrong_type_is_a_domain_error(self, suite, budget, value):
+        # each budget must have the type of its suite parameter's default
+        kind = {"field": "a FieldChoice", "complexes": "a list of SimplicialComplex"}
+        match = f"^budget {budget} must be {kind.get(budget, 'an integer')}, got "
+        with pytest.raises(DomainError, match=match):
+            verification.run_suite(suite, **{budget: value})
