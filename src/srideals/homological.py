@@ -6,11 +6,11 @@ regularity, linear-resolution detection, the Reisner criterion for
 Cohen-Macaulayness, and shelling-order search.
 
 Betti numbers come from one engine (Miller-Sturmfels, Thm 1.34): walk
-the lcm lattice of the generators and take the homology of the
-upper-Koszul complex K^b at each lattice element b.  :func:`betti_table`
-(packed exponent vectors) and :func:`squarefree_betti_masks` (support
-bitmasks) are its two entry points and differ only in how they
-represent a multidegree.  :func:`taylor_betti_table` is the independent
+the lcm lattice of the generators, closed one generator at a time, and
+take the homology of the upper-Koszul complex K^b at each element b.
+:func:`betti_table` (packed exponent vectors) and
+:func:`squarefree_betti_masks` (support bitmasks) are its two entry
+points and differ only in how they represent a multidegree.  :func:`taylor_betti_table` is the independent
 oracle: homology of the multidegree strands of the Taylor complex.
 
 Every minimal generator g is an atom of the lattice with K^g = {empty
@@ -31,8 +31,9 @@ non-generator b with m minimal tight masks t, beta_{i,b} != 0 forces
 i <= min(m - 1, |supp b| - min |t|).  For K^b has dimension
 |supp b| - min |t| - 1, and it is either a cone or has the homology of a
 nerve on m vertices that is not a full simplex, of dimension at most
-m - 2.  The walk takes homology by decreasing bound and stops once no
-bound left beats the best degree found (:func:`_upper_koszul_projdim`).
+m - 2.  The walk starts from degree 1 when I is not principal, for then
+beta_1 != 0, takes homology by decreasing bound and stops once no bound
+left beats the best degree found (:func:`_upper_koszul_projdim`).
 
 All ranks are exact: each boundary matrix is a list of sparse columns,
 one ``{row: +-1}`` per face, and :func:`_linalg.rank` reduces them
@@ -241,7 +242,10 @@ def _minimal_masks(masks) -> list[int]:
     """The inclusion-minimal masks among `masks`, smallest first."""
     minimal: list[int] = []
     for m in sorted(set(masks), key=int.bit_count):
-        if all(k & m != k for k in minimal):
+        for k in minimal:
+            if k & m == k:
+                break
+        else:
             minimal.append(m)
     return minimal
 
@@ -284,12 +288,16 @@ def _compress(masks, full: int) -> list[int]:
 def _lcm_lattice(gens: list, join) -> set:
     """Every join of a nonempty subset of the minimal generators `gens`:
     the lcm lattice, the only multidegrees that can carry Betti numbers.
-    More than ``MAX_LCMS`` elements is a ResourceLimitError."""
-    lattice = set(gens)
-    frontier = lattice
-    while frontier:
-        frontier = {join(b, g) for b in frontier for g in gens} - lattice
-        lattice |= frontier
+
+    Closed one generator at a time: the joins for the first k - 1
+    generators, joined with g_k, plus g_k, are those for the first k, so
+    a step costs one join per element and at most doubles the set.  The
+    ``MAX_LCMS`` cap is checked after each step, and a ResourceLimitError
+    gives the size so far."""
+    lattice: set = set()
+    for g in gens:
+        lattice |= {join(b, g) for b in lattice}
+        lattice.add(g)
         if len(lattice) > MAX_LCMS:
             raise over_cap(
                 "lcm lattice size", len(lattice), "homological.MAX_LCMS", MAX_LCMS, "counted so far"
@@ -355,18 +363,25 @@ def _upper_koszul_projdim(gens: list, join, tight_masks, p: int) -> int:
     a vertex, K^b is a cone and has no homology at all; otherwise their
     nerve, which has the homology of K^b (Bjorner, Thm 10.6), is a proper
     subcomplex of the simplex on m vertices, of dimension at most m - 2,
-    so H~_{i-1}(K^b) = 0 for i > m - 1.  The generators give degree 0, so
-    the walk visits the other elements by decreasing bound and stops once
-    no bound left exceeds the best degree found.
+    so H~_{i-1}(K^b) = 0 for i > m - 1.
+
+    With t >= 2 minimal generators the walk starts from degree 1, for
+    beta_1 != 0.  Proof: any two elements f, g of the domain S satisfy
+    g * f - f * g = 0, so a free ideal has rank at most 1.  The minimal
+    resolution maps F_0 = S^t onto I, and F_1 = 0 would make I free of
+    rank t >= 2.  A principal ideal is free, of projdim 0.  The walk
+    collects only the non-generators whose bound beats the start, visits
+    them by decreasing bound, and stops once no bound left exceeds the
+    best degree found.
     """
+    best = 1 if len(gens) > 1 else 0
     bounded = []
     for b in _lcm_lattice(gens, join).difference(gens):
         full, tights = tight_masks(b)
         bound = min(len(tights) - 1, full.bit_count() - tights[0].bit_count())
-        if bound > 0:
+        if bound > best:
             bounded.append((bound, full, tights))
     bounded.sort(key=itemgetter(0), reverse=True)
-    best = 0
     for bound, full, tights in bounded:
         if bound <= best:
             break

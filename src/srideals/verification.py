@@ -19,7 +19,7 @@ import inspect
 import itertools
 import math
 import random
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce, wraps
 
 from .complexes import (
     SimplicialComplex,
@@ -423,7 +423,48 @@ def _masks_witness(n, masks) -> dict:
 # suites
 # ---------------------------------------------------------------------------
 
+# Each suite with the budgets that keep `verify all` interactive; a suite
+# run on its own starts from its keyword defaults instead.
+SUITES: dict = {}
 
+
+def _check_types(given: dict, defaults: dict) -> None:
+    """A seed or budget whose type is not that of its parameter's default
+    (an int, a FieldChoice, a list of SimplicialComplex for ``complexes``)
+    is a DomainError that names it."""
+    for key, value in given.items():
+        default = defaults.get(key, 0)  # a seed that no suite in the run takes
+        kind, ok = "an integer", type(value) is int  # bool is rejected too
+        if isinstance(default, FieldChoice):
+            kind, ok = "a FieldChoice", isinstance(value, FieldChoice)
+        elif default is None:  # complexes, the one budget that defaults to None
+            kind = "a list of SimplicialComplex"
+            ok = isinstance(value, list) and all(isinstance(c, SimplicialComplex) for c in value)
+        if not ok:
+            raise DomainError(f"budget {key} must be {kind}, got {value!r}")
+
+
+def _suite(name: str, **quick):
+    """Register a ``check_*`` function in SUITES under `name` with its quick
+    budgets, and apply :func:`_check_types` to every call, also a direct
+    one, against its defaults, read here once and kept as ``defaults``."""
+
+    def register(fn):
+        defaults = {key: par.default for key, par in inspect.signature(fn).parameters.items()}
+
+        @wraps(fn)
+        def checked(*args, **budgets):
+            _check_types({**dict(zip(defaults, args)), **budgets}, defaults)
+            return fn(*args, **budgets)
+
+        checked.defaults = defaults
+        SUITES[name] = (checked, quick)
+        return checked
+
+    return register
+
+
+@_suite("lemma-1.1", max_n=4)
 def check_pure_complement_skeleton(max_n: int = 5):
     """For pure (d-1)-dimensional complexes, the complement within the
     d-subsets equals the (d-1)-skeleton of the complex whose
@@ -455,6 +496,7 @@ def check_pure_complement_skeleton(max_n: int = 5):
     return _run_family("lemma-1.1", family, check, max_n=max_n)
 
 
+@_suite("lemma-1.2", exhaustive_n=4, samples=300)
 def check_dual_ideal_identity(
     seed: int = 0, exhaustive_n: int = 5, samples: int = 10_000, max_n: int = 10
 ):
@@ -469,6 +511,7 @@ def check_dual_ideal_identity(
     return _run_family("lemma-1.2", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
+@_suite("prop-1.3", samples=40)
 def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int = 8):
     """For a flag complex, the dual of the complex attached to the
     ell-skeleton complement ideal is a skeleton of the dual attached to
@@ -491,6 +534,7 @@ def check_skeleton_ideal_duality(seed: int = 0, samples: int = 150, max_n: int =
     return _run_family("prop-1.3", _skeleton_ideals(sigmas), check, samples=samples, max_n=max_n)
 
 
+@_suite("thm-1.4a", exhaustive_n=3, samples=60)
 def check_cm_vs_linear_resolution(
     seed: int = 0,
     exhaustive_n: int = 4,
@@ -517,6 +561,7 @@ def check_cm_vs_linear_resolution(
 _DUALITY_MIN_SAMPLE_N = 7
 
 
+@_suite("thm-1.4b", exhaustive_n=4, samples=30)
 def check_projdim_regularity_duality(
     seed: int = 0,
     exhaustive_n: int = 5,
@@ -551,6 +596,7 @@ def check_projdim_regularity_duality(
     )
 
 
+@_suite("thm-1.4c", samples=120)
 def check_shellable_vs_linear_quotients(
     seed: int = 0, samples: int = 400, max_n: int = 8, max_facets: int = 8
 ):
@@ -597,6 +643,7 @@ def check_shellable_vs_linear_quotients(
     return report
 
 
+@_suite("cor-1.5", samples=25)
 def check_skeleton_ideal_linear_quotients(seed: int = 0, samples: int = 60, max_n: int = 8):
     """If the 1-skeleton complement ideal of a flag complex has linear
     quotients, so do all higher skeleton complement ideals."""
@@ -619,6 +666,7 @@ def check_skeleton_ideal_linear_quotients(seed: int = 0, samples: int = 60, max_
     return _run_family("cor-1.5", family, check, samples=samples)
 
 
+@_suite("lemma-1.6", samples=50)
 def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 8):
     """Every skeleton of a shellable pure complex is shellable."""
     family = (
@@ -636,6 +684,7 @@ def check_skeleton_shellability(seed: int = 0, samples: int = 150, max_n: int = 
     return _run_family("lemma-1.6", family, check, samples=samples)
 
 
+@_suite("lemma-2.1", max_n=4)
 def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
     """A complex admits a leaf order iff some spanning tree of its facets
     passes the determinant certificate; moreover the trees that pass are
@@ -686,6 +735,7 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
 _QUASI_TREE_FACET_SIZE = 3
 
 
+@_suite("cor-2.2", max_n=5)
 def check_quasi_tree_projdim(max_n: int = 6, max_facets: int = 4, field: FieldChoice = RATIONALS):
     """Leaf order exists iff the facet ideal of the complement complex
     has projective dimension 1 (complexes with >= 2 facets; a single
@@ -711,6 +761,7 @@ def check_quasi_tree_projdim(max_n: int = 6, max_facets: int = 4, field: FieldCh
     )
 
 
+@_suite("lemma-3.2", exhaustive_n=3, samples=100)
 def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Complexes with a leaf order have only 2-element minimal nonfaces."""
 
@@ -727,6 +778,7 @@ def check_quasi_trees_are_flag(seed: int = 0, exhaustive_n: int = 4, samples: in
 _SAMPLE_N = 7
 
 
+@_suite("thm-3.3", max_n=5, samples=2000, chordal_samples=200)
 def check_chordal_quasi_tree(
     seed: int = 0, max_n: int = 6, samples: int = 100_000, chordal_samples: int = 2_000
 ):
@@ -760,6 +812,7 @@ def check_chordal_quasi_tree(
     )
 
 
+@_suite("cor-3.5", exhaustive_n=3, samples=100)
 def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: int = 300):
     """Removing any leaf from a quasi-tree leaves a quasi-tree."""
     family = (
@@ -779,6 +832,7 @@ def check_leaf_removal_closure(seed: int = 0, exhaustive_n: int = 4, samples: in
     return _run_family("cor-3.5", family, check, exhaustive_n=exhaustive_n, samples=samples)
 
 
+@_suite("thm-3.6", samples=100)
 def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: int = 8):
     """Both sides of the skeleton-of-a-quasi-tree recognition agree on
     pure complexes: quasi-tree side versus chordal-1-skeleton side."""
@@ -797,6 +851,7 @@ def check_pure_skeleton_recognition(seed: int = 0, samples: int = 400, max_n: in
     return _run_family("thm-3.6", family, check, samples=samples, max_n=max_n)
 
 
+@_suite("thm-4.1", samples=30)
 def check_skeleton_complement_linear_quotients(seed: int = 0, samples: int = 100, max_n: int = 8):
     """For every quasi-tree and every skeleton level, the facet ideal of
     the skeleton complement has linear quotients."""
@@ -811,6 +866,7 @@ def check_skeleton_complement_linear_quotients(seed: int = 0, samples: int = 100
     return _run_family("thm-4.1", family, check, samples=samples, max_n=max_n)
 
 
+@_suite("lemma-4.2", samples=50)
 def check_skeleton_ideal_from_edges(seed: int = 0, samples: int = 200, max_n: int = 8):
     """For flag complexes the skeleton complement ideal is reproducible
     from the 1-skeleton complement ideal alone."""
@@ -837,6 +893,7 @@ _BOUNDS_PER_IDEAL = 3
 _RESTRICTION_ATTEMPTS = 5_000
 
 
+@_suite("lemma-4.3", ideals=20)
 def check_restriction_resolution(
     seed: int = 0, ideals: int = 100, max_n: int = 8, field: FieldChoice = RATIONALS
 ):
@@ -904,6 +961,7 @@ def check_restriction_resolution(
     return report
 
 
+@_suite("thm-4.4", samples=5, max_n=6)
 def check_power_linear_resolutions(
     seed: int = 0,
     samples: int = 20,
@@ -942,52 +1000,17 @@ def check_power_linear_resolutions(
     )
 
 
-# Each suite with the budgets that keep `verify all` interactive; a suite
-# run on its own starts from its keyword defaults instead.
-SUITES = {
-    "lemma-1.1": (check_pure_complement_skeleton, {"max_n": 4}),
-    "lemma-1.2": (check_dual_ideal_identity, {"exhaustive_n": 4, "samples": 300}),
-    "prop-1.3": (check_skeleton_ideal_duality, {"samples": 40}),
-    "thm-1.4a": (check_cm_vs_linear_resolution, {"exhaustive_n": 3, "samples": 60}),
-    "thm-1.4b": (check_projdim_regularity_duality, {"exhaustive_n": 4, "samples": 30}),
-    "thm-1.4c": (check_shellable_vs_linear_quotients, {"samples": 120}),
-    "cor-1.5": (check_skeleton_ideal_linear_quotients, {"samples": 25}),
-    "lemma-1.6": (check_skeleton_shellability, {"samples": 50}),
-    "lemma-2.1": (check_relation_tree_determinants, {"max_n": 4}),
-    "cor-2.2": (check_quasi_tree_projdim, {"max_n": 5}),
-    "lemma-3.2": (check_quasi_trees_are_flag, {"exhaustive_n": 3, "samples": 100}),
-    "thm-3.3": (check_chordal_quasi_tree, {"max_n": 5, "samples": 2000, "chordal_samples": 200}),
-    "cor-3.5": (check_leaf_removal_closure, {"exhaustive_n": 3, "samples": 100}),
-    "thm-3.6": (check_pure_skeleton_recognition, {"samples": 100}),
-    "thm-4.1": (check_skeleton_complement_linear_quotients, {"samples": 30}),
-    "lemma-4.2": (check_skeleton_ideal_from_edges, {"samples": 50}),
-    "lemma-4.3": (check_restriction_resolution, {"ideals": 20}),
-    "thm-4.4": (check_power_linear_resolutions, {"samples": 5, "max_n": 6}),
-}
-
-
 def _run(suites, seed, budgets) -> list[dict]:
     """Run each (function, base keywords) pair with ``seed`` and every budget
-    it takes.  A budget that no suite in the run takes, a seed or budget
-    whose type is not that of its suite parameter's default (an int, a
-    FieldChoice, a list of SimplicialComplex for ``complexes``), or a
-    negative count is a DomainError rather than dropped or a late failure."""
-    takes = [inspect.signature(fn).parameters for fn, _base in suites]
+    it takes.  A budget that no suite in the run takes, one of the wrong
+    type (:func:`_check_types`) or a negative count is a DomainError
+    before any suite runs, rather than dropped or a late failure."""
+    takes = [fn.defaults for fn, _base in suites]
     unused = [key for key in budgets if not any(key in params for params in takes)]
     if unused:
         raise DomainError(f"no selected suite takes the budget {', '.join(unused)}")
     given = {"seed": seed, **budgets}
-    defaults = {key: param.default for params in takes for key, param in params.items()}
-    for key, value in given.items():
-        default = defaults.get(key, 0)  # a seed that no suite in the run takes
-        kind, ok = "an integer", type(value) is int  # bool is rejected too
-        if isinstance(default, FieldChoice):
-            kind, ok = "a FieldChoice", isinstance(value, FieldChoice)
-        elif default is None:  # complexes, the one budget that defaults to None
-            kind = "a list of SimplicialComplex"
-            ok = isinstance(value, list) and all(isinstance(c, SimplicialComplex) for c in value)
-        if not ok:
-            raise DomainError(f"budget {key} must be {kind}, got {value!r}")
+    _check_types(given, {key: value for params in takes for key, value in params.items()})
     negative = [key for key, value in budgets.items() if type(value) is int and value < 0]
     if negative:
         raise DomainError(f"budget {', '.join(negative)} must not be negative")

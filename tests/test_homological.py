@@ -281,6 +281,23 @@ class TestBettiTables:
         assert max(i for i, _ in squarefree_betti_masks(gens)) == 2
         assert len(calls) == 5
 
+    def test_projdim_walk_starts_at_degree_1(self, monkeypatch):
+        # x1x2 and x2x3 have beta_1 != 0, so the one non-generator x1x2x3,
+        # of bound min(2 - 1, 3 - 2) = 1, is never collected; a principal
+        # ideal has no non-generator at all
+        calls = []
+        real = homological._profile_from_masks
+
+        def spy(faces, p):
+            calls.append(faces)
+            return real(faces, p)
+
+        monkeypatch.setattr(homological, "_profile_from_masks", spy)
+        assert squarefree_projdim_masks([0b011, 0b110]) == 1
+        assert squarefree_projdim_masks([0b101]) == 0
+        assert projdim(MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 2))])) == 1
+        assert calls == []
+
     def test_lcm_lattice_cap_names_its_knob(self):
         # 16 disjoint one-variable masks: every nonempty subset joins to
         # its own element, 2^16 - 1 = 65,535 of them

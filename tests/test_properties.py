@@ -58,9 +58,12 @@ from srideals.graphs import (
 )
 from srideals.homological import (
     _boundary_rank,
+    _lcm_lattice,
     _minimal_masks,
     _nerve_faces,
+    _packed_engine,
     _profile_from_masks,
+    _squarefree_engine,
     shelling_order,
     squarefree_betti_masks,
     squarefree_projdim_masks,
@@ -880,6 +883,23 @@ _FIELDS = [RATIONALS, GF2, FieldChoice(3)]
 def test_projdim_walk_matches_the_whole_table(field, masks):
     table = squarefree_betti_masks(masks, field.p)
     assert squarefree_projdim_masks(masks, field.p) == max(i for i, _ in table)
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
+    ),
+    monomial_ideals(max_n=5, max_gens=8, max_exp=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_lcm_lattice_is_every_join_of_a_nonempty_subset(masks, ideal):
+    for gens, join, *_ in (_squarefree_engine(masks), _packed_engine(ideal)):
+        naive = {
+            functools.reduce(join, subset)
+            for k in range(1, len(gens) + 1)
+            for subset in itertools.combinations(gens, k)
+        }
+        assert _lcm_lattice(gens, join) == naive
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=repr)

@@ -339,3 +339,22 @@ class TestSuites:
         match = f"^budget {budget} must be {kind.get(budget, 'an integer')}, got "
         with pytest.raises(DomainError, match=match):
             verification.run_suite(suite, **{budget: value})
+
+    @pytest.mark.parametrize(
+        "call, budget",
+        [
+            (functools.partial(check_power_linear_resolutions, samples=True), "samples"),
+            (functools.partial(check_power_linear_resolutions, samples=2.0), "samples"),
+            (functools.partial(check_power_linear_resolutions, 1.5), "seed"),
+            (functools.partial(check_cm_vs_linear_resolution, field=0), "field"),
+            (functools.partial(check_quasi_trees_are_flag, exhaustive_n=None), "exhaustive_n"),
+        ],
+        ids=["samples-True", "samples-2.0", "positional-seed", "field-0", "exhaustive_n-None"],
+    )
+    def test_a_direct_suite_call_checks_its_budget_types(self, call, budget, monkeypatch):
+        # the rule of run_suite, from defaults read once when the suite was
+        # defined: no signature is taken per call
+        monkeypatch.setattr(verification, "inspect", None)
+        with pytest.raises(DomainError, match=f"^budget {budget} must be "):
+            call()
+        assert check_power_linear_resolutions(samples=0)["instances"] == 0
