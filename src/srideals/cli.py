@@ -41,6 +41,7 @@ from .homological import (
 )
 from .ideals import (
     Monomial,
+    _mask_vectors,
     facet_ideal,
     linear_quotients_order,
     power,
@@ -50,7 +51,6 @@ from .ideals import (
 )
 from .quasitrees import (
     build_m_delta,
-    facet_complement_generators,
     leaf_order,
     minor_certificates,
     reconstructs,
@@ -168,14 +168,13 @@ def _quasitree(cx, args):
 
 def _relation_trees(cx, args):
     trees = relation_trees(cx, limit=args.limit)
-    gens = facet_complement_generators(cx)
     # The determinant identity presumes facets covering [n]; otherwise the
-    # generators share a common factor invisible to the tree labels, and
-    # reconstruction is only exact up to that factor.
-    covering = {w for f in cx.facets for w in f} == set(range(1, cx.n + 1))
-    common = functools.reduce(Monomial.gcd, gens)
-    verdicts = reconstructs(trees, [g.quotient(common) for g in gens])
-    if covering:
+    # generators x_{F_i^c} share the factor x_{[n] - covered}, invisible to
+    # the tree labels, and reconstruction is only exact up to that factor.
+    covered = functools.reduce(int.__or__, cx.facet_masks)
+    quotients = _mask_vectors(cx.n, [covered & ~m for m in cx.facet_masks])
+    verdicts = reconstructs(trees, list(map(Monomial, quotients)))
+    if covered == (1 << cx.n) - 1:
         verdicts = [a and b for a, b in zip(verdicts, minor_certificates(cx, trees))]
     trees_json = relation_trees_to_json(trees)
     checks = [_check("tree-certificate", False, t) for t, ok in zip(trees_json, verdicts) if not ok]
@@ -413,6 +412,9 @@ def main(argv=None) -> int:
         # The reader closed stdout: point it at devnull so the flush at
         # interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except ValueError as exc:  # an int in the reply past the interpreter's digit limit
+        print(f"error: resource limit: the reply cannot be written: {exc}", file=sys.stderr)
+        return 3
     return 2 if any(not c["passed"] for c in checks) else 0
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, dimension_info
+from .complexes import SimplicialComplex, dimension_info, face_mask
 from .errors import DomainError, over_cap
-from .ideals import Monomial, MonomialIdeal
+from .ideals import MonomialIdeal, _squarefree_ideal
 from .quasitrees import leaf_order
 
 
@@ -69,8 +69,7 @@ def complement_graph(g: Graph) -> Graph:
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """The squarefree degree-2 ideal of the edges (zero ideal if edgeless)."""
-    gens = [Monomial.from_support(e, g.n) for e in g.edges]
-    return MonomialIdeal(g.n, gens)
+    return _squarefree_ideal(g.n, map(face_mask, g.edges))
 
 
 def mcs_order(adj: tuple[int, ...]) -> list[int]:

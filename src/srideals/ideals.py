@@ -6,7 +6,7 @@ ideal is its unique minimal generating set, canonically ordered by
 tuple of its exponent vectors, which is all the kernels read; its
 :class:`Monomial` objects are built on first use.  The zero ideal is a
 first-class value (empty generator list); the unit ideal is rejected
-everywhere.
+everywhere.  Support bitmasks become exponent vectors in :func:`_mask_vectors` only.
 """
 
 from __future__ import annotations
@@ -297,11 +297,16 @@ def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
     return _minimal_ideal(n, _unpacked(packed, stride, n), degrees)
 
 
+def _mask_vectors(n: int, masks) -> list[tuple[int, ...]]:
+    """The squarefree exponent vectors in n variables of the support bitmasks, in order."""
+    return [tuple([m >> v & 1 for v in range(n)]) for m in masks]
+
+
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
     """The ideal generated by the squarefree monomials whose supports are
-    the given bitmasks, an antichain (facets, minimal nonfaces or sets of
-    one size), stored without the comparable-pair scan."""
-    exps = sorted({tuple([m >> v & 1 for v in range(n)]) for m in masks})
+    the given bitmasks, an antichain (facets, minimal nonfaces, edges or sets
+    of one size), stored without the comparable-pair scan."""
+    exps = sorted(set(_mask_vectors(n, masks)))
     exps.sort(key=sum)
     return MonomialIdeal.__new__(MonomialIdeal)._store(n, exps, list(map(sum, exps)), minimal=True)
 

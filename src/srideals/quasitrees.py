@@ -14,7 +14,8 @@ Facet indices are 0-based throughout the Python API (the JSON layer
 shifts to 1-based).  The generators attached to a complex are always
 the facet-complement monomials x_{F_i^c} *in facet order*, which keeps
 the relation matrix, the Taylor labels and the reconstructed generators
-aligned on the same index set.
+aligned on the same index set.  They, the matrix entries and the
+certificate's supports are built from facet bitmasks by :func:`ideals._mask_vectors`.
 
 Lemma 2.1 pairs the relation matrix M_Delta with the Taylor labels of
 these generators, and each has one builder: :func:`build_m_delta` gives
@@ -40,9 +41,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, mask_face
+from .complexes import SimplicialComplex
 from .errors import DomainError, over_cap
-from .ideals import Monomial, _packing, _unpacked
+from .ideals import Monomial, _mask_vectors, _packing, _unpacked
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,7 @@ SignedMonomial = tuple[int, Monomial]
 def facet_complement_generators(cx: SimplicialComplex) -> list[Monomial]:
     """x_{F_i^c} in facet order; the generators of I(cx^c) indexed by facets."""
     full = (1 << cx.n) - 1
-    return [
-        Monomial.from_support(mask_face(full & ~m), cx.n) for m in cx.facet_masks
-    ]
+    return list(map(Monomial, _mask_vectors(cx.n, [full & ~m for m in cx.facet_masks])))
 
 
 def build_m_delta(cx: SimplicialComplex) -> list[tuple[int, int, Monomial, Monomial]]:
@@ -166,15 +165,10 @@ def build_m_delta(cx: SimplicialComplex) -> list[tuple[int, int, Monomial, Monom
     if t < 2:
         raise DomainError("the relation matrix needs at least two facets")
     masks = cx.facet_masks
-    return [
-        (
-            i,
-            j,
-            Monomial.from_support(mask_face(masks[i] & ~masks[j]), cx.n),
-            Monomial.from_support(mask_face(masks[j] & ~masks[i]), cx.n),
-        )
-        for i, j in itertools.combinations(range(t), 2)
-    ]
+    pairs = list(itertools.combinations(range(t), 2))
+    diffs = [d for i, j in pairs for d in (masks[i] & ~masks[j], masks[j] & ~masks[i])]
+    entries = list(map(Monomial, _mask_vectors(cx.n, diffs)))
+    return [(i, j, *entries[2 * k : 2 * k + 2]) for k, (i, j) in enumerate(pairs)]
 
 
 @dataclass(frozen=True)
@@ -352,7 +346,7 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
     supports = [full & ~m for m in masks]
     for i, j in pairs:
         supports += (masks[i] & ~masks[j], masks[j] & ~masks[i])
-    packed = _packing([[m >> v & 1 for v in range(cx.n)] for m in supports], t - 1)[0]
+    packed = _packing(_mask_vectors(cx.n, supports), t - 1)[0]
     expected = packed[:t]
     rows = {e: (*e, *packed[t + 2 * k : t + 2 * k + 2]) for k, e in enumerate(pairs)}
     every = (1 << t) - 1

@@ -112,6 +112,8 @@ def load_json(text: str):
         raise DomainError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DomainError(f"unreadable JSON: {exc}") from None
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -167,10 +169,13 @@ def monomial_from_str(text: str, num_vars: int) -> Monomial:
         m = _MONOMIAL_RE.match(part)
         if not m:
             raise DomainError(f"cannot parse monomial factor {part!r}")
-        var = int(m.group(1))
+        try:
+            var, exp = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise DomainError(f"unreadable monomial factor: {exc}") from None
         if not 1 <= var <= num_vars:
             raise DomainError(f"variable x{var} out of range for {num_vars} variables")
-        exps[var - 1] += int(m.group(2) or 1)
+        exps[var - 1] += exp
     return Monomial(exps)
 
 

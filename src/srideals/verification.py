@@ -26,7 +26,6 @@ from .complexes import (
     alexander_dual,
     complement_complex,
     dimension_info,
-    mask_face,
     minimal_nonfaces,
     minimal_nonfaces_masks,
     pure_complement,
@@ -58,10 +57,12 @@ from .homological import (
     verify_shelling,
 )
 from .ideals import (
+    Monomial,
     MonomialIdeal,
     facet_ideal,
     complex_from_ideal,
     linear_quotients_order,
+    minimalize,
     power,
     restrict_ideal,
     skeleton_ideal_from_one_skeleton,
@@ -272,8 +273,6 @@ def random_chordal_graph(rng: random.Random, n: int) -> Graph:
 
 def random_monomial_ideal(rng: random.Random, n: int, degree: int, count: int) -> MonomialIdeal:
     """A random ideal in a single degree, exponents at most 2 (duplicates dropped)."""
-    from .ideals import Monomial, minimalize
-
     max_exp = 2
     if degree > n * max_exp:
         raise DomainError(f"degree {degree} exceeds n * max_exp = {n} * {max_exp}")
@@ -415,10 +414,6 @@ def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:
     return MonomialIdeal(cx.n, []) if bar.is_void else facet_ideal(bar)
 
 
-def _masks_witness(n, masks) -> dict:
-    return {"ambient": n, "facets": [list(mask_face(m)) for m in masks]}
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -430,8 +425,8 @@ SUITES: dict = {}
 
 def _check_types(given: dict, defaults: dict) -> None:
     """A seed or budget whose type is not that of its parameter's default
-    (an int, a FieldChoice, a list of SimplicialComplex for ``complexes``)
-    is a DomainError that names it."""
+    (an int, a FieldChoice, a list of SimplicialComplex for ``complexes``),
+    or a negative budget other than the seed, is a DomainError that names it."""
     for key, value in given.items():
         default = defaults.get(key, 0)  # a seed that no suite in the run takes
         kind, ok = "an integer", type(value) is int  # bool is rejected too
@@ -442,6 +437,8 @@ def _check_types(given: dict, defaults: dict) -> None:
             ok = isinstance(value, list) and all(isinstance(c, SimplicialComplex) for c in value)
         if not ok:
             raise DomainError(f"budget {key} must be {kind}, got {value!r}")
+        if type(value) is int and value < 0 and key != "seed":
+            raise DomainError(f"budget {key} must not be negative")
 
 
 def _suite(name: str, **quick):
@@ -714,18 +711,18 @@ def check_relation_tree_determinants(max_n: int = 5, max_facets: int = 4):
         }
         is_qt = leaf_order_masks(list(masks)) is not None
         if is_qt != bool(passing):
-            yield _masks_witness(n, masks)
+            yield complex_to_json(cx)
             return
         if not is_qt:
             return
         trees = relation_trees(cx, limit=1000)
         if {tuple(sorted(tr.edges)) for tr in trees} != passing:
-            yield {"complex": _masks_witness(n, masks), "mismatch": "tree sets"}
+            yield {"complex": complex_to_json(cx), "mismatch": "tree sets"}
             return
         gens = facet_complement_generators(cx)
         for tr, ok in zip(trees, reconstructs(trees, gens)):
             if not ok:
-                yield {"complex": _masks_witness(n, masks), "tree": [list(e) for e in tr.edges]}
+                yield {"complex": complex_to_json(cx), "tree": [list(e) for e in tr.edges]}
                 return
 
     return _run_family("lemma-2.1", family, check, max_n=max_n, max_facets=max_facets)
@@ -747,7 +744,7 @@ def check_quasi_tree_projdim(max_n: int = 6, max_facets: int = 4, field: FieldCh
         is_qt = leaf_order_masks(list(masks)) is not None
         pd = squarefree_projdim_masks([((1 << n) - 1) ^ m for m in masks], p)
         if is_qt != (pd == 1):
-            yield _masks_witness(n, masks)
+            yield complex_to_json(SimplicialComplex.from_masks(n, masks))
 
     family = _antichains(max_n, max_facets, lambda n: min(_QUASI_TREE_FACET_SIZE, n - 1))
     return _run_family(
@@ -1002,18 +999,15 @@ def check_power_linear_resolutions(
 
 def _run(suites, seed, budgets) -> list[dict]:
     """Run each (function, base keywords) pair with ``seed`` and every budget
-    it takes.  A budget that no suite in the run takes, one of the wrong
-    type (:func:`_check_types`) or a negative count is a DomainError
-    before any suite runs, rather than dropped or a late failure."""
+    it takes.  A budget that no suite in the run takes, or one that
+    :func:`_check_types` rejects, is a DomainError before any suite runs,
+    rather than dropped or a late failure."""
     takes = [fn.defaults for fn, _base in suites]
     unused = [key for key in budgets if not any(key in params for params in takes)]
     if unused:
         raise DomainError(f"no selected suite takes the budget {', '.join(unused)}")
     given = {"seed": seed, **budgets}
     _check_types(given, {key: value for params in takes for key, value in params.items()})
-    negative = [key for key, value in budgets.items() if type(value) is int and value < 0]
-    if negative:
-        raise DomainError(f"budget {', '.join(negative)} must not be negative")
     return [
         fn(**{**base, **{key: value for key, value in given.items() if key in params}})
         for (fn, base), params in zip(suites, takes)

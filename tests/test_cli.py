@@ -491,6 +491,17 @@ class TestExitCodes:
             "homological.MAX_BETTI_GENERATORS = 12\n"
         )
 
+    def test_reply_integer_past_the_digit_limit_is_exit_3(self, tmp_path, capsys):
+        # 100 times a 4,299-digit exponent has 4,301 digits, one past what
+        # the interpreter converts to a string
+        path = tmp_path / "input.json"
+        path.write_text('{"vars": 1, "generators": [[' + "9" * 4299 + "]]}")
+        assert cli.main(["power", "-f", str(path), "-k", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit: the reply cannot be written: ")
+        assert "integer string conversion" in captured.err
+
     @pytest.mark.parametrize(
         "command, payload, cap",
         [
@@ -978,6 +989,9 @@ class TestFuzz:
         ),
         _IDEAL.map(json.dumps) | st.text(max_size=8),
     )
+    # integers past the interpreter's 4,300-digit limit on int-str conversion
+    @example(("betti", []), '{"vars": 1, "generators": [[' + "1" * 5000 + "]]}")
+    @example(("betti", []), '{"vars": 1, "generators": ["x1^' + "1" * 5000 + '"]}')
     @settings(max_examples=300, deadline=None)
     def test_every_ideal_input_gets_a_documented_exit(self, command, text):
         name, flags = command

@@ -50,6 +50,7 @@ from srideals.complexes import (
 from srideals.graphs import (
     Graph,
     clique_complex,
+    edge_ideal,
     higher_dirac_check,
     maximal_clique_masks,
     maximal_cliques,
@@ -367,18 +368,19 @@ def test_minimalize_matches_naive_reference(vectors):
 @given(exponent_vectors(min_vectors=2), st.integers(min_value=1, max_value=2))
 @settings(max_examples=300, deadline=None)
 def test_constructor_accepts_what_minimalize_and_power_store(vectors, k):
-    # minimalize, power, graded_component_ideal, facet_ideal and
-    # stanley_reisner_ideal store their result without the constructor's
-    # comparable-pair scan; on mixed degrees, where that scan runs, it
-    # accepts the result unchanged, as an equal ideal whose Monomials are
-    # the stored exponent vectors
+    # minimalize, power, graded_component_ideal, facet_ideal,
+    # stanley_reisner_ideal and edge_ideal store their result without the
+    # constructor's comparable-pair scan; on mixed degrees, where that scan
+    # runs, it accepts the result unchanged, as an equal ideal whose
+    # Monomials are the stored exponent vectors
     vectors = [v for v in vectors if any(v)]
     assume(len({sum(v) for v in vectors}) > 1)
     ideal = minimalize([Monomial(v) for v in vectors])
     n = ideal.num_vars
     cx = SimplicialComplex.from_faces(n, [[i + 1 for i, e in enumerate(v) if e] for v in vectors])
     component = graded_component_ideal(ideal, min(ideal.generator_degrees) + k - 1)
-    for stored in (ideal, power(ideal, k), component, facet_ideal(cx), stanley_reisner_ideal(cx)):
+    squarefree = (facet_ideal(cx), stanley_reisner_ideal(cx), edge_ideal(one_skeleton_graph(cx)))
+    for stored in (ideal, power(ideal, k), component, *squarefree):
         again = MonomialIdeal(stored.num_vars, stored.generators)
         assert again == stored
         assert hash(again) == hash(stored)
@@ -1304,6 +1306,23 @@ def test_wide_tree_minors_match_the_leibniz_term(case):
     tree, rows, n = case
     for col in range(tree.num_generators):
         assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, tree.num_generators, n)
+
+
+@given(complexes(max_n=7))
+@settings(max_examples=200, deadline=None)
+def test_facet_monomials_match_the_vertex_set_construction(cx):
+    # the generators and relation rows built from facet bitmasks equal the
+    # monomials of the vertex sets, built one by one from their faces
+    def monomial(mask):
+        return Monomial.from_support(mask_face(mask), cx.n)
+
+    masks, full = cx.facet_masks, (1 << cx.n) - 1
+    assert facet_complement_generators(cx) == [monomial(full & ~m) for m in masks]
+    if len(masks) > 1:
+        assert build_m_delta(cx) == [
+            (i, j, monomial(masks[i] & ~masks[j]), monomial(masks[j] & ~masks[i]))
+            for i, j in itertools.combinations(range(len(masks)), 2)
+        ]
 
 
 @given(quasi_trees(), st.data())

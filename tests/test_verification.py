@@ -256,6 +256,18 @@ class TestSuites:
         with pytest.raises(DomainError):
             check_power_linear_resolutions(samples=0, complexes=[near_miss])
 
+    @pytest.mark.parametrize("suite", ["lemma-2.1", "cor-2.2"])
+    def test_bitmask_suite_witnesses_are_canonical_complexes(self, suite, monkeypatch):
+        # these suites draw facet bitmasks; each failure witness is still
+        # the complex's own JSON, its facets in canonical order
+        monkeypatch.setattr(verification, "leaf_order_masks", lambda masks: None)
+        monkeypatch.setattr(verification, "MAX_RECORDED_FAILURES", 10**6)
+        report = verification.run_suite(suite, max_n=4)
+        assert len(report["failures"]) == report["failure_count"] > 0
+        for witness in report["failures"]:
+            found = witness.get("complex", witness)
+            assert serialization.complex_to_json(serialization.complex_from_json(found)) == found
+
     def test_reports_carry_witnesses_on_failure(self, monkeypatch):
         # every instance of the power suite fails once its predicate does:
         # the report counts them all and keeps the first few as witnesses,
@@ -341,20 +353,39 @@ class TestSuites:
             verification.run_suite(suite, **{budget: value})
 
     @pytest.mark.parametrize(
-        "call, budget",
+        "call, message",
         [
-            (functools.partial(check_power_linear_resolutions, samples=True), "samples"),
-            (functools.partial(check_power_linear_resolutions, samples=2.0), "samples"),
-            (functools.partial(check_power_linear_resolutions, 1.5), "seed"),
-            (functools.partial(check_cm_vs_linear_resolution, field=0), "field"),
-            (functools.partial(check_quasi_trees_are_flag, exhaustive_n=None), "exhaustive_n"),
+            (functools.partial(check_power_linear_resolutions, samples=True), "samples must be "),
+            (functools.partial(check_power_linear_resolutions, samples=2.0), "samples must be "),
+            (functools.partial(check_power_linear_resolutions, 1.5), "seed must be "),
+            (functools.partial(check_cm_vs_linear_resolution, field=0), "field must be "),
+            (
+                functools.partial(check_quasi_trees_are_flag, exhaustive_n=None),
+                "exhaustive_n must be ",
+            ),
+            (
+                functools.partial(check_dual_ideal_identity, samples=-3, exhaustive_n=2),
+                "samples must not be negative$",
+            ),
+            (functools.partial(check_power_linear_resolutions, 0, -1), "samples must not be "),
+            (functools.partial(check_quasi_trees_are_flag, -1, -1), "exhaustive_n must not be "),
         ],
-        ids=["samples-True", "samples-2.0", "positional-seed", "field-0", "exhaustive_n-None"],
+        ids=[
+            "samples-True",
+            "samples-2.0",
+            "positional-seed",
+            "field-0",
+            "exhaustive_n-None",
+            "samples--3",
+            "positional-samples--1",
+            "positional-exhaustive_n--1",
+        ],
     )
-    def test_a_direct_suite_call_checks_its_budget_types(self, call, budget, monkeypatch):
+    def test_a_direct_suite_call_checks_its_budget_types(self, call, message, monkeypatch):
         # the rule of run_suite, from defaults read once when the suite was
-        # defined: no signature is taken per call
+        # defined: no signature is taken per call; a negative seed is a seed
         monkeypatch.setattr(verification, "inspect", None)
-        with pytest.raises(DomainError, match=f"^budget {budget} must be "):
+        with pytest.raises(DomainError, match=f"^budget {message}"):
             call()
         assert check_power_linear_resolutions(samples=0)["instances"] == 0
+        assert check_power_linear_resolutions(-1, samples=0)["instances"] == 0
