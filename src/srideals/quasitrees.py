@@ -30,10 +30,19 @@ per call what all trees share and returns one verdict per tree:
 rows, by column elimination in :func:`_minor`) and :func:`reconstructs`
 (the generators as products of the tree's labels, by rerooting in
 :func:`_products`).  The certificate reads only the complex's rows and
-the reconstruction only each tree's edges and labels.
-:func:`verify_minor_certificate`, :func:`tree_minor_det` and
-:func:`reconstruct_generators` are single-tree wrappers over the same
-kernels.
+the reconstruction only each tree's edges and labels; neither reads the
+enumerator's memo.  :func:`verify_minor_certificate`,
+:func:`tree_minor_det` and :func:`reconstruct_generators` are
+single-tree wrappers over the same kernels.
+
+:func:`relation_trees` builds each tree once, without the checks of
+``RelationTree.__post_init__``: its edge sets are sorted spanning trees
+by construction, as ``MonomialIdeal._store(minimal=True)`` trusts its
+callers' minimality.  Every tree through a facet pair holds that pair's
+one ``(edge, label)`` entry, so :func:`reconstructs` compares the
+variable counts of each distinct entry once and packs it once, and
+``serialization`` writes it once.  ``RelationTree(...)`` keeps every
+check; no other code builds a tree without them.
 """
 
 from __future__ import annotations
@@ -205,18 +214,14 @@ def _is_tree(t: int, edges) -> bool:
     if len(edges) != t - 1:
         return False
     parent = list(range(t))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
+    for i, j in edges:  # union-find, halving each path on the way to its root
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
             return False
-        parent[ri] = rj
+        parent[i] = j
     return True
 
 
@@ -311,9 +316,10 @@ def tree_minor_det(
 
 def _spanning_edges(t: int, tree):
     """The edges of a tree or edge list, checked to span [0, t).  A
-    RelationTree was checked to be a spanning tree when it was built, so
-    only its size is checked and its edges are taken as they are; an edge
-    list is sorted and checked."""
+    RelationTree is a spanning tree by construction (from
+    :func:`relation_trees`) or checked by the public constructor, so only
+    its size is checked and its edges are taken as they are; an edge list
+    is sorted and checked."""
     if isinstance(tree, RelationTree):
         edges, spans = tree.edges, tree.num_generators == t
     else:
@@ -331,10 +337,11 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
 
     Each facet pair's row and each x_{F_j^c} is packed once per call, in
     fields of (t-1).bit_length() value bits: a minor multiplies t - 1
-    squarefree entries.  A RelationTree's edges were checked when it was
-    built and are used in their own order, since only the product of a
-    minor is compared and it does not depend on the order of the rows; an
-    edge list is sorted and checked to be a spanning tree first.
+    squarefree entries.  A RelationTree's edges span by construction, or
+    were checked by the public constructor, and are used in their own
+    order, since only the product of a minor is compared and it does not
+    depend on the order of the rows; an edge list is sorted and checked to
+    be a spanning tree first.
     """
     t = len(cx.facets)
     if t < 2:
@@ -388,8 +395,9 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
     with bit t*t - 1 - (i*t + j) for the edge (i, j): a lower edge is a
     higher bit, so decreasing ints are edge sets in increasing order of
     their sorted edge lists, and only the first `limit` are decoded.
-    Each facet pair's Taylor label is computed once and shared by every
-    tree that uses the edge.
+    Each facet pair's Taylor label is computed once, and every tree that
+    uses the edge shares one ``(edge, label)`` entry.  The trees skip
+    ``RelationTree``'s checks (see the module docstring).
     """
     if type(limit) is not int or limit < 1:  # bool is rejected too
         raise DomainError(f"limit must be a positive integer, got {limit!r}")
@@ -419,7 +427,7 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
             tails = enumerate_trees(alive - {f})
             for g in branches:
                 bit = 1 << (top - min(f, g) * t - max(f, g))
-                result.update(tail | bit for tail in tails)
+                result.update(map(bit.__or__, tails))
                 if held + len(result) > MAX_RELATION_TREES:
                     raise over_cap(
                         "edge sets in the leaf-removal memo", held + len(result),
@@ -435,10 +443,13 @@ def relation_trees(cx: SimplicialComplex, limit: int = 1000) -> list[RelationTre
         del enumerate_trees  # it refers to itself; this frees the memo now
     edge_sets = [_edges_of(es, t) for es in sorted(found, reverse=True)[:limit]]
     gens = facet_complement_generators(cx)
-    labels = {e: _taylor_label(gens, *e) for e in {e for es in edge_sets for e in es}}
-    return [
-        RelationTree(t, es, tuple((e, labels[e]) for e in es)) for es in edge_sets
-    ]
+    entry = {e: (e, _taylor_label(gens, *e)) for e in {e for es in edge_sets for e in es}}
+    # Each edge set is a sorted spanning tree by construction, so the trees
+    # skip RelationTree.__post_init__'s checks; no other code may do this.
+    trees = [object.__new__(RelationTree) for _ in edge_sets]
+    for tree, es in zip(trees, edge_sets):
+        vars(tree).update(num_generators=t, edges=es, labels=tuple(map(entry.__getitem__, es)))
+    return trees
 
 
 def _edges_of(edge_set: int, t: int) -> tuple[tuple[int, int], ...]:
@@ -452,69 +463,95 @@ def _edges_of(edge_set: int, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _label_variables(tree: RelationTree) -> int:
-    """The variable count shared by a tree's labels."""
-    if tree.num_generators < 2:
-        raise DomainError("reconstruction needs a tree with at least one edge")
-    nv = tree.labels[0][1][0].num_vars
-    if any(u.num_vars != nv or v.num_vars != nv for _, (u, v) in tree.labels):
-        raise DomainError("relation tree labels have mixed variable counts")
-    return nv
+def _distinct_labels(trees) -> dict:
+    """Each distinct (edge, label) entry of the trees, keyed by ``id``:
+    :func:`relation_trees` gives every tree through an edge the same entry."""
+    listed = list(itertools.chain.from_iterable(tree.labels for tree in trees))
+    return dict(zip(map(id, listed), listed))
 
 
-def _pack_labels(trees, extra):
-    """Pack each distinct label pair of the trees once, together with the
-    exponent vectors in `extra`, in fields wide enough for a product of
-    t - 1 labels: ({id(pair): (u_ij, u_ji)}, packed extra, stride)."""
-    pairs = list({id(pair): pair for tree in trees for _, pair in tree.labels}.values())
-    vectors = [m.exponents for pair in pairs for m in pair] + list(extra)
-    longest = max(tree.num_generators for tree in trees) - 1
+def _label_entries(trees) -> tuple[dict, list[int]]:
+    """The trees' :func:`_distinct_labels` and the variable count shared by
+    each tree's labels.  The counts of each distinct entry are compared
+    once, and a tree looks its entries up only when the entries do not all
+    share one count."""
+    entries = _distinct_labels(trees)
+    counts = {
+        key: u.num_vars if u.num_vars == v.num_vars else -1
+        for key, (_, (u, v)) in entries.items()
+    }
+    shared = set(counts.values())  # when it has one count, every tree has it
+    nvs: list[int] = []
+    for tree in trees:
+        if tree.num_generators < 2:
+            raise DomainError("reconstruction needs a tree with at least one edge")
+        nv = shared if len(shared) == 1 else {*map(counts.__getitem__, map(id, tree.labels))}
+        if len(nv) != 1 or -1 in nv:
+            raise DomainError("relation tree labels have mixed variable counts")
+        nvs.extend(nv)
+    return entries, nvs
+
+
+def _pack_labels(entries, extra, longest: int):
+    """Pack the labels of `entries` (from :func:`_label_entries`) together
+    with the exponent vectors in `extra`, in fields wide enough for a
+    product of `longest` labels.  Returns ``(adjacent, packed extra,
+    stride)``, where ``adjacent[id(entry)]`` holds, for the entry's edge
+    (i, j), ``i``, ``j`` and the two ends' adjacency items ``(j, u_ij,
+    u_ji - u_ij)`` and ``(i, u_ji, u_ij - u_ji)`` on packed ints."""
+    vectors = [m.exponents for _, pair in entries.values() for m in pair] + list(extra)
     top = max([longest * max(map(max, vectors)), *map(max, extra)])
     packed, stride, _, _ = _packing(vectors, top)
-    by_id = {id(pair): (packed[2 * k], packed[2 * k + 1]) for k, pair in enumerate(pairs)}
-    return by_id, packed[2 * len(pairs) :], stride
+    adjacent = {}
+    for k, (key, ((i, j), _)) in enumerate(entries.items()):
+        u_ij, u_ji = packed[2 * k], packed[2 * k + 1]
+        adjacent[key] = (i, j, (j, u_ij, u_ji - u_ij), (i, u_ji, u_ij - u_ji))
+    return adjacent, packed[2 * len(entries) :], stride
 
 
-def _products(tree: RelationTree, packed_labels) -> list[int]:
+def _products(tree: RelationTree, adjacent) -> list[int]:
     """The packed u_0, ..., u_{t-1} of one tree.
 
     For each index i the tree is oriented away from i and the directed
     edge k -> j contributes the quotient u_kj; the product over all edges
     is u_i.  One walk from index 0 gives u_0; moving the root across an
-    edge a -> b turns only that edge around, so u_b = u_a - u_ab + u_ba
-    on packed ints (u_a holds u_ab, so no field borrows).
+    edge a -> b turns only that edge around, so u_b = u_a + (u_ba - u_ab):
+    an exact sum of ints whose fields hold u_b's exponents, since u_a holds
+    u_ab.  Each index's adjacency list takes its items from
+    :func:`_pack_labels` in label order, so the walk reaches a new index
+    through its edge's first label.
     """
     t = tree.num_generators
-    quotient = {}  # (a, b) -> u_ab, what the edge contributes oriented a -> b
-    adj: list[list[int]] = [[] for _ in range(t)]
-    for (i, j), pair in reversed(tree.labels):  # the first label per edge wins
-        quotient[i, j], quotient[j, i] = packed_labels[id(pair)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    walk = []  # (a, b) for each edge, a nearer to index 0, in walk order
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(t)]
+    for entry in tree.labels:
+        i, j, ahead, back = adjacent[id(entry)]
+        adj[i].append(ahead)
+        adj[j].append(back)
+    walk = []  # (a, b, u_ba - u_ab) for each edge, a nearer to index 0, in walk order
     seen = [True] + [False] * (t - 1)
     stack = [0]
+    root = 0
     while stack:
         a = stack.pop()
-        for b in adj[a]:
+        for b, u_ab, turn in adj[a]:
             if not seen[b]:
                 seen[b] = True
                 stack.append(b)
-                walk.append((a, b))
-    products = [0] * t
-    products[0] = sum(quotient[e] for e in walk)
-    for a, b in walk:
-        products[b] = products[a] - quotient[a, b] + quotient[b, a]
+                walk.append((a, b, turn))
+                root += u_ab
+    products = [root] * t
+    for a, b, turn in walk:
+        products[b] = products[a] + turn
     return products
 
 
 def reconstructs(trees, generators) -> list[bool]:
     """For each labeled relation tree, whether it gives back exactly the
     given generators (:func:`reconstruct_generators` for every tree, with
-    each distinct label packed once per call and no monomial built)."""
+    each distinct label entry checked and packed once per call and no
+    monomial built)."""
     trees = list(trees)
-    nvs = [_label_variables(tree) for tree in trees]
+    entries, nvs = _label_entries(trees)
     gens = [g.exponents for g in generators]
     n = len(gens[0]) if gens else 0
     matching = [
@@ -522,10 +559,11 @@ def reconstructs(trees, generators) -> list[bool]:
     ]
     if not any(matching) or any(len(g) != n for g in gens):
         return [False] * len(trees)
-    candidates = [tree for tree, ok in zip(trees, matching) if ok]
-    packed_labels, packed_gens, _ = _pack_labels(candidates, gens)
+    # every entry's two labels have one count, and those of a matching tree n
+    entries = {key: e for key, e in entries.items() if e[1][0].num_vars == n}
+    adjacent, packed_gens, _ = _pack_labels(entries, gens, len(gens) - 1)
     return [
-        ok and _products(tree, packed_labels) == packed_gens
+        ok and _products(tree, adjacent) == packed_gens
         for tree, ok in zip(trees, matching)
     ]
 
@@ -533,6 +571,6 @@ def reconstructs(trees, generators) -> list[bool]:
 def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
     """Recover the generators from a labeled relation tree (the products
     of :func:`_products`)."""
-    n = _label_variables(tree)
-    packed_labels, _, stride = _pack_labels([tree], [])
-    return [Monomial(p) for p in _unpacked(_products(tree, packed_labels), stride, n)]
+    entries, (n,) = _label_entries([tree])
+    adjacent, _, stride = _pack_labels(entries, [], tree.num_generators - 1)
+    return [Monomial(p) for p in _unpacked(_products(tree, adjacent), stride, n)]

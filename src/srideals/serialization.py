@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, over_cap
+from .errors import DomainError, ResourceLimitError, over_cap
 from .graphs import Graph
 from .homological import BettiTable
 from .ideals import Monomial, MonomialIdeal, minimalize, monomial_to_str
-from .quasitrees import RelationTree
+from .quasitrees import RelationTree, _distinct_labels
 
 
 _INT_ONLY = frozenset((int,))
@@ -37,19 +38,21 @@ def dumps_report(obj) -> str:
 
     Every piece of text is appended to one list, joined once at the end,
     so no container's text is copied into its parent's.  A list of plain
-    ints is one piece.  A container met a second time, at the same depth,
-    is not rendered again: its text is the join of the slice of the list
-    that its first rendering wrote, kept from then on as one piece, keyed
-    by ``id()`` as ``json`` keys its circular markers.  So a label dict
-    shared by hundreds of relation trees costs one rendering and one join,
-    while containers met once keep only the bounds of their slice.  The
-    caller's objects are not copied, so they must not change during the
-    call.
+    ints is one piece, kept in a memo keyed by ``(id(), indent)`` as
+    ``json`` keys its circular markers, and an int value of a dict is
+    written with its key, without a call.  Any other container met a second
+    time, at the same depth, is not rendered again either: its text is the
+    join of the slice of the list that its first rendering wrote, kept
+    from then on as one piece.  So a label dict or an ``[i, j]`` edge list
+    shared by hundreds of relation trees costs one rendering, while
+    containers met once keep only the bounds of their slice.  The caller's
+    objects are not copied, so they must not change during the call.
     """
     out: list[str] = []
     append = out.append
-    # (id, indent) -> the (start, end) of its first rendering in out, and
-    # its text once it is met again
+    # (id, indent) -> the text of a list of plain ints; for any other
+    # container the (start, end) of its first rendering in out, and its
+    # text once it is met again
     memo: dict = {}
 
     def render(value, nl):
@@ -66,14 +69,14 @@ def dumps_report(obj) -> str:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         elif not value:
             text = "{}" if kind is dict else "[]"
-        elif kind is not dict and _INT_ONLY.issuperset(map(type, value)):
-            inner = nl + "  "
-            text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
         else:
             key = (id(value), nl)
             text = memo.get(key)
             if type(text) is tuple:  # the bounds of its first rendering
                 text = memo[key] = "".join(out[text[0] : text[1]])
+            elif text is None and kind is not dict and _INT_ONLY.issuperset(map(type, value)):
+                inner = nl + "  "
+                text = memo[key] = f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{nl}]"
             elif text is None:
                 start = len(out)
                 inner = nl + "  "
@@ -83,8 +86,12 @@ def dumps_report(obj) -> str:
                     for k in sorted(value):
                         if type(k) is not str:
                             raise TypeError(f"keys must be str, not {type(k).__name__}")
-                        append(f"{lead}{encode_basestring_ascii(k)}: ")
-                        render(value[k], inner)
+                        v = value[k]
+                        if type(v) is int:  # the commonest value, without a call
+                            append(f"{lead}{encode_basestring_ascii(k)}: {int.__repr__(v)}")
+                        else:
+                            append(f"{lead}{encode_basestring_ascii(k)}: ")
+                            render(v, inner)
                         lead = sep
                     append(nl + "}")
                 else:
@@ -181,8 +188,15 @@ def monomial_from_str(text: str, num_vars: int) -> Monomial:
 
 def monomial_to_json(m: Monomial, pretty: bool = False):
     """A monomial on the wire: an ``x1*x2^2`` string if pretty, else its
-    exponent vector."""
-    return monomial_to_str(m) if pretty else list(m.exponents)
+    exponent vector.  An exponent past the interpreter's int-str digit
+    limit cannot be written as a string: a ResourceLimitError, as when
+    ``cli.main`` renders such an int in a vector."""
+    if not pretty:
+        return list(m.exponents)
+    try:
+        return monomial_to_str(m)
+    except ValueError as exc:  # the digit limit; nothing else converts or raises
+        raise ResourceLimitError(f"the reply cannot be written: {exc}") from None
 
 
 def ideal_from_json(obj) -> MonomialIdeal:
@@ -269,38 +283,30 @@ def betti_to_json(table: BettiTable, gen_degrees) -> dict:
 
 
 def relation_trees_to_json(trees) -> list[dict]:
-    """The wire form of each relation tree, with labels shared.
+    """The wire form of each relation tree, with its pieces shared.
 
-    Trees that hold the same label pair object (``relation_trees`` gives
-    every tree through one facet pair the same Taylor label) get the same
-    ``{"u_ij": ..., "u_ji": ...}`` dict, so one reply holds each facet
-    pair's label once and ``dumps_report`` renders it once.  The dicts are
-    shared, so treat the result as read-only.
+    Each distinct (edge, label) entry of the trees gets one ``"i-j"`` key
+    and one ``{"u_ij": ..., "u_ji": ...}`` dict, and each edge one
+    ``[i, j]`` list, all 1-based.  ``relation_trees`` gives every tree
+    through a facet pair the same entry, so one reply holds each piece
+    once and ``dumps_report`` renders each once.  The pieces are shared,
+    so treat the result as read-only.
     """
-    shared: dict[int, tuple] = {}  # id(pair) -> (pair, its dict); pair kept alive
-    out = []
-    for tree in trees:
-        labels = {}
-        for (i, j), pair in tree.labels:
-            key = f"{i + 1}-{j + 1}"
-            if key in labels:  # an edge's first label is its label, as in RelationTree.label
-                continue
-            hit = shared.get(id(pair))
-            if hit is None:
-                u_ij, u_ji = pair
-                lab = {"u_ij": list(u_ij.exponents), "u_ji": list(u_ji.exponents)}
-                shared[id(pair)] = (pair, lab)
-            else:
-                lab = hit[1]
-            labels[key] = lab
-        out.append(
-            {
-                "t": tree.num_generators,
-                "edges": [[i + 1, j + 1] for i, j in tree.edges],
-                "labels": labels,
-            }
-        )
-    return out
+    trees = list(trees)
+    items = {  # id(entry) -> ("i-j", label dict); the trees keep each entry alive
+        key: (f"{i + 1}-{j + 1}", {"u_ij": list(u.exponents), "u_ji": list(v.exponents)})
+        for key, ((i, j), (u, v)) in _distinct_labels(trees).items()
+    }
+    edges = {e: [e[0] + 1, e[1] + 1] for e in set(chain.from_iterable(tr.edges for tr in trees))}
+    return [
+        {
+            "t": tree.num_generators,
+            "edges": list(map(edges.__getitem__, tree.edges)),
+            # reversed, so that an edge's first label is kept, as in RelationTree.label
+            "labels": dict(map(items.__getitem__, map(id, reversed(tree.labels)))),
+        }
+        for tree in trees
+    ]
 
 
 def relation_tree_to_json(tree: RelationTree) -> dict:

@@ -502,6 +502,16 @@ class TestExitCodes:
         assert captured.err.startswith("error: resource limit: the reply cannot be written: ")
         assert "integer string conversion" in captured.err
 
+    def test_pretty_reply_integer_past_the_digit_limit_is_exit_3(self, tmp_path, capsys):
+        # --pretty writes the exponent into an x1^e string inside the step
+        path = tmp_path / "input.json"
+        path.write_text('{"vars": 1, "generators": [[' + "9" * 4299 + "]]}")
+        assert cli.main(["power", "--pretty", "-f", str(path), "-k", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit: the reply cannot be written: ")
+        assert "integer string conversion" in captured.err
+
     @pytest.mark.parametrize(
         "command, payload, cap",
         [

@@ -1121,6 +1121,24 @@ def test_relation_trees_match_the_explicit_builder(cx):
         ]
 
 
+@given(quasi_trees())
+@settings(max_examples=40, deadline=None)
+def test_relation_trees_are_what_the_checking_constructor_builds(cx):
+    # relation_trees builds its trees without RelationTree's checks; each
+    # passes them, no edge set comes twice, and every tree through an edge
+    # holds one (edge, label) entry object, which the checks and the wire
+    # form key by id
+    t = len(cx.facets)
+    trees = relation_trees(cx, limit=2000)
+    assert trees == [RelationTree(t, tree.edges, tree.labels) for tree in trees]
+    assert len({tree.edges for tree in trees}) == len(trees)
+    entries = {}
+    for tree in trees:
+        assert type(tree) is RelationTree
+        for entry in tree.labels:
+            assert entries.setdefault(entry[0], entry) is entry
+
+
 @st.composite
 def tree_edges(draw, t):
     """The (i, j), i < j, edges of a random spanning tree on [0, t)."""
@@ -1393,6 +1411,40 @@ def test_batch_reconstruction_rejects_mixed_variable_counts(case, m):
     for call in (
         lambda: reconstruct_generators(mixed),
         lambda: reconstructs([tree, mixed], gens),
+    ):
+        with pytest.raises(DomainError, match="mixed variable counts"):
+            call()
+
+
+@given(wide_labelled_trees, wide_labelled_trees, st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_reconstruction_fails_a_tree_of_other_variable_counts(case, other, data):
+    # labels checked once per distinct pair still give one count per tree:
+    # a tree whose labels all have m != n variables fails, and none raises
+    tree, _, n = case
+    odd, _, m = other
+    assume(m != n)
+    gens = _reference_products(tree, n)
+    batch = data.draw(st.permutations([tree, odd, odd]))
+    assert reconstructs(batch, gens) == [b is tree for b in batch]
+    assert reconstructs([odd], gens) == [False]
+
+
+@given(wide_labelled_trees, st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_reconstruction_rejects_labels_of_two_counts_in_one_tree(case, m):
+    # each label pair is consistent, but two pairs of one tree disagree
+    tree, _, n = case
+    assume(m != n and len(tree.labels) >= 2)
+    (e, _), *rest = tree.labels
+    mixed = RelationTree(
+        tree.num_generators, tree.edges, ((e, (Monomial([1] * m), Monomial([0] * m))), *rest)
+    )
+    gens = _reference_products(tree, n)
+    for call in (
+        lambda: reconstruct_generators(mixed),
+        lambda: reconstructs([tree, mixed], gens),
+        lambda: reconstructs([mixed, tree], gens),
     ):
         with pytest.raises(DomainError, match="mixed variable counts"):
             call()

@@ -247,6 +247,18 @@ _LARGE_REPLY = {
 # one dict at three depths, twice at the first
 _SHARED = {"u": [1, 2], "v": ["w", None]}
 _SHARED_AT_THREE_DEPTHS = {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}], "d": _SHARED}
+# one list of plain ints at two depths, twice at the first
+_INTS = [3, -1, 2**70]
+_INTS_AT_TWO_DEPTHS = {"a": [_INTS, _INTS], "b": {"c": [_INTS]}, "d": _INTS}
+# a reply whose trees share their edge lists and label dicts, with some
+# trees again as check witnesses one level deeper
+_SHARED_TREES = relation_trees_to_json(
+    relation_trees(SimplicialComplex(6, [[2, 5], [3, 5], [4, 5], [1, 5, 6]]))
+)
+_TREES_AND_WITNESSES = {
+    "result": {"trees": _SHARED_TREES},
+    "checks": [{"witness": tree} for tree in _SHARED_TREES[::5]],
+}
 
 
 class TestReportEmitter:
@@ -258,6 +270,8 @@ class TestReportEmitter:
     @example({"\u0000\x1f": "\u2028\ud800", 'q"\\': "é"})
     @example(_LARGE_REPLY)
     @example(_SHARED_AT_THREE_DEPTHS)
+    @example(_INTS_AT_TWO_DEPTHS)
+    @example(_TREES_AND_WITNESSES)
     def test_writes_the_bytes_of_json_dumps(self, value):
         assert dumps_report(value) + "\n" == _json_dumps(value)
 
