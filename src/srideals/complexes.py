@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, over_cap
+from .errors import DomainError, not_iterable, over_cap
 
 Face = tuple[int, ...]
 
@@ -52,7 +52,10 @@ def down_closure(masks) -> frozenset:
 
 def canonical_face(face, n: int) -> Face:
     """Sorted duplicate-free tuple with all members in [1, n]."""
-    members = list(face)
+    try:
+        members = list(face)
+    except TypeError:
+        raise not_iterable("vertices", face) from None
     for v in members:  # before the sort, which cannot order mixed types
         if not isinstance(v, int) or isinstance(v, bool):
             raise DomainError(f"vertex {v!r} is not an integer")
@@ -68,6 +71,15 @@ def canonical_face(face, n: int) -> Face:
 
 def _face_sort_key(face: Face):
     return (len(face), face)
+
+
+def _canonical_faces(faces, n: int) -> list[Face]:
+    """The distinct canonical faces, sorted by (cardinality, lexicographic)."""
+    try:
+        faces = iter(faces)
+    except TypeError:
+        raise not_iterable("faces", faces) from None
+    return sorted({canonical_face(f, n) for f in faces}, key=_face_sort_key)
 
 
 def _maximal_faces(faces: list[Face], masks=None) -> list[Face]:
@@ -113,14 +125,13 @@ class SimplicialComplex:
 
     def __init__(self, n: int, facets):
         _check_ambient(n)
-        canon = sorted({canonical_face(f, n) for f in facets}, key=_face_sort_key)
+        canon = _canonical_faces(facets, n)
         self._store(n, canon, list(map(face_mask, canon)))
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build a complex from arbitrary faces, dropping non-maximal ones."""
-        canon = sorted({canonical_face(f, n) for f in faces}, key=_face_sort_key)
-        return cls(n, _maximal_faces(canon))
+        return cls(n, _maximal_faces(_canonical_faces(faces, n)))
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "SimplicialComplex":
@@ -128,8 +139,14 @@ class SimplicialComplex:
         at bit v - 1), with the range and antichain checks of the
         constructor and its error messages; ``facet_masks`` is preset."""
         _check_ambient(n)
+        try:
+            masks = iter(masks)
+        except TypeError:
+            raise not_iterable("facet masks", masks) from None
         unique = set()
         for m in masks:
+            if type(m) is not int:  # bool is rejected too
+                raise DomainError(f"facet mask {m!r} is not an integer")
             high = m >> n
             if high:
                 raise DomainError(
@@ -267,8 +284,12 @@ def minimal_transversals(edge_masks) -> list[int]:
     """
     family = [0]
     for edge in edge_masks:
-        kept = [t for t in family if t & edge]
-        missed = [t for t in family if not t & edge]
+        kept, missed = [], []
+        for t in family:
+            if t & edge:
+                kept.append(t)
+            else:
+                missed.append(t)
         if not missed:
             continue
         family = kept.copy()
@@ -279,7 +300,10 @@ def minimal_transversals(edge_masks) -> list[int]:
             through = [k for k in kept if k & bit]
             for t in missed:
                 ext = t | bit
-                if not any(k & ext == k for k in through):
+                for k in through:
+                    if k & ext == k:
+                        break
+                else:
                     family.append(ext)
             if len(family) > MAX_TRANSVERSALS:
                 raise over_cap(

@@ -13,3 +13,8 @@ def over_cap(what: str, value, name: str, limit: int, hint: str = "") -> Resourc
     """The one builder of cap errors: `what` = `value` is above the constant `name` = `limit`."""
     message = f"{what} = {value} exceeds {name} = {limit:,}"
     return ResourceLimitError(f"{message} ({hint})" if hint else message)
+
+
+def not_iterable(what: str, value) -> DomainError:
+    """The error for a `value` that should be an iterable of `what`."""
+    return DomainError(f"expected an iterable of {what}, got {value!r}")

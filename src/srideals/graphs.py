@@ -1,7 +1,10 @@
 """Finite simple graphs on [n]: chordality with verifiable witnesses,
 complements, edge ideals, clique complexes and the higher-Dirac check.
 
-Graphs are held as neighbor bitmasks.  Maximal cliques come from one
+A :class:`Graph` stores n and one neighbor bitmask per vertex, built by
+the pass that validates the edges; its sorted edge pairs are listed only
+when :attr:`Graph.edges` is first read, which the chordality, clique and
+leaf-order kernels never do.  Maximal cliques come from one
 kernel, :func:`maximal_clique_masks`, an iterative Bron-Kerbosch search
 with the Tomita-Tanaka-Takahashi pivot on an explicit stack, which both
 :func:`maximal_cliques` and the thm-3.3 suite call.
@@ -11,60 +14,94 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import SimplicialComplex, dimension_info, face_mask
-from .errors import DomainError, over_cap
+from .errors import DomainError, not_iterable, over_cap
 from .ideals import MonomialIdeal, _squarefree_ideal
 from .quasitrees import leaf_order
 
 
+def _upper_edges(rows) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j) with i < j and bit j - 1 set in ``rows[i - 1]``, by
+    ascending i, then ascending j."""
+    edges = []
+    for i, row in enumerate(rows, 1):
+        above = row >> i
+        while above:
+            low = above & -above
+            edges.append((i, i + low.bit_length()))
+            above ^= low
+    return tuple(edges)
+
+
+def _reject_edge(i, j, n: int):
+    """Raise the DomainError for an edge that is not a pair of distinct
+    vertices of [1, n]: a non-integer end first, then a loop, then the
+    range."""
+    if type(i) is not int or type(j) is not int:  # bool is rejected too
+        raise DomainError(f"vertex {j if type(i) is int else i!r} is not an integer")
+    if i == j:
+        raise DomainError(f"loop at vertex {i}")
+    raise DomainError(f"edge ({min(i, j)}, {max(i, j)}) out of range [1, {n}]")
+
+
 @dataclass(frozen=True)
 class Graph:
-    """A loop-free multigraph-free graph: sorted pairs {i, j} on [1, n].
+    """A simple graph on [1, n], stored as neighbor bitmasks:
+    ``adjacency[v-1]`` has bit u - 1 set iff {u, v} is an edge.
 
-    ``adjacency[v-1]`` is the neighbor bitmask of vertex v, filled in by
-    the same pass that validates the edges.
+    The masks determine the edge set, so ``==`` and ``hash`` compare
+    ``(n, adjacency)``.  The edge pairs are listed only on demand, by
+    :attr:`edges`.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[int, ...]
 
     def __init__(self, n: int, edges):
         if type(n) is not int or n < 1:  # bool is rejected too
             raise DomainError(f"vertex count must be a positive integer, got {n!r}")
-        canon = set()
+        try:
+            pairs = iter(edges)
+        except TypeError:
+            raise not_iterable("vertex pairs", edges) from None
         adj = [0] * n
-        for e in edges:
+        for e in pairs:
             try:
                 i, j = e
             except (TypeError, ValueError):
                 raise DomainError(f"edge {e!r} is not a pair of vertices") from None
-            if type(i) is not int or type(j) is not int:  # bool is rejected too
-                raise DomainError(f"vertex {j if type(i) is int else i!r} is not an integer")
-            if j < i:
-                i, j = j, i
-            if i == j:
-                raise DomainError(f"loop at vertex {i}")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise DomainError(f"edge ({i}, {j}) out of range [1, {n}]")
-            canon.add((i, j))
-            adj[i - 1] |= 1 << (j - 1)
-            adj[j - 1] |= 1 << (i - 1)
+            if type(i) is int and type(j) is int and i != j and 0 < i <= n and 0 < j <= n:
+                adj[i - 1] |= 1 << (j - 1)
+                adj[j - 1] |= 1 << (i - 1)
+            else:
+                _reject_edge(i, j, n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(self, "adjacency", tuple(adj))
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (i, j) with i < j, in ascending order."""
+        return _upper_edges(self.adjacency)
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={self.edges!r})"
+
     def has_edge(self, i: int, j: int) -> bool:
+        """Whether {i, j} is an edge; i and j must be vertices of [1, n]."""
+        n = self.n
+        for v in (i, j):
+            if type(v) is not int:  # bool is rejected too
+                raise DomainError(f"vertex {v!r} is not an integer")
+            if not 0 < v <= n:
+                raise DomainError(f"vertex {v} out of range [1, {n}]")
         return bool(self.adjacency[i - 1] >> (j - 1) & 1)
 
 
 def complement_graph(g: Graph) -> Graph:
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(1, g.n + 1), 2)
-        if not g.has_edge(i, j)
-    ]
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph(g.n, _upper_edges([full ^ row for row in g.adjacency]))
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:

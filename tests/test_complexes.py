@@ -1,6 +1,7 @@
 """Facet complexes: construction, skeletons, complements, duals, nonfaces."""
 
 import itertools
+import re
 
 import pytest
 
@@ -40,6 +41,26 @@ class TestConstruction:
     )
     def test_bool_ambient_rejected(self, build):
         with pytest.raises(DomainError, match="ambient size must be a positive integer"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SimplicialComplex(3, 5), "expected an iterable of faces, got 5"),
+            (lambda: SimplicialComplex(3, [5]), "expected an iterable of vertices, got 5"),
+            (
+                lambda: SimplicialComplex(3, [[1, 2], None]),
+                "expected an iterable of vertices, got None",
+            ),
+            (lambda: SimplicialComplex.from_faces(3, None), "expected an iterable of faces"),
+            (lambda: SimplicialComplex.from_masks(3, 5), "expected an iterable of facet masks"),
+            (lambda: SimplicialComplex.from_masks(3, [True]), "facet mask True is not an integer"),
+            (lambda: SimplicialComplex.from_masks(3, [1.0]), "facet mask 1.0 is not an integer"),
+            (lambda: SimplicialComplex.from_masks(3, [1, True]), "facet mask True is not"),
+        ],
+    )
+    def test_malformed_inputs_are_domain_errors(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
             build()
 
     def test_duplicate_vertex_rejected(self):

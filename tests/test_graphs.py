@@ -1,5 +1,6 @@
 """Graphs: chordality witnesses, cliques, clique complexes, Dirac checks."""
 
+import itertools
 import re
 
 import pytest
@@ -21,6 +22,8 @@ from srideals import (
     verify_cycle_witness,
     verify_elimination_witness,
 )
+from srideals.quasitrees import leaf_order_masks
+from srideals.verification import check_chordal_quasi_tree
 
 
 def cycle_graph(n):
@@ -58,13 +61,75 @@ class TestGraphValue:
 
     def test_adjacency_and_has_edge(self):
         g = Graph(3, [(1, 2)])
+        assert g.adjacency == (0b010, 0b001, 0b000)
         assert g.has_edge(2, 1)
         assert not g.has_edge(1, 3)
+        assert not g.has_edge(2, 2)
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [
+            (0, 2, "vertex 0 out of range [1, 3]"),  # not the last row
+            (1, 0, "vertex 0 out of range [1, 3]"),
+            (4, 1, "vertex 4 out of range [1, 3]"),
+            (True, 2, "vertex True is not an integer"),
+            (2, 1.0, "vertex 1.0 is not an integer"),
+        ],
+    )
+    def test_has_edge_rejects_non_vertices(self, i, j, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Graph(3, [(1, 2)]).has_edge(i, j)
+
+    @pytest.mark.parametrize("edges", [5, None, 1.5])
+    def test_non_iterable_edges_rejected(self, edges):
+        with pytest.raises(DomainError, match="expected an iterable of vertex pairs"):
+            Graph(3, edges)
 
     def test_complement(self):
         g = Graph(4, [(1, 2), (3, 4)])
         assert complement_graph(g).edges == ((1, 3), (1, 4), (2, 3), (2, 4))
         assert complement_graph(complement_graph(g)) == g
+        assert complement_graph(Graph(1, [])) == Graph(1, [])
+        full = Graph(5, list(itertools.combinations(range(1, 6), 2)))
+        assert complement_graph(Graph(5, [])) == full
+        assert complement_graph(full).edges == ()
+
+
+class TestLazyEdges:
+    """The thm-3.3 path reads only the adjacency masks: Graph.edges, listed
+    on first read, is never computed there."""
+
+    @pytest.fixture
+    def edge_reads(self, monkeypatch):
+        reads = []
+        listed = Graph.__dict__["edges"].func
+
+        def spy(g):
+            reads.append(g.n)
+            return listed(g)
+
+        monkeypatch.setattr(Graph, "edges", property(spy))
+        return reads
+
+    def test_cliques_chordality_and_leaf_orders_never_list_edges(self, edge_reads):
+        graphs = []
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for code in range(1 << len(pairs)):
+                graphs.append(Graph(n, [e for k, e in enumerate(pairs) if code >> k & 1]))
+        graphs.append(cycle_graph(7))
+        for g in graphs:
+            cliques = maximal_cliques(g)
+            assert is_chordal(g)[0] == (leaf_order_masks(cliques) is not None)
+            leaf_order(clique_complex(g))
+        assert edge_reads == []
+        assert cycle_graph(4).edges  # the spy does see a read
+        assert edge_reads == [4]
+
+    def test_the_thm_33_suite_never_lists_edges(self, edge_reads):
+        report = check_chordal_quasi_tree(seed=0, max_n=4, samples=200, chordal_samples=200)
+        assert report["passed"] and report["instances"] == 1 + 2 + 8 + 64 + 400
+        assert edge_reads == []
 
 
 class TestChordality:
@@ -80,8 +145,6 @@ class TestChordality:
         assert verify_elimination_witness(g, witness)
 
     def test_complete_graph_is_chordal(self):
-        import itertools
-
         g = Graph(5, list(itertools.combinations(range(1, 6), 2)))
         chordal, witness = is_chordal(g)
         assert chordal

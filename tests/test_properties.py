@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from srideals.complexes import (
     face_mask,
     mask_face,
     minimal_nonfaces_masks,
+    minimal_transversals,
     skeleton_complement,
 )
 from srideals.graphs import (
@@ -739,6 +741,44 @@ def test_minimal_nonfaces_match_the_subset_scan(case):
     assert minimal_nonfaces_masks(facet_masks, n) == _naive_minimal_nonfaces(facet_masks, n)
 
 
+def _naive_minimal_transversals(edge_masks, n):
+    """The 2^n scan: the masks meeting every edge, none of whose one-smaller
+    submasks does, ordered by (size, mask)."""
+
+    def meets_all(mask):
+        return all(mask & e for e in edge_masks)
+
+    found = [
+        mask
+        for mask in range(1 << n)
+        if meets_all(mask)
+        and not any(meets_all(mask & ~(1 << v)) for v in range(n) if mask >> v & 1)
+    ]
+    return sorted(found, key=lambda m: (_popcount(m), m))
+
+
+@st.composite
+def edge_lists(draw, max_n=7, max_edges=8):
+    """(edge masks, n): edges on [n] drawn with repeats and maybe empty."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_edges))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    order = draw(st.permutations(edges + repeats))
+    return order, n
+
+
+@given(edge_lists())
+@example(([], 3))  # no edges: the empty set is the one transversal
+@example(([0b011, 0], 2))  # an empty edge: no transversal at all
+@example(([0b011, 0b011, 0b110], 3))  # a repeated edge
+@example(([0b0011, 0b1100, 0b0101, 0b1010], 4))  # ties broken by mask
+@example(([0b111, 0b001], 3))  # a later edge inside an earlier one
+@settings(max_examples=400, deadline=None)
+def test_minimal_transversals_match_the_subset_scan(case):
+    edge_masks, n = case
+    assert minimal_transversals(iter(edge_masks)) == _naive_minimal_transversals(edge_masks, n)
+
+
 def _naive_stanley_reisner_complex(gen_masks, n):
     """The 2^n scan: the faces are the subsets that contain no generator."""
     faces = [
@@ -828,6 +868,92 @@ def test_maximal_cliques_match_brute_force(g):
     brute = [m for m in range(1, 1 << g.n) if is_clique(m) and is_maximal(m)]
     assert maximal_cliques(g) == brute
     assert maximal_clique_masks(adj) == _naive_cliques_in_order(adj)
+
+
+@dataclass(frozen=True)
+class _EdgeListGraph:
+    """The Graph constructor as it stood when a graph stored its sorted edge
+    tuple: the reference for ``edges``, ``==``, ``hash``, ``repr`` and the
+    error messages of the adjacency-first Graph."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, edges):
+        if type(n) is not int or n < 1:  # bool is rejected too
+            raise DomainError(f"vertex count must be a positive integer, got {n!r}")
+        canon = set()
+        adj = [0] * n
+        for e in edges:
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise DomainError(f"edge {e!r} is not a pair of vertices") from None
+            if type(i) is not int or type(j) is not int:  # bool is rejected too
+                raise DomainError(f"vertex {j if type(i) is int else i!r} is not an integer")
+            if j < i:
+                i, j = j, i
+            if i == j:
+                raise DomainError(f"loop at vertex {i}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DomainError(f"edge ({i}, {j}) out of range [1, {n}]")
+            canon.add((i, j))
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "adjacency", tuple(adj))
+
+
+@st.composite
+def edge_sequences(draw, max_n=8):
+    """(n, edges): pairs on [n] in any order, either way round, repeated."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return n, [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+
+
+@given(edge_sequences(), edge_sequences(), st.randoms(use_true_random=False))
+@example((3, []), (3, []), random.Random(0))
+@example((3, [(2, 1)]), (3, [(1, 2), (1, 2)]), random.Random(0))
+@example((3, [(1, 2)]), (4, [(1, 2)]), random.Random(0))  # same edges, other n
+@settings(max_examples=200, deadline=None)
+def test_graph_matches_the_edge_list_constructor(case, other, rnd):
+    n, edges = case
+    g, ref = Graph(n, edges), _EdgeListGraph(n, edges)
+    assert g.edges == ref.edges
+    assert g.adjacency == ref.adjacency
+    assert repr(g) == repr(ref).replace("_EdgeListGraph", "Graph", 1)
+    # reordered, reversed and repeated edges give an equal graph with an equal hash
+    again = [(j, i) for i, j in edges] + rnd.sample(edges, len(edges) // 2)
+    rnd.shuffle(again)
+    assert Graph(n, again) == g and hash(Graph(n, again)) == hash(g)
+    # and two graphs are equal exactly when their edge lists were
+    assert (Graph(*other) == g) == (_EdgeListGraph(*other) == ref)
+
+
+_EDGE_ENDS = st.integers(-1, 6) | st.sampled_from([True, False, 1.0, 2.5, "1", None])
+_EDGES = (
+    st.tuples(_EDGE_ENDS, _EDGE_ENDS)
+    | st.tuples(st.integers(1, 4), st.integers(1, 4))
+    | st.lists(st.integers(1, 4), max_size=3)
+    | st.integers()
+    | st.none()
+)
+
+
+@given(st.integers(1, 5), st.lists(_EDGES, max_size=6))
+@example(4, [(1, 2), (5, 5), (1.5, 2)])  # a loop out of range: the loop is named
+@example(4, [(6, 2), (1, 1)])  # the range message lists the smaller end first
+@example(4, [(2, True), (3, 3)])  # the non-integer end is named
+@settings(max_examples=400, deadline=None)
+def test_graph_errors_match_the_edge_list_constructor(n, edges):
+    def built(cls):
+        g = _outcome(cls, n, edges)
+        return g if isinstance(g, str) else g.edges
+
+    assert built(Graph) == built(_EdgeListGraph)
 
 
 # Ideals on 7 to 10 variables, whose wide lcm-lattice elements often have
