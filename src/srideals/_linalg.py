@@ -17,7 +17,7 @@ homology engine.
 The rows where the pivot columns end are the pivot rows.  A caller that
 passes a set as ``pivots`` receives them: each is the last row of a
 combination of the columns, which is what the homology engine's clearing
-needs (``homological._profile_from_masks``).
+needs (``homological._reduced_ranks``).
 """
 
 from __future__ import annotations

@@ -131,6 +131,7 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build a complex from arbitrary faces, dropping non-maximal ones."""
+        _check_ambient(n)
         return cls(n, _maximal_faces(_canonical_faces(faces, n)))
 
     @classmethod

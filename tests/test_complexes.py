@@ -36,6 +36,18 @@ class TestConstruction:
         with pytest.raises(DomainError, match="out of range"):
             SimplicialComplex(3, [(1, 4)])
 
+    def test_from_faces_checks_the_ambient_size_first(self):
+        messages = []
+        for build in (
+            lambda: SimplicialComplex.from_faces(0, [[1]]),
+            lambda: SimplicialComplex(0, [[1]]),
+            lambda: SimplicialComplex.from_faces(0, []),
+        ):
+            with pytest.raises(DomainError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages == ["ambient size must be a positive integer, got 0"] * 3
+
     @pytest.mark.parametrize(
         "build", [lambda: SimplicialComplex(True, [[1]]), lambda: SimplicialComplex.from_masks(True, [1])]
     )

@@ -1,6 +1,7 @@
 """Homology, Betti tables, projective dimension, regularity, shellings."""
 
 import itertools
+import re
 
 import pytest
 
@@ -110,10 +111,26 @@ class TestReducedHomology:
     def test_explicit_face_list_input(self):
         profile = reduced_homology([(), (1,), (2,)])
         assert profile.rank(0) == 1
+        assert profile.ranks == (0, 1)
 
     def test_empty_complex_has_degree_minus_one_homology(self):
         profile = reduced_homology([()])
         assert profile.rank(-1) == 1
+
+    def test_void_complex_has_no_homology(self):
+        assert reduced_homology([]).ranks == ()
+
+    @pytest.mark.parametrize(
+        "faces, missing",
+        [
+            ([(1, 2)], "(2,) is missing, a subface of (1, 2)"),
+            ([(1,), (2,)], "() is missing, a subface of (1,)"),
+            ([(2,)], "() is missing, a subface of (2,)"),  # a point, but no empty face
+        ],
+    )
+    def test_face_list_must_be_downward_closed(self, faces, missing):
+        with pytest.raises(DomainError, match=re.escape(f"not downward closed: {missing}")):
+            reduced_homology(faces)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -232,19 +249,83 @@ class TestBettiTables:
             sum(1 << j for j, f in enumerate(PROJECTIVE_PLANE.facet_masks) if not f >> v & 1)
             for v in range(6)
         ]
+        # RP^2's nerve holds 32 of the 64 index sets, so the kernel
+        # reduces its Alexander dual, on which the fields differ too.
+        # This RP^2 is self-dual, N^v = N as sets, so the dual branch shows
+        # in what reaches the rank kernel: a new collection, never N itself.
         top = (1 << 10) - 1
         nerve_tops = []
-        real = homological._nerve_faces
+        reduced = []
+        real_nerve = homological._nerve_faces
+        real_reduce = homological._reduced_ranks
 
-        def spy(minimal, full):
+        def nerve_spy(minimal, full):
+            faces = real_nerve(minimal, full)
             if full == top:
-                nerve_tops.append(len(minimal))
-            return real(minimal, full)
+                nerve_tops.append((len(minimal), faces))
+            return faces
 
-        monkeypatch.setattr(homological, "_nerve_faces", spy)
+        def reduce_spy(faces, p):
+            ranks = real_reduce(faces, p)
+            reduced.append((faces, p, ranks))
+            return ranks
+
+        monkeypatch.setattr(homological, "_nerve_faces", nerve_spy)
+        monkeypatch.setattr(homological, "_reduced_ranks", reduce_spy)
+        homological._profile_from_masks.cache_clear()
         over_q = squarefree_betti_masks(gens, 0)
-        assert nerve_tops == [6]
+        assert [m for m, _ in nerve_tops] == [6]
         assert squarefree_betti_masks(gens, 2) == {**over_q, (2, top): 1, (3, top): 1}
+        nerves = [nerve for _, nerve in nerve_tops]
+        assert list(map(len, nerves)) == [32, 32]
+        assert not any(faces is nerve for faces, _, _ in reduced for nerve in nerves)
+        dual = frozenset(63 ^ s for s in range(64) if s not in nerves[0])
+        assert {p: ranks for faces, p, ranks in reduced if set(faces) == dual} == {
+            0: (0, 0, 0, 0),
+            2: (0, 0, 1, 1),
+        }
+
+    def test_nerve_duals_cut_the_faces_reduced(self, monkeypatch):
+        # Eight squarefree cubics in ten variables, like the corpus's
+        # `betti --field gf2` requests: most lattice elements take the
+        # nerve path with nerves at least half full, so reducing their
+        # Alexander duals hands the rank kernel far fewer faces.
+        gens = [
+            (0, 0, 0, 1, 0, 0, 1, 0, 1, 0),
+            (0, 0, 1, 0, 0, 1, 0, 0, 0, 1),
+            (0, 0, 1, 1, 0, 0, 0, 0, 1, 0),
+            (0, 0, 1, 1, 0, 0, 0, 1, 0, 0),
+            (0, 1, 0, 0, 0, 1, 0, 0, 0, 1),
+            (0, 1, 1, 0, 1, 0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+            (1, 0, 0, 0, 1, 0, 1, 0, 0, 0),
+        ]
+        ideal = MonomialIdeal(10, [Monomial(g) for g in gens])
+        counted = []
+        real_reduce = homological._reduced_ranks
+        cached = homological._profile_from_masks
+
+        def reduce_spy(faces, p):
+            counted.append(len(faces))
+            return real_reduce(faces, p)
+
+        def table_and_faces(field):
+            counted.clear()
+            cached.cache_clear()
+            table = betti_table(ideal, field)
+            return table, sum(counted)
+
+        monkeypatch.setattr(homological, "_reduced_ranks", reduce_spy)
+        for field in (RATIONALS, GF2, FieldChoice(3)):
+            table, faces = table_and_faces(field)
+            assert table == taylor_betti_table(ideal, field)
+            with monkeypatch.context() as direct:
+                direct.setattr(
+                    homological, "_profile_from_masks", lambda f, p, nerve=False: cached(f, p)
+                )
+                direct_table, direct_faces = table_and_faces(field)
+            assert direct_table == table
+            assert faces * 5 < direct_faces
 
     def test_generators_need_no_homology(self, monkeypatch):
         calls = []

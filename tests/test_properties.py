@@ -1109,6 +1109,27 @@ def test_nerve_profile_matches_the_down_closure(p, case):
     assert _nonzero_prefix(nerve) == _nonzero_prefix(closure)
 
 
+_RP2_TRIANGLES = sorted(m for m in _RP2_FACES if m.bit_count() == 3)
+_RP2_TIGHTS = [  # one mask per vertex v of RP^2: the triangles that miss v
+    sum(1 << j for j, f in enumerate(_RP2_TRIANGLES) if not f >> v & 1) for v in range(6)
+]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@given(case=tight_mask_families())
+@example(case=(5, [0b11110, 0b11101, 0b11011, 0b10111]))  # N = {empty, singletons}: N reduced
+@example(case=(6, [0b11, 0b1100, 0b110000]))  # N = boundary of the simplex, N^v = {empty}
+@example(case=(6, [0b11, 0b1100, 0b10000]))  # masks miss supp b: a cone on both sides
+@example(case=(10, _RP2_TIGHTS))  # N = RP^2, 32 of 64 index sets: N^v reduced
+@settings(max_examples=200, deadline=None)
+def test_nerve_path_profile_matches_the_direct_reduction(p, case):
+    width, tights = case
+    full = (1 << width) - 1
+    assume(full not in tights)  # b is no generator, so every singleton is in N
+    nerve = _nerve_faces(_minimal_masks(tights), full)
+    assert _profile_from_masks(nerve, p, True) == _profile_from_masks.__wrapped__(nerve, p)
+
+
 @st.composite
 def quasi_trees(draw, max_facets=6):
     """Quasi-trees grown by leaf attachment: each new facet meets the
