@@ -56,12 +56,14 @@ reduces every column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask, mask_face
+from .complexes import _canonical_faces
 from .errors import DomainError, over_cap
 from .ideals import MonomialIdeal, _packing, _unpacked
 
@@ -227,14 +229,17 @@ def reduced_homology(cx, field: FieldChoice = RATIONALS) -> HomologyProfile:
     Accepts a SimplicialComplex or an explicit downward-closed iterable
     of faces (vertex tuples), whose largest vertex stands for n.  A list
     that is not downward closed is a DomainError naming a missing subface.
+    The vertices of a list are checked as faces are (types and signs)
+    before n is held to the cap.
     """
-    faces = None if isinstance(cx, SimplicialComplex) else frozenset(map(face_mask, cx))
-    n = cx.n if faces is None else max(faces, default=0).bit_length()
+    faces = None if isinstance(cx, SimplicialComplex) else _canonical_faces(cx, math.inf)
+    n = cx.n if faces is None else max((f[-1] for f in faces if f), default=0)
     if n > MAX_HOMOLOGY_VARS:
         raise over_cap("n", n, "homological.MAX_HOMOLOGY_VARS", MAX_HOMOLOGY_VARS)
     if faces is None:
         faces = cx.face_mask_set
     else:
+        faces = frozenset(map(face_mask, faces))
         _check_downward_closed(faces)
     return HomologyProfile(_profile_from_masks(faces, field.p))
 

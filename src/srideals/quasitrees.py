@@ -18,22 +18,18 @@ aligned on the same index set.  They, the matrix entries and the
 certificate's supports are built from facet bitmasks by :func:`ideals._mask_vectors`.
 
 Lemma 2.1 pairs the relation matrix M_Delta with the Taylor labels of
-these generators, and each has one builder: :func:`build_m_delta` gives
-M_Delta's rows (i, j, x_{F_i\\F_j}, x_{F_j\\F_i}), the form that
-:func:`tree_minor_det` takes, and :func:`_taylor_label` the label
-(u_ij, u_ji) of a tree edge.
-
-Lemma 2.1's two checks of a relation tree each have one kernel on packed
-exponent ints (:func:`ideals._packing`), with a batch entry that packs
-per call what all trees share and returns one verdict per tree:
-:func:`minor_certificates` (the maximal minors of the tree's relation
-rows, by column elimination in :func:`_minor`) and :func:`reconstructs`
-(the generators as products of the tree's labels, by rerooting in
-:func:`_products`).  The certificate reads only the complex's rows and
-the reconstruction only each tree's edges and labels; neither reads the
-enumerator's memo.  :func:`verify_minor_certificate`,
-:func:`tree_minor_det` and :func:`reconstruct_generators` are
-single-tree wrappers over the same kernels.
+these generators.  :func:`build_m_delta` gives M_Delta's rows
+(i, j, x_{F_i\\F_j}, x_{F_j\\F_i}), the form that :func:`tree_minor_det`
+takes, and :func:`_taylor_label` the label (u_ij, u_ji) of a tree edge.
+Both checks of a relation tree run one rerooting walk per tree on packed
+exponent ints (:func:`_products`): :func:`minor_certificates` on the
+tree's relation rows, which gives its t maximal minors up to sign, and
+:func:`reconstructs` on its labels, which gives the generators.  Each
+batch entry packs once per call what its trees share.  The certificate
+reads only the complex's rows and the reconstruction only each tree's
+edges and labels; neither reads the enumerator's memo.
+:func:`verify_minor_certificate` and :func:`reconstruct_generators` wrap
+them for one tree.
 
 :func:`relation_trees` builds each tree once, without the checks of
 ``RelationTree.__post_init__``: its edge sets are sorted spanning trees
@@ -51,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, over_cap
+from .errors import DomainError, not_iterable, over_cap
 from .ideals import Monomial, _mask_vectors, _packing, _unpacked
 
 
@@ -143,6 +139,7 @@ def leaf_order(cx: SimplicialComplex) -> list[int] | None:
 
 def verify_leaf_order(cx: SimplicialComplex, order: list[int]) -> bool:
     """Independent prefix check: order[i] must be a leaf of the prefix."""
+    order = _listed("facet indices", order)
     if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facets))):
         return False
     masks = list(cx.facet_masks)
@@ -193,13 +190,10 @@ class RelationTree:
 
     def __post_init__(self):
         t = self.num_generators
-        if len(self.edges) != t - 1:
-            raise DomainError(f"a relation tree on {t} generators needs {t - 1} edges")
-        for i, j in self.edges:
-            if not 0 <= i < j < t:
-                raise DomainError(f"bad edge ({i}, {j}) for {t} generators")
-        if not _is_tree(t, self.edges):
-            raise DomainError("edge set is not a spanning tree")
+        if type(t) is not int:  # bool is rejected too
+            raise DomainError(f"the generator count must be an integer, got {t!r}")
+        if any(i > j for i, j in _spanning_edges(t, self.edges)):
+            raise DomainError("a relation tree's edges (i, j) need i < j")
         if {e for e, _ in self.labels} != set(self.edges):
             raise DomainError("labels do not match the edge set")
 
@@ -225,6 +219,14 @@ def _is_tree(t: int, edges) -> bool:
     return True
 
 
+def _listed(what: str, value) -> list:
+    """The items of an iterable argument; a non-iterable is a DomainError."""
+    try:
+        return list(value)
+    except TypeError:
+        raise not_iterable(what, value) from None
+
+
 def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monomial]:
     """(u_ij, u_ji): gens[i] and gens[j] divided by their gcd."""
     g = gens[i].gcd(gens[j])
@@ -232,86 +234,61 @@ def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monom
 
 
 def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
-    """Attach Taylor labels from an explicit generator sequence."""
+    """Attach Taylor labels from an explicit generator sequence; the edges
+    must span its indices."""
+    edges = _spanning_edges(len(gens), edges)
     labels = [((i, j), _taylor_label(gens, i, j)) for i, j in edges]
-    return RelationTree(len(gens), tuple(sorted(edges)), tuple(sorted(labels)))
-
-
-def _incidence(rows, width: int) -> list[int]:
-    """Per column c < width, the rows (as bits) with an entry in column c."""
-    inc = [0] * width
-    for r, (i, j, _, _) in enumerate(rows):
-        inc[i] |= 1 << r
-        inc[j] |= 1 << r
-    return inc
-
-
-def _minor(rows, inc: list[int], cols: int) -> tuple[int, int] | None:
-    """(sign, packed product) of the minor of packed rows on the columns
-    in the bitmask `cols`, or None, by repeatedly eliminating the lowest
-    column with a single nonzero entry.
-
-    rows[r] = (i, j, p_i, p_j) has +p_i in column i and -p_j in column j,
-    exponent vectors packed by :func:`ideals._packing` in fields wide
-    enough for the product; inc is :func:`_incidence`.  A column is
-    eliminable when ``inc[c] & alive`` has one bit.  Cofactor expansion
-    along it contributes the entry's sign times (-1)^(row+col), with row
-    and col counted among the alive rows and columns.  For a spanning tree
-    the elimination always completes and the determinant is one signed
-    monomial (no cancellation can occur); a stall means it vanishes (the
-    rows share a cycle).
-    """
-    if not rows:
-        return None
-    alive = (1 << len(rows)) - 1
-    sign, product = 1, 0
-    while alive:
-        rest = cols
-        while rest:
-            bit = rest & -rest
-            hit = inc[bit.bit_length() - 1] & alive
-            if hit and not hit & (hit - 1):
-                break
-            rest ^= bit
-        else:
-            return None
-        i, j, p_i, p_j = rows[hit.bit_length() - 1]
-        if bit >> j & 1:
-            sign = -sign
-            product += p_j
-        else:
-            product += p_i
-        if ((alive & (hit - 1)).bit_count() + (cols & (bit - 1)).bit_count()) & 1:
-            sign = -sign
-        alive ^= hit
-        cols ^= bit
-    return sign, product
+    return RelationTree(len(gens), tuple(edges), tuple(labels))
 
 
 def tree_minor_det(
     rows: list[tuple[int, int, Monomial, Monomial]], drop_col: int
 ) -> SignedMonomial | None:
-    """Signed det of the minor obtained by dropping one column, or None
-    when it vanishes.
+    """Signed det of the minor of `rows` on the columns they use, without
+    column `drop_col`, when the rows form a spanning tree on those columns
+    and drop_col is one of them; None for every other row set.
 
-    Each row (i, j, m_i, m_j) has entry +m_i in column i and -m_j in
-    column j; the elimination is :func:`_minor`'s.
+    Row (i, j, m_i, m_j) holds +m_i in column i and -m_j in column j.  A
+    leaf column c != drop_col of the tree meets one row, so expanding the
+    minor along c leaves the minor of a smaller tree; expanding leaf by
+    leaf shows that the Leibniz expansion has one nonzero term, which takes
+    each row's entry in its column farther from drop_col.  Its sign is
+    (-1)^(rows that take their second entry + inversions of the map from
+    the rows, in order, to their farther columns).  On t - 1 rows of
+    :func:`build_m_delta`, None means that the minor vanishes: rows that
+    are no spanning tree of [0, t) close a cycle, and a block on a cycle
+    is singular, as (x_{F_0^c}, ..., x_{F_{t-1}^c}) lies in the kernel of
+    M_Delta.
     """
-    if not rows:
-        return None
-    n = rows[0][2].num_vars
-    monomials = [m for _, _, m_i, m_j in rows for m in (m_i, m_j)]
-    if any(m.num_vars != n for m in monomials):
+    rows = _listed("relation rows", rows)
+    for row in rows:
+        if not (
+            isinstance(row, (tuple, list))
+            and len(row) == 4
+            and all(type(c) is int and c >= 0 for c in row[:2])  # bool is rejected too
+            and all(isinstance(m, Monomial) for m in row[2:])
+        ):
+            raise DomainError(f"a relation row is (i, j, m_i, m_j), i, j >= 0; got {row!r}")
+    if type(drop_col) is not int:
+        raise DomainError(f"drop_col must be an integer, got {drop_col!r}")
+    if len({m.num_vars for row in rows for m in row[2:]}) > 1:
         raise DomainError("relation rows have mixed variable counts")
-    exps = [m.exponents for m in monomials]
-    packed, stride, _, _ = _packing(exps, len(rows) * max(map(max, exps)))
-    packed_rows = [(i, j, *packed[2 * r : 2 * r + 2]) for r, (i, j, _, _) in enumerate(rows)]
-    inc = _incidence(packed_rows, 1 + max(max(i, j) for i, j, _, _ in rows))
-    cols = sum(1 << c for c, bits in enumerate(inc) if bits and c != drop_col)
-    det = _minor(packed_rows, inc, cols)
-    if det is None:
+    farther: list = [None] * len(rows)  # each row's column farther from drop_col
+    reached = [drop_col]
+    for a in reached:
+        for r, (i, j, _, _) in enumerate(rows):
+            if farther[r] is None and a in (i, j):
+                if i + j - a in reached:
+                    return None  # the rows close a cycle
+                farther[r] = i + j - a
+                reached.append(i + j - a)
+    if not rows or None in farther:
         return None
-    return det[0], Monomial(_unpacked([det[1]], stride, n)[0])
+    seconds = [c != row[0] for c, row in zip(farther, rows)]
+    # dropping drop_col, which no row takes, keeps the order of the others
+    inversions = sum(p > q for p, q in itertools.combinations(farther, 2))
+    exponents = map(sum, zip(*(row[2 + k].exponents for k, row in zip(seconds, rows))))
+    return (-1) ** (sum(seconds) + inversions), Monomial(tuple(exponents))
 
 
 def _spanning_edges(t: int, tree):
@@ -323,10 +300,16 @@ def _spanning_edges(t: int, tree):
     if isinstance(tree, RelationTree):
         edges, spans = tree.edges, tree.num_generators == t
     else:
-        edges = sorted((i, j) for i, j in tree)
-        spans = all(0 <= i < t and 0 <= j < t for i, j in edges) and _is_tree(t, edges)
+        edges = _listed("index pairs", tree)
+        spans = all(
+            isinstance(e, (tuple, list))
+            and len(e) == 2
+            and all(type(v) is int and 0 <= v < t for v in e)  # bool is rejected too
+            for e in edges
+        ) and _is_tree(t, edges)
+        edges = sorted(map(tuple, edges)) if spans else edges
     if not spans:
-        raise DomainError("certificate edges must form a spanning tree on the facets")
+        raise DomainError(f"edges must form a spanning tree on the indices [0, {t})")
     return edges
 
 
@@ -335,18 +318,17 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
     |det(M#(j))| = x_[n] / x_{F_j} for every column j, where M# consists
     of the relation-matrix rows selected by the tree's edges.
 
-    Each facet pair's row and each x_{F_j^c} is packed once per call, in
-    fields of (t-1).bit_length() value bits: a minor multiplies t - 1
-    squarefree entries.  A RelationTree's edges span by construction, or
-    were checked by the public constructor, and are used in their own
-    order, since only the product of a minor is compared and it does not
-    depend on the order of the rows; an edge list is sorted and checked to
-    be a spanning tree first.
+    |det(M#(j))| multiplies each row's entry in its column farther from j
+    (:func:`tree_minor_det`), so one :func:`_products` walk, which adds
+    x_{F_j\\F_i} on crossing the edge (i, j) from i and x_{F_i\\F_j} from
+    j, gives all t of them.  Each facet pair's row and each x_{F_j^c} is
+    packed once per call, in fields of (t-1).bit_length() value bits: a
+    minor multiplies t - 1 squarefree entries.
     """
     t = len(cx.facets)
     if t < 2:
         raise DomainError("the minor certificate needs at least two facets")
-    edge_lists = [_spanning_edges(t, tree) for tree in trees]
+    edge_lists = [_spanning_edges(t, tree) for tree in _listed("trees", trees)]
     masks = cx.facet_masks
     full = (1 << cx.n) - 1
     pairs = sorted({e for edges in edge_lists for e in edges})
@@ -355,20 +337,9 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
         supports += (masks[i] & ~masks[j], masks[j] & ~masks[i])
     packed = _packing(_mask_vectors(cx.n, supports), t - 1)[0]
     expected = packed[:t]
-    rows = {e: (*e, *packed[t + 2 * k : t + 2 * k + 2]) for k, e in enumerate(pairs)}
-    every = (1 << t) - 1
-    verdicts = []
-    for edges in edge_lists:
-        tree_rows = [rows[e] for e in edges]
-        inc = _incidence(tree_rows, t)
-        for j in range(t):
-            det = _minor(tree_rows, inc, every ^ 1 << j)
-            if det is None or det[1] != expected[j]:
-                verdicts.append(False)
-                break
-        else:
-            verdicts.append(True)
-    return verdicts
+    rows = zip(pairs, packed[t::2], packed[t + 1 :: 2])
+    items = {e: _edge_item(*e, p_j, p_i) for e, p_i, p_j in rows}
+    return [_products(t, map(items.__getitem__, edges)) == expected for edges in edge_lists]
 
 
 def verify_minor_certificate(cx: SimplicialComplex, tree) -> bool:
@@ -495,54 +466,49 @@ def _label_entries(trees) -> tuple[dict, list[int]]:
 def _pack_labels(entries, extra, longest: int):
     """Pack the labels of `entries` (from :func:`_label_entries`) together
     with the exponent vectors in `extra`, in fields wide enough for a
-    product of `longest` labels.  Returns ``(adjacent, packed extra,
-    stride)``, where ``adjacent[id(entry)]`` holds, for the entry's edge
-    (i, j), ``i``, ``j`` and the two ends' adjacency items ``(j, u_ij,
-    u_ji - u_ij)`` and ``(i, u_ji, u_ij - u_ji)`` on packed ints."""
+    product of `longest` labels.  Returns ``(items, packed extra,
+    stride)``, where ``items[id(entry)]`` is the :func:`_edge_item` of the
+    entry's edge (i, j): crossing it from i adds u_ij, and from j u_ji."""
     vectors = [m.exponents for _, pair in entries.values() for m in pair] + list(extra)
     top = max([longest * max(map(max, vectors)), *map(max, extra)])
     packed, stride, _, _ = _packing(vectors, top)
-    adjacent = {}
-    for k, (key, ((i, j), _)) in enumerate(entries.items()):
-        u_ij, u_ji = packed[2 * k], packed[2 * k + 1]
-        adjacent[key] = (i, j, (j, u_ij, u_ji - u_ij), (i, u_ji, u_ij - u_ji))
-    return adjacent, packed[2 * len(entries) :], stride
+    labels = zip(entries.items(), packed[::2], packed[1::2])
+    items = {key: _edge_item(*edge, u_ij, u_ji) for (key, (edge, _)), u_ij, u_ji in labels}
+    return items, packed[2 * len(entries) :], stride
 
 
-def _products(tree: RelationTree, adjacent) -> list[int]:
-    """The packed u_0, ..., u_{t-1} of one tree.
+def _edge_item(i: int, j: int, ahead: int, back: int) -> tuple:
+    """The :func:`_products` item of the edge (i, j), whose crossing from i
+    adds the packed `ahead` and whose crossing from j adds `back`."""
+    return i, j, (j, ahead, back - ahead), (i, back, ahead - back)
 
-    For each index i the tree is oriented away from i and the directed
-    edge k -> j contributes the quotient u_kj; the product over all edges
-    is u_i.  One walk from index 0 gives u_0; moving the root across an
-    edge a -> b turns only that edge around, so u_b = u_a + (u_ba - u_ab):
-    an exact sum of ints whose fields hold u_b's exponents, since u_a holds
-    u_ab.  Each index's adjacency list takes its items from
-    :func:`_pack_labels` in label order, so the walk reaches a new index
-    through its edge's first label.
+
+def _products(t: int, items) -> list[int]:
+    """The packed sums P_0, ..., P_{t-1} over the spanning tree on [0, t)
+    with the :func:`_edge_item` `items`: P_r adds what crossing each edge
+    away from r adds.
+
+    One walk from index 0 gives P_0.  Moving the root across an edge
+    a -> b turns only that edge around, so P_b = P_a + (back - ahead): an
+    exact sum of ints whose fields hold P_b's exponents, since P_a holds
+    what crossing a -> b adds.  The walk reaches a new index through the
+    first item of its edge.
     """
-    t = tree.num_generators
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(t)]
-    for entry in tree.labels:
-        i, j, ahead, back = adjacent[id(entry)]
+    for i, j, ahead, back in items:
         adj[i].append(ahead)
         adj[j].append(back)
-    walk = []  # (a, b, u_ba - u_ab) for each edge, a nearer to index 0, in walk order
-    seen = [True] + [False] * (t - 1)
+    offsets: list = [0] + [None] * (t - 1)  # P_r - P_0, once r is reached
     stack = [0]
     root = 0
     while stack:
         a = stack.pop()
-        for b, u_ab, turn in adj[a]:
-            if not seen[b]:
-                seen[b] = True
+        for b, ahead, turn in adj[a]:
+            if offsets[b] is None:
+                offsets[b] = offsets[a] + turn
                 stack.append(b)
-                walk.append((a, b, turn))
-                root += u_ab
-    products = [root] * t
-    for a, b, turn in walk:
-        products[b] = products[a] + turn
-    return products
+                root += ahead
+    return [root + offset for offset in offsets]
 
 
 def reconstructs(trees, generators) -> list[bool]:
@@ -561,9 +527,9 @@ def reconstructs(trees, generators) -> list[bool]:
         return [False] * len(trees)
     # every entry's two labels have one count, and those of a matching tree n
     entries = {key: e for key, e in entries.items() if e[1][0].num_vars == n}
-    adjacent, packed_gens, _ = _pack_labels(entries, gens, len(gens) - 1)
+    items, packed_gens, _ = _pack_labels(entries, gens, len(gens) - 1)
     return [
-        ok and _products(tree, adjacent) == packed_gens
+        ok and _products(len(gens), map(items.__getitem__, map(id, tree.labels))) == packed_gens
         for tree, ok in zip(trees, matching)
     ]
 
@@ -572,5 +538,7 @@ def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
     """Recover the generators from a labeled relation tree (the products
     of :func:`_products`)."""
     entries, (n,) = _label_entries([tree])
-    adjacent, _, stride = _pack_labels(entries, [], tree.num_generators - 1)
-    return [Monomial(p) for p in _unpacked(_products(tree, adjacent), stride, n)]
+    t = tree.num_generators
+    items, _, stride = _pack_labels(entries, [], t - 1)
+    products = _products(t, map(items.__getitem__, map(id, tree.labels)))
+    return [Monomial(p) for p in _unpacked(products, stride, n)]

@@ -1473,6 +1473,50 @@ def test_wide_tree_minors_match_the_leibniz_term(case):
         assert tree_minor_det(rows, col) == _reference_tree_minor(rows, col, tree.num_generators, n)
 
 
+def _leibniz_det(rows, cols, num_vars):
+    """The determinant of the rows on the columns `cols` as a polynomial
+    {exponents: coefficient}, summed over every permutation; row
+    (i, j, m_i, m_j) holds +m_i in column i and -m_j in column j."""
+    det: dict = {}
+    for perm in itertools.permutations(cols):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        coeff, exps = (-1) ** inversions, [0] * num_vars
+        for (i, j, m_i, m_j), c in zip(rows, perm):
+            if c not in (i, j):
+                break
+            coeff *= 1 if c == i else -1
+            exps = [a + b for a, b in zip(exps, (m_i if c == i else m_j).exponents)]
+        else:
+            det[tuple(exps)] = det.get(tuple(exps), 0) + coeff
+    return {e: c for e, c in det.items() if c}
+
+
+@st.composite
+def pure_complexes(draw, max_n=6, max_facets=5):
+    """At least two distinct facets of one size, which form an antichain."""
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(1, n - 1))
+    face = st.sets(st.integers(1, n), min_size=k, max_size=k).map(sorted)
+    return SimplicialComplex(
+        n, draw(st.lists(face, min_size=2, max_size=max_facets, unique_by=tuple))
+    )
+
+
+@given(st.one_of(quasi_trees(max_facets=5), pure_complexes()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_no_tree_minor_means_a_vanishing_relation_matrix_minor(cx, data):
+    # any t - 1 rows of M_Delta, in any order: the minor without column j
+    # is 0 exactly when tree_minor_det gives None, and else its one term
+    t = len(cx.facets)
+    rows = build_m_delta(cx)
+    picked = data.draw(st.permutations(range(len(rows))))[: t - 1]
+    chosen = [rows[k] for k in picked]
+    for j in range(t):
+        det = _leibniz_det(chosen, [c for c in range(t) if c != j], cx.n)
+        minor = tree_minor_det(chosen, j)
+        assert det == ({} if minor is None else {minor[1].exponents: minor[0]})
+
+
 @given(complexes(max_n=7))
 @settings(max_examples=200, deadline=None)
 def test_facet_monomials_match_the_vertex_set_construction(cx):

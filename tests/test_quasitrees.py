@@ -198,6 +198,16 @@ class TestRelationTrees:
         rows = [row for row in build_m_delta(worked_example) if row[:2] in cycle]
         assert tree_minor_det(rows, 3) is None
 
+    def test_rows_without_a_square_tree_minor_have_none(self):
+        # a forest, a path without the dropped column and a loop row (whose
+        # one entry m - m is 0) are no spanning tree through drop_col
+        m = Monomial((1, 0))
+        path = [(0, 1, m, m), (1, 2, m, m)]
+        assert tree_minor_det([(0, 1, m, m), (2, 3, m, m)], 0) is None
+        assert tree_minor_det(path, 7) is None
+        assert tree_minor_det([(0, 1, m, m), (2, 2, m, m)], 0) is None
+        assert tree_minor_det(path, 1) == (-1, Monomial((2, 0)))
+
     def test_two_facet_case(self):
         cx = SimplicialComplex(4, [(1, 2), (3, 4)])
         (tree,) = relation_trees(cx)
