@@ -194,7 +194,7 @@ def _mdelta(cx, args):
         }
         for i, j, m_i, m_j in build_m_delta(cx)
     ]
-    return {"rows": rows, "cols": len(cx.facets)}, []
+    return {"rows": rows, "cols": len(cx.facet_masks)}, []
 
 
 def _betti(ideal, args):

@@ -1,10 +1,16 @@
-"""Simplicial complexes on the vertex set {1, ..., n}, stored by facets.
+"""Simplicial complexes on the vertex set {1, ..., n}, stored by facet masks.
 
-A complex is identified with the antichain of its maximal faces.  The
-ambient vertex count n is always stored explicitly: complements and
-Alexander duals are only defined relative to a fixed ground set, so
-nothing is ever inferred from the vertices that happen to occur in
-facets (in particular, singletons are *not* required to be faces).
+A complex is identified with the antichain of its maximal faces, stored as
+their bitmasks (vertex v at bit v - 1) in canonical order; the facet
+tuples are listed only when :attr:`SimplicialComplex.facets` is first read,
+which the nonface, dual and ideal kernels never do.  The ambient vertex
+count n is always stored explicitly: complements and Alexander duals are
+only defined relative to a fixed ground set, so nothing is ever inferred
+from the vertices that happen to occur in facets (in particular,
+singletons are *not* required to be faces).
+
+The public constructors check every facet; :func:`_antichain_complex`
+only sorts masks that its callers build as antichains in range.
 """
 
 from __future__ import annotations
@@ -69,40 +75,51 @@ def canonical_face(face, n: int) -> Face:
     return tuple(members)
 
 
-def _face_sort_key(face: Face):
-    return (len(face), face)
-
-
 def _canonical_faces(faces, n: int) -> list[Face]:
     """The distinct canonical faces, sorted by (cardinality, lexicographic)."""
     try:
         faces = iter(faces)
     except TypeError:
         raise not_iterable("faces", faces) from None
-    return sorted({canonical_face(f, n) for f in faces}, key=_face_sort_key)
+    return sorted(sorted({canonical_face(f, n) for f in faces}), key=len)
 
 
-def _maximal_faces(faces: list[Face], masks=None) -> list[Face]:
-    """The faces that lie in no other one, from distinct faces sorted by size
-    (with their bitmasks, computed when not given).
+def _facet_order(masks) -> list[int]:
+    """Distinct masks in canonical facet order: by size, then by the sorted
+    vertex tuple.  Of two sets of one size the one holding the lowest vertex
+    in exactly one of them comes first, so within a size the binary strings
+    read from bit 0 up sort descending; two of one size never differ where
+    one of them ends, so no key depends on the ambient size."""
+    order = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    order.sort(key=int.bit_count)
+    return order
 
-    Distinct faces of equal size cannot nest, so each face is compared only
-    with the strictly larger ones, which follow the last face of its size;
-    faces of one size need no comparison at all.
+
+def _nested(masks: list[int]):
+    """The indices, in order, of the masks that lie in another one, from
+    distinct masks sorted by size.
+
+    Distinct sets of equal size cannot nest, so each mask is compared only
+    with the strictly larger ones, which follow the last mask of its size;
+    masks of one size need no comparison at all.
     """
-    sizes = list(map(len, faces))
-    if not faces or sizes[0] == sizes[-1]:
-        return faces
-    if masks is None:
-        masks = list(map(face_mask, faces))
-    maximal = []
-    for face, mask, size in zip(faces, masks, sizes):
+    sizes = list(map(int.bit_count, masks))
+    if not masks or sizes[0] == sizes[-1]:
+        return
+    for i, (mask, size) in enumerate(zip(masks, sizes)):
         for other in masks[bisect_right(sizes, size) :]:
             if mask & other == mask:
+                yield i
                 break
-        else:
-            maximal.append(face)
-    return maximal
+
+
+def _check_antichain(masks: list[int]) -> None:
+    """Reject distinct masks in canonical order that are no antichain,
+    naming the first facet contained in another."""
+    for i in _nested(masks):
+        raise DomainError(
+            f"facets are not an antichain: {mask_face(masks[i])} is contained in another facet"
+        )
 
 
 def _check_ambient(n) -> None:
@@ -118,33 +135,42 @@ class SimplicialComplex:
     contain one another; a comparable pair is rejected rather than
     repaired (use :meth:`from_faces` to minimalize).  The empty facet
     list is the void complex, allowed as an output value only.
+
+    The masks determine the facets, so ``==`` and ``hash`` compare
+    ``(n, facet_masks)``.  The facet tuples are listed on demand by
+    :attr:`facets`; the tuple constructor keeps its own.
     """
 
     n: int
-    facets: tuple[Face, ...]
+    facet_masks: tuple[int, ...]
 
     def __init__(self, n: int, facets):
         _check_ambient(n)
         canon = _canonical_faces(facets, n)
-        self._store(n, canon, list(map(face_mask, canon)))
+        masks = list(map(face_mask, canon))
+        _check_antichain(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facet_masks", tuple(masks))
+        self.__dict__["facets"] = tuple(canon)
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build a complex from arbitrary faces, dropping non-maximal ones."""
         _check_ambient(n)
-        return cls(n, _maximal_faces(_canonical_faces(faces, n)))
+        canon = _canonical_faces(faces, n)
+        drop = set(_nested(list(map(face_mask, canon))))
+        return cls(n, [f for i, f in enumerate(canon) if i not in drop])
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "SimplicialComplex":
         """The complex on [n] whose facets have the given bitmasks (vertex v
         at bit v - 1), with the range and antichain checks of the
-        constructor and its error messages; ``facet_masks`` is preset."""
+        constructor and its error messages."""
         _check_ambient(n)
         try:
-            masks = iter(masks)
+            masks = list(masks)
         except TypeError:
             raise not_iterable("facet masks", masks) from None
-        unique = set()
         for m in masks:
             if type(m) is not int:  # bool is rejected too
                 raise DomainError(f"facet mask {m!r} is not an integer")
@@ -153,25 +179,13 @@ class SimplicialComplex:
                 raise DomainError(
                     f"vertex {n + (high & -high).bit_length()} out of range [1, {n}]"
                 )
-            unique.add(m)
-        pairs = sorted((mask_face(m), m) for m in unique)
-        pairs.sort(key=lambda pair: len(pair[0]))
-        cx = cls.__new__(cls)
-        cx._store(n, [face for face, _ in pairs], [m for _, m in pairs])
+        cx = _antichain_complex(n, set(masks))
+        _check_antichain(cx.facet_masks)
         return cx
 
-    def _store(self, n: int, canon: list[Face], masks: list[int]) -> None:
-        """Check that the distinct faces in canonical order, with their
-        masks, form an antichain, and store them."""
-        maximal = _maximal_faces(canon, masks)
-        if len(maximal) < len(canon):
-            face = min(set(canon).difference(maximal), key=_face_sort_key)
-            raise DomainError(
-                f"facets are not an antichain: {face} is contained in another facet"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets", tuple(canon))
-        object.__setattr__(self, "facet_masks", tuple(masks))
+    @cached_property
+    def facets(self) -> tuple[Face, ...]:
+        return tuple(map(mask_face, self.facet_masks))
 
     @cached_property
     def face_mask_set(self) -> frozenset:
@@ -180,11 +194,20 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     def __repr__(self):
         inner = ", ".join("{" + ",".join(map(str, f)) + "}" for f in self.facets)
         return f"SimplicialComplex(n={self.n}, <{inner}>)"
+
+
+def _antichain_complex(n: int, masks) -> SimplicialComplex:
+    """The complex on [n] whose facets have the given distinct masks, which
+    the caller builds as an antichain in range: they are sorted, not checked."""
+    cx = object.__new__(SimplicialComplex)
+    object.__setattr__(cx, "n", n)
+    object.__setattr__(cx, "facet_masks", tuple(_facet_order(masks)))
+    return cx
 
 
 class VoidDual:
@@ -213,8 +236,8 @@ def dimension_info(cx: SimplicialComplex) -> tuple[int, bool]:
     """(dim, is_pure) of a complex with at least one facet."""
     if cx.is_void:
         raise DomainError("dimension of the void complex is undefined")
-    sizes = {len(f) for f in cx.facets}
-    return max(sizes) - 1, len(sizes) == 1
+    masks = cx.facet_masks  # sorted by size
+    return masks[-1].bit_count() - 1, masks[0].bit_count() == masks[-1].bit_count()
 
 
 # The most (i+1)-sets an i-skeleton may list: the sum of C(|F|, i+1) over the
@@ -255,7 +278,7 @@ def skeleton_complement(cx: SimplicialComplex, ell: int) -> SimplicialComplex:
     facets = cx.facet_masks
     subsets = map(sum, itertools.combinations([1 << v for v in range(cx.n)], ell + 1))
     missing = [m for m in subsets if not any(m & fm == m for fm in facets)]
-    return SimplicialComplex.from_masks(cx.n, missing)
+    return _antichain_complex(cx.n, missing)
 
 
 def pure_complement(cx: SimplicialComplex) -> SimplicialComplex:
@@ -310,7 +333,7 @@ def minimal_transversals(edge_masks) -> list[int]:
                 raise over_cap(
                     "transversals", len(family), "complexes.MAX_TRANSVERSALS", MAX_TRANSVERSALS
                 )
-    return sorted(family, key=lambda m: (m.bit_count(), m))
+    return sorted(sorted(family), key=int.bit_count)
 
 
 def minimal_nonfaces_masks(facet_masks, n: int) -> list[int]:
@@ -330,7 +353,7 @@ def minimal_nonfaces(cx: SimplicialComplex) -> tuple[list[Face], bool]:
     verdict: flagness is judged on the vertex support.
     """
     found = minimal_nonfaces_masks(cx.facet_masks, cx.n)
-    nonfaces = sorted((mask_face(m) for m in found), key=_face_sort_key)
+    nonfaces = list(map(mask_face, _facet_order(found)))
     is_flag = all(len(f) == 2 for f in nonfaces if len(f) != 1)
     return nonfaces, is_flag
 
@@ -344,7 +367,7 @@ def alexander_dual(cx: SimplicialComplex):
     if not nonfaces:
         return VOID_DUAL
     full = (1 << cx.n) - 1
-    return SimplicialComplex.from_masks(cx.n, [full ^ m for m in nonfaces])
+    return _antichain_complex(cx.n, [full ^ m for m in nonfaces])
 
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
@@ -352,7 +375,7 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     full = (1 << cx.n) - 1
     if full in cx.facet_masks:  # then it is the only facet
         raise DomainError(f"facet {cx.facets[0]} equals the full vertex set [n]")
-    return SimplicialComplex.from_masks(cx.n, [full ^ m for m in cx.facet_masks])
+    return _antichain_complex(cx.n, [full ^ m for m in cx.facet_masks])
 
 
 def contains_face(cx: SimplicialComplex, face) -> bool:

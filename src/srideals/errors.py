@@ -11,6 +11,8 @@ class ResourceLimitError(RuntimeError):
 
 def over_cap(what: str, value, name: str, limit: int, hint: str = "") -> ResourceLimitError:
     """The one builder of cap errors: `what` = `value` is above the constant `name` = `limit`."""
+    if type(value) is int and value.bit_length() > 1024:  # no int-str limit is below 640 digits
+        value = f"an integer of {value.bit_length():,} bits"
     message = f"{what} = {value} exceeds {name} = {limit:,}"
     return ResourceLimitError(f"{message} ({hint})" if hint else message)
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import SimplicialComplex, dimension_info, face_mask
+from .complexes import SimplicialComplex, _antichain_complex, dimension_info, face_mask
 from .errors import DomainError, not_iterable, over_cap
 from .ideals import MonomialIdeal, _squarefree_ideal
 from .quasitrees import leaf_order
@@ -300,7 +300,7 @@ def clique_complex(g: Graph) -> SimplicialComplex:
     """The flag complex whose facets are the maximal cliques of g."""
     if g.n > MAX_CLIQUE_VERTICES:
         raise over_cap("n", g.n, "graphs.MAX_CLIQUE_VERTICES", MAX_CLIQUE_VERTICES)
-    return SimplicialComplex.from_masks(g.n, maximal_cliques(g))
+    return _antichain_complex(g.n, maximal_cliques(g))
 
 
 def one_skeleton_graph(cx: SimplicialComplex) -> Graph:

@@ -696,7 +696,7 @@ def _shelling_search(masks) -> list[int] | None:
 
 def verify_shelling(cx: SimplicialComplex, order: list[int]) -> bool:
     """Direct pairwise check of the shelling condition on a facet order."""
-    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facets))):
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facet_masks))):
         return False
     masks = [cx.facet_masks[i] for i in order]
     for i in range(1, len(masks)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import lshift
 
-from .complexes import MAX_SKELETON_FACES, SimplicialComplex
+from .complexes import MAX_SKELETON_FACES, SimplicialComplex, _antichain_complex
 from .complexes import minimal_nonfaces_masks, minimal_transversals
 from .errors import DomainError, over_cap
 
@@ -297,9 +297,24 @@ def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
     return _minimal_ideal(n, _unpacked(packed, stride, n), degrees)
 
 
+# Every generator is a dense exponent vector, so a squarefree ideal built
+# from support bitmasks has n entries per generator however few variables
+# occur; JSON input is held to the same count ("vars", "ambient" or "n").
+MAX_VARS = 1024
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _mask_vectors(n: int, masks) -> list[tuple[int, ...]]:
-    """The squarefree exponent vectors in n variables of the support bitmasks, in order."""
-    return [tuple([m >> v & 1 for v in range(n)]) for m in masks]
+    """The squarefree exponent vectors in n <= MAX_VARS variables of the
+    support bitmasks, in order.  The masks' n-digit binary strings are joined
+    and reversed, so that each mask's x1 comes first and the masks come last
+    to first; the digits become bytes 0 and 1 in one pass, and consecutive
+    runs of n bytes are the vectors."""
+    if n > MAX_VARS:
+        raise over_cap("variables", n, "ideals.MAX_VARS", MAX_VARS)
+    spec = f"0{n}b"
+    data = "".join([format(m, spec) for m in masks])[::-1].encode().translate(_BITS)
+    return list(zip(*[iter(data)] * n))[::-1]
 
 
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
@@ -313,6 +328,8 @@ def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """I_cx, generated by the monomials of the minimal nonfaces."""
+    if cx.n > MAX_VARS:  # before the nonfaces, whose masks are n bits wide
+        raise over_cap("variables", cx.n, "ideals.MAX_VARS", MAX_VARS)
     nonfaces = minimal_nonfaces_masks(cx.facet_masks, cx.n)
     if nonfaces and nonfaces[0] == 0:
         raise DomainError("the void complex has no Stanley-Reisner ideal")
@@ -340,11 +357,11 @@ def complex_from_ideal(ideal: MonomialIdeal, mode: str) -> SimplicialComplex:
     n = ideal.num_vars
     supports = list(map(_support_mask, ideal.exponents))
     if mode == "facet":
-        return SimplicialComplex.from_masks(n, supports)
+        return _antichain_complex(n, supports)
     if mode != "stanley-reisner":
         raise DomainError(f"unknown mode {mode!r}")
     full = (1 << n) - 1
-    return SimplicialComplex.from_masks(n, [full ^ t for t in minimal_transversals(supports)])
+    return _antichain_complex(n, [full ^ t for t in minimal_transversals(supports)])
 
 
 # The most generator factors that power() adds up: k for each of the

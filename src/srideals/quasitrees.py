@@ -62,7 +62,7 @@ class LeafReport:
 
 def leaf_report(cx: SimplicialComplex, f: int) -> LeafReport:
     """Classify facet f: leaf or not, with branches and free vertices."""
-    t = len(cx.facets)
+    t = len(cx.facet_masks)
     if type(f) is not int:  # bool is rejected too
         raise DomainError(f"facet index must be an integer, got {f!r}")
     if not 0 <= f < t:
@@ -140,7 +140,7 @@ def leaf_order(cx: SimplicialComplex) -> list[int] | None:
 def verify_leaf_order(cx: SimplicialComplex, order: list[int]) -> bool:
     """Independent prefix check: order[i] must be a leaf of the prefix."""
     order = _listed("facet indices", order)
-    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facets))):
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facet_masks))):
         return False
     masks = list(cx.facet_masks)
     for i in range(1, len(order)):
@@ -167,7 +167,7 @@ def build_m_delta(cx: SimplicialComplex) -> list[tuple[int, int, Monomial, Monom
     C(t,2) x t matrix of pairwise facet differences: row (i, j) holds
     +x_{F_i\\F_j} in column i and -x_{F_j\\F_i} in column j, the form that
     :func:`tree_minor_det` takes."""
-    t = len(cx.facets)
+    t = len(cx.facet_masks)
     if t < 2:
         raise DomainError("the relation matrix needs at least two facets")
     masks = cx.facet_masks
@@ -194,7 +194,13 @@ class RelationTree:
             raise DomainError(f"the generator count must be an integer, got {t!r}")
         if any(i > j for i, j in _spanning_edges(t, self.edges)):
             raise DomainError("a relation tree's edges (i, j) need i < j")
-        if {e for e, _ in self.labels} != set(self.edges):
+        if any(type(e) is not tuple for e in self.edges):
+            raise DomainError("a relation tree's edges must be (i, j) tuples")
+        try:
+            keys = {e for e, _ in self.labels}
+        except (TypeError, ValueError):  # labels that are no (edge, label) pairs
+            keys = None
+        if keys != set(self.edges):
             raise DomainError("labels do not match the edge set")
 
     def label(self, i: int, j: int) -> tuple[Monomial, Monomial]:
@@ -236,6 +242,7 @@ def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monom
 def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
     """Attach Taylor labels from an explicit generator sequence; the edges
     must span its indices."""
+    gens = _listed("monomials", gens)
     edges = _spanning_edges(len(gens), edges)
     labels = [((i, j), _taylor_label(gens, i, j)) for i, j in edges]
     return RelationTree(len(gens), tuple(edges), tuple(labels))
@@ -325,7 +332,7 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
     packed once per call, in fields of (t-1).bit_length() value bits: a
     minor multiplies t - 1 squarefree entries.
     """
-    t = len(cx.facets)
+    t = len(cx.facet_masks)
     if t < 2:
         raise DomainError("the minor certificate needs at least two facets")
     edge_lists = [_spanning_edges(t, tree) for tree in _listed("trees", trees)]

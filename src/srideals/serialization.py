@@ -19,7 +19,7 @@ from .complexes import SimplicialComplex
 from .errors import DomainError, ResourceLimitError, over_cap
 from .graphs import Graph
 from .homological import BettiTable
-from .ideals import Monomial, MonomialIdeal, minimalize, monomial_to_str
+from .ideals import MAX_VARS, Monomial, MonomialIdeal, minimalize, monomial_to_str
 from .quasitrees import RelationTree, _distinct_labels
 
 
@@ -130,17 +130,10 @@ def _integer(obj: dict, key: str) -> int:
     return obj[key]
 
 
-# Every generator is a dense exponent vector of length "vars", and the
-# ideals of a complex on "ambient" vertices or of a graph on "n" vertices
-# have that many variables; a larger count than this is a
-# ResourceLimitError before anything is built.
-MAX_VARS = 1024
-
-
 def _count(obj: dict, key: str) -> int:
     n = _integer(obj, key)
     if n > MAX_VARS:
-        raise over_cap(f'"{key}"', n, "serialization.MAX_VARS", MAX_VARS)
+        raise over_cap(f'"{key}"', n, "ideals.MAX_VARS", MAX_VARS)
     return n
 
 

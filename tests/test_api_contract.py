@@ -23,6 +23,7 @@ from srideals.errors import ResourceLimitError
 CX = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
 GENS = facet_complement_generators(CX)
 M = Monomial((1, 0))
+LABELS = (((0, 1), (M, M)),)
 
 
 def case(name, match, call, error=DomainError):
@@ -45,6 +46,10 @@ CASES = [
     case("minor-none-col", "drop_col", lambda: tree_minor_det([(0, 1, M, M)], None)),
     case("leaf-order-none", "iterable", lambda: verify_leaf_order(CX, None)),
     case("relation-tree-none", "integer", lambda: RelationTree(None, (), ())),
+    case("relation-tree-list-edge", "tuples", lambda: RelationTree(2, [[0, 1]], LABELS)),
+    case("relation-tree-none-labels", "labels", lambda: RelationTree(2, [(0, 1)], None)),
+    case("relation-tree-short-label", "labels", lambda: RelationTree(2, [(0, 1)], [((0, 1),)])),
+    case("edges-none-gens", "iterable", lambda: relation_tree_from_edges(None, [(0, 1)])),
     case("homology-vertex-0", "out of range", lambda: reduced_homology([(0,)])),
     case("homology-str-vertex", "not an integer", lambda: reduced_homology([("a",)])),
     case("homology-float-vertex", "not an integer", lambda: reduced_homology([(1.5,)])),
@@ -55,6 +60,13 @@ CASES = [
         "homology-vertex-17",
         "MAX_HOMOLOGY_VARS",
         lambda: reduced_homology([(17,)]),
+        ResourceLimitError,
+    ),
+    # past the int-str digit limit: the cap message gives the size in bits
+    case(
+        "homology-vertex-10**5000",
+        "n = an integer of 16,610 bits exceeds homological.MAX_HOMOLOGY_VARS",
+        lambda: reduced_homology([(10**5000,)]),
         ResourceLimitError,
     ),
 ]

@@ -17,6 +17,10 @@ from srideals import (
     pure_complement,
     skeleton,
 )
+from srideals.complexes import mask_face
+from srideals.errors import ResourceLimitError
+from srideals.ideals import facet_ideal, stanley_reisner_ideal
+from srideals.verification import iter_complexes_masks
 
 
 class TestConstruction:
@@ -75,6 +79,20 @@ class TestConstruction:
         with pytest.raises(DomainError, match=re.escape(message)):
             build()
 
+    def test_huge_ambients_build_with_the_same_facets(self):
+        built = SimplicialComplex(10**19, [(1,), (2, 3)])
+        from_masks = SimplicialComplex.from_masks(10**19, [6, 1])
+        assert built == from_masks and hash(built) == hash(from_masks)
+        assert from_masks.facets == built.facets == ((1,), (2, 3))
+        assert from_masks.facet_masks == (1, 6)
+
+    @pytest.mark.parametrize("ideal", [facet_ideal, stanley_reisner_ideal])
+    def test_huge_ambients_hit_the_dense_vector_cap(self, ideal):
+        # every generator is a dense vector of 10**19 entries
+        message = "variables = 10000000000000000000 exceeds ideals.MAX_VARS = 1,024"
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            ideal(SimplicialComplex(10**19, [(1,), (2, 3)]))
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             SimplicialComplex(3, [(1, 1, 2)])
@@ -107,6 +125,40 @@ class TestConstruction:
         assert contains_face(cx, (2, 3))
         assert contains_face(cx, ())
         assert not contains_face(cx, (3, 4))
+
+
+class TestLazyFacets:
+    """A complex stores facet masks; its facet tuples are listed only when
+    SimplicialComplex.facets is first read, which Lemma 1.2's path never does."""
+
+    @pytest.fixture
+    def facet_reads(self, monkeypatch):
+        reads = []
+        listed = SimplicialComplex.__dict__["facets"].func
+
+        def spy(cx):
+            reads.append(cx.n)
+            return listed(cx)
+
+        monkeypatch.setattr(SimplicialComplex, "facets", property(spy))
+        return reads
+
+    def test_lemma_12_never_lists_facets(self, facet_reads):
+        count = 0
+        for n in range(2, 6):
+            for masks in iter_complexes_masks(n, max_facets=4, max_size=min(3, n - 1)):
+                cx = SimplicialComplex(n, [mask_face(m) for m in masks])
+                left = stanley_reisner_ideal(alexander_dual(cx))
+                assert left == facet_ideal(complement_complex(cx))
+                count += 1
+        assert count > 1000 and facet_reads == []
+        assert SimplicialComplex.from_masks(3, [3]).facets == ((1, 2),)
+        assert facet_reads == [3]  # the spy does see a read
+
+    def test_the_tuple_constructor_keeps_its_facets(self):
+        cx = SimplicialComplex(4, [(3, 4), (1, 2)])
+        assert cx.__dict__["facets"] == ((1, 2), (3, 4))
+        assert "facets" not in SimplicialComplex.from_masks(4, [12, 3]).__dict__
 
 
 class TestDimensionAndSkeleton:

@@ -42,6 +42,8 @@ from srideals import (
 )
 from srideals import _linalg
 from srideals.complexes import (
+    _antichain_complex,
+    _facet_order,
     down_closure,
     face_mask,
     mask_face,
@@ -192,6 +194,37 @@ def test_from_masks_matches_the_tuple_constructor(case):
     assert built == _outcome(SimplicialComplex, n, [mask_face(m) for m in masks])
     if isinstance(built, SimplicialComplex):
         assert built.facet_masks == tuple(map(face_mask, built.facets))
+
+
+@given(st.sets(st.integers(0, (1 << 70) - 1) | st.integers(0, 255), max_size=12))
+@example({0b0110, 0b1001, 0b0101, 0b1010})  # one size: order decided by the lowest vertex
+@example({1 << 69, 1, 0})
+def test_the_mask_order_is_the_face_order(masks):
+    faces = sorted(map(mask_face, masks), key=lambda f: (len(f), f))
+    assert _facet_order(masks) == list(map(face_mask, faces))
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=10))
+    )
+)
+@example((3, {0b011, 0b001}))  # a nested pair
+@example((4, {0b0011, 0b0110, 0b1111}))  # both pairs nested in the top
+@settings(max_examples=300, deadline=None)
+def test_the_three_builders_agree(case):
+    n, masks = case
+    canon = sorted(map(mask_face, masks), key=lambda f: (len(f), f))
+    by_masks = _outcome(SimplicialComplex.from_masks, n, masks)
+    assert by_masks == _outcome(SimplicialComplex, n, canon[::-1])
+    if isinstance(by_masks, str):  # the parent's message, naming the first nested facet
+        first = next(f for f in canon if any(f != g and set(f) <= set(g) for g in canon))
+        assert by_masks == f"facets are not an antichain: {first} is contained in another facet"
+        return
+    built, trusted = SimplicialComplex(n, canon[::-1]), _antichain_complex(n, masks)
+    assert built == by_masks == trusted
+    assert hash(built) == hash(by_masks) == hash(trusted)
+    assert built.facets == by_masks.facets == trusted.facets == tuple(canon)
 
 
 @given(complexes(max_n=5))

@@ -1,0 +1,99 @@
+"""Only ``complexes._antichain_complex`` builds a ``SimplicialComplex``
+without the checks of its public constructors: it only sorts masks that its
+callers build as antichains in range.  Its callers are the results of
+Alexander duality, complements, skeleton complements, clique complexes and
+``complex_from_ideal``, plus ``from_masks``, which checks the range first
+and the antichain after; every other caller goes through a checking
+constructor."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "srideals"
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _scope_name(node, parents):
+    scope = parents.get(node)
+    while scope is not None and not isinstance(scope, SCOPES):
+        scope = parents.get(scope)
+    return None if scope is None else getattr(scope, "name", "<lambda>")
+
+
+def _uses(tree, wanted):
+    """(innermost enclosing function or class, source) of every use that
+    ``wanted(node, parents)`` returns for a node, in source order."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        use = wanted(node, parents)
+        if use is not None:
+            where = _scope_name(node, parents)
+            found.append((node.lineno, node.col_offset, where, ast.unparse(use)))
+    return [(where, text) for _, _, where, text in sorted(found)]
+
+
+def _names_builder(node, parents):
+    """A read of ``_antichain_complex`` by name or attribute (an import is
+    no read)."""
+    named = getattr(node, "id", None) == "_antichain_complex"
+    named = named or getattr(node, "attr", None) == "_antichain_complex"
+    return node if named and isinstance(getattr(node, "ctx", None), ast.Load) else None
+
+
+def _new_complex(node, parents):
+    """An ``X.__new__`` that names SimplicialComplex: the call when it is
+    called, else the attribute itself."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "__new__"):
+        return None
+    use = parents[node]
+    if not (isinstance(use, ast.Call) and use.func is node):
+        use = node
+    return use if "SimplicialComplex" in ast.unparse(use) else None
+
+
+def _by_module(wanted):
+    found = {
+        path.stem: _uses(ast.parse(path.read_text()), wanted)
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    return {module: uses for module, uses in found.items() if uses}
+
+
+def test_the_trusted_builder_has_only_the_listed_callers():
+    assert {
+        module: [where for where, _ in uses] for module, uses in _by_module(_names_builder).items()
+    } == {
+        "complexes": [
+            "from_masks",
+            "skeleton_complement",
+            "alexander_dual",
+            "complement_complex",
+        ],
+        "graphs": ["clique_complex"],
+        "ideals": ["complex_from_ideal", "complex_from_ideal"],
+    }
+
+
+def test_only_the_trusted_builder_skips_the_constructor():
+    assert _by_module(_new_complex) == {
+        "complexes": [("_antichain_complex", "object.__new__(SimplicialComplex)")]
+    }
+
+
+def test_the_finders_see_every_spelling():
+    source = (
+        "from .complexes import _antichain_complex\n"
+        "def a():\n    return _antichain_complex(1, [])\n"
+        "class B:\n    def c(self):\n        return complexes._antichain_complex\n"
+        "d = lambda: SimplicialComplex.__new__(SimplicialComplex)\n"
+        "e = object.__new__(MonomialIdeal)\n"
+    )
+    tree = ast.parse(source)
+    assert _uses(tree, _names_builder) == [
+        ("a", "_antichain_complex"),
+        ("c", "complexes._antichain_complex"),
+    ]
+    assert _uses(tree, _new_complex) == [
+        ("<lambda>", "SimplicialComplex.__new__(SimplicialComplex)")
+    ]
