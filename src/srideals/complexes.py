@@ -9,6 +9,11 @@ only defined relative to a fixed ground set, so nothing is ever inferred
 from the vertices that happen to occur in facets (in particular,
 singletons are *not* required to be faces).
 
+:func:`_check_ambient` is the one check of a ground set [n], with n at most
+:data:`MAX_VARS`; every complex, graph and ideal of the package calls it
+where it is built, so the n-bit mask ``(1 << n) - 1`` of [n] is built
+without a check of its own.
+
 The public constructors check every facet; :func:`_antichain_complex`
 only sorts masks that its callers build as antichains in range.
 """
@@ -21,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, not_iterable, over_cap
+from .errors import DomainError, listed, over_cap
 
 Face = tuple[int, ...]
 
@@ -58,10 +63,7 @@ def down_closure(masks) -> frozenset:
 
 def canonical_face(face, n: int) -> Face:
     """Sorted duplicate-free tuple with all members in [1, n]."""
-    try:
-        members = list(face)
-    except TypeError:
-        raise not_iterable("vertices", face) from None
+    members = listed("vertices", face)
     for v in members:  # before the sort, which cannot order mixed types
         if not isinstance(v, int) or isinstance(v, bool):
             raise DomainError(f"vertex {v!r} is not an integer")
@@ -77,10 +79,7 @@ def canonical_face(face, n: int) -> Face:
 
 def _canonical_faces(faces, n: int) -> list[Face]:
     """The distinct canonical faces, sorted by (cardinality, lexicographic)."""
-    try:
-        faces = iter(faces)
-    except TypeError:
-        raise not_iterable("faces", faces) from None
+    faces = listed("faces", faces)
     return sorted(sorted({canonical_face(f, n) for f in faces}), key=len)
 
 
@@ -122,9 +121,20 @@ def _check_antichain(masks: list[int]) -> None:
         )
 
 
-def _check_ambient(n) -> None:
-    if type(n) is not int or n < 1:  # bool is rejected too
-        raise DomainError(f"ambient size must be a positive integer, got {n!r}")
+# The largest ground set [n].  Every complex, graph and ideal is built on at
+# most MAX_VARS vertices or variables, so no n-bit mask of [n] and no dense
+# exponent vector of n entries needs a check of its own.  The suites draw at
+# most 24 vertices, and the benchmark corpora at most 20.
+MAX_VARS = 1024
+
+
+def _check_ambient(n, what: str) -> None:
+    """The one check of a ground-set size n, named `what`: an integer (not a
+    bool), then positive, then at most MAX_VARS."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+    if n > MAX_VARS:
+        raise over_cap(what, n, "complexes.MAX_VARS", MAX_VARS)
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ class SimplicialComplex:
     facet_masks: tuple[int, ...]
 
     def __init__(self, n: int, facets):
-        _check_ambient(n)
+        _check_ambient(n, "ambient size")
         canon = _canonical_faces(facets, n)
         masks = list(map(face_mask, canon))
         _check_antichain(masks)
@@ -156,7 +166,7 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build a complex from arbitrary faces, dropping non-maximal ones."""
-        _check_ambient(n)
+        _check_ambient(n, "ambient size")
         canon = _canonical_faces(faces, n)
         drop = set(_nested(list(map(face_mask, canon))))
         return cls(n, [f for i, f in enumerate(canon) if i not in drop])
@@ -166,11 +176,8 @@ class SimplicialComplex:
         """The complex on [n] whose facets have the given bitmasks (vertex v
         at bit v - 1), with the range and antichain checks of the
         constructor and its error messages."""
-        _check_ambient(n)
-        try:
-            masks = list(masks)
-        except TypeError:
-            raise not_iterable("facet masks", masks) from None
+        _check_ambient(n, "ambient size")
+        masks = listed("facet masks", masks)
         for m in masks:
             if type(m) is not int:  # bool is rejected too
                 raise DomainError(f"facet mask {m!r} is not an integer")

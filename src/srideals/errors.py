@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks
+that more than one module raises them from."""
 
 
 class DomainError(ValueError):
@@ -20,3 +21,20 @@ def over_cap(what: str, value, name: str, limit: int, hint: str = "") -> Resourc
 def not_iterable(what: str, value) -> DomainError:
     """The error for a `value` that should be an iterable of `what`."""
     return DomainError(f"expected an iterable of {what}, got {value!r}")
+
+
+def listed(what: str, value) -> list:
+    """The items of an iterable argument; a non-iterable is a DomainError."""
+    try:
+        return list(value)
+    except TypeError:
+        raise not_iterable(what, value) from None
+
+
+def index_order(what: str, order, first: int, count: int) -> list | None:
+    """The listed items of `order` if they are a permutation of the integers
+    first, ..., first + count - 1 (bools are no indices), else None."""
+    order = listed(what, order)
+    if {int}.issuperset(map(type, order)) and sorted(order) == list(range(first, first + count)):
+        return order
+    return None

@@ -16,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import SimplicialComplex, _antichain_complex, dimension_info, face_mask
-from .errors import DomainError, not_iterable, over_cap
+from .complexes import SimplicialComplex, _antichain_complex, _check_ambient, dimension_info
+from .complexes import face_mask
+from .errors import DomainError, index_order, listed, over_cap
 from .ideals import MonomialIdeal, _squarefree_ideal
 from .quasitrees import leaf_order
 
@@ -60,14 +61,9 @@ class Graph:
     adjacency: tuple[int, ...]
 
     def __init__(self, n: int, edges):
-        if type(n) is not int or n < 1:  # bool is rejected too
-            raise DomainError(f"vertex count must be a positive integer, got {n!r}")
-        try:
-            pairs = iter(edges)
-        except TypeError:
-            raise not_iterable("vertex pairs", edges) from None
+        _check_ambient(n, "vertex count")
         adj = [0] * n
-        for e in pairs:
+        for e in listed("vertex pairs", edges):
             try:
                 i, j = e
             except (TypeError, ValueError):
@@ -223,14 +219,15 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
 def verify_elimination_witness(g: Graph, order: list[int]) -> bool:
     """Each vertex's earlier neighbors in the order must form a clique."""
-    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(1, g.n + 1)):
+    order = index_order("vertices", order, 1, g.n)
+    if order is None:
         return False
-    adj = g.adjacency
-    return _is_peo(adj, [v - 1 for v in order])
+    return _is_peo(g.adjacency, [v - 1 for v in order])
 
 
 def verify_cycle_witness(g: Graph, cycle: list[int]) -> bool:
     """The witness must be a chordless cycle of length >= 4."""
+    cycle = listed("vertices", cycle)
     k = len(cycle)
     if k < 4 or len(set(cycle)) != k or not all(type(v) is int and 0 < v <= g.n for v in cycle):
         return False

@@ -64,7 +64,7 @@ from operator import itemgetter
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask, mask_face
 from .complexes import _canonical_faces
-from .errors import DomainError, over_cap
+from .errors import DomainError, index_order, over_cap
 from .ideals import MonomialIdeal, _packing, _unpacked
 
 
@@ -696,7 +696,8 @@ def _shelling_search(masks) -> list[int] | None:
 
 def verify_shelling(cx: SimplicialComplex, order: list[int]) -> bool:
     """Direct pairwise check of the shelling condition on a facet order."""
-    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facet_masks))):
+    order = index_order("facet indices", order, 0, len(cx.facet_masks))
+    if order is None:
         return False
     masks = [cx.facet_masks[i] for i in order]
     for i in range(1, len(masks)):

@@ -7,6 +7,12 @@ tuple of its exponent vectors, which is all the kernels read; its
 :class:`Monomial` objects are built on first use.  The zero ideal is a
 first-class value (empty generator list); the unit ideal is rejected
 everywhere.  Support bitmasks become exponent vectors in :func:`_mask_vectors` only.
+
+The variable count n is checked, against ``complexes.MAX_VARS``, by
+``complexes._check_ambient`` where an ideal is built: by the constructor,
+:func:`minimalize` and ``Monomial.from_support``, and for the ideals of a
+complex or a graph by theirs.  So no dense vector of n entries and no mask
+of [n] needs a check of its own.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import lshift
 
-from .complexes import MAX_SKELETON_FACES, SimplicialComplex, _antichain_complex
+from .complexes import MAX_SKELETON_FACES, SimplicialComplex, _antichain_complex, _check_ambient
 from .complexes import minimal_nonfaces_masks, minimal_transversals
-from .errors import DomainError, over_cap
+from .errors import DomainError, listed, not_iterable, over_cap
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,10 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __init__(self, exponents):
-        exps = tuple(exponents)
+        try:
+            exps = tuple(exponents)
+        except TypeError:
+            raise not_iterable("exponents", exponents) from None
         if not exps:
             raise DomainError("a monomial needs at least one variable")
         if not {int}.issuperset(map(type, exps)) or min(exps) < 0:  # bool is rejected too
@@ -41,8 +50,7 @@ class Monomial:
     @classmethod
     def from_support(cls, vertices, n: int) -> "Monomial":
         """The squarefree monomial x_F for a vertex set F in [1, n]."""
-        if type(n) is not int:  # bool is rejected too
-            raise DomainError(f"the variable count must be an integer, got {n!r}")
+        _check_ambient(n, "the variable count")
         exps = [0] * n
         for v in vertices:
             if type(v) is not int:  # bool is rejected too
@@ -110,7 +118,7 @@ def _canonical(monomials):
     """The distinct monomials sorted by (degree, exponents), with their
     exponent vectors and degrees in the same order: one dict keyed by the
     exponents, a sort by exponents and a stable sort by degree."""
-    by_exps = {m.exponents: m for m in monomials}
+    by_exps = {m.exponents: m for m in listed("monomials", monomials)}
     exps = sorted(sorted(by_exps), key=sum)
     return tuple(map(by_exps.__getitem__, exps)), exps, tuple(map(sum, exps))
 
@@ -192,8 +200,7 @@ class MonomialIdeal:
     exponents: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars: int, generators):
-        if type(num_vars) is not int or num_vars < 1:  # bool is rejected too
-            raise DomainError(f"num_vars must be a positive integer, got {num_vars!r}")
+        _check_ambient(num_vars, "num_vars")
         unique, exps, degrees = _canonical(generators)
         self._store(num_vars, exps, degrees)
         self.__dict__["generators"] = unique
@@ -263,6 +270,7 @@ def minimalize(monomials) -> MonomialIdeal:
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
+    _check_ambient(n, "num_vars")
     return _minimal_ideal(n, exps, degrees)
 
 
@@ -297,21 +305,15 @@ def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
     return _minimal_ideal(n, _unpacked(packed, stride, n), degrees)
 
 
-# Every generator is a dense exponent vector, so a squarefree ideal built
-# from support bitmasks has n entries per generator however few variables
-# occur; JSON input is held to the same count ("vars", "ambient" or "n").
-MAX_VARS = 1024
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _mask_vectors(n: int, masks) -> list[tuple[int, ...]]:
-    """The squarefree exponent vectors in n <= MAX_VARS variables of the
-    support bitmasks, in order.  The masks' n-digit binary strings are joined
+    """The squarefree exponent vectors in n variables of the support
+    bitmasks, in order.  The masks' n-digit binary strings are joined
     and reversed, so that each mask's x1 comes first and the masks come last
     to first; the digits become bytes 0 and 1 in one pass, and consecutive
     runs of n bytes are the vectors."""
-    if n > MAX_VARS:
-        raise over_cap("variables", n, "ideals.MAX_VARS", MAX_VARS)
     spec = f"0{n}b"
     data = "".join([format(m, spec) for m in masks])[::-1].encode().translate(_BITS)
     return list(zip(*[iter(data)] * n))[::-1]
@@ -328,8 +330,6 @@ def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """I_cx, generated by the monomials of the minimal nonfaces."""
-    if cx.n > MAX_VARS:  # before the nonfaces, whose masks are n bits wide
-        raise over_cap("variables", cx.n, "ideals.MAX_VARS", MAX_VARS)
     nonfaces = minimal_nonfaces_masks(cx.facet_masks, cx.n)
     if nonfaces and nonfaces[0] == 0:
         raise DomainError("the void complex has no Stanley-Reisner ideal")
@@ -434,7 +434,7 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
 
 def restrict_ideal(ideal: MonomialIdeal, bound) -> MonomialIdeal:
     """Keep the generators whose exponent vector is componentwise <= bound."""
-    a = tuple(bound)
+    a = listed("exponents", bound)
     if len(a) != ideal.num_vars or any(type(v) is not int or v < 0 for v in a):
         raise DomainError(
             f"bound must be a length-{ideal.num_vars} vector of nonnegative integers"
@@ -594,6 +594,7 @@ def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool
     ``> g_i[v]`` columns of the colon variables.  That is a constant number
     of int operations per generator and variable, each over the prefix.
     """
+    order = listed("monomials", order)
     if len(order) < 2:
         return True
     exps = [getattr(m, "exponents", m) for m in order]

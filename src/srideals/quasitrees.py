@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, not_iterable, over_cap
+from .errors import DomainError, index_order, listed, over_cap
 from .ideals import Monomial, _mask_vectors, _packing, _unpacked
 
 
@@ -139,8 +139,8 @@ def leaf_order(cx: SimplicialComplex) -> list[int] | None:
 
 def verify_leaf_order(cx: SimplicialComplex, order: list[int]) -> bool:
     """Independent prefix check: order[i] must be a leaf of the prefix."""
-    order = _listed("facet indices", order)
-    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(len(cx.facet_masks))):
+    order = index_order("facet indices", order, 0, len(cx.facet_masks))
+    if order is None:
         return False
     masks = list(cx.facet_masks)
     for i in range(1, len(order)):
@@ -225,14 +225,6 @@ def _is_tree(t: int, edges) -> bool:
     return True
 
 
-def _listed(what: str, value) -> list:
-    """The items of an iterable argument; a non-iterable is a DomainError."""
-    try:
-        return list(value)
-    except TypeError:
-        raise not_iterable(what, value) from None
-
-
 def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monomial]:
     """(u_ij, u_ji): gens[i] and gens[j] divided by their gcd."""
     g = gens[i].gcd(gens[j])
@@ -242,7 +234,7 @@ def _taylor_label(gens: list[Monomial], i: int, j: int) -> tuple[Monomial, Monom
 def relation_tree_from_edges(gens: list[Monomial], edges) -> RelationTree:
     """Attach Taylor labels from an explicit generator sequence; the edges
     must span its indices."""
-    gens = _listed("monomials", gens)
+    gens = listed("monomials", gens)
     edges = _spanning_edges(len(gens), edges)
     labels = [((i, j), _taylor_label(gens, i, j)) for i, j in edges]
     return RelationTree(len(gens), tuple(edges), tuple(labels))
@@ -267,7 +259,7 @@ def tree_minor_det(
     is singular, as (x_{F_0^c}, ..., x_{F_{t-1}^c}) lies in the kernel of
     M_Delta.
     """
-    rows = _listed("relation rows", rows)
+    rows = listed("relation rows", rows)
     for row in rows:
         if not (
             isinstance(row, (tuple, list))
@@ -307,7 +299,7 @@ def _spanning_edges(t: int, tree):
     if isinstance(tree, RelationTree):
         edges, spans = tree.edges, tree.num_generators == t
     else:
-        edges = _listed("index pairs", tree)
+        edges = listed("index pairs", tree)
         spans = all(
             isinstance(e, (tuple, list))
             and len(e) == 2
@@ -335,7 +327,7 @@ def minor_certificates(cx: SimplicialComplex, trees) -> list[bool]:
     t = len(cx.facet_masks)
     if t < 2:
         raise DomainError("the minor certificate needs at least two facets")
-    edge_lists = [_spanning_edges(t, tree) for tree in _listed("trees", trees)]
+    edge_lists = [_spanning_edges(t, tree) for tree in listed("trees", trees)]
     masks = cx.facet_masks
     full = (1 << cx.n) - 1
     pairs = sorted({e for edges in edge_lists for e in edges})
@@ -444,8 +436,8 @@ def _edges_of(edge_set: int, t: int) -> tuple[tuple[int, int], ...]:
 def _distinct_labels(trees) -> dict:
     """Each distinct (edge, label) entry of the trees, keyed by ``id``:
     :func:`relation_trees` gives every tree through an edge the same entry."""
-    listed = list(itertools.chain.from_iterable(tree.labels for tree in trees))
-    return dict(zip(map(id, listed), listed))
+    entries = list(itertools.chain.from_iterable(tree.labels for tree in trees))
+    return dict(zip(map(id, entries), entries))
 
 
 def _label_entries(trees) -> tuple[dict, list[int]]:

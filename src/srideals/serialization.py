@@ -6,6 +6,10 @@ are 0-based in the library and shifted to 1-based where their JSON is built:
 relation trees here; leaf orders, shelling orders and M_Delta in ``cli``,
 whose leaf-order and shelling check witnesses stay 0-based.
 ``graphs.is_chordal`` shifts its witness vertices from bit positions itself.
+
+A size key (``"ambient"``, ``"vars"`` or ``"n"``) is held to
+``complexes.MAX_VARS`` by the constructor of what it sizes, before anything
+is built; an ideal's ``"vars"`` is checked before its first generator.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .complexes import SimplicialComplex
-from .errors import DomainError, ResourceLimitError, over_cap
+from .complexes import SimplicialComplex, _check_ambient
+from .errors import DomainError, ResourceLimitError
 from .graphs import Graph
 from .homological import BettiTable
-from .ideals import MAX_VARS, Monomial, MonomialIdeal, minimalize, monomial_to_str
+from .ideals import Monomial, MonomialIdeal, minimalize, monomial_to_str
 from .quasitrees import RelationTree, _distinct_labels
 
 
@@ -130,13 +134,6 @@ def _integer(obj: dict, key: str) -> int:
     return obj[key]
 
 
-def _count(obj: dict, key: str) -> int:
-    n = _integer(obj, key)
-    if n > MAX_VARS:
-        raise over_cap(f'"{key}"', n, "ideals.MAX_VARS", MAX_VARS)
-    return n
-
-
 def _integer_lists(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(x, list) and all(type(v) is int for v in x) for x in value
@@ -146,7 +143,7 @@ def _integer_lists(value) -> bool:
 def complex_from_json(obj, minimalize: bool = False) -> SimplicialComplex:
     if not isinstance(obj, dict) or "ambient" not in obj or "facets" not in obj:
         raise DomainError('a complex needs the keys "ambient" and "facets"')
-    n = _count(obj, "ambient")
+    n = _integer(obj, "ambient")
     facets = obj["facets"]
     if not _integer_lists(facets):
         raise DomainError('"facets" must be a list of integer vertex lists')
@@ -195,7 +192,8 @@ def monomial_to_json(m: Monomial, pretty: bool = False):
 def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or "vars" not in obj or "generators" not in obj:
         raise DomainError('an ideal needs the keys "vars" and "generators"')
-    n = _count(obj, "vars")
+    n = _integer(obj, "vars")
+    _check_ambient(n, "num_vars")  # before a generator is parsed into n entries
     if not isinstance(obj["generators"], list):
         raise DomainError('"generators" must be a list')
     gens = []
@@ -221,7 +219,7 @@ def ideal_to_json(ideal: MonomialIdeal, pretty: bool = False) -> dict:
 def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise DomainError('a graph needs the keys "n" and "edges"')
-    n = _count(obj, "n")
+    n = _integer(obj, "n")
     edges = obj["edges"]
     if not _integer_lists(edges) or any(len(e) != 2 for e in edges):
         raise DomainError('"edges" must be a list of integer pairs')

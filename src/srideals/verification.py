@@ -1022,7 +1022,7 @@ def run_all(seed: int = 0, **budgets) -> list[dict]:
 
 def run_suite(name: str, seed: int = 0, **budgets) -> dict:
     """Run one suite at its keyword defaults, overridden by ``budgets``."""
-    if name not in SUITES:
+    if type(name) is not str or name not in SUITES:
         raise DomainError(f"unknown suite {name!r}")
     (report,) = _run([(SUITES[name][0], {})], seed, budgets)
     return report

@@ -7,23 +7,36 @@ import pytest
 
 from srideals import (
     DomainError,
+    Graph,
     Monomial,
+    MonomialIdeal,
     RelationTree,
     SimplicialComplex,
     facet_complement_generators,
+    minimalize,
     minor_certificates,
     reduced_homology,
     relation_tree_from_edges,
+    restrict_ideal,
+    run_suite,
     tree_minor_det,
+    verify_cycle_witness,
+    verify_elimination_witness,
     verify_leaf_order,
+    verify_linear_quotients,
     verify_minor_certificate,
+    verify_shelling,
 )
+from srideals.complexes import MAX_VARS
 from srideals.errors import ResourceLimitError
+from srideals.serialization import complex_from_json, graph_from_json, ideal_from_json
 
 CX = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
 GENS = facet_complement_generators(CX)
 M = Monomial((1, 0))
 LABELS = (((0, 1), (M, M)),)
+G = Graph(4, [(1, 2), (2, 3)])
+I = MonomialIdeal(2, [M])
 
 
 def case(name, match, call, error=DomainError):
@@ -50,6 +63,15 @@ CASES = [
     case("relation-tree-none-labels", "labels", lambda: RelationTree(2, [(0, 1)], None)),
     case("relation-tree-short-label", "labels", lambda: RelationTree(2, [(0, 1)], [((0, 1),)])),
     case("edges-none-gens", "iterable", lambda: relation_tree_from_edges(None, [(0, 1)])),
+    case("shelling-none", "iterable", lambda: verify_shelling(CX, None)),
+    case("elimination-none", "iterable", lambda: verify_elimination_witness(G, None)),
+    case("cycle-none", "iterable", lambda: verify_cycle_witness(G, None)),
+    case("monomial-none", "iterable", lambda: Monomial(None)),
+    case("minimalize-none", "iterable", lambda: minimalize(None)),
+    case("ideal-none-gens", "iterable", lambda: MonomialIdeal(2, None)),
+    case("restrict-none", "iterable", lambda: restrict_ideal(I, None)),
+    case("linear-quotients-none", "iterable", lambda: verify_linear_quotients(None)),
+    case("suite-list", "unknown suite", lambda: run_suite([], 0)),
     case("homology-vertex-0", "out of range", lambda: reduced_homology([(0,)])),
     case("homology-str-vertex", "not an integer", lambda: reduced_homology([("a",)])),
     case("homology-float-vertex", "not an integer", lambda: reduced_homology([(1.5,)])),
@@ -70,6 +92,41 @@ CASES = [
         ResourceLimitError,
     ),
 ]
+
+
+# Every value with a ground set [n] is held to complexes.MAX_VARS where it
+# is built, so no n-bit mask or dense vector of n entries is built past it.
+GROUND_SETS = {
+    "complex": lambda n: SimplicialComplex(n, [(1,)]),
+    "from-faces": lambda n: SimplicialComplex.from_faces(n, [(1,)]),
+    "from-masks": lambda n: SimplicialComplex.from_masks(n, [1]),
+    "graph": lambda n: Graph(n, []),
+    "ideal": lambda n: MonomialIdeal(n, []),
+    "from-support": lambda n: Monomial.from_support((1,), n),
+    "complex-json": lambda n: complex_from_json({"ambient": n, "facets": [[1]]}),
+    "graph-json": lambda n: graph_from_json({"n": n, "edges": []}),
+    "ideal-json": lambda n: ideal_from_json({"vars": n, "generators": ["x1"]}),
+}
+CASES += [
+    case(
+        f"{name}-{shown}",
+        f"= {shown} exceeds complexes.MAX_VARS = 1,024",
+        lambda build=build, n=n: build(n),
+        ResourceLimitError,
+    )
+    for name, build in GROUND_SETS.items()
+    for n, shown in (
+        (MAX_VARS + 1, "1025"),
+        (10**19, "10000000000000000000"),
+        (10**5000, "an integer of 16,610 bits"),
+    )
+]
+
+
+@pytest.mark.parametrize("name", GROUND_SETS)
+def test_the_largest_ground_set_builds(name):
+    built = GROUND_SETS[name](MAX_VARS)
+    assert (built.num_vars if hasattr(built, "num_vars") else built.n) == MAX_VARS
 
 
 @pytest.mark.parametrize("call, error, match", CASES)

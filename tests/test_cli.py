@@ -393,10 +393,12 @@ class TestExitCodes:
         "command, payload, extra",
         [
             ("betti", {"vars": 10**18, "generators": ["x1"]}, []),
+            # the cap runs before a list generator's length is compared with "vars"
+            ("betti", {"vars": 10**18, "generators": [[1]]}, []),
             ("power", {"vars": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, ["-k", "500"]),
             ("power", {"vars": 2, "generators": [[1, 0]]}, ["-k", str(10**20)]),
         ],
-        ids=["huge-vars", "power-products", "power-factors"],
+        ids=["huge-vars", "huge-vars-list", "power-products", "power-factors"],
     )
     def test_input_beyond_a_cap_is_exit_3(self, command, payload, extra, tmp_path, capsys):
         path = tmp_path / "input.json"

@@ -17,7 +17,7 @@ from srideals import (
     pure_complement,
     skeleton,
 )
-from srideals.complexes import mask_face
+from srideals.complexes import MAX_VARS, mask_face
 from srideals.errors import ResourceLimitError
 from srideals.ideals import facet_ideal, stanley_reisner_ideal
 from srideals.verification import iter_complexes_masks
@@ -79,19 +79,27 @@ class TestConstruction:
         with pytest.raises(DomainError, match=re.escape(message)):
             build()
 
-    def test_huge_ambients_build_with_the_same_facets(self):
-        built = SimplicialComplex(10**19, [(1,), (2, 3)])
-        from_masks = SimplicialComplex.from_masks(10**19, [6, 1])
+    def test_the_largest_ambient_builds_with_the_same_facets(self):
+        # the canonical facet order does not depend on n, up to the cap itself
+        built = SimplicialComplex(MAX_VARS, [(1,), (2, 3)])
+        from_masks = SimplicialComplex.from_masks(MAX_VARS, [6, 1])
         assert built == from_masks and hash(built) == hash(from_masks)
         assert from_masks.facets == built.facets == ((1,), (2, 3))
         assert from_masks.facet_masks == (1, 6)
 
-    @pytest.mark.parametrize("ideal", [facet_ideal, stanley_reisner_ideal])
-    def test_huge_ambients_hit_the_dense_vector_cap(self, ideal):
-        # every generator is a dense vector of 10**19 entries
-        message = "variables = 10000000000000000000 exceeds ideals.MAX_VARS = 1,024"
+    @pytest.mark.parametrize(
+        "build", [SimplicialComplex, SimplicialComplex.from_faces, SimplicialComplex.from_masks]
+    )
+    def test_huge_ambients_are_refused_where_built(self, build):
+        # no n-bit mask of [n] is built later, by a dual, a complement or an ideal
+        message = "ambient size = 10000000000000000000 exceeds complexes.MAX_VARS = 1,024"
         with pytest.raises(ResourceLimitError, match=re.escape(message)):
-            ideal(SimplicialComplex(10**19, [(1,), (2, 3)]))
+            build(10**19, [1] if build is SimplicialComplex.from_masks else [(1,)])
+
+    @pytest.mark.parametrize("ideal", [facet_ideal, stanley_reisner_ideal])
+    def test_the_largest_ambient_gives_dense_vectors(self, ideal):
+        cx = SimplicialComplex(MAX_VARS, [(1,), (2, 3)])
+        assert {len(e) for e in ideal(cx).exponents} == {MAX_VARS}
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):

@@ -4,7 +4,11 @@ callers build as antichains in range.  Its callers are the results of
 Alexander duality, complements, skeleton complements, clique complexes and
 ``complex_from_ideal``, plus ``from_masks``, which checks the range first
 and the antichain after; every other caller goes through a checking
-constructor."""
+constructor.
+
+Every public builder of a complex, graph or ideal checks its ground-set size
+with ``complexes._check_ambient``, so ``complexes.MAX_VARS`` is defined in
+``complexes`` and read nowhere else: no caller checks the size again."""
 
 import ast
 from pathlib import Path
@@ -33,12 +37,18 @@ def _uses(tree, wanted):
     return [(where, text) for _, _, where, text in sorted(found)]
 
 
-def _names_builder(node, parents):
-    """A read of ``_antichain_complex`` by name or attribute (an import is
-    no read)."""
-    named = getattr(node, "id", None) == "_antichain_complex"
-    named = named or getattr(node, "attr", None) == "_antichain_complex"
-    return node if named and isinstance(getattr(node, "ctx", None), ast.Load) else None
+def _names(name, ctx=ast.Load):
+    """A finder of each use of `name` by name or attribute in context `ctx`
+    (an import is no use)."""
+
+    def wanted(node, parents):
+        named = getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        return node if named and isinstance(getattr(node, "ctx", None), ctx) else None
+
+    return wanted
+
+
+_names_builder = _names("_antichain_complex")
 
 
 def _new_complex(node, parents):
@@ -81,6 +91,13 @@ def test_only_the_trusted_builder_skips_the_constructor():
     }
 
 
+def test_the_ground_set_bound_is_read_only_by_its_check():
+    assert _by_module(_names("MAX_VARS", ast.Store)) == {"complexes": [(None, "MAX_VARS")]}
+    assert _by_module(_names("MAX_VARS")) == {
+        "complexes": [("_check_ambient", "MAX_VARS")] * 2
+    }
+
+
 def test_the_finders_see_every_spelling():
     source = (
         "from .complexes import _antichain_complex\n"
@@ -88,12 +105,19 @@ def test_the_finders_see_every_spelling():
         "class B:\n    def c(self):\n        return complexes._antichain_complex\n"
         "d = lambda: SimplicialComplex.__new__(SimplicialComplex)\n"
         "e = object.__new__(MonomialIdeal)\n"
+        "def f(n):\n    return n > complexes.MAX_VARS or n > MAX_VARS\n"
+        "MAX_VARS = 1\n"
     )
     tree = ast.parse(source)
     assert _uses(tree, _names_builder) == [
         ("a", "_antichain_complex"),
         ("c", "complexes._antichain_complex"),
     ]
+    assert _uses(tree, _names("MAX_VARS")) == [
+        ("f", "complexes.MAX_VARS"),
+        ("f", "MAX_VARS"),
+    ]
+    assert _uses(tree, _names("MAX_VARS", ast.Store)) == [(None, "MAX_VARS")]
     assert _uses(tree, _new_complex) == [
         ("<lambda>", "SimplicialComplex.__new__(SimplicialComplex)")
     ]
