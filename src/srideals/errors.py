@@ -24,11 +24,14 @@ def not_iterable(what: str, value) -> DomainError:
 
 
 def listed(what: str, value) -> list:
-    """The items of an iterable argument; a non-iterable is a DomainError."""
+    """The items of an iterable argument; a non-iterable is a DomainError.
+    Only ``iter`` is guarded, so an error raised while the items are read
+    is the caller's own."""
     try:
-        return list(value)
+        items = iter(value)
     except TypeError:
         raise not_iterable(what, value) from None
+    return list(items)
 
 
 def index_order(what: str, order, first: int, count: int) -> list | None:

@@ -8,6 +8,12 @@ tuple of its exponent vectors, which is all the kernels read; its
 first-class value (empty generator list); the unit ideal is rejected
 everywhere.  Support bitmasks become exponent vectors in :func:`_mask_vectors` only.
 
+Minimality is decided in one place, the drop pass :func:`_minimal_vectors`:
+:func:`minimalize`, :func:`power` and :func:`graded_component_ideal` keep
+what it keeps, and the constructor refuses a list it would shorten.  Every
+ideal is stored by :func:`_stored_ideal`, which checks nothing; the checks
+are made where plain data enters, by the constructor and :func:`minimalize`.
+
 The variable count n is checked, against ``complexes.MAX_VARS``, by
 ``complexes._check_ambient`` where an ideal is built: by the constructor,
 :func:`minimalize` and ``Monomial.from_support``, and for the ideals of a
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,9 +44,10 @@ class Monomial:
 
     def __init__(self, exponents):
         try:
-            exps = tuple(exponents)
+            items = iter(exponents)
         except TypeError:
             raise not_iterable("exponents", exponents) from None
+        exps = tuple(items)
         if not exps:
             raise DomainError("a monomial needs at least one variable")
         if not {int}.issuperset(map(type, exps)) or min(exps) < 0:  # bool is rejected too
@@ -115,12 +122,19 @@ def monomial_to_str(m: Monomial) -> str:
 
 
 def _canonical(monomials):
-    """The distinct monomials sorted by (degree, exponents), with their
-    exponent vectors and degrees in the same order: one dict keyed by the
-    exponents, a sort by exponents and a stable sort by degree."""
-    by_exps = {m.exponents: m for m in listed("monomials", monomials)}
-    exps = sorted(sorted(by_exps), key=sum)
-    return tuple(map(by_exps.__getitem__, exps)), exps, tuple(map(sum, exps))
+    """The distinct exponent vectors of the monomials in canonical order,
+    with their degrees (:func:`_in_order`)."""
+    try:
+        return _in_order({m.exponents for m in listed("monomials", monomials)})
+    except AttributeError:  # a string's characters, say
+        raise not_iterable("monomials", monomials) from None
+
+
+def _in_order(vectors):
+    """The distinct exponent vectors sorted by (degree, exponents), by a sort
+    by exponents and a stable sort by degree, and their degrees in that order."""
+    exps = sorted(sorted(vectors), key=sum)
+    return exps, list(map(sum, exps))
 
 
 def _packing(vectors, top: int | None = None, degree: bool = False):
@@ -185,15 +199,13 @@ class MonomialIdeal:
     The fields are ``num_vars`` and ``exponents``, the canonical tuple of
     the generators' exponent vectors, so equality and hashing compare
     those.  ``generators`` holds the same generators as :class:`Monomial`
-    objects: the constructor keeps the caller's own, and an ideal computed
-    here builds them when they are first read.  ``generator_degrees``
-    holds the generators' degrees in the same order.
+    objects, built from ``exponents`` when they are first read.
+    ``generator_degrees`` holds the generators' degrees in the same order.
 
-    Distinct monomials of equal degree never divide each other, and a
-    monomial never divides one of lower degree, so the check compares each
-    generator only with the generators of strictly higher degree, by the
-    packed subtract-and-mask test of :func:`_packing`; an equigenerated
-    set needs no comparison at all.
+    The constructor checks each vector's length and refuses the unit
+    vector, in canonical order, and then refuses the list when the drop
+    pass :func:`_minimal_vectors` would shorten it; only then does it look
+    for the first comparable pair, to name it.
     """
 
     num_vars: int
@@ -201,36 +213,19 @@ class MonomialIdeal:
 
     def __init__(self, num_vars: int, generators):
         _check_ambient(num_vars, "num_vars")
-        unique, exps, degrees = _canonical(generators)
-        self._store(num_vars, exps, degrees)
-        self.__dict__["generators"] = unique
-
-    def _store(self, num_vars: int, exps, degrees, minimal: bool = False) -> "MonomialIdeal":
-        """Check and store distinct exponent vectors given in canonical order
-        with their degrees (:func:`_canonical`), and return the ideal.  With
-        `minimal` the caller has already shown that no generator divides
-        another, and the comparable-pair scan is skipped."""
-        if exps and (degrees[0] == 0 or any(map(num_vars.__ne__, map(len, exps)))):
-            for e in exps:
-                if len(e) != num_vars:
-                    raise DomainError(
-                        f"generator {Monomial(e)} has {len(e)} variables, expected {num_vars}"
-                    )
-                if not any(e):
-                    raise DomainError("the unit ideal is not supported")
-        if exps and degrees[0] != degrees[-1] and not minimal:
-            packed, _stride, _ones, guards = _packing(exps)
-            for i, a in enumerate(packed):
-                for j in range(bisect_right(degrees, degrees[i]), len(exps)):
-                    if (packed[j] | guards) - a & guards == guards:
-                        raise DomainError(
-                            f"generators are not minimal: {Monomial(exps[i])} and "
-                            f"{Monomial(exps[j])} are comparable"
-                        )
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "exponents", tuple(exps))
-        object.__setattr__(self, "generator_degrees", tuple(degrees))
-        return self
+        exps, degrees = _canonical(generators)
+        for e in exps:
+            if len(e) != num_vars:
+                raise DomainError(
+                    f"generator {Monomial(e)} has {len(e)} variables, expected {num_vars}"
+                )
+            if not any(e):
+                raise DomainError("the unit ideal is not supported")
+        if len(_minimal_vectors(exps, degrees)[0]) < len(exps):
+            pairs = itertools.combinations(map(Monomial, exps), 2)
+            a, b = next((a, b) for a, b in pairs if a.divides(b))
+            raise DomainError(f"generators are not minimal: {a} and {b} are comparable")
+        _stored_ideal(num_vars, exps, degrees, self)
 
     @cached_property
     def generators(self) -> tuple[Monomial, ...]:
@@ -262,47 +257,59 @@ def minimalize(monomials) -> MonomialIdeal:
     """Reduce a nonempty list of monomials to the minimal generating set.
 
     The monomials are sorted by (degree, exponents) (:func:`_canonical`)
-    and reduced by :func:`_minimal_ideal`.
+    and reduced by :func:`_minimal_vectors`.
     """
-    _unique, exps, degrees = _canonical(monomials)
+    exps, degrees = _canonical(monomials)
     if not exps:
         raise DomainError("minimalize needs at least one monomial")
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
     _check_ambient(n, "num_vars")
-    return _minimal_ideal(n, exps, degrees)
+    if degrees[0] == 0:
+        raise DomainError("the unit ideal is not supported")
+    return _stored_ideal(n, *_minimal_vectors(exps, degrees))
 
 
-def _minimal_ideal(n: int, exps, degrees) -> MonomialIdeal:
-    """The ideal of distinct exponent vectors of n variables given in
-    canonical order, with their degrees in the same order.
+def _minimal_vectors(exps, degrees):
+    """The drop pass: of distinct exponent vectors of one length given in
+    canonical order with their degrees, the vectors that no other one
+    divides, and their degrees, in the same order.
 
     A vector is dropped when a kept vector of strictly lower degree
     divides it: a distinct vector of equal degree cannot, and a dropped
     one's divisors are kept ones.  The divisibility test is the packed
-    subtract-and-mask of :func:`_packing`.  What is kept is minimal, so the
-    ideal is stored with every check of its class but the comparable-pair
-    scan.
+    subtract-and-mask of :func:`_packing`, and an equigenerated list
+    needs no comparison at all.
     """
-    if degrees[0] != degrees[-1]:
-        packed, _stride, _ones, guards = _packing(exps)
-        keep: list[int] = []
-        for k, b in enumerate(packed):
-            lower = keep[: bisect_left(keep, bisect_left(degrees, degrees[k]))]
-            if not any((b | guards) - packed[a] & guards == guards for a in lower):
-                keep.append(k)
-        exps, degrees = ([seq[k] for k in keep] for seq in (exps, degrees))
-    return MonomialIdeal.__new__(MonomialIdeal)._store(n, exps, degrees, minimal=True)
+    if not exps or degrees[0] == degrees[-1]:
+        return exps, degrees
+    packed, _stride, _ones, guards = _packing(exps)
+    keep: list[int] = []
+    for k, b in enumerate(packed):
+        lower = keep[: bisect_left(keep, bisect_left(degrees, degrees[k]))]
+        if not any((b | guards) - packed[a] & guards == guards for a in lower):
+            keep.append(k)
+    return [exps[k] for k in keep], [degrees[k] for k in keep]
+
+
+def _stored_ideal(n: int, exps, degrees, ideal: MonomialIdeal | None = None) -> MonomialIdeal:
+    """The ideal in n variables whose minimal generators are the given
+    exponent vectors, in canonical order with their degrees, stored on
+    `ideal` (the constructor's instance) or on a new one.  Its callers build
+    or check the vectors; nothing is checked here."""
+    ideal = object.__new__(MonomialIdeal) if ideal is None else ideal
+    ideal.__dict__.update(num_vars=n, exponents=tuple(exps), generator_degrees=tuple(degrees))
+    return ideal
 
 
 def _ideal_from_packed(packed, stride: int, n: int) -> MonomialIdeal:
-    """:func:`_minimal_ideal` of distinct vectors of n variables packed at
-    ``stride`` with a degree field (:func:`_packing`): one sort of the ints
-    gives the canonical order, and the degree is the field above ``n * stride``."""
-    packed = sorted(packed)
+    """The ideal of the :func:`_minimal_vectors` of distinct vectors of n
+    variables packed at ``stride`` with a degree field (:func:`_packing`),
+    given as sorted ints: that is the canonical order, and the degree is the
+    field above ``n * stride``."""
     degrees = list(map((n * stride).__rrshift__, packed))
-    return _minimal_ideal(n, _unpacked(packed, stride, n), degrees)
+    return _stored_ideal(n, *_minimal_vectors(_unpacked(packed, stride, n), degrees))
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -322,10 +329,8 @@ def _mask_vectors(n: int, masks) -> list[tuple[int, ...]]:
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
     """The ideal generated by the squarefree monomials whose supports are
     the given bitmasks, an antichain (facets, minimal nonfaces, edges or sets
-    of one size), stored without the comparable-pair scan."""
-    exps = sorted(set(_mask_vectors(n, masks)))
-    exps.sort(key=sum)
-    return MonomialIdeal.__new__(MonomialIdeal)._store(n, exps, list(map(sum, exps)), minimal=True)
+    of one size) of nonzero masks in range, stored unchecked."""
+    return _stored_ideal(n, *_in_order(set(_mask_vectors(n, masks))))
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
@@ -400,7 +405,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         )
     packed, stride, _ones, _guards = _packing(exps, k * max(map(max, exps)), degree=True)
     products = set(map(sum, itertools.combinations_with_replacement(packed, k)))
-    return _ideal_from_packed(products, stride, ideal.num_vars)
+    return _ideal_from_packed(sorted(products), stride, ideal.num_vars)
 
 
 def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -429,18 +434,19 @@ def graded_component_ideal(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     sums = set()
     for p, (_, extra) in zip(packed, below):
         sums.update(map(p.__add__, map(sum, itertools.combinations_with_replacement(units, extra))))
-    return _ideal_from_packed(sums, stride, n)
+    return _ideal_from_packed(sorted(sums), stride, n)
 
 
 def restrict_ideal(ideal: MonomialIdeal, bound) -> MonomialIdeal:
-    """Keep the generators whose exponent vector is componentwise <= bound."""
+    """Keep the generators whose exponent vector is componentwise <= bound:
+    a sub-tuple of the minimal, canonical ``exponents`` is one itself."""
     a = listed("exponents", bound)
     if len(a) != ideal.num_vars or any(type(v) is not int or v < 0 for v in a):
         raise DomainError(
             f"bound must be a length-{ideal.num_vars} vector of nonnegative integers"
         )
-    kept = [g for g in ideal.generators if all(e <= b for e, b in zip(g.exponents, a))]
-    return MonomialIdeal(ideal.num_vars, kept)
+    kept = [e for e in ideal.exponents if all(map(int.__le__, e, a))]
+    return _stored_ideal(ideal.num_vars, kept, list(map(sum, kept)))
 
 
 def skeleton_ideal_from_one_skeleton(i1: MonomialIdeal, ell: int, n: int) -> MonomialIdeal:
@@ -594,16 +600,20 @@ def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool
     ``> g_i[v]`` columns of the colon variables.  That is a constant number
     of int operations per generator and variable, each over the prefix.
     """
-    order = listed("monomials", order)
-    if len(order) < 2:
+    items = listed("monomials", order)
+    if len(items) < 2:
         return True
-    exps = [getattr(m, "exponents", m) for m in order]
+    exps = [getattr(m, "exponents", m) for m in items]
     n = len(exps[0])
     if any(map(n.__ne__, map(len, exps))):
         raise DomainError("monomials have mixed variable counts")
     columns = list(zip(*exps))
+    try:
+        values = _value_columns(columns)
+    except TypeError:  # entries that are no integers: a string's characters, say
+        raise not_iterable("monomials", order) from None
     tables = []  # per variable: c -> (the > c column, the == c + 1 column)
-    for at in _value_columns(columns):
+    for at in values:
         table, higher = {}, 0
         for c in sorted(at, reverse=True):
             table[c] = higher, at.get(c + 1, 0)

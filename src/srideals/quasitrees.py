@@ -33,8 +33,8 @@ them for one tree.
 
 :func:`relation_trees` builds each tree once, without the checks of
 ``RelationTree.__post_init__``: its edge sets are sorted spanning trees
-by construction, as ``MonomialIdeal._store(minimal=True)`` trusts its
-callers' minimality.  Every tree through a facet pair holds that pair's
+by construction, as ``ideals._stored_ideal`` trusts its callers'
+minimality.  Every tree through a facet pair holds that pair's
 one ``(edge, label)`` entry, so :func:`reconstructs` compares the
 variable counts of each distinct entry once and packs it once, and
 ``serialization`` writes it once.  ``RelationTree(...)`` keeps every
@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, index_order, listed, over_cap
+from .errors import DomainError, index_order, listed, not_iterable, over_cap
 from .ideals import Monomial, _mask_vectors, _packing, _unpacked
 
 
@@ -515,21 +515,27 @@ def reconstructs(trees, generators) -> list[bool]:
     given generators (:func:`reconstruct_generators` for every tree, with
     each distinct label entry checked and packed once per call and no
     monomial built)."""
-    trees = list(trees)
-    entries, nvs = _label_entries(trees)
-    gens = [g.exponents for g in generators]
+    forest = listed("relation trees", trees)
+    try:
+        entries, nvs = _label_entries(forest)
+    except AttributeError:  # a string's characters, say
+        raise not_iterable("relation trees", trees) from None
+    try:
+        gens = [g.exponents for g in listed("monomials", generators)]
+    except AttributeError:
+        raise not_iterable("monomials", generators) from None
     n = len(gens[0]) if gens else 0
     matching = [
-        nv == n and tree.num_generators == len(gens) for tree, nv in zip(trees, nvs)
+        nv == n and tree.num_generators == len(gens) for tree, nv in zip(forest, nvs)
     ]
     if not any(matching) or any(len(g) != n for g in gens):
-        return [False] * len(trees)
+        return [False] * len(forest)
     # every entry's two labels have one count, and those of a matching tree n
     entries = {key: e for key, e in entries.items() if e[1][0].num_vars == n}
     items, packed_gens, _ = _pack_labels(entries, gens, len(gens) - 1)
     return [
         ok and _products(len(gens), map(items.__getitem__, map(id, tree.labels))) == packed_gens
-        for tree, ok in zip(trees, matching)
+        for tree, ok in zip(forest, matching)
     ]
 
 

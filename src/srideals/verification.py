@@ -125,7 +125,10 @@ def iter_complexes_masks(n, max_facets=None, max_size=None):
                 yield from rec(idx + 1)
             chosen.pop()
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # it refers to itself; this frees the search now
 
 
 def _check_family(sizes, knob: str) -> None:

@@ -15,8 +15,10 @@ from srideals import (
     facet_complement_generators,
     minimalize,
     minor_certificates,
+    reconstructs,
     reduced_homology,
     relation_tree_from_edges,
+    relation_trees,
     restrict_ideal,
     run_suite,
     tree_minor_det,
@@ -37,6 +39,7 @@ M = Monomial((1, 0))
 LABELS = (((0, 1), (M, M)),)
 G = Graph(4, [(1, 2), (2, 3)])
 I = MonomialIdeal(2, [M])
+TREES = relation_trees(CX)
 
 
 def case(name, match, call, error=DomainError):
@@ -71,6 +74,12 @@ CASES = [
     case("ideal-none-gens", "iterable", lambda: MonomialIdeal(2, None)),
     case("restrict-none", "iterable", lambda: restrict_ideal(I, None)),
     case("linear-quotients-none", "iterable", lambda: verify_linear_quotients(None)),
+    # a string's characters are no monomials or trees
+    case("ideal-str-gens", "iterable of monomials", lambda: MonomialIdeal(3, "x")),
+    case("minimalize-str", "iterable of monomials", lambda: minimalize("x")),
+    case("reconstructs-str-trees", "iterable of relation trees", lambda: reconstructs("x", GENS)),
+    case("reconstructs-str-gens", "iterable of monomials", lambda: reconstructs(TREES, "x")),
+    case("linear-quotients-str", "iterable of monomials", lambda: verify_linear_quotients("xy")),
     case("suite-list", "unknown suite", lambda: run_suite([], 0)),
     case("homology-vertex-0", "out of range", lambda: reduced_homology([(0,)])),
     case("homology-str-vertex", "not an integer", lambda: reduced_homology([("a",)])),
@@ -134,3 +143,23 @@ def test_malformed_plain_data_is_a_package_error(call, error, match):
     with pytest.raises(error, match=match) as raised:
         call()
     assert type(raised.value) is error
+
+
+def _failing(items, error):
+    """A generator that yields `items` and then raises `error`."""
+    yield from items
+    raise error
+
+
+@pytest.mark.parametrize(
+    "build, items",
+    [
+        pytest.param(lambda faces: SimplicialComplex(3, faces), [(1,)], id="listed"),
+        pytest.param(Monomial, [1], id="monomial"),
+    ],
+)
+def test_an_error_while_the_items_are_read_is_the_callers_own(build, items):
+    # only the call to iter is guarded: a TypeError that the caller's own
+    # iterable raises part-way is not taken for a non-iterable argument
+    with pytest.raises(TypeError, match="bad item source"):
+        build(_failing(items, TypeError("bad item source")))

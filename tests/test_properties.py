@@ -287,6 +287,20 @@ def test_restrict_is_a_subset_and_idempotent(ideal):
     assert restrict_ideal(smaller, half) == smaller
 
 
+@given(monomial_ideals(max_gens=6, max_exp=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_the_constructor_on_the_dividing_generators(ideal, data):
+    # restrict_ideal keeps a sub-tuple of the stored exponents unchecked;
+    # the constructor, given the generators that divide x^a, checks them
+    bound = data.draw(st.tuples(*[st.integers(0, 4)] * ideal.num_vars))
+    x_a = Monomial(bound)
+    expected = MonomialIdeal(ideal.num_vars, [g for g in ideal.generators if g.divides(x_a)])
+    got = restrict_ideal(ideal, bound)
+    assert got == expected
+    assert got.generator_degrees == expected.generator_degrees
+    assert got.generators == expected.generators
+
+
 @given(monomial_ideals())
 @settings(max_examples=60, deadline=None)
 def test_betti_oracles_agree(ideal):

@@ -6,6 +6,14 @@ Alexander duality, complements, skeleton complements, clique complexes and
 and the antichain after; every other caller goes through a checking
 constructor.
 
+Ideals have the same shape: only ``ideals._stored_ideal`` stores an ideal,
+unchecked.  The constructor calls it after its checks, and so do the callers
+of the one drop pass ``ideals._minimal_vectors`` (``minimalize`` and, for
+``power`` and ``graded_component_ideal``, ``_ideal_from_packed``),
+``_squarefree_ideal``, whose masks are antichains in range, and
+``restrict_ideal``, which keeps a sub-tuple of a stored ideal's
+generators.  No other module reaches the store or the drop pass.
+
 Every public builder of a complex, graph or ideal checks its ground-set size
 with ``complexes._check_ambient``, so ``complexes.MAX_VARS`` is defined in
 ``complexes`` and read nowhere else: no caller checks the size again."""
@@ -51,15 +59,22 @@ def _names(name, ctx=ast.Load):
 _names_builder = _names("_antichain_complex")
 
 
-def _new_complex(node, parents):
-    """An ``X.__new__`` that names SimplicialComplex: the call when it is
-    called, else the attribute itself."""
-    if not (isinstance(node, ast.Attribute) and node.attr == "__new__"):
-        return None
-    use = parents[node]
-    if not (isinstance(use, ast.Call) and use.func is node):
-        use = node
-    return use if "SimplicialComplex" in ast.unparse(use) else None
+def _new_instance(cls_name):
+    """A finder of each ``X.__new__`` that names `cls_name`: the call when
+    it is called, else the attribute itself."""
+
+    def wanted(node, parents):
+        if not (isinstance(node, ast.Attribute) and node.attr == "__new__"):
+            return None
+        use = parents[node]
+        if not (isinstance(use, ast.Call) and use.func is node):
+            use = node
+        return use if cls_name in ast.unparse(use) else None
+
+    return wanted
+
+
+_new_complex = _new_instance("SimplicialComplex")
 
 
 def _by_module(wanted):
@@ -88,6 +103,30 @@ def test_the_trusted_builder_has_only_the_listed_callers():
 def test_only_the_trusted_builder_skips_the_constructor():
     assert _by_module(_new_complex) == {
         "complexes": [("_antichain_complex", "object.__new__(SimplicialComplex)")]
+    }
+
+
+def test_the_ideal_store_and_drop_pass_have_only_the_listed_callers():
+    def callers(name):
+        return {
+            module: [where for where, _ in uses]
+            for module, uses in _by_module(_names(name)).items()
+        }
+
+    assert callers("_stored_ideal") == {
+        "ideals": [
+            "__init__",
+            "minimalize",
+            "_ideal_from_packed",
+            "_squarefree_ideal",
+            "restrict_ideal",
+        ],
+    }
+    assert callers("_minimal_vectors") == {
+        "ideals": ["__init__", "minimalize", "_ideal_from_packed"]
+    }
+    assert _by_module(_new_instance("MonomialIdeal")) == {
+        "ideals": [("_stored_ideal", "object.__new__(MonomialIdeal)")]
     }
 
 
@@ -120,4 +159,7 @@ def test_the_finders_see_every_spelling():
     assert _uses(tree, _names("MAX_VARS", ast.Store)) == [(None, "MAX_VARS")]
     assert _uses(tree, _new_complex) == [
         ("<lambda>", "SimplicialComplex.__new__(SimplicialComplex)")
+    ]
+    assert _uses(tree, _new_instance("MonomialIdeal")) == [
+        (None, "object.__new__(MonomialIdeal)")
     ]

@@ -45,6 +45,10 @@ class TestGenerators:
             cx = SimplicialComplex.from_masks(3, masks)
             assert isinstance(cx, SimplicialComplex)
 
+    def test_enumeration_leaves_no_reference_cycle(self, cyclic_garbage):
+        # the recursive search is a closure that refers to itself
+        assert cyclic_garbage(lambda: sum(1 for _ in iter_complexes_masks(4))) == 0
+
     def test_random_complex_is_reproducible(self):
         a = random_complex(random.Random(7), 6)
         b = random_complex(random.Random(7), 6)
