@@ -8,10 +8,17 @@ Cohen-Macaulayness, and shelling-order search.
 Betti numbers come from one engine (Miller-Sturmfels, Thm 1.34): walk
 the lcm lattice of the generators, closed one generator at a time, and
 take the homology of the upper-Koszul complex K^b at each element b.
-:func:`betti_table` (packed exponent vectors) and
-:func:`squarefree_betti_masks` (support bitmasks) are its two entry
-points and differ only in how they represent a multidegree.  :func:`taylor_betti_table` is the independent
-oracle: homology of the multidegree strands of the Taylor complex.
+:func:`betti_table` and :func:`squarefree_betti_masks` are its two entry
+points.  A multidegree has one of two representations, and for an ideal
+one helper chooses it (:func:`_engine`).  A squarefree ideal is its own
+polarization, so its multidegrees are support bitmasks: the join is OR
+and the tight masks at b are the generators below b, already minimal
+(:func:`_mask_engine`); :func:`squarefree_betti_masks` reads bare masks
+the same way.  Any other ideal packs its exponent vectors into ints
+(``ideals._packing``), joins them by a guard-subtract fieldwise max and
+minimalizes the tight masks at each b (:func:`_packed_engine`).
+:func:`taylor_betti_table` is the independent oracle: homology of the
+multidegree strands of the Taylor complex.
 
 Every minimal generator g is an atom of the lattice with K^g = {empty
 face}, so the engine records beta_{0,g} = 1 without building K^g and
@@ -58,14 +65,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from ._linalg import rank as _rank
 from .complexes import SimplicialComplex, dimension_info, down_closure, face_mask, mask_face
 from .complexes import _canonical_faces
 from .errors import DomainError, index_order, over_cap
-from .ideals import MonomialIdeal, _packing, _unpacked
+from .ideals import MonomialIdeal, _mask_vectors, _packing, _support_mask, _unpacked
 
 
 # Primality is checked by trial division up to sqrt(p), so the
@@ -474,7 +481,7 @@ def betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTa
     the lattice at ``MAX_LCMS`` elements.
     """
     _check_betti_input(ideal)
-    return _packed_betti_table(ideal, field.p)
+    return _betti_table(ideal, field.p)
 
 
 def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
@@ -482,13 +489,28 @@ def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
     by the degree-bounded walk of :func:`_upper_koszul_projdim`, under the
     caps of :func:`betti_table` checked in the same order."""
     _check_betti_input(ideal)
-    gens, join, tight_masks, _stride = _packed_engine(ideal)
+    gens, join, tight_masks, _vectors = _engine(ideal)
     return _upper_koszul_projdim(gens, join, tight_masks, field.p)
+
+
+def _engine(ideal: MonomialIdeal):
+    """The engine's inputs for the generators of I: (gens, join,
+    tight_masks, vectors), where ``vectors`` maps a list of multidegrees to
+    their exponent vectors.  This is the one place that chooses the
+    representation of a multidegree.  A squarefree ideal is its own
+    polarization, so its multidegrees are support masks
+    (:func:`_mask_engine`): its canonical generators are already minimal
+    and sorted by size, and the lattice closes in the same order as the
+    packed one.  Every other ideal is packed (:func:`_packed_engine`)."""
+    if ideal.is_squarefree:
+        gens = list(map(_support_mask, ideal.exponents))
+        return (*_mask_engine(gens), partial(_mask_vectors, ideal.num_vars))
+    return _packed_engine(ideal)
 
 
 def _packed_engine(ideal: MonomialIdeal):
     """The engine's inputs for the generators of I as packed exponent
-    vectors (``ideals._packing``): (gens, join, tight_masks, stride).  The
+    vectors (``ideals._packing``): (gens, join, tight_masks, vectors).  The
     join is the guard-subtract fieldwise max, and a tight mask is the
     guard bits of supp(b) minus those of supp(b ^ g).
     """
@@ -508,33 +530,39 @@ def _packed_engine(ideal: MonomialIdeal):
         kept = d & guards
         return g + (d & (kept - (kept >> w)))
 
-    return gens, join, tight_masks, stride
+    return gens, join, tight_masks, partial(_unpacked, stride=stride, n=ideal.num_vars)
 
 
-def _packed_betti_table(ideal: MonomialIdeal, p: int) -> BettiTable:
-    """:func:`betti_table` with only its lcm lattice capped, on the packed
-    engine (:func:`_packed_engine`); multidegrees stay packed until the
-    final table."""
-    gens, join, tight_masks, stride = _packed_engine(ideal)
+def _betti_table(ideal: MonomialIdeal, p: int) -> BettiTable:
+    """:func:`betti_table` with only its lcm lattice capped, on the engine
+    :func:`_engine` chooses; multidegrees become exponent vectors only in
+    the final table."""
+    gens, join, tight_masks, vectors = _engine(ideal)
     table = _upper_koszul_betti(gens, join, tight_masks, p)
     lattice = {b for _i, b in table}
-    vector = dict(zip(lattice, _unpacked(lattice, stride, ideal.num_vars)))
+    vector = dict(zip(lattice, vectors(lattice)))
     return BettiTable.from_dict(ideal.num_vars, {(i, vector[b]): r for (i, b), r in table.items()})
 
 
-def _squarefree_engine(gen_masks):
-    """The engine's inputs for generator support masks: (gens, join,
-    tight_masks).  A multidegree b is its support mask, the join is OR,
-    and the tight mask of a generator g dividing b is g itself, so the
-    minimal generators below b are its minimal tight masks."""
-    gens = _minimal_masks(gen_masks)
-    if not gens or 0 in gens:
-        raise DomainError("need squarefree generators of positive degree")
+def _mask_engine(gens: list[int]):
+    """The engine's inputs for minimal generator masks `gens`, smallest
+    first: (gens, join, tight_masks).  A multidegree b is its support mask,
+    the join is OR, and the tight mask of a generator g dividing b is g
+    itself, so the generators below b, in order, are its minimal tight
+    masks."""
 
     def tight_masks(b):
         return b, [g for g in gens if g & b == g]
 
     return gens, int.__or__, tight_masks
+
+
+def _squarefree_engine(gen_masks):
+    """:func:`_mask_engine` on the minimal masks among `gen_masks`."""
+    gens = _minimal_masks(gen_masks)
+    if not gens or 0 in gens:
+        raise DomainError("need squarefree generators of positive degree")
+    return _mask_engine(gens)
 
 
 def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:

@@ -237,7 +237,7 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for v in self.exponents for e in v)
+        return max(map(max, self.exponents), default=0) <= 1
 
     def contains(self, m: Monomial) -> bool:
         """Ideal membership for a monomial in the ideal's variables."""
@@ -600,18 +600,16 @@ def verify_linear_quotients(order: Sequence[Monomial | tuple[int, ...]]) -> bool
     ``> g_i[v]`` columns of the colon variables.  That is a constant number
     of int operations per generator and variable, each over the prefix.
     """
-    items = listed("monomials", order)
-    if len(items) < 2:
-        return True
-    exps = [getattr(m, "exponents", m) for m in items]
-    n = len(exps[0])
-    if any(map(n.__ne__, map(len, exps))):
-        raise DomainError("monomials have mixed variable counts")
-    columns = list(zip(*exps))
-    try:
+    exps = [getattr(m, "exponents", m) for m in listed("monomials", order)]
+    try:  # items that are no vectors of integers: ints, or a string's characters
+        if len(set(map(len, exps))) > 1:
+            raise DomainError("monomials have mixed variable counts")
+        columns = list(zip(*exps))
         values = _value_columns(columns)
-    except TypeError:  # entries that are no integers: a string's characters, say
+    except TypeError:
         raise not_iterable("monomials", order) from None
+    if len(exps) < 2:
+        return True
     tables = []  # per variable: c -> (the > c column, the == c + 1 column)
     for at in values:
         table, higher = {}, 0

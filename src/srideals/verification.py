@@ -47,7 +47,7 @@ from .homological import (
     MAX_SHELLING_FACETS,
     RATIONALS,
     FieldChoice,
-    _packed_betti_table,
+    _betti_table,
     _shelling_search,
     betti_table,
     is_cohen_macaulay,
@@ -408,7 +408,7 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
             return True
     except ResourceLimitError:
         pass
-    return _packed_betti_table(ideal, field.p).is_linear(next(iter(degrees)))
+    return _betti_table(ideal, field.p).is_linear(next(iter(degrees)))
 
 
 def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:

@@ -80,6 +80,15 @@ CASES = [
     case("reconstructs-str-trees", "iterable of relation trees", lambda: reconstructs("x", GENS)),
     case("reconstructs-str-gens", "iterable of monomials", lambda: reconstructs(TREES, "x")),
     case("linear-quotients-str", "iterable of monomials", lambda: verify_linear_quotients("xy")),
+    # items that are no vectors are refused, one item as well as two
+    case("linear-quotients-ints", "iterable of monomials", lambda: verify_linear_quotients([1, 2])),
+    case(
+        "linear-quotients-nones",
+        "iterable of monomials",
+        lambda: verify_linear_quotients([None, None]),
+    ),
+    case("linear-quotients-char", "iterable of monomials", lambda: verify_linear_quotients("x")),
+    case("linear-quotients-int", "iterable of monomials", lambda: verify_linear_quotients([5])),
     case("suite-list", "unknown suite", lambda: run_suite([], 0)),
     case("homology-vertex-0", "out of range", lambda: reduced_homology([(0,)])),
     case("homology-str-vertex", "not an integer", lambda: reduced_homology([("a",)])),

@@ -30,6 +30,7 @@ from srideals import (
 from srideals import homological
 from srideals.complexes import minimal_nonfaces_masks
 from srideals.homological import squarefree_betti_masks, squarefree_projdim_masks
+from srideals.verification import has_linear_resolution
 
 # the 6-vertex triangulation of the real projective plane: 10 triangles,
 # 15 edges, Euler characteristic 6 - 15 + 10 = 1
@@ -385,6 +386,51 @@ class TestBettiTables:
         for engine in (squarefree_betti_masks, squarefree_projdim_masks):
             with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 50,000"):
                 engine([1 << i for i in range(16)])
+
+    def test_only_non_squarefree_ideals_are_packed(self, monkeypatch):
+        # a squarefree ideal is its own polarization: the engine reads it
+        # as generator masks, and only other ideals reach the packed engine
+        packed = []
+        real = homological._packed_engine
+
+        def spy(ideal):
+            packed.append(ideal)
+            return real(ideal)
+
+        monkeypatch.setattr(homological, "_packed_engine", spy)
+        squarefree = stanley_reisner_ideal(PROJECTIVE_PLANE)
+        cube = minimalize([Monomial((2, 1, 0)), Monomial((0, 1, 1)), Monomial((1, 0, 2))])
+        for ideal in (squarefree, cube):
+            packed.clear()
+            betti_table(ideal, GF2)
+            projdim(ideal, GF2)
+            projdim_and_reg(ideal)
+            assert packed == ([] if ideal.is_squarefree else [ideal] * 3)
+        # the table fallback of has_linear_resolution: x1x2, x3x4 has no
+        # linear quotients, so only its Betti table answers
+        packed.clear()
+        gens = [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1))]
+        assert not has_linear_resolution(MonomialIdeal(4, gens))
+        assert packed == []
+
+    @pytest.mark.parametrize("engine", ["_upper_koszul_betti", "_upper_koszul_projdim"])
+    def test_lattice_cap_message_is_the_same_on_both_engines(self, monkeypatch, engine):
+        # the canonical generators close the lattice in one order in both
+        # representations, so the count at the cap is the same
+        monkeypatch.setattr(homological, "MAX_LCMS", 20)
+        ideal = stanley_reisner_ideal(PROJECTIVE_PLANE)
+        messages = []
+        for gens, join, tight_masks, _ in (
+            homological._engine(ideal),
+            homological._packed_engine(ideal),
+        ):
+            with pytest.raises(ResourceLimitError, match="homological.MAX_LCMS = 20 ") as raised:
+                getattr(homological, engine)(gens, join, tight_masks, 0)
+            messages.append(str(raised.value))
+        with pytest.raises(ResourceLimitError) as raised:
+            (betti_table if engine == "_upper_koszul_betti" else projdim)(ideal)
+        messages.append(str(raised.value))
+        assert len(set(messages)) == 1
 
     @pytest.mark.parametrize("engine", [betti_table, projdim])
     def test_packed_caps_are_checked_in_order(self, engine):

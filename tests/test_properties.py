@@ -29,6 +29,7 @@ from srideals import (
     Monomial,
     power,
     projdim,
+    projdim_and_reg,
     pure_complement,
     reduced_homology,
     restrict_ideal,
@@ -62,6 +63,7 @@ from srideals.graphs import (
     one_skeleton_graph,
 )
 from srideals.homological import (
+    BettiTable,
     _boundary_rank,
     _lcm_lattice,
     _minimal_masks,
@@ -69,6 +71,8 @@ from srideals.homological import (
     _packed_engine,
     _profile_from_masks,
     _squarefree_engine,
+    _upper_koszul_betti,
+    _upper_koszul_projdim,
     shelling_order,
     squarefree_betti_masks,
     squarefree_projdim_masks,
@@ -1099,6 +1103,35 @@ def test_linear_resolution_matches_the_taylor_oracle(field, ideal):
     table = taylor_betti_table(ideal, field)
     expected = len(degrees) == 1 and table.is_linear(min(degrees))
     assert has_linear_resolution(ideal, field) == expected
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=repr)
+@given(monomial_ideals(min_n=1, max_n=8, max_gens=8, max_exp=1))
+@settings(max_examples=100, deadline=None)
+def test_squarefree_ideals_match_the_packed_engine_and_the_taylor_oracle(field, ideal):
+    # a squarefree ideal is read as generator masks; the packed engine,
+    # driven directly, and the Taylor complex must give the same answers
+    engine = _packed_engine(ideal)
+    packed = _upper_koszul_betti(*engine[:3], field.p)
+    lattice = list({b for _, b in packed})
+    vector = dict(zip(lattice, engine[3](lattice)))
+    expected = BettiTable.from_dict(
+        ideal.num_vars, {(i, vector[b]): r for (i, b), r in packed.items()}
+    )
+    assert expected == taylor_betti_table(ideal, field)
+    assert betti_table(ideal, field) == expected
+    assert projdim(ideal, field) == _upper_koszul_projdim(*engine[:3], field.p)
+    assert projdim(ideal, field) == expected.projdim
+    degrees = set(ideal.generator_degrees)
+    linear = len(degrees) == 1 and expected.is_linear(min(degrees))
+    assert projdim_and_reg(ideal, field) == (expected.projdim, expected.regularity, linear)
+    assert has_linear_resolution(ideal, field) == linear
+
+
+@given(monomial_ideals(max_exp=3) | st.integers(1, 4).map(lambda n: MonomialIdeal(n, [])))
+@settings(max_examples=200, deadline=None)
+def test_is_squarefree_reads_every_exponent(ideal):
+    assert ideal.is_squarefree == all(e <= 1 for v in ideal.exponents for e in v)
 
 
 _BAD_VERTICES = (

@@ -16,7 +16,13 @@ generators.  No other module reaches the store or the drop pass.
 
 Every public builder of a complex, graph or ideal checks its ground-set size
 with ``complexes._check_ambient``, so ``complexes.MAX_VARS`` is defined in
-``complexes`` and read nowhere else: no caller checks the size again."""
+``complexes`` and read nowhere else: no caller checks the size again.
+
+The Betti engine has two lattice walks, ``homological._upper_koszul_betti``
+and ``_upper_koszul_projdim``, the only readers of the lcm lattice.  Their
+inputs for a ``MonomialIdeal`` come from one helper, ``_engine``, the one
+reader of ``is_squarefree`` in ``homological``: it sends a squarefree ideal
+to the mask engine and every other ideal to the packed one."""
 
 import ast
 from pathlib import Path
@@ -128,6 +134,32 @@ def test_the_ideal_store_and_drop_pass_have_only_the_listed_callers():
     assert _by_module(_new_instance("MonomialIdeal")) == {
         "ideals": [("_stored_ideal", "object.__new__(MonomialIdeal)")]
     }
+
+
+def test_the_betti_engine_has_two_walks_and_one_choice_of_representation():
+    def callers(name):
+        return {
+            module: [where for where, _ in uses]
+            for module, uses in _by_module(_names(name)).items()
+        }
+
+    assert callers("_lcm_lattice") == {
+        "homological": ["_upper_koszul_betti", "_upper_koszul_projdim"]
+    }
+    assert callers("_upper_koszul_betti") == {
+        "homological": ["_betti_table", "squarefree_betti_masks"]
+    }
+    assert callers("_upper_koszul_projdim") == {
+        "homological": ["projdim", "squarefree_projdim_masks"]
+    }
+    assert callers("_engine") == {"homological": ["projdim", "_betti_table"]}
+    assert callers("_packed_engine") == {"homological": ["_engine"]}
+    assert callers("_mask_engine") == {"homological": ["_engine", "_squarefree_engine"]}
+    assert callers("_betti_table") == {
+        "homological": ["betti_table"],
+        "verification": ["has_linear_resolution"],
+    }
+    assert callers("is_squarefree")["homological"] == ["_engine"]
 
 
 def test_the_ground_set_bound_is_read_only_by_its_check():

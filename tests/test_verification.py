@@ -89,7 +89,7 @@ _LONG_ROUTES = {
             ("verify_linear_quotients", False),
             ("verify_linear_quotients", False),
             ("linear_quotients_order", False),
-            ("_packed_betti_table", False),
+            ("_betti_table", False),
         ],
     ),
     "canonical order": (
@@ -130,7 +130,7 @@ _LONG_ROUTES = {
             ("verify_linear_quotients", False),
             ("verify_linear_quotients", False),
             ("linear_quotients_order", False),
-            ("_packed_betti_table", False),
+            ("_betti_table", False),
         ],
     ),
 }
@@ -169,7 +169,7 @@ class TestLinearResolutionDecider:
         spy("betti_table", lambda table: table.is_linear(2))
         spy("verify_linear_quotients", bool)
         spy("linear_quotients_order", lambda order: order is not None)
-        spy("_packed_betti_table", lambda table: table.is_linear(2))
+        spy("_betti_table", lambda table: table.is_linear(2))
         graph = Graph(n, edges)
         ideal = edge_ideal(graph)
         assert len(ideal.generators) == len(edges)
