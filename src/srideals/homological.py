@@ -114,6 +114,14 @@ RATIONALS = FieldChoice(0)
 GF2 = FieldChoice(2)
 
 
+def _characteristic(field) -> int:
+    """The p of the ``field`` argument, which must be a FieldChoice: a plain
+    characteristic is a DomainError, not an AttributeError from ``.p``."""
+    if not isinstance(field, FieldChoice):
+        raise DomainError(f"field must be a FieldChoice such as GF2 or RATIONALS, got {field!r}")
+    return field.p
+
+
 @dataclass(frozen=True)
 class HomologyProfile:
     """Reduced homology ranks, indexed so ranks[k + 1] is the rank of H~_k."""
@@ -239,6 +247,7 @@ def reduced_homology(cx, field: FieldChoice = RATIONALS) -> HomologyProfile:
     The vertices of a list are checked as faces are (types and signs)
     before n is held to the cap.
     """
+    p = _characteristic(field)
     faces = None if isinstance(cx, SimplicialComplex) else _canonical_faces(cx, math.inf)
     n = cx.n if faces is None else max((f[-1] for f in faces if f), default=0)
     if n > MAX_HOMOLOGY_VARS:
@@ -248,7 +257,7 @@ def reduced_homology(cx, field: FieldChoice = RATIONALS) -> HomologyProfile:
     else:
         faces = frozenset(map(face_mask, faces))
         _check_downward_closed(faces)
-    return HomologyProfile(_profile_from_masks(faces, field.p))
+    return HomologyProfile(_profile_from_masks(faces, p))
 
 
 def _check_downward_closed(faces: frozenset) -> None:
@@ -480,17 +489,19 @@ def betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> BettiTa
     ``MAX_BETTI_GENERATORS`` generators and ``MAX_BETTI_VARS`` variables,
     the lattice at ``MAX_LCMS`` elements.
     """
+    p = _characteristic(field)
     _check_betti_input(ideal)
-    return _betti_table(ideal, field.p)
+    return _betti_table(ideal, p)
 
 
 def projdim(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> int:
     """The projective dimension of I, ``betti_table(ideal, field).projdim``,
     by the degree-bounded walk of :func:`_upper_koszul_projdim`, under the
     caps of :func:`betti_table` checked in the same order."""
+    p = _characteristic(field)
     _check_betti_input(ideal)
     gens, join, tight_masks, _vectors = _engine(ideal)
-    return _upper_koszul_projdim(gens, join, tight_masks, field.p)
+    return _upper_koszul_projdim(gens, join, tight_masks, p)
 
 
 def _engine(ideal: MonomialIdeal):
@@ -595,6 +606,7 @@ def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> 
     downward closed (a face whose lcm drops leaves the strand), and the
     builder drops such faces from the boundary.
     """
+    p = _characteristic(field)
     _check_betti_generators(ideal)
     gens = ideal.exponents
     t = len(gens)
@@ -619,7 +631,7 @@ def taylor_betti_table(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> 
             masks.sort()
         top = max(levels)
         bd_rank = {
-            s: _boundary_rank(levels.get(s - 1, []), levels.get(s, []), field.p)
+            s: _boundary_rank(levels.get(s - 1, []), levels.get(s, []), p)
             for s in range(2, top + 1)
         }
         for s in range(1, top + 1):
@@ -641,6 +653,7 @@ def projdim_and_reg(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) -> tup
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldChoice = RATIONALS) -> bool:
     """Reisner's criterion: every face link has vanishing reduced homology
     below its dimension."""
+    p = _characteristic(field)
     if cx.is_void:
         raise DomainError("Cohen-Macaulayness of the void complex is undefined")
     if cx.n > MAX_CM_VARS:
@@ -649,7 +662,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field: FieldChoice = RATIONALS) -> 
     for f in faces:
         link = frozenset(g ^ f for g in faces if g & f == f)
         link_dim = max(m.bit_count() for m in link) - 1
-        profile = _profile_from_masks(link, field.p)
+        profile = _profile_from_masks(link, p)
         if any(profile[: link_dim + 1]):
             return False
     return True

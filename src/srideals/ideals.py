@@ -329,8 +329,16 @@ def _mask_vectors(n: int, masks) -> list[tuple[int, ...]]:
 def _squarefree_ideal(n: int, masks) -> MonomialIdeal:
     """The ideal generated by the squarefree monomials whose supports are
     the given bitmasks, an antichain (facets, minimal nonfaces, edges or sets
-    of one size) of nonzero masks in range, stored unchecked."""
-    return _stored_ideal(n, *_in_order(set(_mask_vectors(n, masks))))
+    of one size) of distinct nonzero masks in range, stored unchecked.
+
+    The masks are sorted straight into the canonical order of their
+    exponent vectors: by size, then by the binary string read from x1 up,
+    ascending (within a size, the reverse of ``complexes._facet_order``, and
+    for the same reason no key depends on n); :func:`_mask_vectors` then
+    converts them once."""
+    order = sorted(masks, key=lambda m: bin(m)[:1:-1])
+    order.sort(key=int.bit_count)
+    return _stored_ideal(n, _mask_vectors(n, order), list(map(int.bit_count, order)))
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:

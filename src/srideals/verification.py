@@ -48,6 +48,7 @@ from .homological import (
     RATIONALS,
     FieldChoice,
     _betti_table,
+    _characteristic,
     _shelling_search,
     betti_table,
     is_cohen_macaulay,
@@ -391,6 +392,7 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
     the Betti table over the field decide, capped only at its lcm lattice
     (``homological.MAX_LCMS``), so a False answer is exact.
     """
+    p = _characteristic(field)
     if ideal.is_zero:
         raise DomainError("the zero ideal has no resolution to classify")
     degrees = set(ideal.generator_degrees)
@@ -408,7 +410,7 @@ def has_linear_resolution(ideal: MonomialIdeal, field: FieldChoice = RATIONALS) 
             return True
     except ResourceLimitError:
         pass
-    return _betti_table(ideal, field.p).is_linear(next(iter(degrees)))
+    return _betti_table(ideal, p).is_linear(next(iter(degrees)))
 
 
 def _complement_ideal(cx: SimplicialComplex, ell: int) -> MonomialIdeal:

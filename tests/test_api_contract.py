@@ -12,15 +12,21 @@ from srideals import (
     MonomialIdeal,
     RelationTree,
     SimplicialComplex,
+    betti_table,
     facet_complement_generators,
+    has_linear_resolution,
+    is_cohen_macaulay,
     minimalize,
     minor_certificates,
+    projdim,
+    projdim_and_reg,
     reconstructs,
     reduced_homology,
     relation_tree_from_edges,
     relation_trees,
     restrict_ideal,
     run_suite,
+    taylor_betti_table,
     tree_minor_det,
     verify_cycle_witness,
     verify_elimination_witness,
@@ -109,6 +115,15 @@ CASES = [
         lambda: reduced_homology([(10**5000,)]),
         ResourceLimitError,
     ),
+    # a plain characteristic is no field; the linear-resolution test reads
+    # its field before any certificate could answer without it
+    case("betti-int-field", "FieldChoice", lambda: betti_table(I, 2)),
+    case("projdim-int-field", "FieldChoice", lambda: projdim(I, 2)),
+    case("projdim-and-reg-int-field", "FieldChoice", lambda: projdim_and_reg(I, 2)),
+    case("taylor-int-field", "FieldChoice", lambda: taylor_betti_table(I, 2)),
+    case("homology-int-field", "FieldChoice", lambda: reduced_homology(CX, 2)),
+    case("cohen-macaulay-int-field", "FieldChoice", lambda: is_cohen_macaulay(CX, 2)),
+    case("linear-resolution-int-field", "FieldChoice", lambda: has_linear_resolution(I, 2)),
 ]
 
 

@@ -17,7 +17,8 @@ from srideals import (
     pure_complement,
     skeleton,
 )
-from srideals.complexes import MAX_VARS, mask_face
+from srideals import complexes
+from srideals.complexes import MAX_VARS, mask_face, minimal_transversals
 from srideals.errors import ResourceLimitError
 from srideals.ideals import facet_ideal, stanley_reisner_ideal
 from srideals.verification import iter_complexes_masks
@@ -223,6 +224,20 @@ class TestComplements:
 
 
 class TestNonfacesAndDual:
+    def test_the_ground_set_picks_the_transversal_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            complexes, "_bitmap_transversals", lambda edges, m: calls.append(m) or []
+        )
+        monkeypatch.setattr(
+            complexes, "_berge_transversals", lambda edges: calls.append("berge") or []
+        )
+        bound = complexes._BITMAP_VERTICES
+        minimal_transversals(iter([0b1, 1 << (bound - 1)]))
+        minimal_transversals([])
+        minimal_transversals([1 << bound])
+        assert calls == [bound, 0, "berge"]
+
     def test_minimal_nonfaces_of_hollow_triangle(self):
         cx = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
         nonfaces, is_flag = minimal_nonfaces(cx)

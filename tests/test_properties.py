@@ -43,7 +43,10 @@ from srideals import (
 )
 from srideals import _linalg
 from srideals.complexes import (
+    _BITMAP_VERTICES,
     _antichain_complex,
+    _berge_transversals,
+    _bitmap_transversals,
     _facet_order,
     down_closure,
     face_mask,
@@ -77,7 +80,7 @@ from srideals.homological import (
     squarefree_betti_masks,
     squarefree_projdim_masks,
 )
-from srideals.ideals import _value_columns
+from srideals.ideals import _squarefree_ideal, _value_columns
 from srideals.quasitrees import (
     RelationTree,
     build_m_delta,
@@ -826,8 +829,46 @@ def edge_lists(draw, max_n=7, max_edges=8):
 @example(([0b111, 0b001], 3))  # a later edge inside an earlier one
 @settings(max_examples=400, deadline=None)
 def test_minimal_transversals_match_the_subset_scan(case):
+    # both kernels, driven directly: these ground sets all take the bitmap,
+    # which also holds on any [n] containing every edge
     edge_masks, n = case
-    assert minimal_transversals(iter(edge_masks)) == _naive_minimal_transversals(edge_masks, n)
+    expected = _naive_minimal_transversals(edge_masks, n)
+    assert minimal_transversals(iter(edge_masks)) == expected
+    assert _bitmap_transversals(edge_masks, n) == expected
+    assert _berge_transversals(edge_masks) == expected
+
+
+@st.composite
+def wide_edge_lists(draw):
+    """(edge masks, n): at most four edges on [n] just past the bitmap's
+    bound, vertex n in the first."""
+    n = draw(st.integers(_BITMAP_VERTICES + 1, _BITMAP_VERTICES + 2))
+    edges = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    edges[0] |= 1 << (n - 1)
+    return edges, n
+
+
+@given(wide_edge_lists())
+@settings(max_examples=40, deadline=None)
+def test_minimal_transversals_past_the_bitmap_bound_are_berges(case):
+    edge_masks, n = case
+    found = minimal_transversals(iter(edge_masks))
+    assert found == _berge_transversals(edge_masks)
+    assert found == _bitmap_transversals(edge_masks, n)
+
+
+@given(facet_lists())
+@example(([], 3))  # the zero ideal
+@example(([0b011, 0b101, 0b110, 0b1000], 4))  # ties within a size
+@settings(max_examples=300, deadline=None)
+def test_squarefree_ideal_sorts_masks_into_the_canonical_order(case):
+    masks, n = case
+    found = {m for m in masks if m}
+    antichain = [m for m in found if not any(m != g and m & g == m for g in found)]
+    ideal = _squarefree_ideal(n, antichain)
+    supports = [Monomial.from_support(mask_face(m), n) for m in antichain]
+    assert ideal == MonomialIdeal(n, supports)
+    assert ideal.generator_degrees == tuple(map(sum, ideal.exponents))
 
 
 def _naive_stanley_reisner_complex(gen_masks, n):
