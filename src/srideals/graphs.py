@@ -324,12 +324,13 @@ class HigherDiracReport:
 
 
 def higher_dirac_check(cx: SimplicialComplex) -> HigherDiracReport:
-    """Evaluate both sides of the higher-Dirac equivalence independently.
+    """Evaluate both sides of the higher-Dirac equivalence.
 
     Side A asks whether cx is the ell-skeleton of a quasi-tree (the
     clique complex of the 1-skeleton is the only possible candidate);
     side B asks whether the 1-skeleton is chordal and cx is the
-    ell-skeleton of its clique complex.  The verdicts must agree.
+    ell-skeleton of its clique complex.  Both judge that one candidate,
+    by a leaf order and by chordality.  The verdicts must agree.
     The candidate's ell-skeleton contains cx; the two differ iff some
     (ell+1)-subset of a candidate facet is not a facet of cx, so the scan
     stops at the first such subset.

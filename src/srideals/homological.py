@@ -568,6 +568,19 @@ def _mask_engine(gens: list[int]):
     return gens, int.__or__, tight_masks
 
 
+@lru_cache(maxsize=64)
+def _int_characteristic(p: int) -> int:
+    """FieldChoice(p).p, cached so that a large prime pays its trial division once."""
+    return FieldChoice(p).p
+
+
+def _mask_characteristic(p) -> int:
+    """The ``p`` of a mask entry point other than the int 0, which the entry
+    points pass as it is: an int through FieldChoice's checks, once per
+    value, and any other value, a bool too, to FieldChoice's DomainError."""
+    return _int_characteristic(p) if type(p) is int else FieldChoice(p).p
+
+
 def _squarefree_engine(gen_masks):
     """:func:`_mask_engine` on the minimal masks among `gen_masks`."""
     gens = _minimal_masks(gen_masks)
@@ -583,6 +596,8 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     bitmasks (:func:`_squarefree_engine`).  The lcm lattice is capped at
     ``MAX_LCMS``.
     """
+    if type(p) is not int or p:  # the int 0 needs no check
+        p = _mask_characteristic(p)
     engine = _squarefree_engine(gen_masks)
     return _upper_koszul_betti(*engine, p)
 
@@ -592,6 +607,8 @@ def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
     generator support masks: max(i) over :func:`squarefree_betti_masks`,
     by the degree-bounded walk of :func:`_upper_koszul_projdim`.  The lcm
     lattice is capped at ``MAX_LCMS``."""
+    if type(p) is not int or p:  # the int 0 needs no check
+        p = _mask_characteristic(p)
     engine = _squarefree_engine(gen_masks)
     return _upper_koszul_projdim(*engine, p)
 

@@ -350,9 +350,12 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
 
 
 def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
-    """I(cx), generated by the monomials of the facets."""
+    """I(cx), generated by the monomials of the facets.  The complex {emptyset}
+    is refused: its one facet gives the unit ideal."""
     if cx.is_void:
         raise DomainError("facet ideal requires at least one facet")
+    if cx.facet_masks[0] == 0:  # only {emptyset} has the empty facet
+        raise DomainError("the facet ideal of {emptyset} is the unit ideal, which is not supported")
     return _squarefree_ideal(cx.n, cx.facet_masks)
 
 

@@ -5,11 +5,23 @@ A suite is a family plus a check.  The family is a lazy iterable that
 yields exactly the instances: it holds every random draw and every skip
 (the full simplex, a complex with no leaf order, a zero ideal, a failed
 premise).  The check maps one instance to its failure witnesses, usually
-none or one, by pitting two independently computed predicates against
-each other (for example shellability of a complex versus linear
-quotients of the dual ideal).  :func:`_run_family` runs the check on
-every instance and writes the report, so each ``check_*`` function only
-builds the two.  All randomness flows through a seeded ``random.Random``,
+none or one.  :func:`_run_family` runs the check on every instance and
+writes the report, so each ``check_*`` function only builds the two.
+
+How independent a check's two sides are is pinned by the route table in
+``tests/test_source_graph.py``, against a static call graph:
+
+- two routes: lemma-1.1, lemma-1.2, thm-1.4c (shellability of a complex
+  versus linear quotients of the dual ideal), lemma-2.1, cor-2.2 and
+  thm-3.3, whose sides share at most the unchecked stores and the input
+  checks;
+- two sides on one named kernel: thm-1.4a (the cached homology kernel),
+  thm-1.4b (the one upper-Koszul engine, on I_Delta and on the dual's
+  ideal), thm-3.6 (the clique complex of the 1-skeleton) and lemma-4.2
+  (the skeleton-complement ideal builder, at l and at 1);
+- one route: prop-1.3 (one pipeline at l and at 1), the implications
+  cor-1.5, lemma-1.6, lemma-3.2, cor-3.5 and lemma-4.3, and the
+  predicates thm-4.1 and thm-4.4.  All randomness flows through a seeded ``random.Random``,
 so reports are reproducible byte for byte.
 """
 
@@ -576,8 +588,9 @@ def check_projdim_regularity_duality(
 
     Both ideals are recomputed from scratch at the bitmask level: the
     dual's generators come from the dual's own minimal nonfaces, not
-    from the facet-complement identity, so the two sides stay
-    independent.
+    from the facet-complement identity.  Both sides still run the one
+    upper-Koszul engine, the projdim walk on one ideal and the full
+    table on the other.
     """
     p = field.p
 

@@ -14,6 +14,7 @@ from srideals import (
     SimplicialComplex,
     betti_table,
     facet_complement_generators,
+    facet_ideal,
     has_linear_resolution,
     is_cohen_macaulay,
     minimalize,
@@ -37,6 +38,7 @@ from srideals import (
 )
 from srideals.complexes import MAX_VARS
 from srideals.errors import ResourceLimitError
+from srideals.homological import squarefree_betti_masks, squarefree_projdim_masks
 from srideals.serialization import complex_from_json, graph_from_json, ideal_from_json
 
 CX = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
@@ -124,6 +126,22 @@ CASES = [
     case("homology-int-field", "FieldChoice", lambda: reduced_homology(CX, 2)),
     case("cohen-macaulay-int-field", "FieldChoice", lambda: is_cohen_macaulay(CX, 2)),
     case("linear-resolution-int-field", "FieldChoice", lambda: has_linear_resolution(I, 2)),
+    # the complex {emptyset} has the unit ideal as its facet ideal
+    case("facet-ideal-empty-facet", "unit ideal", lambda: facet_ideal(SimplicialComplex(3, [()]))),
+    # a mask entry point's p goes through FieldChoice's checks, unless it is the int 0
+    case("betti-masks-bool-p", "must be an integer", lambda: squarefree_betti_masks([3, 6], True)),
+    case("betti-masks-str-p", "must be an integer", lambda: squarefree_betti_masks([3, 6], "x")),
+    case("betti-masks-list-p", "must be an integer", lambda: squarefree_betti_masks([3, 6], [2])),
+    case("betti-masks-composite-p", "not prime", lambda: squarefree_betti_masks([3, 6], 4)),
+    case("projdim-masks-bool-p", "must be an integer", lambda: squarefree_projdim_masks([3], True)),
+    case("projdim-masks-float-p", "must be an integer", lambda: squarefree_projdim_masks([3], 0.0)),
+    case("projdim-masks-negative-p", "not prime", lambda: squarefree_projdim_masks([3], -1)),
+    case(
+        "projdim-masks-p-past-the-cap",
+        "MAX_CHARACTERISTIC",
+        lambda: squarefree_projdim_masks([3], 2**31),
+        ResourceLimitError,
+    ),
 ]
 
 

@@ -381,6 +381,8 @@ class TestExitCodes:
             ("dual", {"ambient": True, "facets": [[1]]}),
             ("chordal", {"n": True, "edges": []}),
             ("betti", {"vars": 2, "generators": [[True, 0]]}),
+            # the facet ideal of {emptyset} would be the unit ideal
+            ("facet-ideal", {"ambient": 3, "facets": [[]]}),
         ],
     )
     def test_malformed_input_is_exit_1(self, command, payload, tmp_path, capsys):

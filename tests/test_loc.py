@@ -26,10 +26,29 @@ class A:
 '''
 
 
-def test_counts_lines_and_code_lines():
+def _loc():
     spec = importlib.util.spec_from_file_location("loc", LOC)
     loc = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(loc)
+    return loc
+
+
+def test_counts_lines_and_code_lines():
+    loc = _loc()
     # code: import, class, def, the two lines of x, the string statement,
     # and the two lines of the return
     assert loc.count(SOURCE) == (17, 8)
+
+
+def test_the_module_column_fits_the_longest_name(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "a_module_name_of_thirty_six_chars.py").write_text("x = 1\n\ny = 2\n")
+    assert _loc().main(["loc.py", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split() for row in rows] == [
+        ["module", "lines", "code"],
+        ["a.py", "1", "1"],
+        ["a_module_name_of_thirty_six_chars.py", "3", "2"],
+        ["total", "4", "3"],
+    ]
+    assert {len(row) for row in rows} == {len("a_module_name_of_thirty_six_chars.py") + 16}

@@ -48,14 +48,16 @@ def count(source: str) -> tuple[int, int]:
 def main(argv: list[str]) -> int:
     default = Path(__file__).resolve().parents[1] / "src" / "srideals"
     package = Path(argv[1]) if len(argv) > 1 else default
+    paths = sorted(package.glob("*.py"))
+    width = max([len("module"), *(len(path.name) for path in paths)])
     total_lines = total_code = 0
-    print(f"{'module':<20} {'lines':>7} {'code':>7}")
-    for path in sorted(package.glob("*.py")):
+    print(f"{'module':<{width}} {'lines':>7} {'code':>7}")
+    for path in paths:
         lines, code = count(path.read_text(encoding="utf-8"))
         total_lines += lines
         total_code += code
-        print(f"{path.name:<20} {lines:>7,} {code:>7,}")
-    print(f"{'total':<20} {total_lines:>7,} {total_code:>7,}")
+        print(f"{path.name:<{width}} {lines:>7,} {code:>7,}")
+    print(f"{'total':<{width}} {total_lines:>7,} {total_code:>7,}")
     return 0
 
 
