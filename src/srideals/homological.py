@@ -103,11 +103,17 @@ class FieldChoice:
             raise over_cap(
                 "characteristic", self.p, "homological.MAX_CHARACTERISTIC", MAX_CHARACTERISTIC
             )
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
 
     def __repr__(self):
         return "QQ" if self.p == 0 else f"GF({self.p})"
+
+
+@lru_cache(maxsize=64)
+def _is_prime(p: int) -> bool:
+    """Trial division, cached so that a large prime pays it once."""
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 RATIONALS = FieldChoice(0)
@@ -568,19 +574,6 @@ def _mask_engine(gens: list[int]):
     return gens, int.__or__, tight_masks
 
 
-@lru_cache(maxsize=64)
-def _int_characteristic(p: int) -> int:
-    """FieldChoice(p).p, cached so that a large prime pays its trial division once."""
-    return FieldChoice(p).p
-
-
-def _mask_characteristic(p) -> int:
-    """The ``p`` of a mask entry point other than the int 0, which the entry
-    points pass as it is: an int through FieldChoice's checks, once per
-    value, and any other value, a bool too, to FieldChoice's DomainError."""
-    return _int_characteristic(p) if type(p) is int else FieldChoice(p).p
-
-
 def _squarefree_engine(gen_masks):
     """:func:`_mask_engine` on the minimal masks among `gen_masks`."""
     gens = _minimal_masks(gen_masks)
@@ -596,8 +589,8 @@ def squarefree_betti_masks(gen_masks, p: int = 0) -> dict:
     bitmasks (:func:`_squarefree_engine`).  The lcm lattice is capped at
     ``MAX_LCMS``.
     """
-    if type(p) is not int or p:  # the int 0 needs no check
-        p = _mask_characteristic(p)
+    if type(p) is not int or p:  # the int 0 needs no check; a prime is checked once
+        p = FieldChoice(p).p
     engine = _squarefree_engine(gen_masks)
     return _upper_koszul_betti(*engine, p)
 
@@ -607,8 +600,8 @@ def squarefree_projdim_masks(gen_masks, p: int = 0) -> int:
     generator support masks: max(i) over :func:`squarefree_betti_masks`,
     by the degree-bounded walk of :func:`_upper_koszul_projdim`.  The lcm
     lattice is capped at ``MAX_LCMS``."""
-    if type(p) is not int or p:  # the int 0 needs no check
-        p = _mask_characteristic(p)
+    if type(p) is not int or p:  # the int 0 needs no check; a prime is checked once
+        p = FieldChoice(p).p
     engine = _squarefree_engine(gen_masks)
     return _upper_koszul_projdim(*engine, p)
 

@@ -88,17 +88,25 @@ class Monomial:
     def support_mask(self) -> int:
         return _support_mask(self.exponents)
 
+    def _paired(self, other: "Monomial") -> zip:
+        """The exponent pairs of self and other, which must share one variable count."""
+        if len(self.exponents) != len(other.exponents):
+            raise DomainError(
+                f"monomials in {self.num_vars} and {other.num_vars} variables do not combine"
+            )
+        return zip(self.exponents, other.exponents)
+
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(a <= b for a, b in self._paired(other))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
+        return Monomial(tuple(map(min, self._paired(other))))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
+        return Monomial(tuple(map(max, self._paired(other))))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(map(sum, self._paired(other))))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; other must divide self."""

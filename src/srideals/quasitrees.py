@@ -35,10 +35,11 @@ them for one tree.
 ``RelationTree.__post_init__``: its edge sets are sorted spanning trees
 by construction, as ``ideals._stored_ideal`` trusts its callers'
 minimality.  Every tree through a facet pair holds that pair's
-one ``(edge, label)`` entry, so :func:`reconstructs` compares the
-variable counts of each distinct entry once and packs it once, and
-``serialization`` writes it once.  ``RelationTree(...)`` keeps every
-check; no other code builds a tree without them.
+one ``(edge, label)`` entry, so :func:`reconstructs` packs each distinct
+entry once and ``serialization`` writes it once.  ``RelationTree(...)``
+keeps every check; no other code builds a tree without them.  So every
+tree holds one entry per edge, its labels are monomials in one variable
+count, and the batch checks and the wire form read them unchecked.
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ def build_m_delta(cx: SimplicialComplex) -> list[tuple[int, int, Monomial, Monom
 class RelationTree:
     """A tree on generator indices [0, t) labeled with Taylor quotients.
 
-    Edges are (i, j) pairs with i < j; labels[(i, j)] = (u_ij, u_ji).
+    Edges are (i, j) pairs with i < j, and labels holds one entry
+    ((i, j), (u_ij, u_ji)) per edge: two monomials, in the variable count
+    that all of the tree's labels share.
     """
 
     num_generators: int
@@ -197,17 +200,21 @@ class RelationTree:
         if any(type(e) is not tuple for e in self.edges):
             raise DomainError("a relation tree's edges must be (i, j) tuples")
         try:
-            keys = {e for e, _ in self.labels}
-        except (TypeError, ValueError):  # labels that are no (edge, label) pairs
+            labels = tuple(self.labels)  # read once, and held as checked (an iterator too)
+            keys = {e for e, _ in labels}
+            monomials = [m for _, (u, v) in labels for m in (u, v)]
+        except (TypeError, ValueError):  # labels that are no (edge, (u, v)) entries
             keys = None
-        if keys != set(self.edges):
+        if keys != set(self.edges) or len(labels) != len(self.edges):
             raise DomainError("labels do not match the edge set")
+        if not all(isinstance(m, Monomial) for m in monomials):
+            raise DomainError("a relation tree label is a pair of monomials (u_ij, u_ji)")
+        if len({m.num_vars for m in monomials}) > 1:
+            raise DomainError("relation tree labels have mixed variable counts")
+        object.__setattr__(self, "labels", labels)
 
     def label(self, i: int, j: int) -> tuple[Monomial, Monomial]:
-        for e, lab in self.labels:
-            if e == (i, j):
-                return lab
-        raise KeyError((i, j))
+        return dict(self.labels)[i, j]
 
 
 def _is_tree(t: int, edges) -> bool:
@@ -440,30 +447,8 @@ def _distinct_labels(trees) -> dict:
     return dict(zip(map(id, entries), entries))
 
 
-def _label_entries(trees) -> tuple[dict, list[int]]:
-    """The trees' :func:`_distinct_labels` and the variable count shared by
-    each tree's labels.  The counts of each distinct entry are compared
-    once, and a tree looks its entries up only when the entries do not all
-    share one count."""
-    entries = _distinct_labels(trees)
-    counts = {
-        key: u.num_vars if u.num_vars == v.num_vars else -1
-        for key, (_, (u, v)) in entries.items()
-    }
-    shared = set(counts.values())  # when it has one count, every tree has it
-    nvs: list[int] = []
-    for tree in trees:
-        if tree.num_generators < 2:
-            raise DomainError("reconstruction needs a tree with at least one edge")
-        nv = shared if len(shared) == 1 else {*map(counts.__getitem__, map(id, tree.labels))}
-        if len(nv) != 1 or -1 in nv:
-            raise DomainError("relation tree labels have mixed variable counts")
-        nvs.extend(nv)
-    return entries, nvs
-
-
 def _pack_labels(entries, extra, longest: int):
-    """Pack the labels of `entries` (from :func:`_label_entries`) together
+    """Pack the labels of `entries` (from :func:`_distinct_labels`) together
     with the exponent vectors in `extra`, in fields wide enough for a
     product of `longest` labels.  Returns ``(items, packed extra,
     stride)``, where ``items[id(entry)]`` is the :func:`_edge_item` of the
@@ -490,8 +475,7 @@ def _products(t: int, items) -> list[int]:
     One walk from index 0 gives P_0.  Moving the root across an edge
     a -> b turns only that edge around, so P_b = P_a + (back - ahead): an
     exact sum of ints whose fields hold P_b's exponents, since P_a holds
-    what crossing a -> b adds.  The walk reaches a new index through the
-    first item of its edge.
+    what crossing a -> b adds.
     """
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(t)]
     for i, j, ahead, back in items:
@@ -513,25 +497,24 @@ def _products(t: int, items) -> list[int]:
 def reconstructs(trees, generators) -> list[bool]:
     """For each labeled relation tree, whether it gives back exactly the
     given generators (:func:`reconstruct_generators` for every tree, with
-    each distinct label entry checked and packed once per call and no
-    monomial built)."""
+    each distinct label entry packed once per call and no monomial built)."""
     forest = listed("relation trees", trees)
-    try:
-        entries, nvs = _label_entries(forest)
-    except AttributeError:  # a string's characters, say
-        raise not_iterable("relation trees", trees) from None
+    if not all(isinstance(tree, RelationTree) for tree in forest):  # a string's characters, say
+        raise not_iterable("relation trees", trees)
+    if any(tree.num_generators < 2 for tree in forest):
+        raise DomainError("reconstruction needs a tree with at least one edge")
     try:
         gens = [g.exponents for g in listed("monomials", generators)]
     except AttributeError:
         raise not_iterable("monomials", generators) from None
     n = len(gens[0]) if gens else 0
     matching = [
-        nv == n and tree.num_generators == len(gens) for tree, nv in zip(forest, nvs)
+        tree.num_generators == len(gens) and tree.labels[0][1][0].num_vars == n for tree in forest
     ]
     if not any(matching) or any(len(g) != n for g in gens):
         return [False] * len(forest)
-    # every entry's two labels have one count, and those of a matching tree n
-    entries = {key: e for key, e in entries.items() if e[1][0].num_vars == n}
+    # the labels of a matching tree have n variables
+    entries = {key: e for key, e in _distinct_labels(forest).items() if e[1][0].num_vars == n}
     items, packed_gens, _ = _pack_labels(entries, gens, len(gens) - 1)
     return [
         ok and _products(len(gens), map(items.__getitem__, map(id, tree.labels))) == packed_gens
@@ -542,8 +525,9 @@ def reconstructs(trees, generators) -> list[bool]:
 def reconstruct_generators(tree: RelationTree) -> list[Monomial]:
     """Recover the generators from a labeled relation tree (the products
     of :func:`_products`)."""
-    entries, (n,) = _label_entries([tree])
     t = tree.num_generators
-    items, _, stride = _pack_labels(entries, [], t - 1)
+    if t < 2:
+        raise DomainError("reconstruction needs a tree with at least one edge")
+    items, _, stride = _pack_labels(_distinct_labels([tree]), [], t - 1)
     products = _products(t, map(items.__getitem__, map(id, tree.labels)))
-    return [Monomial(p) for p in _unpacked(products, stride, n)]
+    return [Monomial(p) for p in _unpacked(products, stride, tree.labels[0][1][0].num_vars)]

@@ -231,7 +231,9 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_graph6(text: str) -> Graph:
-    """Decode a single graph6 line (graphs up to 62 vertices)."""
+    """Decode a single graph6 line (graphs up to 62 vertices).  The line
+    holds exactly the characters its n(n-1)/2 edge bits need, with zero
+    padding bits, and n = 0 is refused by ``Graph``, as in JSON."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<") :]
@@ -243,12 +245,16 @@ def graph_from_graph6(text: str) -> Graph:
     n = values[0]
     if n == 63:
         raise DomainError("graph6 inputs beyond 62 vertices are not supported")
+    need = n * (n - 1) // 2
+    size = 1 + (need + 5) // 6  # six edge bits a character, zero-padded
+    if len(values) != size:
+        too = "short" if len(values) < size else "long"
+        raise DomainError(f"graph6 string is too {too} for its vertex count")
     bits = []
     for v in values[1:]:
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    need = n * (n - 1) // 2
-    if len(bits) < need:
-        raise DomainError("graph6 string is too short for its vertex count")
+    if any(bits[need:]):
+        raise DomainError("graph6 padding bits must be zero")
     edges = []
     idx = 0
     for j in range(1, n):
@@ -256,7 +262,7 @@ def graph_from_graph6(text: str) -> Graph:
             if bits[idx]:
                 edges.append((i + 1, j + 1))
             idx += 1
-    return Graph(max(n, 1), edges)
+    return Graph(n, edges)
 
 
 def betti_to_json(table: BettiTable, gen_degrees) -> dict:
@@ -278,10 +284,12 @@ def relation_trees_to_json(trees) -> list[dict]:
 
     Each distinct (edge, label) entry of the trees gets one ``"i-j"`` key
     and one ``{"u_ij": ..., "u_ji": ...}`` dict, and each edge one
-    ``[i, j]`` list, all 1-based.  ``relation_trees`` gives every tree
-    through a facet pair the same entry, so one reply holds each piece
-    once and ``dumps_report`` renders each once.  The pieces are shared,
-    so treat the result as read-only.
+    ``[i, j]`` list, all 1-based.  A tree holds one entry per edge, in
+    one variable count (``RelationTree``'s checks), so its ``"labels"``
+    has one key per edge.  ``relation_trees`` gives every tree through a
+    facet pair the same entry, so one reply holds each piece once and
+    ``dumps_report`` renders each once.  The pieces are shared, so treat
+    the result as read-only.
     """
     trees = list(trees)
     items = {  # id(entry) -> ("i-j", label dict); the trees keep each entry alive
@@ -293,8 +301,7 @@ def relation_trees_to_json(trees) -> list[dict]:
         {
             "t": tree.num_generators,
             "edges": list(map(edges.__getitem__, tree.edges)),
-            # reversed, so that an edge's first label is kept, as in RelationTree.label
-            "labels": dict(map(items.__getitem__, map(id, reversed(tree.labels)))),
+            "labels": dict(map(items.__getitem__, map(id, tree.labels))),
         }
         for tree in trees
     ]

@@ -44,6 +44,7 @@ from srideals.serialization import complex_from_json, graph_from_json, ideal_fro
 CX = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
 GENS = facet_complement_generators(CX)
 M = Monomial((1, 0))
+M3 = Monomial((1, 0, 1))
 LABELS = (((0, 1), (M, M)),)
 G = Graph(4, [(1, 2), (2, 3)])
 I = MonomialIdeal(2, [M])
@@ -73,6 +74,28 @@ CASES = [
     case("relation-tree-list-edge", "tuples", lambda: RelationTree(2, [[0, 1]], LABELS)),
     case("relation-tree-none-labels", "labels", lambda: RelationTree(2, [(0, 1)], None)),
     case("relation-tree-short-label", "labels", lambda: RelationTree(2, [(0, 1)], [((0, 1),)])),
+    # one (edge, (u_ij, u_ji)) entry per edge, of monomials in one variable count
+    case(
+        "relation-tree-str-label",
+        "pair of monomials",
+        lambda: RelationTree(2, ((0, 1),), (((0, 1), ("a", "b")),)),
+    ),
+    case("relation-tree-edge-twice", "edge set", lambda: RelationTree(2, ((0, 1),), LABELS * 2)),
+    case(
+        "relation-tree-two-counts",
+        "mixed variable counts",
+        lambda: RelationTree(3, ((0, 1), (0, 2)), (*LABELS, ((0, 2), (M3, M3)))),
+    ),
+    case(
+        "relation-tree-two-counts-in-one-label",
+        "mixed variable counts",
+        lambda: RelationTree(2, ((0, 1),), (((0, 1), (M, M3)),)),
+    ),
+    case(
+        "edges-gens-of-two-counts",
+        "monomials in 2 and 3 variables",
+        lambda: relation_tree_from_edges([M, M3], [(0, 1)]),
+    ),
     case("edges-none-gens", "iterable", lambda: relation_tree_from_edges(None, [(0, 1)])),
     case("shelling-none", "iterable", lambda: verify_shelling(CX, None)),
     case("elimination-none", "iterable", lambda: verify_elimination_witness(G, None)),

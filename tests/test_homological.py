@@ -60,6 +60,14 @@ class TestFieldChoice:
         assert repr(RATIONALS) == "QQ"
         assert repr(FieldChoice(3)) == "GF(3)"
 
+    def test_a_large_prime_is_trial_divided_once(self):
+        # 2^31 - 1 takes 46,340 trial divisions; the mask entry points
+        # build FieldChoice(p) on every call
+        homological._is_prime.cache_clear()
+        for _ in range(3):
+            assert squarefree_projdim_masks([3, 6], 2**31 - 1) == 1
+        assert homological._is_prime.cache_info()[:2] == (2, 1)  # hits, misses
+
 
 class TestReducedHomology:
     def test_simplex_is_acyclic(self):

@@ -52,6 +52,24 @@ class TestMonomial:
         with pytest.raises(DomainError):
             m(1, 0).quotient(m(0, 1))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, b: a.divides(b),
+            lambda a, b: b.divides(a),
+            lambda a, b: a.gcd(b),
+            lambda a, b: a.lcm(b),
+            lambda a, b: a * b,
+            lambda a, b: b.quotient(a),
+            lambda a, b: a.quotient(b),
+        ],
+        ids=["divides", "divided-by", "gcd", "lcm", "mul", "quotient", "quotient-by"],
+    )
+    def test_arithmetic_needs_one_variable_count(self, call):
+        # x1 in 2 variables and x1*x3 in 3: pairing exponents would drop x3
+        with pytest.raises(DomainError, match="monomials in [23] and [23] variables"):
+            call(m(1, 0), m(1, 0, 1))
+
     def test_support(self):
         assert m(0, 2, 1).support == (2, 3)
         assert m(0, 2, 1).support_mask == 0b110

@@ -2,6 +2,9 @@
 other than a comment, a docstring or a newline."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
@@ -52,3 +55,22 @@ def test_the_module_column_fits_the_longest_name(tmp_path, capsys):
         ["total", "4", "3"],
     ]
     assert {len(row) for row in rows} == {len("a_module_name_of_thirty_six_chars.py") + 16}
+
+
+def test_a_closed_stdout_stops_quietly(tmp_path):
+    # the read end is closed before the child starts, so its write fails
+    # with EPIPE for certain
+    (tmp_path / "a.py").write_text("x = 1\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(LOC), str(tmp_path)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")

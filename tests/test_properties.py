@@ -1565,25 +1565,62 @@ def test_batch_reconstruction_fails_on_a_perturbed_label(case, data):
 
 @given(wide_labelled_trees, st.data())
 @settings(max_examples=60, deadline=None)
-def test_the_first_label_of_an_edge_wins(case, data):
+def test_a_second_label_of_an_edge_is_refused(case, data):
+    # one (edge, label) entry per edge: a second entry, after the first or
+    # before it, is refused, so no consumer has to pick one of the two
     tree, _, n = case
     e = data.draw(st.sampled_from(tree.edges))
     monomials = _exponent_monomials(n, 2**40)
     other = (data.draw(monomials), data.draw(monomials))
-    after = RelationTree(tree.num_generators, tree.edges, tree.labels + ((e, other),))
-    before = RelationTree(tree.num_generators, tree.edges, ((e, other),) + tree.labels)
+    for labels in (tree.labels + ((e, other),), ((e, other),) + tree.labels):
+        with pytest.raises(DomainError, match="labels do not match the edge set"):
+            RelationTree(tree.num_generators, tree.edges, labels)
     replaced = RelationTree(
         tree.num_generators,
         tree.edges,
         tuple((f, other if f == e else lab) for f, lab in tree.labels),
     )
-    assert after.label(*e) == tree.label(*e) and before.label(*e) == other
-    expected = [_reference_products(tree, n), _reference_products(replaced, n)]
-    assert [reconstruct_generators(after), reconstruct_generators(before)] == expected
-    verdicts = reconstructs([after, before, tree], expected[0])
-    assert verdicts == [True, expected[1] == expected[0], True]
-    assert relation_tree_to_json(after) == relation_tree_to_json(tree)
-    assert relation_tree_to_json(before) == relation_tree_to_json(replaced)
+    assert replaced.label(*e) == other
+    assert reconstruct_generators(replaced) == _reference_products(replaced, n)
+    u, v = (list(m.exponents) for m in other)
+    assert relation_tree_to_json(replaced)["labels"][f"{e[0] + 1}-{e[1] + 1}"] == {
+        "u_ij": u,
+        "u_ji": v,
+    }
+
+
+_JUNK_LABELS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=2),
+    st.tuples(st.text(max_size=1), st.text(max_size=1)),
+    st.tuples(st.integers(0, 2)),
+)
+
+
+@given(st.integers(2, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_relation_tree_is_read_without_a_bare_error(t, data):
+    # the constructor is the one check of a tree's labels: what it accepts,
+    # reconstruction and the wire form read, and what it refuses is a
+    # DomainError; labels of 1 or 2 variables, junk, and repeated edges
+    edges = data.draw(tree_edges(t))
+    pairs = st.tuples(_exponent_monomials(1), _exponent_monomials(1)) | st.tuples(
+        _exponent_monomials(2), _exponent_monomials(2)
+    )
+    keys = st.sampled_from(edges) | st.tuples(st.integers(0, t), st.integers(0, t))
+    entries = st.tuples(keys, pairs | _JUNK_LABELS) | st.tuples(keys)
+    labels = data.draw(
+        st.lists(entries, max_size=t + 1)
+        | st.lists(pairs, min_size=t - 1, max_size=t - 1).map(lambda ps: tuple(zip(edges, ps)))
+    )
+    try:
+        tree = RelationTree(t, tuple(edges), tuple(labels))
+    except DomainError:
+        return
+    gens = reconstruct_generators(tree)
+    assert reconstructs([tree], gens) == [True]
+    assert len(relation_tree_to_json(tree)["labels"]) == t - 1
 
 
 @given(wide_labelled_trees)
@@ -1712,20 +1749,12 @@ def test_batch_certificates_reject_what_the_single_call_rejects(cx, data):
 
 @given(wide_labelled_trees, st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
-def test_batch_reconstruction_rejects_mixed_variable_counts(case, m):
+def test_a_label_of_two_variable_counts_is_refused(case, m):
     tree, _, n = case
     assume(m != n)
     (e, (u, v)), *rest = tree.labels
-    mixed = RelationTree(
-        tree.num_generators, tree.edges, ((e, (u, Monomial([1] * m))), *rest)
-    )
-    gens = _reference_products(tree, n)
-    for call in (
-        lambda: reconstruct_generators(mixed),
-        lambda: reconstructs([tree, mixed], gens),
-    ):
-        with pytest.raises(DomainError, match="mixed variable counts"):
-            call()
+    with pytest.raises(DomainError, match="mixed variable counts"):
+        RelationTree(tree.num_generators, tree.edges, ((e, (u, Monomial([1] * m))), *rest))
 
 
 @given(wide_labelled_trees, wide_labelled_trees, st.data())
@@ -1744,22 +1773,14 @@ def test_batch_reconstruction_fails_a_tree_of_other_variable_counts(case, other,
 
 @given(wide_labelled_trees, st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
-def test_reconstruction_rejects_labels_of_two_counts_in_one_tree(case, m):
+def test_labels_of_two_counts_in_one_tree_are_refused(case, m):
     # each label pair is consistent, but two pairs of one tree disagree
     tree, _, n = case
     assume(m != n and len(tree.labels) >= 2)
     (e, _), *rest = tree.labels
-    mixed = RelationTree(
-        tree.num_generators, tree.edges, ((e, (Monomial([1] * m), Monomial([0] * m))), *rest)
-    )
-    gens = _reference_products(tree, n)
-    for call in (
-        lambda: reconstruct_generators(mixed),
-        lambda: reconstructs([tree, mixed], gens),
-        lambda: reconstructs([mixed, tree], gens),
-    ):
-        with pytest.raises(DomainError, match="mixed variable counts"):
-            call()
+    labels = ((e, (Monomial([1] * m), Monomial([0] * m))), *rest)
+    with pytest.raises(DomainError, match="mixed variable counts"):
+        RelationTree(tree.num_generators, tree.edges, labels)
 
 
 @st.composite

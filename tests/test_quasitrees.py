@@ -243,6 +243,13 @@ class TestRelationTreeValue:
         with pytest.raises(DomainError):
             RelationTree(2, ((0, 1),), (((1, 2), lab),))
 
+    def test_labels_are_held_as_the_tuple_that_was_checked(self):
+        lab = (Monomial((1, 0)), Monomial((0, 1)))
+        tree = RelationTree(2, ((0, 1),), iter([((0, 1), lab)]))
+        assert tree.labels == (((0, 1), lab),)
+        assert reconstruct_generators(tree) == list(lab)
+        assert tree == RelationTree(2, ((0, 1),), [((0, 1), lab)])
+
     def test_from_edges_attaches_taylor_labels(self):
         gens = [Monomial((1, 1, 0)), Monomial((0, 1, 1))]
         tree = relation_tree_from_edges(gens, [(0, 1)])

@@ -135,6 +135,27 @@ class TestGraph6:
         with pytest.raises(DomainError, match="too short"):
             graph_from_graph6("D")
 
+    def test_characters_past_the_edge_bits_rejected(self):
+        for text in ("A_~~~~", "D~{?", "@?"):
+            with pytest.raises(DomainError, match="too long"):
+                graph_from_graph6(text)
+
+    def test_nonzero_padding_bits_rejected(self):
+        # n = 2 has one edge bit; '`' = 63 + 0b100001 sets the last padding bit
+        for text in ("A`", "D~}"):
+            with pytest.raises(DomainError, match="padding"):
+                graph_from_graph6(text)
+
+    def test_no_vertices_is_refused_as_in_json(self):
+        with pytest.raises(DomainError, match="positive integer, got 0") as json_error:
+            graph_from_json({"n": 0, "edges": []})
+        with pytest.raises(DomainError) as graph6_error:
+            graph_from_graph6("?")
+        assert str(graph6_error.value) == str(json_error.value)
+
+    def test_one_vertex(self):
+        assert graph_from_graph6("@") == Graph(1, [])
+
 
 class TestBettiAndTreeJson:
     def test_betti_json_fields(self):

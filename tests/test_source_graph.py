@@ -125,19 +125,19 @@ MASKS = ("_mask_vectors", "a support mask becomes an exponent vector in one help
 SQUAREFREE = ("_squarefree_ideal", "a squarefree ideal is stored from its masks")
 VOID = ("SimplicialComplex.is_void", "the void complex is refused on entry")
 LEVEL = ("dimension_info _check_skeleton", "a skeleton level is checked against the dimension")
-FIELD = ("FieldChoice FieldChoice.__post_init__ _characteristic", "both take the same field")
+FIELD = ("FieldChoice FieldChoice.__post_init__ _is_prime _characteristic",
+         "both take the same field")
 HOMOLOGY = ("_profile_from_masks _reduced_ranks _boundary_rank down_closure", "one cached kernel")
 NONFACES = ("minimal_nonfaces_masks minimal_transversals _bitmap_transversals _subset_bitmaps"
             " _berge_transversals", "both ideals are read off minimal nonfaces")
 ENGINE = ("_squarefree_engine _mask_engine _minimal_masks _lcm_lattice _koszul_profile _compress"
-          " _nerve_faces FieldChoice FieldChoice.__post_init__ _mask_characteristic"
-          " _int_characteristic", "one upper-Koszul engine, walked for projdim on one side")
+          " _nerve_faces FieldChoice FieldChoice.__post_init__ _is_prime",
+          "one upper-Koszul engine, walked for projdim on one side")
 CANDIDATE = ("one_skeleton_graph clique_complex maximal_clique_masks maximal_cliques"
              " SimplicialComplex.facets", "both judge the clique complex of the 1-skeleton")
 COMPLEMENT = ("_complement_ideal skeleton_complement facet_ideal", "one builder, at l and at 1")
 TAYLOR = ("_boundary_rank BettiTable.from_dict _check_betti_generators MonomialIdeal.is_zero",
           "the boundary builder, as the Taylor docstring says, the table type and its cap")
-NUM_VARS = ("Monomial.num_vars", "an ideal's num_vars, which an untyped read also matches")
 # suite: (side A, side B, [(shared functions, why)])
 ROUTES = {
     "lemma-1.1": ("pure_complement", "facet_ideal complex_from_ideal skeleton",
@@ -158,7 +158,7 @@ ROUTES = {
                 "one_skeleton_graph clique_complex is_chordal", [CANDIDATE, STORE]),
     "lemma-4.2": ("_complement_ideal", "_complement_ideal skeleton_ideal_from_one_skeleton",
                   [COMPLEMENT, STORE, MASKS, SQUAREFREE, VOID, LEVEL]),
-    "betti-vs-taylor": ("betti_table", "taylor_betti_table", [TAYLOR, FIELD, NUM_VARS]),
+    "betti-vs-taylor": ("betti_table", "taylor_betti_table", [TAYLOR, FIELD]),
 }
 # suite: (its route, why it has only one)
 ONE_ROUTE = {

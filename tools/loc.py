@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -51,13 +52,20 @@ def main(argv: list[str]) -> int:
     paths = sorted(package.glob("*.py"))
     width = max([len("module"), *(len(path.name) for path in paths)])
     total_lines = total_code = 0
-    print(f"{'module':<{width}} {'lines':>7} {'code':>7}")
+    rows = [f"{'module':<{width}} {'lines':>7} {'code':>7}"]
     for path in paths:
         lines, code = count(path.read_text(encoding="utf-8"))
         total_lines += lines
         total_code += code
-        print(f"{path.name:<{width}} {lines:>7,} {code:>7,}")
-    print(f"{'total':<{width}} {total_lines:>7,} {total_code:>7,}")
+        rows.append(f"{path.name:<{width}} {lines:>7,} {code:>7,}")
+    rows.append(f"{'total':<{width}} {total_lines:>7,} {total_code:>7,}")
+    try:
+        print("\n".join(rows))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``, say): point it at devnull so
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
